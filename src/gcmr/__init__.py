@@ -8,26 +8,25 @@ synthetic-data protocol runner, bit-reproducible serialization, evaluation
 reports, and a CLI (``gcmr``).
 """
 
-from .classifier import (ClassifierGrads, ClassifierParams, backward,
-                         expand_with_imprinting, forward, init_classifier,
-                         project)
+from .classifier import (ClassifierParams, eval_logits_batch,
+                         expand_with_imprinting, incremental_terms,
+                         init_classifier, project_batch)
 from .data_io import (ProtocolSpec, SessionData, SyntheticSpec, TokenDataset,
                       fscil_split, generate_synthetic, load_checkpoint,
                       load_features, materialize_sessions, save_checkpoint,
                       save_dataset)
-from .encoder import (DecoderParams, EncoderParams, MaskPlan, encode,
+from .encoder import (DecoderParams, EncoderParams, MaskPlan, encode_batch,
                       init_decoder, init_encoder, mask_features,
-                      normalized_features, pool_normalize, reconstruct)
+                      normalize_rows, normalized_features, reconstruct)
 from .eval_report import SessionReport, aggregate, evaluate_session, write_report
 from .losses import (DistanceDictionary, LossConfig, alpha_schedule,
                      base_loss, base_loss_backward, build_distance_dictionary,
-                     distance_vector, incremental_loss)
+                     incremental_loss)
 from .memory import (RepresentationMemory, WeightMemory, build_weight_memory,
                      init_representation_memory, memory_budget_bytes,
                      update_representation_memory)
-from .nn_core import (NumericalError, OptimizerState, cosine_lr,
-                      cross_entropy, l2_normalize, layer_normalize, softmax,
-                      sgd_momentum_step)
+from .nn_core import (NumericalError, cosine_lr, cross_entropy_rows,
+                      sgd_momentum_step, softmax_rows)
 from .trainer import (SessionState, TrainConfig, run_protocol, train_base,
                       train_incremental)
 

@@ -1,6 +1,6 @@
-"""Two-layer classification head: forward, hidden projection, analytic
-gradients of the memory-regularized incremental objective, and
-imprinting-based expansion for novel classes.
+"""Two-layer classification head: batched hidden projection and eval
+logits, analytic gradients of the memory-regularized incremental objective,
+and imprinting-based expansion for novel classes.
 
 Head layout: hidden = ReLU(W1^T f + b1) with inverted dropout in train mode,
 logits = W2^T hidden + b2. The hidden map doubles as the projection applied
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn_core import (NumericalError, PROB_FLOOR, as_finite_array,
-                      softmax_rows)
+from .nn_core import cross_entropy_rows
 
 # Sub-stream tags keeping the dropout noise of the loss terms that share one
 # optimization step independent of each other.
@@ -62,6 +61,10 @@ class ClassifierParams:
     def n_classes(self) -> int:
         return self.w2.shape[1]
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The trainable arrays by name (the arrays themselves, not copies)."""
+        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(self.w1.copy(), self.b1.copy(),
                                 self.w2.copy(), self.b2.copy(), self.dropout_rate)
@@ -88,74 +91,18 @@ def dropout_scale(n_units: int, rate: float, seed: int) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-def forward(fbar, params: ClassifierParams, mode: str = "eval", seed: int = 0):
-    """Run one feature vector through the head.
-
-    Train mode applies inverted dropout to the hidden layer with a mask that
-    is a deterministic function of the seed; eval mode applies neither the
-    mask nor its compensation scaling. Returns (hidden, logits).
-    """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
-    f = as_finite_array(fbar, "feature")
-    if f.shape != (params.dim,):
-        raise ValueError(f"feature dim {f.shape} does not match classifier dim {params.dim}")
-    hidden = np.maximum(f @ params.w1 + params.b1, 0.0)
-    if mode == "train":
-        hidden = hidden * dropout_scale(params.hidden, params.dropout_rate, seed)
-    logits = hidden @ params.w2 + params.b2
-    return hidden, logits
-
-
-def project(fbar, params: ClassifierParams) -> np.ndarray:
-    """Hidden-space image ReLU(W1^T f + b1), dropout-free.
+def project_batch(features: np.ndarray, params: ClassifierParams) -> np.ndarray:
+    """Hidden-space image ReLU(W1^T f + b1) of each (n, dim) row, dropout-free.
 
     Applied both to example features and to memory rows, so distances are
     measured between comparably transformed vectors.
     """
-    f = as_finite_array(fbar, "feature")
-    if f.shape != (params.dim,):
-        raise ValueError(f"feature dim {f.shape} does not match classifier dim {params.dim}")
-    return np.maximum(f @ params.w1 + params.b1, 0.0)
-
-
-def project_batch(features: np.ndarray, params: ClassifierParams) -> np.ndarray:
     return np.maximum(features @ params.w1 + params.b1, 0.0)
 
 
 def eval_logits_batch(features: np.ndarray, params: ClassifierParams) -> np.ndarray:
     """Eval-mode logits for a (n, dim) feature batch."""
     return project_batch(features, params) @ params.w2 + params.b2
-
-
-@dataclass
-class ClassifierGrads:
-    """Gradients for every head parameter, same shapes as the parameters."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @staticmethod
-    def zeros(params: ClassifierParams) -> "ClassifierGrads":
-        return ClassifierGrads(np.zeros_like(params.w1), np.zeros_like(params.b1),
-                               np.zeros_like(params.w2), np.zeros_like(params.b2))
-
-    def add_scaled(self, other: "ClassifierGrads", weight: float) -> None:
-        self.w1 += weight * other.w1
-        self.b1 += weight * other.b1
-        self.w2 += weight * other.w2
-        self.b2 += weight * other.b2
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def check_finite(self) -> "ClassifierGrads":
-        for name, arr in self.as_dict().items():
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite gradient in {name}")
-        return self
 
 
 def _mean_ce_with_grads(inputs, targets, params, dropout_seeds, compute_grads):
@@ -171,17 +118,15 @@ def _mean_ce_with_grads(inputs, targets, params, dropout_seeds, compute_grads):
                        for s in dropout_seeds])
     hidden = relu * scales
     logits = hidden @ params.w2 + params.b2
-    probs = softmax_rows(logits)
-    picked = np.maximum(probs[np.arange(n), targets], PROB_FLOOR)
-    value = float(-np.log(picked).mean())
+    value, probs = cross_entropy_rows(logits, targets)
     if not compute_grads:
         return value, None
     dlogits = probs
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
     dz1 = (dlogits @ params.w2.T) * scales * (z1 > 0)
-    return value, ClassifierGrads(w1=inputs.T @ dz1, b1=dz1.sum(axis=0),
-                                  w2=hidden.T @ dlogits, b2=dlogits.sum(axis=0))
+    return value, {"w1": inputs.T @ dz1, "b1": dz1.sum(axis=0),
+                   "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
 
 
 def _distance_ce_with_grads(features, rows_idx, dictionary, params, compute_grads):
@@ -190,7 +135,8 @@ def _distance_ce_with_grads(features, rows_idx, dictionary, params, compute_grad
     features: (n, dim) already restricted to examples that have a dictionary
     row; rows_idx: their target row indices. In hidden space the gradient
     flows through the projection of the example features; dictionary rows are
-    constants within a step.
+    constants within a step, and feature-space distances involve no head
+    parameter at all (empty gradients).
     """
     n = features.shape[0]
     rows = dictionary.projected_rows
@@ -201,27 +147,31 @@ def _distance_ce_with_grads(features, rows_idx, dictionary, params, compute_grad
         points = features
     diff = points[:, None, :] - rows[None, :, :]      # (n, rows, width)
     d2 = np.einsum("nrw,nrw->nr", diff, diff)
-    probs = softmax_rows(-d2)
-    picked = np.maximum(probs[np.arange(n), rows_idx], PROB_FLOOR)
-    value = float(-np.log(picked).mean())
-    if not compute_grads:
-        return value, None
-    grads = ClassifierGrads.zeros(params)
-    if dictionary.space == "hidden":
-        coeff = probs
-        coeff[np.arange(n), rows_idx] -= 1.0           # q - t
-        dpoints = 2.0 * (coeff @ rows) / n
-        dz1 = dpoints * (z1 > 0)
-        grads.w1 += features.T @ dz1
-        grads.b1 += dz1.sum(axis=0)
-    # feature-space distances do not involve the head parameters
-    return value, grads
+    value, probs = cross_entropy_rows(-d2, rows_idx)
+    if not compute_grads or dictionary.space != "hidden":
+        return value, {}
+    coeff = probs
+    coeff[np.arange(n), rows_idx] -= 1.0               # q - t
+    dpoints = 2.0 * (coeff @ rows) / n
+    dz1 = dpoints * (z1 > 0)
+    return value, {"w1": features.T @ dz1, "b1": dz1.sum(axis=0)}
+
+
+def _blend(params: ClassifierParams, weighted) -> dict[str, np.ndarray]:
+    """sum_k weight_k * grads_k per head array, accumulated from zeros in
+    the given order; arrays missing from a term count as zero."""
+    out = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    for weight, grads in weighted:
+        for name, grad in grads.items():
+            out[name] += weight * grad
+    return out
 
 
 def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, seed,
                       *, memory_regularization: bool = True, compute_grads: bool = True):
-    """Value, unweighted per-term breakdown, and head gradients of the
-    incremental objective on one batch.
+    """Value, unweighted per-term breakdown, and head gradients (a dict
+    keyed like ClassifierParams.arrays) of the incremental objective on one
+    batch.
 
     features: (n, dim) normalized example features; labels: class columns.
     memory_rows: (m, dim) stored class means whose targets are their own row
@@ -231,38 +181,29 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     (1 - beta) * (memory + classification); off mode keeps the
     classification term alone.
     """
-    f = as_finite_array(features, "features")
-    if f.ndim != 2 or f.shape[0] == 0:
+    if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("expected a non-empty (n, dim) feature batch")
-    if f.shape[1] != params.dim:
+    if features.shape[1] != params.dim:
         raise ValueError("feature dim does not match classifier dim")
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (f.shape[0],):
+    if y.shape != (features.shape[0],):
         raise ValueError("labels must align with features")
-    if np.any(y < 0) or np.any(y >= params.n_classes):
-        raise ValueError("label out of range for the current class count")
-    n = f.shape[0]
+    n = features.shape[0]
 
     cls_seeds = [rng.stream_id(seed, CLASSIFICATION_TAG, j) for j in range(n)]
-    cls_value, cls_grads = _mean_ce_with_grads(f, y, params, cls_seeds, compute_grads)
+    cls_value, cls_grads = _mean_ce_with_grads(features, y, params, cls_seeds, compute_grads)
 
     if not memory_regularization:
-        breakdown = {"classification": cls_value}
-        grads = None
-        if compute_grads:
-            grads = ClassifierGrads.zeros(params)
-            grads.add_scaled(cls_grads, 1.0)
-            grads.check_finite()
-        return cls_value, breakdown, grads
+        grads = _blend(params, [(1.0, cls_grads)]) if compute_grads else None
+        return cls_value, {"classification": cls_value}, grads
 
-    mem = as_finite_array(memory_rows, "memory rows")
-    if mem.ndim != 2 or mem.shape[0] == 0:
+    if memory_rows.ndim != 2 or memory_rows.shape[0] == 0:
         raise ValueError("memory rows must be a non-empty (m, dim) matrix")
-    if mem.shape[0] > params.n_classes:
+    m = memory_rows.shape[0]
+    if m > params.n_classes:
         raise ValueError("more memory rows than classifier columns")
-    mem_seeds = [rng.stream_id(seed, MEMORY_TAG, k) for k in range(mem.shape[0])]
-    mem_targets = np.arange(mem.shape[0])
-    mem_value, mem_grads = _mean_ce_with_grads(mem, mem_targets, params,
+    mem_seeds = [rng.stream_id(seed, MEMORY_TAG, k) for k in range(m)]
+    mem_value, mem_grads = _mean_ce_with_grads(memory_rows, np.arange(m), params,
                                                mem_seeds, compute_grads)
 
     row_of = {cls: i for i, cls in enumerate(dictionary.row_class)}
@@ -275,12 +216,10 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
             raise ValueError(f"no dictionary row for label {yj}")
         keep.append(j)
         rows_idx.append(row)
+    dist_value, dist_grads = 0.0, {}
     if keep:
         dist_value, dist_grads = _distance_ce_with_grads(
-            f[keep], np.asarray(rows_idx), dictionary, params, compute_grads)
-    else:
-        dist_value, dist_grads = 0.0, (ClassifierGrads.zeros(params)
-                                       if compute_grads else None)
+            features[keep], np.asarray(rows_idx), dictionary, params, compute_grads)
 
     beta = cfg.beta
     total = beta * dist_value + (1.0 - beta) * (mem_value + cls_value)
@@ -288,24 +227,9 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
                  "classification": cls_value}
     grads = None
     if compute_grads:
-        grads = ClassifierGrads.zeros(params)
-        grads.add_scaled(dist_grads, beta)
-        grads.add_scaled(mem_grads, 1.0 - beta)
-        grads.add_scaled(cls_grads, 1.0 - beta)
-        grads.check_finite()
+        grads = _blend(params, [(beta, dist_grads), (1.0 - beta, mem_grads),
+                                (1.0 - beta, cls_grads)])
     return total, breakdown, grads
-
-
-def backward(features, labels, memory_rows, dictionary, params, cfg, seed,
-             *, memory_regularization: bool = True) -> ClassifierGrads:
-    """Analytic gradients of the full incremental objective for every head
-    parameter, including the flow through the projection inside the distance
-    and memory terms."""
-    _, _, grads = incremental_terms(features, labels, memory_rows, dictionary,
-                                    params, cfg, seed,
-                                    memory_regularization=memory_regularization,
-                                    compute_grads=True)
-    return grads
 
 
 def expand_with_imprinting(params: ClassifierParams, novel_class_means) -> ClassifierParams:
@@ -318,12 +242,10 @@ def expand_with_imprinting(params: ClassifierParams, novel_class_means) -> Class
     means = list(novel_class_means)
     if not means:
         return params.copy()
-    columns = []
-    for mean in means:
-        h = project(mean, params)
-        norm = np.linalg.norm(h)
-        columns.append(h / norm if norm > 0.0 else h)
-    w2 = np.concatenate([params.w2, np.stack(columns, axis=1)], axis=1)
-    b2 = np.concatenate([params.b2, np.zeros(len(columns))])
+    columns = project_batch(np.stack(means), params).T    # (hidden, novel)
+    norms = np.linalg.norm(columns, axis=0)
+    columns = columns / np.where(norms > 0.0, norms, 1.0)
+    w2 = np.concatenate([params.w2, columns], axis=1)
+    b2 = np.concatenate([params.b2, np.zeros(len(means))])
     return ClassifierParams(params.w1.copy(), params.b1.copy(), w2, b2,
                             params.dropout_rate)

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import data_io, eval_report, losses, rng, trainer
-from .classifier import ClassifierParams, backward, init_classifier
+from .classifier import incremental_terms, init_classifier
 from .encoder import init_decoder, init_encoder
 from .losses import DistanceDictionary, LossConfig, base_loss, base_loss_backward
 from .nn_core import NumericalError
@@ -131,7 +131,8 @@ def _cmd_run(args) -> int:
         if args.no_base_finetune:
             cfg.finetune_base = False
             print("override: finetune_base=off")
-    except ConfigError as exc:
+        eval_report.thread_count()
+    except (ConfigError, ValueError) as exc:  # ValueError: bad GCMR_THREADS
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -142,36 +143,27 @@ def _cmd_run(args) -> int:
     except (data_io.FormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if cfg.finetune_base and cfg.base_epochs > 0 and dataset.features.shape[1] < 2:
+        print("config error: base finetuning masks and reconstructs token groups, "
+              "which needs >= 2 tokens per example; this dataset has one (flat CSV "
+              "layout): rerun with --no-base-finetune", file=sys.stderr)
+        return EXIT_CONFIG
 
     os.makedirs(args.out, exist_ok=True)
     ckpt_dir = os.path.join(args.out, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
     log_path = os.path.join(args.out, "run_log.jsonl")
 
+    def save(state, report) -> None:
+        data_io.save_checkpoint(
+            state, os.path.join(ckpt_dir, f"session_{state.session:02d}.gcmr"))
+
     try:
         with open(log_path, "w", encoding="utf-8") as log_file:
             def log_sink(record: dict) -> None:
                 log_file.write(json.dumps(record) + "\n")
 
-            reports = []
-            acc_history: list[float] = []
-            test_features: list[np.ndarray] = []
-            test_labels: list[np.ndarray] = []
-            state = None
-            for t, session in enumerate(sessions):
-                if t == 0:
-                    state = trainer.train_base(session, cfg, log_sink)
-                else:
-                    state = trainer.train_incremental(state, session, cfg, log_sink)
-                test_features.append(session.test.features)
-                test_labels.append(session.test.labels)
-                report = eval_report.evaluate_session(
-                    state, np.concatenate(test_features), np.concatenate(test_labels),
-                    prior_acc_all=acc_history)
-                acc_history.append(report.acc_all)
-                reports.append(report)
-                data_io.save_checkpoint(
-                    state, os.path.join(ckpt_dir, f"session_{t:02d}.gcmr"))
+            reports, _ = trainer.run_protocol(sessions, cfg, log_sink, on_session=save)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -232,25 +224,20 @@ def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int,
     dict_rows = gen.standard_normal((n_classes, hidden))
     dictionary = DistanceDictionary(dict_rows, tuple(range(n_classes)), "hidden")
 
-    class _Mem:
-        def __init__(self, rows):
-            self.rows = rows
-            self.n_classes = rows.shape[0]
-
-    mem = _Mem(memory_rows)
-    grads = backward(features, labels, memory_rows, dictionary, params, cfg, seed)
+    _, _, grads = incremental_terms(features, labels, memory_rows, dictionary,
+                                    params, cfg, seed)
     if corrupt:
-        grads.w1[0, 0] += 1e-2
-    arrays = {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2}
+        grads["w1"][0, 0] += 1e-2
+    arrays = params.arrays()
 
     def incr_value():
-        total, _ = losses.incremental_loss(features, labels, mem, dictionary,
+        total, _ = losses.incremental_loss(features, labels, memory_rows, dictionary,
                                            params, cfg, seed)
         return total
 
     numeric = _finite_difference(incr_value, arrays)
     for name in arrays:
-        rows.append(("incremental", name, _max_rel_err(grads.as_dict()[name], numeric[name])))
+        rows.append(("incremental", name, _max_rel_err(grads[name], numeric[name])))
 
     # base objective
     enc = init_encoder(dim, dim)
@@ -264,28 +251,27 @@ def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int,
                                           cfg, 1, seed)
     base_arrays = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w,
                    "dec_b": dec.b, "mask_token": dec.mask_token,
-                   "head_w1": params.w1, "head_b1": params.b1,
-                   "head_w2": params.w2, "head_b2": params.b2}
+                   **{f"head_{name}": arr for name, arr in params.arrays().items()}}
 
     def base_value():
         total, _ = base_loss(raw, base_labels, enc, dec, params, cfg, 1, seed)
         return total
 
     numeric = _finite_difference(base_value, base_arrays)
-    analytic = base_grads.as_dict()
     for name in base_arrays:
-        rows.append(("base", name, _max_rel_err(analytic[name], numeric[name])))
+        rows.append(("base", name, _max_rel_err(base_grads[name], numeric[name])))
     return rows
 
 
 def _cmd_gradcheck(args) -> int:
     try:
         parts = [int(v) for v in args.dims.split(",")]
-        if len(parts) != 3 or min(parts) < 1:
+        if len(parts) != 3 or min(parts) < 1 or parts[0] < 2:
             raise ValueError
         dim, hidden, n_classes = parts
     except ValueError:
-        print("config error: --dims expects D,H,C positive integers", file=sys.stderr)
+        print("config error: --dims expects D,H,C positive integers with D >= 2",
+              file=sys.stderr)
         return EXIT_CONFIG
     if dim * hidden * n_classes > 10_000:
         print("config error: --dims product must stay <= 10000", file=sys.stderr)

@@ -23,6 +23,7 @@ examples.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -118,10 +119,10 @@ class SyntheticSpec:
             raise ValueError("synthetic dimensions and counts must be positive")
         if self.g < 2:
             raise ValueError("g must be at least 2 tokens")
-        if self.within_class_sigma <= 0.0:
-            raise ValueError("within_class_sigma must be positive")
-        if self.class_mean_norm <= 0.0:
-            raise ValueError("class_mean_norm must be positive")
+        if not 0.0 < self.within_class_sigma < math.inf:
+            raise ValueError("within_class_sigma must be positive and finite")
+        if not 0.0 < self.class_mean_norm < math.inf:
+            raise ValueError("class_mean_norm must be positive and finite")
 
 
 @dataclass
@@ -138,6 +139,8 @@ class TokenDataset:
             raise ValueError("features must have shape (n, tokens, dim)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with features")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain non-finite entries")
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn_core import LAYER_NORM_EPS, as_finite_array, l2_normalize, layer_normalize
+from .nn_core import LAYER_NORM_EPS
 
 # Sub-stream tag isolating mask-index selection from other seed consumers.
 MASK_STREAM = 0x6D61736B
@@ -38,6 +38,8 @@ class EncoderParams:
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError("encoder weight/bias shapes disagree")
+        if self.w.shape[1] < 2:
+            raise ValueError("feature normalization needs a feature dim >= 2")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.feature_norm not in FEATURE_NORMS:
@@ -128,19 +130,10 @@ def activation_grad(outputs: np.ndarray, activation: str) -> np.ndarray:
     return np.ones_like(outputs)
 
 
-def encode(raw_tokens, params: EncoderParams) -> np.ndarray:
-    """Map one (tokens, raw_dim) group into feature space; deterministic."""
-    raw = as_finite_array(raw_tokens, "raw tokens")
-    if raw.ndim != 2 or raw.shape[0] < 2:
-        raise ValueError("expected a (tokens, raw_dim) group with >= 2 tokens")
-    if raw.shape[1] != params.raw_dim:
-        raise ValueError(f"raw dim {raw.shape[1]} does not match encoder dim {params.raw_dim}")
-    return _activate(raw @ params.w + params.b, params.activation)
-
-
 def encode_batch(raw_tokens, params: EncoderParams) -> np.ndarray:
-    """Vectorized encode over a (n, tokens, raw_dim) stack of groups."""
-    raw = as_finite_array(raw_tokens, "raw tokens")
+    """Map a (n, tokens, raw_dim) stack of groups into feature space;
+    deterministic."""
+    raw = np.asarray(raw_tokens, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[2] != params.raw_dim:
         raise ValueError("expected raw tokens of shape (n, tokens, raw_dim)")
     return _activate(raw @ params.w + params.b, params.activation)
@@ -153,7 +146,7 @@ def mask_features(group, ratio: float, seed: int):
     the plan needed to reconstruct the full group. The subset is a function
     of the seed alone, so identical calls give identical plans.
     """
-    feats = as_finite_array(group, "feature group")
+    feats = np.asarray(group, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 2:
         raise ValueError("expected a (tokens, dim) group with >= 2 tokens")
     if not 0.0 <= ratio < 1.0:
@@ -172,7 +165,7 @@ def mask_features(group, ratio: float, seed: int):
 def reconstruct(visible, plan: MaskPlan, dec: DecoderParams) -> np.ndarray:
     """Decode the full group: visible rows pass through, masked rows start
     from the learned mask token, then every row gets the affine decoder."""
-    vis = as_finite_array(visible, "visible tokens")
+    vis = np.asarray(visible, dtype=np.float64)
     n_masked = len(plan.masked_indices)
     if vis.ndim != 2 or vis.shape[0] != plan.n_tokens - n_masked:
         raise ValueError("visible rows disagree with the mask plan")
@@ -186,19 +179,6 @@ def reconstruct(visible, plan: MaskPlan, dec: DecoderParams) -> np.ndarray:
     return filled @ dec.w + dec.b
 
 
-def pool_normalize(group, kind: str = "layer") -> np.ndarray:
-    """Mean-pool the token rows, then normalize the pooled vector."""
-    feats = as_finite_array(group, "feature group")
-    if feats.ndim != 2 or feats.shape[0] < 2:
-        raise ValueError("expected a (tokens, dim) group with >= 2 tokens")
-    pooled = feats.mean(axis=0)
-    if kind == "layer":
-        return layer_normalize(pooled)
-    if kind == "l2":
-        return l2_normalize(pooled)
-    raise ValueError(f"unknown normalization {kind!r}")
-
-
 def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
     """encode -> mean-pool -> normalize for a (n, tokens, raw_dim) batch.
 
@@ -210,7 +190,10 @@ def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
 
 
 def normalize_rows(rows: np.ndarray, kind: str) -> np.ndarray:
-    """Row-wise counterpart of layer_normalize / l2_normalize."""
+    """Normalize each row: "layer" shifts/scales to mean 0 and unit
+    population variance over sqrt(var + 1e-5), with no learnable affine
+    terms, so a constant row maps to zeros; "l2" scales to unit Euclidean
+    norm and passes zero rows through unchanged."""
     if kind == "layer":
         centered = rows - rows.mean(axis=1, keepdims=True)
         var = (centered * centered).mean(axis=1, keepdims=True)

@@ -44,11 +44,15 @@ class SessionReport:
         return out
 
 
-def _thread_count() -> int:
+def thread_count() -> int:
+    """GCMR_THREADS as a positive integer (default 1); ValueError otherwise."""
     value = os.environ.get("GCMR_THREADS", "1")
-    count = int(value)
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
     if count < 1:
-        raise ValueError("GCMR_THREADS must be a positive integer")
+        raise ValueError(f"GCMR_THREADS must be a positive integer, got {value!r}")
     return count
 
 
@@ -57,7 +61,7 @@ def _predict(state, features_raw: np.ndarray) -> np.ndarray:
         fbar = encoder.normalized_features(chunk, state.encoder)
         return np.argmax(eval_logits_batch(fbar, state.classifier), axis=1)
 
-    threads = _thread_count()
+    threads = thread_count()
     n = features_raw.shape[0]
     if threads == 1 or n < 2 * threads:
         return score(features_raw)

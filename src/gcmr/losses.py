@@ -17,12 +17,12 @@ masking and dropout noise, so values and gradients are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import classifier, encoder, rng
-from .nn_core import NumericalError, PROB_FLOOR, as_finite_array, softmax_rows
+from .nn_core import cross_entropy_rows
 
 # Sub-stream tag for per-example mask selection inside the base objective.
 MASK_TAG = 0
@@ -130,72 +130,26 @@ def build_distance_dictionary(mem, params, provisional=(), space: str = "hidden"
     """
     if space not in DISTANCE_SPACES:
         raise ValueError(f"space must be one of {DISTANCE_SPACES}")
-    columns = list(range(mem.n_classes))
+    blocks = [mem.rows]
+    if provisional:
+        blocks.append(np.stack([mean for _, mean in provisional]))
     if space == "hidden":
-        rows = [classifier.project_batch(mem.rows, params)]
-        for column, mean in provisional:
-            rows.append(classifier.project(mean, params)[None, :])
-            columns.append(int(column))
-        stacked = np.concatenate(rows, axis=0)
-    else:
-        rows = [mem.rows]
-        for column, mean in provisional:
-            rows.append(as_finite_array(mean, "provisional mean")[None, :])
-            columns.append(int(column))
-        stacked = np.concatenate(rows, axis=0)
-    return DistanceDictionary(stacked, tuple(columns), space)
+        blocks = [classifier.project_batch(block, params) for block in blocks]
+    columns = list(range(mem.n_classes)) + [int(column) for column, _ in provisional]
+    return DistanceDictionary(np.concatenate(blocks, axis=0), tuple(columns), space)
 
 
-def distance_vector(fbar, dictionary: DistanceDictionary, params) -> np.ndarray:
-    """Squared Euclidean distance from the (projected) feature to every
-    dictionary row."""
-    if dictionary.space == "hidden":
-        point = classifier.project(fbar, params)
-    else:
-        point = as_finite_array(fbar, "feature")
-    rows = dictionary.projected_rows
-    if point.shape != (rows.shape[1],):
-        raise ValueError("feature width does not match dictionary rows")
-    diff = rows - point
-    return np.einsum("rw,rw->r", diff, diff)
-
-
-def incremental_loss(features, labels, mem, dictionary, params, cfg: LossConfig, seed: int):
+def incremental_loss(features, labels, memory_rows, dictionary, params,
+                     cfg: LossConfig, seed: int):
     """Scalar incremental objective and its unweighted per-term breakdown.
 
     Value: beta * mean_j CE(-d_j, row(y_j)) + (1-beta) * mean_k CE(head(M_k), k)
     + (1-beta) * mean_j CE(head(f_j), y_j).
     """
-    if mem.n_classes == 0:
-        raise ValueError("representation memory is empty")
     total, breakdown, _ = classifier.incremental_terms(
-        features, labels, mem.rows, dictionary, params, cfg, seed,
+        features, labels, memory_rows, dictionary, params, cfg, seed,
         compute_grads=False)
     return total, breakdown
-
-
-@dataclass
-class BaseGrads:
-    """Gradients of the base objective for every trainable parameter."""
-
-    enc_w: np.ndarray
-    enc_b: np.ndarray
-    dec_w: np.ndarray
-    dec_b: np.ndarray
-    mask_token: np.ndarray
-    head: classifier.ClassifierGrads
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        flat = {"enc_w": self.enc_w, "enc_b": self.enc_b, "dec_w": self.dec_w,
-                "dec_b": self.dec_b, "mask_token": self.mask_token}
-        flat.update({f"head_{k}": v for k, v in self.head.as_dict().items()})
-        return flat
-
-    def check_finite(self) -> "BaseGrads":
-        for name, arr in self.as_dict().items():
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"non-finite gradient in {name}")
-        return self
 
 
 def base_loss(raw_tokens, labels, enc, dec, params, cfg: LossConfig,
@@ -210,21 +164,20 @@ def base_loss(raw_tokens, labels, enc, dec, params, cfg: LossConfig,
 def base_loss_backward(raw_tokens, labels, enc, dec, params, cfg: LossConfig,
                        epoch: int, seed: int):
     """Base objective value, breakdown, and analytic gradients for encoder,
-    decoder (including the mask token) and head parameters."""
+    decoder (including the mask token) and head parameters, as one dict
+    keyed enc_w, enc_b, dec_w, dec_b, mask_token and head_w1 ... head_b2."""
     return _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
                       compute_grads=True)
 
 
 def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_grads):
-    raw = as_finite_array(raw_tokens, "raw tokens")
+    raw = np.asarray(raw_tokens, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[0] == 0:
         raise ValueError("expected a non-empty (n, tokens, raw_dim) batch")
     y = np.asarray(labels, dtype=np.int64)
     n, n_tokens, _ = raw.shape
     if y.shape != (n,):
         raise ValueError("labels must align with the batch")
-    if np.any(y < 0) or np.any(y >= params.n_classes):
-        raise ValueError("label out of range for the current class count")
     alpha = alpha_schedule(cfg, epoch)
 
     feats = encoder.encode_batch(raw, enc)                 # (n, tokens, dim)
@@ -271,9 +224,7 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
                        for j in range(n)])
     hidden = relu * scales
     logits = hidden @ params.w2 + params.b2
-    probs = softmax_rows(logits)
-    picked = np.maximum(probs[np.arange(n), y], PROB_FLOOR)
-    ce_term = float(-np.log(picked).mean())
+    ce_term, probs = cross_entropy_rows(logits, y)
 
     total = alpha * recon_term + (1.0 - alpha) * ce_term
     breakdown = {"reconstruction": recon_term, "classification": ce_term}
@@ -285,9 +236,6 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
     dz1 = (dlogits @ params.w2.T) * scales * (z1 > 0)
-    head = classifier.ClassifierGrads(
-        w1=(1.0 - alpha) * (fbar.T @ dz1), b1=(1.0 - alpha) * dz1.sum(axis=0),
-        w2=(1.0 - alpha) * (hidden.T @ dlogits), b2=(1.0 - alpha) * dlogits.sum(axis=0))
     dfbar = dz1 @ params.w1.T
     dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
     d_feats_ce = np.broadcast_to(dpooled[:, None, :] / n_tokens, feats.shape)
@@ -295,12 +243,15 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     # combine both paths through the encoder
     d_feats_total = (alpha / n) * d_feats + (1.0 - alpha) * d_feats_ce
     dz_enc = d_feats_total * encoder.activation_grad(feats, enc.activation)
-    grads = BaseGrads(
-        enc_w=np.einsum("ngi,ngo->io", raw, dz_enc),
-        enc_b=dz_enc.sum(axis=(0, 1)),
-        dec_w=(alpha / n) * dec_w_g,
-        dec_b=(alpha / n) * dec_b_g,
-        mask_token=(alpha / n) * mask_token_g,
-        head=head,
-    ).check_finite()
+    grads = {
+        "enc_w": np.einsum("ngi,ngo->io", raw, dz_enc),
+        "enc_b": dz_enc.sum(axis=(0, 1)),
+        "dec_w": (alpha / n) * dec_w_g,
+        "dec_b": (alpha / n) * dec_b_g,
+        "mask_token": (alpha / n) * mask_token_g,
+        "head_w1": (1.0 - alpha) * (fbar.T @ dz1),
+        "head_b1": (1.0 - alpha) * dz1.sum(axis=0),
+        "head_w2": (1.0 - alpha) * (hidden.T @ dlogits),
+        "head_b2": (1.0 - alpha) * dlogits.sum(axis=0),
+    }
     return total, breakdown, grads

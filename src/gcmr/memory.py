@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classifier import ClassifierParams, project_batch
-from .nn_core import as_finite_array
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class WeightMemory:
 def _class_means(class_features: Mapping[int, Sequence], dim: int | None):
     ids, means = [], []
     for class_id, vectors in class_features.items():
-        stack = as_finite_array(vectors, f"features of class {class_id}")
+        stack = np.asarray(vectors, dtype=np.float64)
         if stack.ndim != 2 or stack.shape[0] == 0:
             raise ValueError(f"class {class_id} needs at least one feature vector")
         if dim is None:

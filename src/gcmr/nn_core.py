@@ -1,14 +1,12 @@
 """Dense numeric primitives shared by the whole package.
 
-Everything here is a pure function of its inputs: stable softmax,
-cross-entropy, parameter-free normalization, the cosine learning-rate
-schedule, and one SGD-with-momentum step. Public operations reject
-non-finite inputs instead of propagating NaN/Inf.
+Everything here works on batches: row-wise stable softmax, mean
+cross-entropy over rows, the cosine learning-rate schedule, and one
+SGD-with-momentum step over a name->array mapping. Inputs are validated
+where data enters the package (datasets, configs), not here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,105 +20,49 @@ class NumericalError(ArithmeticError):
     """A training computation produced non-finite values."""
 
 
-def as_finite_array(values, name: str = "input") -> np.ndarray:
-    """Convert to a float64 ndarray, rejecting NaN/Inf entries."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax of a 2-D array.
 
-
-def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax of a non-empty 1-D logit vector.
-
-    The max is subtracted before exponentiation, so inputs as large as
+    The row max is subtracted before exponentiation, so logits as large as
     1e4 in magnitude neither overflow nor change the argmax.
     """
-    arr = as_finite_array(logits, "logits")
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("softmax expects a non-empty 1-D vector")
-    exp = np.exp(arr - arr.max())
-    return exp / exp.sum()
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a 2-D array (internal, unvalidated)."""
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label], clamped at the 1e-12 probability floor."""
-    probs = softmax(logits)
-    label = int(label)
-    if not 0 <= label < probs.size:
-        raise ValueError(f"label {label} out of range for {probs.size} classes")
-    return float(-np.log(max(probs[label], PROB_FLOOR)))
+def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
+    """Mean over rows of -log softmax(logits)[j, targets[j]], each
+    probability clamped at the 1e-12 floor. Returns (value, probs)."""
+    n, n_classes = logits.shape
+    if np.any(targets < 0) or np.any(targets >= n_classes):
+        raise ValueError("label out of range for the current class count")
+    probs = softmax_rows(logits)
+    picked = np.maximum(probs[np.arange(n), targets], PROB_FLOOR)
+    return float(-np.log(picked).mean()), probs
 
 
-def layer_normalize(vector) -> np.ndarray:
-    """Shift/scale to mean 0 and unit population variance.
-
-    Uses denominator sqrt(var + 1e-5) and no learnable affine terms, so a
-    constant vector maps to zeros instead of dividing by zero.
-    """
-    arr = as_finite_array(vector, "vector")
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("layer_normalize expects a 1-D vector of length >= 2")
-    centered = arr - arr.mean()
-    return centered / np.sqrt(centered.var() + LAYER_NORM_EPS)
-
-
-def l2_normalize(vector) -> np.ndarray:
-    """Scale to unit Euclidean norm; the zero vector is returned unchanged."""
-    arr = as_finite_array(vector, "vector")
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("l2_normalize expects a 1-D vector of length >= 2")
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
-        return arr.copy()
-    return arr / norm
-
-
-@dataclass
-class OptimizerState:
-    """SGD momentum accumulator plus the cosine-schedule endpoints."""
-
-    velocity: np.ndarray
-    momentum: float = 0.9
-    base_lr: float = 1e-3
-    min_lr: float = 1e-5
-    total_epochs: int = 1
-
-    def __post_init__(self):
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.base_lr <= 0.0 or self.min_lr <= 0.0:
-            raise ValueError("learning rates must be positive")
-        if self.total_epochs < 1:
-            raise ValueError("total_epochs must be a positive integer")
-
-
-def cosine_lr(epoch: int, state: OptimizerState) -> float:
+def cosine_lr(epoch: int, base_lr: float, min_lr: float, total_epochs: int) -> float:
     """Cosine annealing from base_lr (epoch 0) down to min_lr (last epoch)."""
-    if not 0 <= epoch <= state.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {state.total_epochs}]")
-    span = state.base_lr - state.min_lr
-    return float(state.min_lr + span * (1.0 + np.cos(np.pi * epoch / state.total_epochs)) / 2.0)
+    if total_epochs < 1 or not 0 <= epoch <= total_epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {total_epochs}]")
+    span = base_lr - min_lr
+    return float(min_lr + span * (1.0 + np.cos(np.pi * epoch / total_epochs)) / 2.0)
 
 
-def sgd_momentum_step(params, grads, state: OptimizerState, lr: float):
-    """One heavy-ball step: v <- momentum*v + g, p <- p - lr*v.
+def sgd_momentum_step(params: dict, grads: dict, velocities: dict,
+                      momentum: float, lr: float) -> None:
+    """One heavy-ball step on every named array, in place:
+    v <- momentum*v + g, p <- p - lr*v.
 
-    Pure: returns (new_params, new_state) and leaves the inputs untouched.
-    With momentum 0 this is bit-identical to vanilla gradient descent.
+    With momentum 0 this is bit-identical to vanilla gradient descent. A
+    parameter that leaves the finite range raises NumericalError naming it;
+    any non-finite gradient entry lands in its parameter, so this one check
+    covers the gradients too.
     """
-    p = as_finite_array(params, "params")
-    g = as_finite_array(grads, "grads")
-    if p.shape != g.shape or p.shape != state.velocity.shape:
-        raise ValueError("params, grads and velocity must share one shape")
-    if lr <= 0.0:
-        raise ValueError("learning rate must be positive")
-    velocity = state.momentum * state.velocity + g
-    return p - lr * velocity, replace(state, velocity=velocity)
+    for name, p in params.items():
+        v = velocities[name]
+        v *= momentum
+        v += grads[name]
+        p -= lr * v
+        if not np.isfinite(p).all():
+            raise NumericalError(f"parameter {name} diverged to non-finite values")

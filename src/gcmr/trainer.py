@@ -13,6 +13,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,8 +22,7 @@ import numpy as np
 from . import classifier, encoder, losses, rng
 from .memory import (RepresentationMemory, WeightMemory, build_weight_memory,
                      init_representation_memory, update_representation_memory)
-from .nn_core import (NumericalError, OptimizerState, cosine_lr,
-                      sgd_momentum_step)
+from .nn_core import cosine_lr, sgd_momentum_step
 
 # Sub-stream tags for trainer-owned randomness.
 INIT_TAG = 101
@@ -60,12 +60,18 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if min(self.base_lr, self.incr_lr, self.min_lr) <= 0.0:
-            raise ValueError("learning rates must be positive")
+        if not all(0.0 < lr < math.inf for lr in (self.base_lr, self.incr_lr, self.min_lr)):
+            raise ValueError("learning rates must be positive and finite")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
-        if self.feature_dim is not None and self.feature_dim < 1:
-            raise ValueError("feature_dim must be positive when set")
+        if self.feature_dim is not None and self.feature_dim < 2:
+            raise ValueError("feature_dim must be at least 2 when set")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.encoder_activation not in encoder.ACTIVATIONS:
+            raise ValueError(f"encoder_activation must be one of {encoder.ACTIVATIONS}")
+        if self.feature_norm not in encoder.FEATURE_NORMS:
+            raise ValueError(f"feature_norm must be one of {encoder.FEATURE_NORMS}")
 
 
 @dataclass
@@ -77,30 +83,6 @@ class SessionState:
     classifier: classifier.ClassifierParams
     mem: RepresentationMemory
     wmem: WeightMemory
-
-
-class _Sgd:
-    """One velocity per named array; pure steps with a shared cosine schedule."""
-
-    def __init__(self, arrays: dict[str, np.ndarray], momentum: float,
-                 base_lr: float, min_lr: float, total_epochs: int):
-        self.states = {name: OptimizerState(np.zeros_like(arr), momentum,
-                                            base_lr, min_lr, max(total_epochs, 1))
-                       for name, arr in arrays.items()}
-
-    def lr(self, epoch: int) -> float:
-        state = next(iter(self.states.values()))
-        return cosine_lr(epoch, state)
-
-    def step(self, arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> dict[str, np.ndarray]:
-        updated = {}
-        for name, arr in arrays.items():
-            updated[name], self.states[name] = sgd_momentum_step(
-                arr, grads[name], self.states[name], lr)
-            if not np.all(np.isfinite(updated[name])):
-                raise NumericalError(f"parameter {name} diverged to non-finite values")
-        return updated
 
 
 def _column_labels(labels, class_ids) -> np.ndarray:
@@ -145,32 +127,19 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
 
     n = raw.shape[0]
     if cfg.finetune_base and cfg.base_epochs > 0:
-        arrays = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w, "dec_b": dec.b,
-                  "mask_token": dec.mask_token, "head_w1": head.w1, "head_b1": head.b1,
-                  "head_w2": head.w2, "head_b2": head.b2}
-        opt = _Sgd(arrays, cfg.momentum, cfg.base_lr, cfg.min_lr, cfg.base_epochs)
+        params = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w, "dec_b": dec.b,
+                  "mask_token": dec.mask_token,
+                  **{f"head_{name}": arr for name, arr in head.arrays().items()}}
+        velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
         for epoch in range(cfg.base_epochs):
-            lr = opt.lr(epoch)
+            lr = cosine_lr(epoch, cfg.base_lr, cfg.min_lr, cfg.base_epochs)
             order = rng.generator(cfg.seed, SHUFFLE_TAG, 0, epoch).permutation(n)
             epoch_total, epoch_terms, steps = 0.0, {"reconstruction": 0.0, "classification": 0.0}, 0
             for step, batch in enumerate(_batches(n, cfg.batch_size, order)):
                 step_seed = rng.stream_id(cfg.seed, STEP_TAG, 0, epoch, step)
                 total, breakdown, grads = losses.base_loss_backward(
                     raw[batch], y[batch], enc, dec, head, cfg.loss, epoch, step_seed)
-                arrays = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w,
-                          "dec_b": dec.b, "mask_token": dec.mask_token,
-                          "head_w1": head.w1, "head_b1": head.b1,
-                          "head_w2": head.w2, "head_b2": head.b2}
-                grad_map = {"enc_w": grads.enc_w, "enc_b": grads.enc_b,
-                            "dec_w": grads.dec_w, "dec_b": grads.dec_b,
-                            "mask_token": grads.mask_token,
-                            "head_w1": grads.head.w1, "head_b1": grads.head.b1,
-                            "head_w2": grads.head.w2, "head_b2": grads.head.b2}
-                new = opt.step(arrays, grad_map, lr)
-                enc.w, enc.b = new["enc_w"], new["enc_b"]
-                dec.w, dec.b, dec.mask_token = new["dec_w"], new["dec_b"], new["mask_token"]
-                head.w1, head.b1 = new["head_w1"], new["head_b1"]
-                head.w2, head.b2 = new["head_w2"], new["head_b2"]
+                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
                 epoch_total += total
                 for key in epoch_terms:
                     epoch_terms[key] += breakdown[key]
@@ -232,11 +201,11 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
 
     n = raw.shape[0]
     if cfg.incr_epochs > 0:
-        arrays = {"w1": head.w1, "b1": head.b1, "w2": head.w2, "b2": head.b2}
-        opt = _Sgd(arrays, cfg.momentum, cfg.incr_lr, cfg.min_lr, cfg.incr_epochs)
+        params = head.arrays()
+        velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
         provisional = list(zip(range(c_old, c_old + len(new_ids)), support_means))
         for epoch in range(cfg.incr_epochs):
-            lr = opt.lr(epoch)
+            lr = cosine_lr(epoch, cfg.incr_lr, cfg.min_lr, cfg.incr_epochs)
             dictionary = None
             if cfg.memory_regularization:
                 dictionary = losses.build_distance_dictionary(
@@ -249,11 +218,7 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
                     fbar[batch], y[batch], state.mem.rows, dictionary, head,
                     cfg.loss, step_seed,
                     memory_regularization=cfg.memory_regularization)
-                new = opt.step({"w1": head.w1, "b1": head.b1,
-                                "w2": head.w2, "b2": head.b2},
-                               grads.as_dict(), lr)
-                head.w1, head.b1, head.w2, head.b2 = (new["w1"], new["b1"],
-                                                      new["w2"], new["b2"])
+                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
                 epoch_total += total
                 for key, value in breakdown.items():
                     epoch_terms[key] = epoch_terms.get(key, 0.0) + value
@@ -282,9 +247,11 @@ def _incremental_epoch_breakdown(total, terms, steps, cfg):
     return out
 
 
-def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None):
+def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
+                 on_session: Callable[[SessionState, object], None] | None = None):
     """Run the base session plus every incremental session, evaluating on
-    the cumulative test set after each. Returns (reports, final_state)."""
+    the cumulative test set after each and then calling
+    on_session(state, report). Returns (reports, final_state)."""
     from .eval_report import evaluate_session
 
     stream = list(stream)
@@ -308,4 +275,6 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None):
                                   prior_acc_all=acc_history)
         acc_history.append(report.acc_all)
         reports.append(report)
+        if on_session is not None:
+            on_session(state, report)
     return reports, state

@@ -15,21 +15,21 @@ import numpy as np
 import pytest
 
 from gcmr import data_io, trainer
-from gcmr.classifier import (backward, expand_with_imprinting, forward,
-                             init_classifier, project)
+from gcmr.classifier import (eval_logits_batch, expand_with_imprinting,
+                             incremental_terms, init_classifier, project_batch)
 from gcmr.cli import main
 from gcmr.encoder import DecoderParams, EncoderParams
 from gcmr.eval_report import evaluate_session
 from gcmr.losses import (DistanceDictionary, LossConfig, alpha_schedule,
-                         base_loss, base_loss_backward, distance_vector,
-                         incremental_loss)
+                         base_loss, base_loss_backward, incremental_loss)
 from gcmr.memory import (build_weight_memory, init_representation_memory,
                          memory_budget_bytes, update_representation_memory)
-from gcmr.nn_core import cross_entropy, softmax
+from gcmr.nn_core import cross_entropy_rows, softmax_rows
 
 from oracles import (base_loss_scalar, cross_entropy_scalar,
                      distance_vector_scalar, finite_difference,
-                     incremental_loss_scalar, max_rel_err, softmax_scalar)
+                     incremental_loss_scalar, max_rel_err, project_scalar,
+                     softmax_scalar)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -37,12 +37,6 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {criterion}: {status}{suffix}")
     assert ok, f"{criterion} failed: {detail}"
-
-
-class _Mem:
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.float64)
-        self.n_classes = self.rows.shape[0]
 
 
 def _incremental_instance(seed, dim=8, hidden=4, n_classes=5, n_batch=3,
@@ -76,19 +70,18 @@ def test_criterion_1_gradient_correctness():
     for seed in range(20):
         params, features, labels, memory_rows, dictionary, cfg = \
             _incremental_instance(seed)
-        grads = backward(features, labels, memory_rows, dictionary, params,
-                         cfg, seed)
-        mem = _Mem(memory_rows)
+        _, _, grads = incremental_terms(features, labels, memory_rows, dictionary,
+                                        params, cfg, seed)
 
         def incr_value():
-            total, _ = incremental_loss(features, labels, mem, dictionary,
+            total, _ = incremental_loss(features, labels, memory_rows, dictionary,
                                         params, cfg, seed)
             return total
 
         for name, arr in (("w1", params.w1), ("b1", params.b1),
                           ("w2", params.w2), ("b2", params.b2)):
             numeric = finite_difference(incr_value, arr, h=1e-5)
-            worst = max(worst, max_rel_err(grads.as_dict()[name], numeric))
+            worst = max(worst, max_rel_err(grads[name], numeric))
 
         raw, base_labels, enc, dec, bparams, bcfg = _base_instance(seed)
         _, _, bgrads = base_loss_backward(raw, base_labels, enc, dec, bparams,
@@ -98,13 +91,12 @@ def test_criterion_1_gradient_correctness():
             total, _ = base_loss(raw, base_labels, enc, dec, bparams, bcfg, 1, seed)
             return total
 
-        analytic = bgrads.as_dict()
         for name, arr in (("enc_w", enc.w), ("enc_b", enc.b), ("dec_w", dec.w),
                           ("dec_b", dec.b), ("mask_token", dec.mask_token),
                           ("head_w1", bparams.w1), ("head_b1", bparams.b1),
                           ("head_w2", bparams.w2), ("head_b2", bparams.b2)):
             numeric = finite_difference(base_value, arr, h=1e-5)
-            worst = max(worst, max_rel_err(analytic[name], numeric))
+            worst = max(worst, max_rel_err(bgrads[name], numeric))
     elapsed = time.time() - start
     _report("1 gradient-correctness", worst < 1e-4 and elapsed < 10.0,
             f"worst rel err {worst:.2e} over 20 instances, {elapsed:.1f}s")
@@ -115,11 +107,10 @@ def test_criterion_2_loss_decomposition():
     for seed in range(5):
         params, features, labels, memory_rows, dictionary, _ = \
             _incremental_instance(seed + 100)
-        mem = _Mem(memory_rows)
-        total, terms = incremental_loss(features, labels, mem, dictionary,
+        total, terms = incremental_loss(features, labels, memory_rows, dictionary,
                                         params, LossConfig(beta=1.0), seed)
         worst = max(worst, abs(total - terms["distance"]))
-        total, terms = incremental_loss(features, labels, mem, dictionary,
+        total, terms = incremental_loss(features, labels, memory_rows, dictionary,
                                         params, LossConfig(beta=0.0), seed)
         worst = max(worst, abs(total - (terms["memory"] + terms["classification"])))
         raw, base_labels, enc, dec, bparams, _ = _base_instance(seed + 100)
@@ -236,12 +227,13 @@ def test_criterion_8_imprinting_property():
         params = init_classifier(12, 6, 4, seed, dropout_rate=0.0)  # zero biases
         means = [gen.standard_normal(12) for _ in range(3)]
         expanded = expand_with_imprinting(params, means)
-        for i, mean in enumerate(means):
-            _, logits = forward(mean, expanded)
+        all_logits = eval_logits_batch(np.stack(means), expanded)
+        projections = project_batch(np.stack(means), params)
+        for i, logits in enumerate(all_logits):
             own = logits[4 + i]
             others = [logits[4 + j] for j in range(3) if j != i]
             ok = ok and all(own >= other for other in others)
-            expected = float(np.linalg.norm(project(mean, params)))
+            expected = float(np.linalg.norm(projections[i]))
             ok = ok and abs(own - expected) <= 1e-9 * max(expected, 1.0)
     _report("8 imprinting", ok)
 
@@ -294,19 +286,21 @@ def test_criterion_10_oracle_equivalence():
     gen = np.random.default_rng(42)
     for i in range(100):
         logits = gen.standard_normal(int(gen.integers(2, 8))) * 3
-        track(softmax(logits), softmax_scalar(logits.tolist()))
+        track(softmax_rows(logits[None, :])[0], softmax_scalar(logits.tolist()))
         label = int(gen.integers(len(logits)))
-        track(cross_entropy(logits, label),
+        track(cross_entropy_rows(logits[None, :], np.array([label]))[0],
               cross_entropy_scalar(logits.tolist(), label))
 
         params, features, labels, memory_rows, dictionary, cfg = \
             _incremental_instance(2000 + i, dim=6, hidden=3, n_classes=4,
                                   n_batch=2, n_memory=2)
-        point = project(features[0], params)
-        track(distance_vector(features[0], dictionary, params),
-              distance_vector_scalar(point.tolist(),
-                                     dictionary.projected_rows.tolist()))
-        total, terms = incremental_loss(features, labels, _Mem(memory_rows),
+        # distance term of example 0 alone (n = 1); row j holds class j
+        point = project_scalar(features[0].tolist(), params)
+        d_ref = distance_vector_scalar(point, dictionary.projected_rows.tolist())
+        _, one = incremental_loss(features[:1], labels[:1], memory_rows,
+                                  dictionary, params, cfg, seed=i)
+        track(one["distance"], cross_entropy_scalar([-v for v in d_ref], int(labels[0])))
+        total, terms = incremental_loss(features, labels, memory_rows,
                                         dictionary, params, cfg, seed=i)
         ref_total, ref_terms = incremental_loss_scalar(
             features, labels, memory_rows, dictionary, params, cfg, seed=i)

@@ -187,11 +187,40 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_run_exits_4(self, tmp_path, dataset_file, capsys):
-        path = write_config(tmp_path / "diverge.json", **{"train.incr_lr": 1e200,
-                                                          "train.momentum": 0.9})
-        assert main(["run", "--config", str(path), "--data", str(dataset_file),
-                     "--out", str(tmp_path / "x")]) == EXIT_NUMERIC
-        assert "numerical failure" in capsys.readouterr().err
+        for field in ("train.incr_lr", "train.base_lr"):
+            path = write_config(tmp_path / "diverge.json", **{field: 1e200,
+                                                              "train.momentum": 0.9})
+            assert main(["run", "--config", str(path), "--data", str(dataset_file),
+                         "--out", str(tmp_path / field)]) == EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "parameter" in err
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_exits_2_before_training(self, tmp_path, config_file,
+                                                      dataset_file, capsys, monkeypatch,
+                                                      threads):
+        monkeypatch.setenv("GCMR_THREADS", threads)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config_file), "--data", str(dataset_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "GCMR_THREADS" in capsys.readouterr().err
+        assert list((out / "checkpoints").glob("*")) == []
+
+    def test_flat_csv_needs_no_base_finetune(self, tmp_path, config_file, capsys):
+        data = tmp_path / "flat.csv"
+        lines = ["label," + ",".join(f"f{i}" for i in range(4))]
+        for label in range(8):
+            for k in range(12):
+                values = [label + 0.1 * ((k + i) % 5) for i in range(4)]
+                lines.append(f"{label}," + ",".join(f"{v:.3f}" for v in values))
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "flat"
+        assert main(["run", "--config", str(config_file), "--data", str(data),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--no-base-finetune" in capsys.readouterr().err
+        assert list((out / "checkpoints").glob("*")) == []
+        assert main(["run", "--config", str(config_file), "--data", str(data),
+                     "--out", str(out), "--no-base-finetune"]) == 0
 
 
 class TestGradcheck:

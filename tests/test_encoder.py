@@ -1,13 +1,23 @@
 import numpy as np
 import pytest
 
-from gcmr.encoder import (DecoderParams, EncoderParams, encode, encode_batch,
+from gcmr.encoder import (DecoderParams, EncoderParams, encode_batch,
                           init_decoder, init_encoder, mask_features,
                           normalize_rows, normalize_rows_backward,
-                          normalized_features, pool_normalize, reconstruct)
-from gcmr.nn_core import layer_normalize
+                          normalized_features, reconstruct)
 
-from oracles import encode_scalar
+from oracles import encode_scalar, layer_normalize_scalar
+
+
+def encode(group, enc):
+    """encode_batch on a single group (n = 1)."""
+    return encode_batch(np.asarray(group)[None], enc)[0]
+
+
+def pool_normalize(group, kind="layer"):
+    """normalized_features of one group through an identity encoder (n = 1)."""
+    dim = group.shape[1]
+    return normalized_features(group[None], init_encoder(dim, dim, "identity", kind))[0]
 
 
 class TestEncode:
@@ -34,7 +44,8 @@ class TestEncode:
         raw = gen.normal(size=(3, 4, 5))
         batch = encode_batch(raw, enc)
         for j in range(3):
-            np.testing.assert_allclose(batch[j], encode(raw[j], enc), rtol=1e-12)
+            np.testing.assert_allclose(batch[j], encode_batch(raw[j:j + 1], enc)[0],
+                                       rtol=1e-12)
 
     def test_dimension_mismatch(self):
         enc = init_encoder(5, 5)
@@ -148,7 +159,7 @@ class TestPoolNormalize:
         gen = np.random.default_rng(9)
         v = gen.normal(size=8)
         group = np.tile(v, (5, 1))
-        np.testing.assert_allclose(pool_normalize(group), layer_normalize(v), rtol=1e-10)
+        np.testing.assert_allclose(pool_normalize(group), layer_normalize_scalar(v), rtol=1e-10)
 
     def test_antipodal_tokens_cancel(self):
         gen = np.random.default_rng(10)
@@ -159,7 +170,7 @@ class TestPoolNormalize:
     def test_matches_mean_then_normalize(self):
         gen = np.random.default_rng(11)
         group = gen.normal(size=(7, 9))
-        expected = layer_normalize(group.mean(axis=0))
+        expected = layer_normalize_scalar(group.mean(axis=0))
         np.testing.assert_allclose(pool_normalize(group), expected, rtol=1e-10)
 
     def test_l2_variant(self):
@@ -175,7 +186,7 @@ class TestRowNormalization:
         rows = gen.normal(size=(6, 10))
         batched = normalize_rows(rows, "layer")
         for j in range(6):
-            np.testing.assert_allclose(batched[j], layer_normalize(rows[j]), rtol=1e-10)
+            np.testing.assert_allclose(batched[j], layer_normalize_scalar(rows[j]), rtol=1e-10)
 
     def test_backward_matches_finite_differences(self):
         gen = np.random.default_rng(14)
@@ -201,5 +212,5 @@ class TestRowNormalization:
         raw = gen.normal(size=(4, 6, 5))
         out = normalized_features(raw, enc)
         for j in range(4):
-            expected = pool_normalize(encode(raw[j], enc))
-            np.testing.assert_allclose(out[j], expected, rtol=1e-10)
+            pooled = np.asarray(encode_scalar(raw[j], enc)).mean(axis=0)
+            np.testing.assert_allclose(out[j], layer_normalize_scalar(pooled), rtol=1e-10)

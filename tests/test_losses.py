@@ -3,20 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from gcmr.classifier import init_classifier
+from gcmr.classifier import init_classifier, project_batch
 from gcmr.encoder import DecoderParams, EncoderParams, init_decoder, init_encoder
 from gcmr.losses import (DistanceDictionary, LossConfig, alpha_schedule,
-                         base_loss, build_distance_dictionary, distance_vector,
-                         incremental_loss)
+                         base_loss, build_distance_dictionary, incremental_loss)
 from gcmr.memory import init_representation_memory
 
-from oracles import base_loss_scalar, incremental_loss_scalar
+from oracles import (base_loss_scalar, cross_entropy_scalar,
+                     distance_vector_scalar, incremental_loss_scalar,
+                     project_scalar)
 
 
-class _Mem:
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.float64)
-        self.n_classes = self.rows.shape[0]
+def distance_term(f, target, dictionary, params):
+    """The distance term of the incremental objective for one example (n = 1):
+    cross-entropy over its negated squared distances to the dictionary rows."""
+    _, breakdown = incremental_loss(f[None, :], [target], f[None, :], dictionary,
+                                    params, LossConfig(beta=1.0), seed=0)
+    return breakdown["distance"]
 
 
 def random_incremental_instance(seed, dim=4, hidden=2, n_classes=3, n_batch=1,
@@ -61,36 +64,37 @@ class TestDistanceVector:
         params = init_classifier(4, 3, 2, seed=0)
         gen = np.random.default_rng(0)
         f = gen.normal(size=4)
-        from gcmr.classifier import project
-        rows = np.stack([project(f, params), np.zeros(3)])
+        rows = np.stack([project_batch(f[None, :], params)[0], np.zeros(3)])
         dictionary = DistanceDictionary(rows, (0, 1), "hidden")
-        d = distance_vector(f, dictionary, params)
-        assert d[0] == 0.0
-        assert np.all(d >= 0.0)
+        own_gap = float(rows[0] @ rows[0])      # distance to the zero row
+        # d = [0, own_gap], so the term is log(1 + exp(-own_gap))
+        assert distance_term(f, 0, dictionary, params) == pytest.approx(
+            math.log1p(math.exp(-own_gap)), rel=1e-12)
 
     def test_orthonormal_basis_distance_two(self):
         params = init_classifier(3, 3, 2, seed=1)
-        dictionary = DistanceDictionary(np.array([[0.0, 1.0, 0.0]]), (0,), "feature")
-        d = distance_vector(np.array([1.0, 0.0, 0.0]), dictionary, params)
-        assert d[0] == pytest.approx(2.0, rel=1e-12)
+        dictionary = DistanceDictionary(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
+                                        (0, 1), "feature")
+        # d = [2, 0]: -log(e^-2 / (e^-2 + 1)) = log(1 + e^2)
+        assert distance_term(np.array([1.0, 0.0, 0.0]), 0, dictionary, params) == \
+            pytest.approx(math.log1p(math.exp(2.0)), rel=1e-12)
 
     def test_matches_per_coordinate_scalar_sum(self):
         gen = np.random.default_rng(2)
-        params = init_classifier(5, 4, 2, seed=2)
+        params = init_classifier(5, 4, 3, seed=2)
         f = gen.normal(size=5)
         rows = gen.normal(size=(3, 4))
         dictionary = DistanceDictionary(rows, (0, 1, 2), "hidden")
-        from gcmr.classifier import project
-        point = project(f, params)
-        expected = [sum((point[i] - row[i]) ** 2 for i in range(4)) for row in rows]
-        np.testing.assert_allclose(distance_vector(f, dictionary, params),
-                                   expected, rtol=1e-12)
+        d = distance_vector_scalar(project_scalar(f.tolist(), params), rows.tolist())
+        for target in range(3):
+            assert distance_term(f, target, dictionary, params) == pytest.approx(
+                cross_entropy_scalar([-v for v in d], target), rel=1e-12)
 
     def test_dimension_mismatch(self):
         params = init_classifier(4, 3, 2, seed=3)
         dictionary = DistanceDictionary(np.zeros((2, 5)), (0, 1), "hidden")
         with pytest.raises(ValueError):
-            distance_vector(np.zeros(4), dictionary, params)
+            distance_term(np.zeros(4), 0, dictionary, params)
 
 
 class TestBaseLoss:
@@ -171,7 +175,7 @@ class TestIncrementalLoss:
         params, features, labels, memory_rows, dictionary, _ = \
             random_incremental_instance(0, beta=1.0)
         cfg = LossConfig(beta=1.0)
-        total, breakdown = incremental_loss(features, labels, _Mem(memory_rows),
+        total, breakdown = incremental_loss(features, labels, memory_rows,
                                             dictionary, params, cfg, seed=0)
         assert total == breakdown["distance"]
 
@@ -179,7 +183,7 @@ class TestIncrementalLoss:
         params, features, labels, memory_rows, dictionary, _ = \
             random_incremental_instance(1)
         cfg = LossConfig(beta=0.0)
-        total, breakdown = incremental_loss(features, labels, _Mem(memory_rows),
+        total, breakdown = incremental_loss(features, labels, memory_rows,
                                             dictionary, params, cfg, seed=1)
         assert total == breakdown["memory"] + breakdown["classification"]
 
@@ -187,7 +191,7 @@ class TestIncrementalLoss:
     def test_matches_scalar_oracle(self, seed):
         params, features, labels, memory_rows, dictionary, cfg = \
             random_incremental_instance(seed, beta=0.7)
-        total, breakdown = incremental_loss(features, labels, _Mem(memory_rows),
+        total, breakdown = incremental_loss(features, labels, memory_rows,
                                             dictionary, params, cfg, seed=seed)
         ref_total, ref_terms = incremental_loss_scalar(
             features, labels, memory_rows, dictionary, params, cfg, seed=seed)
@@ -199,13 +203,12 @@ class TestIncrementalLoss:
         # E_i is linear in beta with slope distance - memory - classification
         params, features, labels, memory_rows, dictionary, _ = \
             random_incremental_instance(5, n_batch=3, n_memory=2)
-        mem = _Mem(memory_rows)
         h = 1e-6
-        up, _ = incremental_loss(features, labels, mem, dictionary, params,
+        up, _ = incremental_loss(features, labels, memory_rows, dictionary, params,
                                  LossConfig(beta=0.7 + h), seed=5)
-        down, _ = incremental_loss(features, labels, mem, dictionary, params,
+        down, _ = incremental_loss(features, labels, memory_rows, dictionary, params,
                                    LossConfig(beta=0.7 - h), seed=5)
-        _, terms = incremental_loss(features, labels, mem, dictionary, params,
+        _, terms = incremental_loss(features, labels, memory_rows, dictionary, params,
                                     LossConfig(beta=0.7), seed=5)
         slope = (up - down) / (2 * h)
         expected = terms["distance"] - terms["memory"] - terms["classification"]
@@ -214,8 +217,7 @@ class TestIncrementalLoss:
     def test_shrinking_own_distance_decreases_distance_term(self):
         params, features, labels, memory_rows, _, cfg = \
             random_incremental_instance(6, n_batch=1)
-        from gcmr.classifier import project
-        point = project(features[0], params)
+        point = project_batch(features[:1], params)[0]
         far = np.stack([point + 2.0, point - 3.0, point + 4.0])
         labels = np.array([1])
         previous = None
@@ -223,7 +225,7 @@ class TestIncrementalLoss:
             rows = far.copy()
             rows[1] = point + shrink  # move the own-class row closer
             dictionary = DistanceDictionary(rows, (0, 1, 2), "hidden")
-            _, breakdown = incremental_loss(features, labels, _Mem(memory_rows),
+            _, breakdown = incremental_loss(features, labels, memory_rows,
                                             dictionary, params, cfg, seed=6)
             if previous is not None:
                 assert breakdown["distance"] < previous
@@ -232,11 +234,10 @@ class TestIncrementalLoss:
     def test_batch_order_invariance(self):
         params, features, labels, memory_rows, dictionary, cfg = \
             random_incremental_instance(7, n_batch=4, n_classes=3, dropout_rate=0.0)
-        mem = _Mem(memory_rows)
-        total, breakdown = incremental_loss(features, labels, mem, dictionary,
+        total, breakdown = incremental_loss(features, labels, memory_rows, dictionary,
                                             params, cfg, seed=7)
         perm = np.array([2, 0, 3, 1])
-        total_p, breakdown_p = incremental_loss(features[perm], labels[perm], mem,
+        total_p, breakdown_p = incremental_loss(features[perm], labels[perm], memory_rows,
                                                 dictionary, params, cfg, seed=7)
         assert total == pytest.approx(total_p, abs=1e-12)
         for key in breakdown:
@@ -246,14 +247,14 @@ class TestIncrementalLoss:
         for seed in range(8, 13):
             params, features, labels, memory_rows, dictionary, cfg = \
                 random_incremental_instance(seed, n_batch=3)
-            total, _ = incremental_loss(features, labels, _Mem(memory_rows),
+            total, _ = incremental_loss(features, labels, memory_rows,
                                         dictionary, params, cfg, seed=seed)
             assert np.isfinite(total) and total >= 0.0
 
     def test_empty_memory_rejected(self):
         params, features, labels, _, dictionary, cfg = random_incremental_instance(13)
         with pytest.raises(ValueError):
-            incremental_loss(features, labels, _Mem(np.empty((0, 4))), dictionary,
+            incremental_loss(features, labels, np.empty((0, 4)), dictionary,
                              params, cfg, seed=0)
 
 
@@ -264,14 +265,14 @@ class TestBuildDictionary:
         params = init_classifier(6, 4, 5, seed=14)
         extra_mean = gen.normal(size=6)
         dictionary = build_distance_dictionary(mem, params, [(3, extra_mean)])
-        from gcmr.classifier import project
         assert dictionary.projected_rows.shape == (4, 4)
         assert dictionary.row_class == (0, 1, 2, 3)
         np.testing.assert_allclose(dictionary.projected_rows[3],
-                                   project(extra_mean, params), rtol=1e-12)
+                                   project_scalar(extra_mean.tolist(), params), rtol=1e-12)
         for k in range(3):
             np.testing.assert_allclose(dictionary.projected_rows[k],
-                                       project(mem.rows[k], params), rtol=1e-12)
+                                       project_scalar(mem.rows[k].tolist(), params),
+                                       rtol=1e-12)
 
     def test_feature_space_keeps_raw_rows(self):
         gen = np.random.default_rng(15)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from gcmr.classifier import init_classifier, project
+from gcmr.classifier import init_classifier
 from gcmr.memory import (RepresentationMemory, build_weight_memory,
                          init_representation_memory, memory_budget_bytes,
                          update_representation_memory)
+
+from oracles import project_scalar
 
 
 class TestInit:
@@ -107,7 +109,8 @@ class TestWeightMemory:
         wmem = build_weight_memory(params, mem, 0)
         for k in range(5):
             np.testing.assert_allclose(wmem.projected_means[k],
-                                       project(mem.rows[k], params), rtol=1e-12)
+                                       project_scalar(mem.rows[k].tolist(), params),
+                                       rtol=1e-12)
 
     def test_snapshot_is_bit_exact_deep_copy(self):
         gen = np.random.default_rng(7)

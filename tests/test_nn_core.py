@@ -3,11 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from gcmr.nn_core import (OptimizerState, cosine_lr, cross_entropy,
-                          l2_normalize, layer_normalize, sgd_momentum_step,
-                          softmax)
+from gcmr.data_io import TokenDataset
+from gcmr.encoder import normalize_rows
+from gcmr.nn_core import (cosine_lr, cross_entropy_rows, sgd_momentum_step,
+                          softmax_rows)
+from gcmr.trainer import TrainConfig
 
-from oracles import cross_entropy_scalar, softmax_scalar
+from oracles import (cross_entropy_scalar, layer_normalize_scalar,
+                     softmax_scalar)
+
+
+def softmax(logits):
+    """softmax_rows on a single row (n = 1)."""
+    return softmax_rows(np.asarray(logits, dtype=np.float64)[None, :])[0]
+
+
+def cross_entropy(logits, label):
+    """cross_entropy_rows on a single row (n = 1)."""
+    value, _ = cross_entropy_rows(np.asarray(logits, dtype=np.float64)[None, :],
+                                  np.array([label]))
+    return value
+
+
+def layer_normalize(vector):
+    return normalize_rows(np.asarray(vector, dtype=np.float64)[None, :], "layer")[0]
+
+
+def l2_normalize(vector):
+    return normalize_rows(np.asarray(vector, dtype=np.float64)[None, :], "l2")[0]
 
 
 class TestSoftmax:
@@ -34,10 +57,11 @@ class TestSoftmax:
             assert np.argmax(out) == np.argmax(logits)
 
     def test_rejects_bad_input(self):
+        # non-finite values are rejected where data enters the package
         with pytest.raises(ValueError):
             softmax([])
         with pytest.raises(ValueError):
-            softmax([1.0, np.nan])
+            TokenDataset(np.array([[[1.0, np.nan]]]), np.array([0]))
 
     def test_argmax_invariant_under_constant_shift(self):
         gen = np.random.default_rng(8)
@@ -61,6 +85,13 @@ class TestCrossEntropy:
         logits = gen.normal(size=5)
         expected = cross_entropy_scalar(logits.tolist(), 2)
         assert cross_entropy(logits, 2) == pytest.approx(expected, rel=1e-12)
+        # a batch is the mean of its rows
+        rows = gen.normal(size=(4, 5))
+        targets = np.array([0, 3, 1, 4])
+        value, probs = cross_entropy_rows(rows, targets)
+        expected = np.mean([cross_entropy_scalar(r.tolist(), t) for r, t in zip(rows, targets)])
+        assert value == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
 
     def test_nonnegative(self):
         gen = np.random.default_rng(2)
@@ -91,6 +122,7 @@ class TestLayerNormalize:
         out = layer_normalize(v)
         assert abs(out.mean()) < 1e-9
         assert abs(out.var() - 1.0) < 1e-6
+        np.testing.assert_allclose(out, layer_normalize_scalar(v), rtol=1e-9, atol=1e-12)
 
     def test_postconditions_hold_over_1000_vectors(self):
         gen = np.random.default_rng(5)
@@ -101,8 +133,13 @@ class TestLayerNormalize:
             assert abs(out.var() - 1.0) < 1e-6
 
     def test_rejects_degenerate_input(self):
+        # a 1-wide feature normalizes to a constant, so the widths are
+        # rejected where they are configured
+        from gcmr.encoder import init_encoder
         with pytest.raises(ValueError):
-            layer_normalize([1.0])
+            init_encoder(1, 1)
+        with pytest.raises(ValueError):
+            TrainConfig(feature_dim=1)
 
 
 class TestL2Normalize:
@@ -115,69 +152,79 @@ class TestL2Normalize:
 
 
 class TestCosineSchedule:
-    def make_state(self, base=0.1, minimum=0.001, epochs=100):
-        return OptimizerState(np.zeros(1), 0.9, base, minimum, epochs)
-
     def test_endpoints_and_midpoint(self):
-        state = self.make_state()
-        assert cosine_lr(0, state) == pytest.approx(0.1, rel=1e-12)
-        assert cosine_lr(100, state) == pytest.approx(0.001, rel=1e-12)
-        assert cosine_lr(50, state) == pytest.approx((0.1 + 0.001) / 2, rel=1e-12)
+        assert cosine_lr(0, 0.1, 0.001, 100) == pytest.approx(0.1, rel=1e-12)
+        assert cosine_lr(100, 0.1, 0.001, 100) == pytest.approx(0.001, rel=1e-12)
+        assert cosine_lr(50, 0.1, 0.001, 100) == pytest.approx((0.1 + 0.001) / 2, rel=1e-12)
 
     def test_monotone_non_increasing(self):
-        state = self.make_state(epochs=73)
-        values = [cosine_lr(e, state) for e in range(74)]
+        values = [cosine_lr(e, 0.1, 0.001, 73) for e in range(74)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_epoch_out_of_range(self):
-        state = self.make_state(epochs=10)
         with pytest.raises(ValueError):
-            cosine_lr(11, state)
+            cosine_lr(11, 0.1, 0.001, 10)
         with pytest.raises(ValueError):
-            cosine_lr(-1, state)
+            cosine_lr(-1, 0.1, 0.001, 10)
 
 
 class TestSgdMomentum:
+    def step(self, params, grads, velocities, momentum, lr):
+        named = lambda arrays: {str(i): a for i, a in enumerate(arrays)}
+        sgd_momentum_step(named(params), named(grads), named(velocities), momentum, lr)
+
     def test_momentum_zero_is_vanilla_descent(self):
         gen = np.random.default_rng(6)
         params = gen.normal(size=(4, 3))
         grads = gen.normal(size=(4, 3))
-        state = OptimizerState(np.zeros((4, 3)), momentum=0.0)
-        updated, _ = sgd_momentum_step(params, grads, state, lr=0.1)
         expected = params - 0.1 * grads
-        assert updated.tobytes() == expected.tobytes()
+        self.step([params], [grads], [np.zeros((4, 3))], 0.0, lr=0.1)
+        assert params.tobytes() == expected.tobytes()
 
     def test_zero_gradients_zero_velocity_fixed_point(self):
         params = np.ones((2, 2))
-        state = OptimizerState(np.zeros((2, 2)), momentum=0.9)
-        updated, new_state = sgd_momentum_step(params, np.zeros((2, 2)), state, lr=0.5)
-        np.testing.assert_array_equal(updated, params)
-        np.testing.assert_array_equal(new_state.velocity, 0.0)
+        velocity = np.zeros((2, 2))
+        self.step([params], [np.zeros((2, 2))], [velocity], 0.9, lr=0.5)
+        np.testing.assert_array_equal(params, 1.0)
+        np.testing.assert_array_equal(velocity, 0.0)
 
     def test_two_identical_steps_with_momentum(self):
         # second displacement is lr * (1 + momentum) * grad
         gen = np.random.default_rng(7)
         params = gen.normal(size=5)
         grads = gen.normal(size=5)
-        state = OptimizerState(np.zeros(5), momentum=0.9)
-        after_one, state = sgd_momentum_step(params, grads, state, lr=0.2)
-        after_two, _ = sgd_momentum_step(after_one, grads, state, lr=0.2)
-        np.testing.assert_allclose(after_one - after_two, 0.2 * 1.9 * grads, rtol=1e-12)
+        velocity = np.zeros(5)
+        self.step([params], [grads], [velocity], 0.9, lr=0.2)
+        after_one = params.copy()
+        self.step([params], [grads], [velocity], 0.9, lr=0.2)
+        np.testing.assert_allclose(after_one - params, 0.2 * 1.9 * grads, rtol=1e-12)
 
     def test_purity_and_shape_check(self):
-        params = np.ones(3)
-        before = params.copy()
-        state = OptimizerState(np.zeros(3))
-        sgd_momentum_step(params, np.ones(3), state, lr=0.1)
-        np.testing.assert_array_equal(params, before)
-        np.testing.assert_array_equal(state.velocity, 0.0)
+        # the step writes the parameters and velocities, never the gradients
+        params, grads, velocity = np.ones(3), np.ones(3), np.zeros(3)
+        self.step([params], [grads], [velocity], 0.9, lr=0.1)
+        np.testing.assert_array_equal(grads, 1.0)
+        np.testing.assert_array_equal(velocity, 1.0)
+        np.testing.assert_allclose(params, 0.9, rtol=1e-15)
         with pytest.raises(ValueError):
-            sgd_momentum_step(params, np.ones(4), state, lr=0.1)
+            self.step([np.ones(3)], [np.ones(4)], [np.zeros(3)], 0.9, lr=0.1)
 
     def test_state_validation(self):
+        # momentum and learning rates are validated with the run config,
+        # the schedule length by the schedule
         with pytest.raises(ValueError):
-            OptimizerState(np.zeros(1), momentum=1.0)
+            TrainConfig(momentum=1.0)
         with pytest.raises(ValueError):
-            OptimizerState(np.zeros(1), base_lr=-1.0)
+            TrainConfig(base_lr=-1.0)
         with pytest.raises(ValueError):
-            OptimizerState(np.zeros(1), total_epochs=0)
+            TrainConfig(incr_lr=math.inf)
+        with pytest.raises(ValueError):
+            cosine_lr(0, 0.1, 0.001, 0)
+
+    def test_non_finite_update_names_the_parameter(self):
+        from gcmr.nn_core import NumericalError
+        params = {"good": np.ones(2), "bad": np.ones(2)}
+        grads = {"good": np.ones(2), "bad": np.array([0.0, np.nan])}
+        velocities = {name: np.zeros(2) for name in params}
+        with pytest.raises(NumericalError, match="bad"):
+            sgd_momentum_step(params, grads, velocities, 0.9, 0.1)

@@ -7,6 +7,7 @@ from gcmr import data_io, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
 from gcmr.losses import LossConfig
+from gcmr.nn_core import NumericalError
 
 
 def small_stream(seed=3, n_classes=8, base_classes=4, n_way=2, sigma=2.0,
@@ -200,6 +201,20 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             trainer.run_protocol([], small_config())
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_base_session_names_the_parameter(self):
+        names = "enc_w|enc_b|dec_w|dec_b|mask_token|head_w1|head_b1|head_w2|head_b2"
+        with pytest.raises(NumericalError, match=f"parameter ({names}) diverged"):
+            trainer.run_protocol(small_stream(), small_config(base_lr=1e200))
+
+    def test_on_session_sees_every_state_and_report(self):
+        seen = []
+        reports, state = trainer.run_protocol(
+            small_stream(), small_config(base_epochs=1, incr_epochs=1),
+            on_session=lambda s, r: seen.append((s.session, r.session)))
+        assert seen == [(0, 0), (1, 1), (2, 2)]
+        assert [r.session for r in reports] == [0, 1, 2] and state.session == 2
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
@@ -211,3 +226,9 @@ class TestConfigValidation:
             trainer.TrainConfig(base_lr=0.0)
         with pytest.raises(ValueError):
             trainer.TrainConfig(base_epochs=-1)
+        with pytest.raises(ValueError):
+            trainer.TrainConfig(dropout_rate=1.5)
+        with pytest.raises(ValueError):
+            trainer.TrainConfig(encoder_activation="relu")
+        with pytest.raises(ValueError):
+            trainer.TrainConfig(feature_norm="batch")
