@@ -2,9 +2,10 @@
 """Walk through the generative half of the base objective.
 
 A feature group is a small stack of token vectors. We hide most of the
-tokens, let the decoder rebuild the full group from the survivors plus a
-learned fill vector, and watch the blend weight alpha hand influence over
-from reconstruction to classification as epochs pass.
+tokens of every group in a batch, let the decoder rebuild each full group
+from the survivors plus a learned fill vector, and watch the blend weight
+alpha hand influence over from reconstruction to classification as epochs
+pass.
 """
 
 import numpy as np
@@ -14,26 +15,25 @@ from gcmr import (LossConfig, alpha_schedule, init_decoder, mask_features,
 
 rng = np.random.default_rng(0)
 
-# an 8-token group of 6-dimensional features
-group = rng.normal(size=(8, 6))
-print("feature group:", group.shape)
+# a batch of three 8-token groups of 6-dimensional features
+groups = rng.normal(size=(3, 8, 6))
+print("feature groups:", groups.shape)
 
-visible, plan = mask_features(group, ratio=0.75, seed=42)
-print(f"masked {len(plan.masked_indices)} of {plan.n_tokens} tokens "
-      f"(indices {plan.masked_indices}), {visible.shape[0]} visible")
+# one uniform noise block per batch: each row hides its 6 lowest-noise tokens
+masked = mask_features(groups, ratio=0.75, seed=42)
+for j, row in enumerate(masked):
+    print(f"group {j}: masked {int(row.sum())} of {row.size} tokens "
+          f"(indices {tuple(int(i) for i in row.nonzero()[0])})")
 
 # the same seed always hides the same tokens
-_, plan_again = mask_features(group, ratio=0.75, seed=42)
-assert plan_again == plan
+assert (mask_features(groups, ratio=0.75, seed=42) == masked).all()
 
 # an identity decoder reproduces the visible rows exactly; masked rows can
 # only come from the fill vector, so their error stays large
 dec = init_decoder(6)
-recon = reconstruct(visible, plan, dec)
-masked = np.zeros(8, dtype=bool)
-masked[list(plan.masked_indices)] = True
-err_visible = float(((recon - group)[~masked] ** 2).mean())
-err_masked = float(((recon - group)[masked] ** 2).mean())
+recon = reconstruct(groups, masked, dec)
+err_visible = float(((recon - groups)[~masked] ** 2).mean())
+err_masked = float(((recon - groups)[masked] ** 2).mean())
 print(f"reconstruction error: visible rows {err_visible:.3e}, "
       f"masked rows {err_masked:.3f}")
 

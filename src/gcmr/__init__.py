@@ -15,9 +15,9 @@ from .data_io import (ProtocolSpec, SessionData, SyntheticSpec, TokenDataset,
                       fscil_split, generate_synthetic, load_checkpoint,
                       load_features, materialize_sessions, save_checkpoint,
                       save_dataset)
-from .encoder import (DecoderParams, EncoderParams, MaskPlan, encode_batch,
-                      init_decoder, init_encoder, mask_features,
-                      normalize_rows, normalized_features, reconstruct)
+from .encoder import (DecoderParams, EncoderParams, encode_batch, init_decoder,
+                      init_encoder, mask_features, normalize_rows,
+                      normalized_features, reconstruct)
 from .eval_report import SessionReport, aggregate, evaluate_session, write_report
 from .losses import (DistanceDictionary, LossConfig, alpha_schedule,
                      base_loss, base_loss_backward, build_distance_dictionary,

@@ -83,11 +83,12 @@ def init_classifier(dim: int, hidden: int, n_classes: int, seed: int,
     return ClassifierParams(w1, np.zeros(hidden), w2, np.zeros(n_classes), dropout_rate)
 
 
-def dropout_scale(n_units: int, rate: float, seed: int) -> np.ndarray:
-    """Inverted-dropout multiplier: 0 for dropped units, 1/(1-rate) otherwise."""
+def dropout_scale(n_rows: int, n_units: int, rate: float, seed: int) -> np.ndarray:
+    """(n_rows, n_units) inverted-dropout multipliers from one draw: 0 for
+    dropped units, 1/(1-rate) otherwise."""
     if rate == 0.0:
-        return np.ones(n_units)
-    keep = rng.generator(seed, DROPOUT_STREAM).random(n_units) >= rate
+        return np.ones((n_rows, n_units))
+    keep = rng.generator(seed, DROPOUT_STREAM).random((n_rows, n_units)) >= rate
     return keep / (1.0 - rate)
 
 
@@ -105,17 +106,17 @@ def eval_logits_batch(features: np.ndarray, params: ClassifierParams) -> np.ndar
     return project_batch(features, params) @ params.w2 + params.b2
 
 
-def _mean_ce_with_grads(inputs, targets, params, dropout_seeds, compute_grads):
+def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads):
     """Train-mode cross-entropy mean over rows of `inputs`, plus head grads.
 
-    inputs: (n, dim); targets: (n,) column indices; one dropout mask per row.
-    Gradients are already divided by n (they are gradients of the mean).
+    inputs: (n, dim); targets: (n,) column indices; the dropout masks of all
+    rows come from one draw of the dropout_seed stream. Gradients are
+    already divided by n (they are gradients of the mean).
     """
     n = inputs.shape[0]
     z1 = inputs @ params.w1 + params.b1
     relu = np.maximum(z1, 0.0)
-    scales = np.stack([dropout_scale(params.hidden, params.dropout_rate, s)
-                       for s in dropout_seeds])
+    scales = dropout_scale(n, params.hidden, params.dropout_rate, dropout_seed)
     hidden = relu * scales
     logits = hidden @ params.w2 + params.b2
     value, probs = cross_entropy_rows(logits, targets)
@@ -145,8 +146,9 @@ def _distance_ce_with_grads(features, rows_idx, dictionary, params, compute_grad
         points = np.maximum(z1, 0.0)
     else:
         points = features
-    diff = points[:, None, :] - rows[None, :, :]      # (n, rows, width)
-    d2 = np.einsum("nrw,nrw->nr", diff, diff)
+    # Gram form |p|^2 + |r|^2 - 2 p.r, without an (n, rows, width) tensor
+    d2 = ((points * points).sum(axis=1)[:, None] + (rows * rows).sum(axis=1)
+          - 2.0 * (points @ rows.T))
     value, probs = cross_entropy_rows(-d2, rows_idx)
     if not compute_grads or dictionary.space != "hidden":
         return value, {}
@@ -188,10 +190,9 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (features.shape[0],):
         raise ValueError("labels must align with features")
-    n = features.shape[0]
 
-    cls_seeds = [rng.stream_id(seed, CLASSIFICATION_TAG, j) for j in range(n)]
-    cls_value, cls_grads = _mean_ce_with_grads(features, y, params, cls_seeds, compute_grads)
+    cls_value, cls_grads = _mean_ce_with_grads(
+        features, y, params, rng.stream_id(seed, CLASSIFICATION_TAG), compute_grads)
 
     if not memory_regularization:
         grads = _blend(params, [(1.0, cls_grads)]) if compute_grads else None
@@ -202,9 +203,8 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     m = memory_rows.shape[0]
     if m > params.n_classes:
         raise ValueError("more memory rows than classifier columns")
-    mem_seeds = [rng.stream_id(seed, MEMORY_TAG, k) for k in range(m)]
-    mem_value, mem_grads = _mean_ce_with_grads(memory_rows, np.arange(m), params,
-                                               mem_seeds, compute_grads)
+    mem_value, mem_grads = _mean_ce_with_grads(
+        memory_rows, np.arange(m), params, rng.stream_id(seed, MEMORY_TAG), compute_grads)
 
     row_of = {cls: i for i, cls in enumerate(dictionary.row_class)}
     keep, rows_idx = [], []

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import data_io, eval_report, losses, rng, trainer
 from .classifier import incremental_terms, init_classifier
-from .encoder import init_decoder, init_encoder
+from .encoder import init_decoder, init_encoder, mask_count
 from .losses import DistanceDictionary, LossConfig, base_loss, base_loss_backward
 from .nn_core import NumericalError
 
@@ -143,11 +143,16 @@ def _cmd_run(args) -> int:
     except (data_io.FormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if cfg.finetune_base and cfg.base_epochs > 0 and dataset.features.shape[1] < 2:
-        print("config error: base finetuning masks and reconstructs token groups, "
-              "which needs >= 2 tokens per example; this dataset has one (flat CSV "
-              "layout): rerun with --no-base-finetune", file=sys.stderr)
-        return EXIT_CONFIG
+    if cfg.finetune_base and cfg.base_epochs > 0:
+        n_tokens = dataset.features.shape[1]
+        try:
+            mask_count(n_tokens, cfg.loss.mask_ratio)
+        except ValueError as exc:
+            print(f"config error: base finetuning masks and reconstructs token groups "
+                  f"({n_tokens} per example in this dataset, 1 in a flat CSV; "
+                  f"loss.mask_ratio {cfg.loss.mask_ratio}): {exc}; lower "
+                  "loss.mask_ratio or rerun with --no-base-finetune", file=sys.stderr)
+            return EXIT_CONFIG
 
     os.makedirs(args.out, exist_ok=True)
     ckpt_dir = os.path.join(args.out, "checkpoints")

@@ -93,22 +93,6 @@ class DecoderParams:
         return DecoderParams(self.w.copy(), self.b.copy(), self.mask_token.copy())
 
 
-@dataclass(frozen=True)
-class MaskPlan:
-    """Which token indices of a group were hidden, and how the choice was made."""
-
-    masked_indices: tuple[int, ...]
-    n_tokens: int
-    ratio: float
-    seed: int
-
-    def __post_init__(self):
-        if len(set(self.masked_indices)) != len(self.masked_indices):
-            raise ValueError("masked indices must be unique")
-        if any(not 0 <= i < self.n_tokens for i in self.masked_indices):
-            raise ValueError("masked index out of range")
-
-
 def init_encoder(raw_dim: int, dim: int, activation: str = "tanh",
                  feature_norm: str = "layer") -> EncoderParams:
     """Identity-like deterministic initialization (rectangular eye, zero bias)."""
@@ -139,44 +123,50 @@ def encode_batch(raw_tokens, params: EncoderParams) -> np.ndarray:
     return _activate(raw @ params.w + params.b, params.activation)
 
 
-def mask_features(group, ratio: float, seed: int):
-    """Hide a uniform random subset of round(ratio * tokens) token rows.
-
-    Returns (visible, plan): the unmasked rows in their original order and
-    the plan needed to reconstruct the full group. The subset is a function
-    of the seed alone, so identical calls give identical plans.
-    """
-    feats = np.asarray(group, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 2:
-        raise ValueError("expected a (tokens, dim) group with >= 2 tokens")
+def mask_count(n_tokens: int, ratio: float) -> int:
+    """Number of tokens a mask hides in a group of n_tokens, round(ratio *
+    n_tokens); raises ValueError unless the group has >= 2 tokens, the
+    ratio lies in [0, 1) and at least one token stays visible."""
+    if n_tokens < 2:
+        raise ValueError("masking needs groups of >= 2 tokens")
     if not 0.0 <= ratio < 1.0:
         raise ValueError("mask ratio must lie in [0, 1)")
-    n_tokens = feats.shape[0]
     n_masked = int(round(ratio * n_tokens))
     if n_masked >= n_tokens:
-        raise ValueError("mask ratio would hide every token")
-    order = rng.generator(seed, MASK_STREAM).permutation(n_tokens)
-    masked = tuple(sorted(int(i) for i in order[:n_masked]))
-    keep = np.ones(n_tokens, dtype=bool)
-    keep[list(masked)] = False
-    return feats[keep], MaskPlan(masked, n_tokens, float(ratio), int(seed))
+        raise ValueError(f"mask ratio {ratio} would hide every token of a "
+                         f"{n_tokens}-token group")
+    return n_masked
 
 
-def reconstruct(visible, plan: MaskPlan, dec: DecoderParams) -> np.ndarray:
-    """Decode the full group: visible rows pass through, masked rows start
-    from the learned mask token, then every row gets the affine decoder."""
-    vis = np.asarray(visible, dtype=np.float64)
-    n_masked = len(plan.masked_indices)
-    if vis.ndim != 2 or vis.shape[0] != plan.n_tokens - n_masked:
-        raise ValueError("visible rows disagree with the mask plan")
-    if vis.shape[1] != dec.dim:
+def mask_features(groups, ratio: float, seed: int) -> np.ndarray:
+    """Hide a uniform random subset of round(ratio * tokens) tokens per group.
+
+    groups: (n, tokens, dim). Returns the (n, tokens) boolean matrix of
+    hidden positions: each row hides the tokens holding its smallest entries
+    of one uniform (n, tokens) noise block, drawn from the seed alone, so
+    identical calls give identical masks.
+    """
+    shape = np.shape(groups)
+    if len(shape) != 3:
+        raise ValueError("expected groups of shape (n, tokens, dim)")
+    n, n_tokens = shape[0], shape[1]
+    n_masked = mask_count(n_tokens, ratio)
+    noise = rng.generator(seed, MASK_STREAM).random((n, n_tokens))
+    order = np.argsort(noise, axis=1)
+    masked = np.zeros((n, n_tokens), dtype=bool)
+    np.put_along_axis(masked, order[:, :n_masked], True, axis=1)
+    return masked
+
+
+def reconstruct(groups, masked: np.ndarray, dec: DecoderParams) -> np.ndarray:
+    """Decode every group: visible tokens pass through, masked tokens start
+    from the learned mask token, then every token gets the affine decoder."""
+    feats = np.asarray(groups, dtype=np.float64)
+    if feats.ndim != 3 or masked.shape != feats.shape[:2]:
+        raise ValueError("mask disagrees with the (n, tokens, dim) groups")
+    if feats.shape[2] != dec.dim:
         raise ValueError("feature dim does not match decoder dim")
-    filled = np.empty((plan.n_tokens, dec.dim))
-    masked = np.zeros(plan.n_tokens, dtype=bool)
-    masked[list(plan.masked_indices)] = True
-    filled[~masked] = vis
-    filled[masked] = dec.mask_token
-    return filled @ dec.w + dec.b
+    return np.where(masked[:, :, None], dec.mask_token, feats) @ dec.w + dec.b
 
 
 def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:

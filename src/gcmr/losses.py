@@ -24,7 +24,7 @@ import numpy as np
 from . import classifier, encoder, rng
 from .nn_core import cross_entropy_rows
 
-# Sub-stream tag for per-example mask selection inside the base objective.
+# Sub-stream tag for the mask selection of one base-objective step.
 MASK_TAG = 0
 
 RECON_SCOPES = ("all", "masked")
@@ -105,21 +105,6 @@ def alpha_schedule(cfg: LossConfig, epoch: int) -> float:
     return cfg.c * math.exp(-epoch / 2.0)
 
 
-def example_mask_seed(seed: int, index: int) -> int:
-    """Mask-selection sub-stream for example `index` of one step."""
-    return rng.stream_id(seed, MASK_TAG, index)
-
-
-def example_dropout_seed(seed: int, index: int) -> int:
-    """Dropout sub-stream for example `index` in the classification term."""
-    return rng.stream_id(seed, classifier.CLASSIFICATION_TAG, index)
-
-
-def memory_dropout_seed(seed: int, index: int) -> int:
-    """Dropout sub-stream for memory row `index` in the memory term."""
-    return rng.stream_id(seed, classifier.MEMORY_TAG, index)
-
-
 def build_distance_dictionary(mem, params, provisional=(), space: str = "hidden"):
     """Project memory rows (plus provisional novel-class means) into the
     distance comparison space.
@@ -183,45 +168,24 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     feats = encoder.encode_batch(raw, enc)                 # (n, tokens, dim)
     dim = feats.shape[2]
 
-    # reconstruction path, one small group at a time
-    recon_sum = 0.0
-    d_feats = np.zeros_like(feats) if compute_grads else None
-    dec_w_g = np.zeros_like(dec.w) if compute_grads else None
-    dec_b_g = np.zeros_like(dec.b) if compute_grads else None
-    mask_token_g = np.zeros_like(dec.mask_token) if compute_grads else None
-    for j in range(n):
-        group = feats[j]
-        visible, plan = encoder.mask_features(group, cfg.mask_ratio,
-                                              example_mask_seed(seed, j))
-        recon = encoder.reconstruct(visible, plan, dec)
-        masked = np.zeros(n_tokens, dtype=bool)
-        masked[list(plan.masked_indices)] = True
-        scope = np.ones(n_tokens, dtype=bool) if cfg.recon_scope == "all" else masked
-        n_scope = int(scope.sum())
-        if n_scope == 0:
-            continue
-        norm = float(n_scope * dim) if cfg.recon_reduction == "mean" else 1.0
-        diff = (recon - group) * scope[:, None]
-        recon_sum += float((diff * diff).sum()) / norm
-        if compute_grads:
-            delta = (2.0 / norm) * diff
-            filled = np.where(masked[:, None], dec.mask_token, group)
-            dec_w_g += filled.T @ delta
-            dec_b_g += delta.sum(axis=0)
-            dfilled = delta @ dec.w.T
-            mask_token_g += dfilled[masked].sum(axis=0)
-            d_feats[j][~masked] += dfilled[~masked]
-            d_feats[j] -= delta                            # target-side path
-    recon_term = recon_sum / n
+    # reconstruction path: one mask draw and one decode for the whole batch
+    masked = encoder.mask_features(feats, cfg.mask_ratio, rng.stream_id(seed, MASK_TAG))
+    recon = encoder.reconstruct(feats, masked, dec)
+    scope = masked if cfg.recon_scope == "masked" else np.ones_like(masked)
+    n_scope = scope.sum(axis=1)
+    norm = n_scope * dim if cfg.recon_reduction == "mean" else 1.0
+    # per-example weight 1/norm; an example with an empty scope contributes 0
+    weight = np.where(n_scope > 0, 1.0 / np.maximum(norm, 1), 0.0)
+    diff = (recon - feats) * scope[:, :, None]
+    recon_term = float(((diff * diff).sum(axis=(1, 2)) * weight).sum()) / n
 
-    # classification path, vectorized over the batch
+    # classification path
     pooled = feats.mean(axis=1)
     fbar = encoder.normalize_rows(pooled, enc.feature_norm)
     z1 = fbar @ params.w1 + params.b1
     relu = np.maximum(z1, 0.0)
-    scales = np.stack([classifier.dropout_scale(params.hidden, params.dropout_rate,
-                                                example_dropout_seed(seed, j))
-                       for j in range(n)])
+    scales = classifier.dropout_scale(n, params.hidden, params.dropout_rate,
+                                      rng.stream_id(seed, classifier.CLASSIFICATION_TAG))
     hidden = relu * scales
     logits = hidden @ params.w2 + params.b2
     ce_term, probs = cross_entropy_rows(logits, y)
@@ -240,15 +204,21 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
     d_feats_ce = np.broadcast_to(dpooled[:, None, :] / n_tokens, feats.shape)
 
+    # reconstruction backward; the target side of diff also reaches feats
+    delta = (2.0 * weight)[:, None, None] * diff
+    filled = np.where(masked[:, :, None], dec.mask_token, feats)
+    dfilled = delta @ dec.w.T
+    d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta
+
     # combine both paths through the encoder
     d_feats_total = (alpha / n) * d_feats + (1.0 - alpha) * d_feats_ce
     dz_enc = d_feats_total * encoder.activation_grad(feats, enc.activation)
     grads = {
-        "enc_w": np.einsum("ngi,ngo->io", raw, dz_enc),
+        "enc_w": raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
         "enc_b": dz_enc.sum(axis=(0, 1)),
-        "dec_w": (alpha / n) * dec_w_g,
-        "dec_b": (alpha / n) * dec_b_g,
-        "mask_token": (alpha / n) * mask_token_g,
+        "dec_w": (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
+        "dec_b": (alpha / n) * delta.sum(axis=(0, 1)),
+        "mask_token": (alpha / n) * dfilled[masked].sum(axis=0),
         "head_w1": (1.0 - alpha) * (fbar.T @ dz1),
         "head_b1": (1.0 - alpha) * dz1.sum(axis=0),
         "head_w2": (1.0 - alpha) * (hidden.T @ dlogits),

@@ -2,15 +2,25 @@
 
 Everything here recomputes results with plain Python loops and math.*
 functions, deliberately avoiding the vectorized code paths under test. The
-only shared machinery is the RNG plumbing (mask plans and dropout masks are
-pinned by seeds, not part of the arithmetic being checked).
+only shared machinery is the RNG plumbing: token masks and dropout masks
+are drawn through the package's own accessors (mask_features, dropout_scale)
+with the stream ids the objectives use; they are pinned by seeds and are
+not part of the arithmetic being checked.
 """
 
 import math
 
-from gcmr import losses
+import numpy as np
+
+from gcmr import classifier, losses, rng
 from gcmr.classifier import dropout_scale
 from gcmr.encoder import mask_features
+
+
+def dropout_rows(n_rows, params, seed, tag):
+    """The dropout multipliers of one loss term of one step, as nested lists."""
+    return dropout_scale(n_rows, params.hidden, params.dropout_rate,
+                         rng.stream_id(seed, tag)).tolist()
 
 
 def softmax_scalar(logits):
@@ -85,18 +95,18 @@ def incremental_loss_scalar(features, labels, memory_rows, dictionary, params, c
     distance = sum(dist_losses) / n
 
     mem_losses = []
+    mem_scales = dropout_rows(len(memory_rows), params, seed, classifier.MEMORY_TAG)
     for k in range(len(memory_rows)):
-        scale = dropout_scale(params.hidden, params.dropout_rate,
-                              losses.memory_dropout_seed(seed, k)).tolist()
-        _, logits = head_forward_scalar([float(v) for v in memory_rows[k]], params, scale)
+        _, logits = head_forward_scalar([float(v) for v in memory_rows[k]], params,
+                                        mem_scales[k])
         mem_losses.append(cross_entropy_scalar(logits, k))
     memory = sum(mem_losses) / len(memory_rows)
 
     cls_losses = []
+    cls_scales = dropout_rows(n, params, seed, classifier.CLASSIFICATION_TAG)
     for j in range(n):
-        scale = dropout_scale(params.hidden, params.dropout_rate,
-                              losses.example_dropout_seed(seed, j)).tolist()
-        _, logits = head_forward_scalar([float(v) for v in features[j]], params, scale)
+        _, logits = head_forward_scalar([float(v) for v in features[j]], params,
+                                        cls_scales[j])
         cls_losses.append(cross_entropy_scalar(logits, int(labels[j])))
     classification = sum(cls_losses) / n
 
@@ -123,16 +133,16 @@ def base_loss_scalar(raw_tokens, labels, enc, dec, params, cfg, epoch, seed):
     alpha = cfg.c * math.exp(-epoch / 2.0)
     dim = enc.dim
 
+    # reuse the pinned masks and dropout; the arithmetic below is scalar
+    masks = mask_features(np.asarray(raw_tokens), cfg.mask_ratio,
+                          rng.stream_id(seed, losses.MASK_TAG))
+    scales = dropout_rows(n, params, seed, classifier.CLASSIFICATION_TAG)
     recon_losses = []
     ce_losses = []
     for j in range(n):
         group = encode_scalar(raw_tokens[j], enc)
         n_tokens = len(group)
-        # reuse the pinned mask plan; the reconstruction arithmetic is scalar
-        import numpy as np
-        _, plan = mask_features(np.asarray(group), cfg.mask_ratio,
-                                losses.example_mask_seed(seed, j))
-        masked = set(plan.masked_indices)
+        masked = {i for i in range(n_tokens) if masks[j][i]}
         recon = []
         for i in range(n_tokens):
             source = dec.mask_token.tolist() if i in masked else group[i]
@@ -153,9 +163,7 @@ def base_loss_scalar(raw_tokens, labels, enc, dec, params, cfg, epoch, seed):
         else:
             norm = math.sqrt(sum(v * v for v in pooled))
             fbar = pooled if norm == 0.0 else [v / norm for v in pooled]
-        scale = dropout_scale(params.hidden, params.dropout_rate,
-                              losses.example_dropout_seed(seed, j)).tolist()
-        _, logits = head_forward_scalar(fbar, params, scale)
+        _, logits = head_forward_scalar(fbar, params, scales[j])
         ce_losses.append(cross_entropy_scalar(logits, int(labels[j])))
 
     recon = sum(recon_losses) / n
@@ -166,7 +174,6 @@ def base_loss_scalar(raw_tokens, labels, enc, dec, params, cfg, epoch, seed):
 
 def finite_difference(value_fn, array, h=1e-5):
     """Central finite differences of a scalar function over one ndarray."""
-    import numpy as np
     grad = np.zeros_like(array)
     flat = array.ravel()
     gflat = grad.ravel()
@@ -182,5 +189,4 @@ def finite_difference(value_fn, array, h=1e-5):
 
 
 def max_rel_err(analytic, numeric):
-    import numpy as np
     return float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)))

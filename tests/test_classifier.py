@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcmr import rng
 from gcmr.classifier import (ClassifierParams, dropout_scale, eval_logits_batch,
                              expand_with_imprinting, incremental_terms,
                              init_classifier, project_batch)
@@ -210,6 +211,51 @@ class TestBackward:
         assert np.isfinite(total)
 
 
+    def test_gram_form_matches_explicit_differences(self):
+        gen = np.random.default_rng(21)
+        params = init_classifier(8, 16, 1000, seed=21, dropout_rate=0.1)
+        features = gen.standard_normal((12, 8))
+        labels = gen.integers(0, 1000, size=12)
+        points = project_batch(features, params)
+        rows = points.mean(axis=0) + 0.5 * gen.standard_normal((1000, 16))
+        rows[labels[0]] = points[0]          # a point equal to its own row
+        dictionary = DistanceDictionary(rows, tuple(range(1000)), "hidden")
+        _, terms, grads = incremental_terms(features, labels, features[:1], dictionary,
+                                            params, LossConfig(beta=1.0), seed=3)
+        # explicit form: the (n, rows, hidden) difference tensor
+        diff = points[:, None, :] - rows[None, :, :]
+        d2 = (diff * diff).sum(axis=2)
+        assert d2[0, labels[0]] == 0.0
+        expected = np.mean([cross_entropy_scalar(-d2[j], int(labels[j]))
+                            for j in range(12)])
+        assert terms["distance"] == pytest.approx(expected, rel=1e-12)
+        shifted = np.exp(-d2 + d2.min(axis=1, keepdims=True))
+        coeff = shifted / shifted.sum(axis=1, keepdims=True)
+        coeff[np.arange(12), labels] -= 1.0
+        dpoints = -2.0 * np.einsum("nr,nrw->nw", coeff, diff) / 12
+        dz1 = dpoints * (points > 0)
+        for name, ref in (("w1", features.T @ dz1), ("b1", dz1.sum(axis=0))):
+            assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_generator_count_is_independent_of_batch_and_memory(self, monkeypatch):
+        calls = []
+        original = rng.generator
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rng, "generator", counting)
+        counts = set()
+        for n_batch, n_memory in ((2, 3), (40, 3), (2, 300), (40, 300)):
+            params, features, labels, memory_rows, dictionary, cfg = random_instance(
+                1, n_classes=300, n_batch=n_batch, n_memory=n_memory, dropout_rate=0.2)
+            del calls[:]
+            incremental_terms(features, labels, memory_rows, dictionary, params, cfg, 9)
+            counts.add(len(calls))
+        assert counts == {2}
+
+
 class TestImprinting:
     def test_zero_novel_classes_byte_identical(self):
         params = make_params(seed=8)
@@ -271,11 +317,20 @@ class TestImprinting:
 
 class TestDropoutScale:
     def test_rate_zero_is_all_ones(self):
-        np.testing.assert_array_equal(dropout_scale(8, 0.0, 123), 1.0)
+        scale = dropout_scale(3, 8, 0.0, 123)
+        assert scale.shape == (3, 8)
+        np.testing.assert_array_equal(scale, 1.0)
 
     def test_inverted_scaling(self):
-        scale = dropout_scale(1000, 0.25, 7)
+        scale = dropout_scale(4, 1000, 0.25, 7)
         kept = scale > 0
         np.testing.assert_allclose(scale[kept], 1 / 0.75, rtol=1e-12)
         # keep frequency near 75%
         assert abs(kept.mean() - 0.75) < 0.05
+
+    def test_one_block_per_seed(self):
+        a = dropout_scale(6, 50, 0.5, 11)
+        np.testing.assert_array_equal(a, dropout_scale(6, 50, 0.5, 11))
+        assert not np.array_equal(a, dropout_scale(6, 50, 0.5, 12))
+        # rows of one block are distinct masks
+        assert len({row.tobytes() for row in a}) == 6

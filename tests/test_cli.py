@@ -223,6 +223,20 @@ class TestRun:
                      "--out", str(out), "--no-base-finetune"]) == 0
 
 
+    def test_mask_ratio_hiding_every_token_exits_2_before_output(self, tmp_path,
+                                                                 dataset_file, capsys):
+        # 4-token groups: round(0.9 * 4) = 4 would hide them all
+        config = write_config(tmp_path / "c.json", **{"loss.mask_ratio": 0.9})
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "mask_ratio" in err and "every token" in err
+        assert not out.exists()
+        assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                     "--out", str(out), "--no-base-finetune"]) == 0
+
+
 class TestGradcheck:
     def test_default_dims_pass(self, capsys):
         assert main(["gradcheck", "--seed", "3"]) == 0

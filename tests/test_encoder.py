@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcmr.encoder import (DecoderParams, EncoderParams, encode_batch,
-                          init_decoder, init_encoder, mask_features,
+                          init_decoder, init_encoder, mask_count, mask_features,
                           normalize_rows, normalize_rows_backward,
                           normalized_features, reconstruct)
 
@@ -64,94 +64,112 @@ class TestMaskFeatures:
     def test_three_quarters_of_sixteen(self):
         gen = np.random.default_rng(3)
         group = gen.normal(size=(16, 4))
-        visible, plan = mask_features(group, 0.75, seed=42)
-        assert len(plan.masked_indices) == 12
-        assert visible.shape == (4, 4)
+        masked = mask_features(group[None], 0.75, seed=42)
+        assert masked.shape == (1, 16) and masked.dtype == bool
+        assert masked.sum() == 12
+        assert group[~masked[0]].shape == (4, 4)
 
     def test_ratio_zero_keeps_everything(self):
         gen = np.random.default_rng(4)
         group = gen.normal(size=(8, 3))
-        visible, plan = mask_features(group, 0.0, seed=1)
-        np.testing.assert_array_equal(visible, group)
-        assert plan.masked_indices == ()
+        masked = mask_features(group[None], 0.0, seed=1)
+        np.testing.assert_array_equal(group[~masked[0]], group)
+        assert not masked.any()
 
     def test_visible_keeps_original_order(self):
         group = np.arange(20.0).reshape(10, 2)
-        visible, plan = mask_features(group, 0.5, seed=5)
-        kept = [i for i in range(10) if i not in plan.masked_indices]
-        np.testing.assert_array_equal(visible, group[kept])
+        masked = mask_features(group[None], 0.5, seed=5)
+        kept = [i for i in range(10) if not masked[0, i]]
+        np.testing.assert_array_equal(group[~masked[0]], group[kept])
+
+    def test_every_row_hides_the_rounded_count(self):
+        groups = np.zeros((200, 10, 2))
+        for ratio, count in ((0.75, 8), (0.5, 5), (0.34, 3), (0.04, 0)):
+            masked = mask_features(groups, ratio, seed=5)
+            # a boolean row marks distinct positions, so the count is exact
+            np.testing.assert_array_equal(masked.sum(axis=1), count)
+            assert mask_count(10, ratio) == count
 
     def test_same_seed_same_plan(self):
-        gen = np.random.default_rng(5)
-        group = gen.normal(size=(12, 3))
-        _, plan_a = mask_features(group, 0.75, seed=99)
-        _, plan_b = mask_features(group, 0.75, seed=99)
-        assert plan_a == plan_b
+        groups = np.zeros((6, 12, 3))
+        np.testing.assert_array_equal(mask_features(groups, 0.75, seed=99),
+                                      mask_features(groups, 0.75, seed=99))
+        assert not np.array_equal(mask_features(groups, 0.75, seed=99),
+                                  mask_features(groups, 0.75, seed=100))
+
+    def test_rows_of_one_block_differ(self):
+        masked = mask_features(np.zeros((50, 16, 2)), 0.75, seed=7)
+        assert len({row.tobytes() for row in masked}) == 50
 
     def test_masking_frequency_is_uniform(self):
         # each index should be masked with empirical frequency ratio +- 0.02
-        group = np.zeros((16, 2))
-        counts = np.zeros(16)
-        n_seeds = 10_000
-        for seed in range(n_seeds):
-            _, plan = mask_features(group, 0.75, seed=seed)
-            counts[list(plan.masked_indices)] += 1
-        freq = counts / n_seeds
+        n_rows = 10_000
+        masked = mask_features(np.zeros((n_rows, 16, 2)), 0.75, seed=0)
+        freq = masked.sum(axis=0) / n_rows
         assert np.all(np.abs(freq - 0.75) < 0.02)
 
     def test_invalid_ratios(self):
-        group = np.zeros((4, 2))
+        groups = np.zeros((2, 4, 2))
         with pytest.raises(ValueError):
-            mask_features(group, -0.1, seed=0)
+            mask_features(groups, -0.1, seed=0)
         with pytest.raises(ValueError):
-            mask_features(group, 1.0, seed=0)
+            mask_features(groups, 1.0, seed=0)
+        with pytest.raises(ValueError, match="every token"):
+            mask_features(groups, 0.9, seed=0)
+
+    def test_groups_need_two_tokens(self):
+        with pytest.raises(ValueError):
+            mask_features(np.zeros((3, 1, 2)), 0.5, seed=0)
+        with pytest.raises(ValueError):
+            mask_features(np.zeros((4, 2)), 0.5, seed=0)
 
 
 class TestReconstruct:
     def test_identity_decoder_ratio_zero_is_identity(self):
         gen = np.random.default_rng(6)
-        group = gen.normal(size=(6, 4))
+        groups = gen.normal(size=(3, 6, 4))
         dec = init_decoder(4)
-        visible, plan = mask_features(group, 0.0, seed=0)
-        recon = reconstruct(visible, plan, dec)
-        np.testing.assert_allclose(recon, group, rtol=1e-12)
-        assert float(((recon - group) ** 2).mean()) == 0.0
+        masked = mask_features(groups, 0.0, seed=0)
+        recon = reconstruct(groups, masked, dec)
+        np.testing.assert_allclose(recon, groups, rtol=1e-12)
+        assert float(((recon - groups) ** 2).mean()) == 0.0
 
     def test_zero_weights_fill_masked_rows_with_bias(self):
         gen = np.random.default_rng(7)
-        group = gen.normal(size=(8, 3))
+        groups = gen.normal(size=(2, 8, 3))
         bias = np.array([1.0, -2.0, 0.5])
         dec = DecoderParams(np.zeros((3, 3)), bias, gen.normal(size=3))
-        visible, plan = mask_features(group, 0.75, seed=3)
-        recon = reconstruct(visible, plan, dec)
-        for i in plan.masked_indices:
-            np.testing.assert_array_equal(recon[i], bias)
+        masked = mask_features(groups, 0.75, seed=3)
+        recon = reconstruct(groups, masked, dec)
+        np.testing.assert_array_equal(recon[masked], np.tile(bias, (12, 1)))
 
     def test_mse_matches_scalar_oracle(self):
         gen = np.random.default_rng(8)
-        group = gen.normal(size=(6, 5))
+        groups = gen.normal(size=(3, 6, 5))
         dec = DecoderParams(gen.normal(size=(5, 5)), gen.normal(size=5),
                             gen.normal(size=5))
-        visible, plan = mask_features(group, 0.5, seed=11)
-        recon = reconstruct(visible, plan, dec)
-        masked = set(plan.masked_indices)
-        expected = np.empty_like(group)
-        for i in range(6):
-            source = dec.mask_token if i in masked else group[i]
-            for b in range(5):
-                expected[i, b] = sum(source[a] * dec.w[a, b] for a in range(5)) + dec.b[b]
-        np.testing.assert_allclose(recon, expected, rtol=1e-12)
-        mse = float(((recon - group) ** 2).mean())
-        mse_scalar = sum((expected[i, b] - group[i, b]) ** 2
-                         for i in range(6) for b in range(5)) / 30.0
-        assert mse == pytest.approx(mse_scalar, rel=1e-12)
+        masked = mask_features(groups, 0.5, seed=11)
+        recon = reconstruct(groups, masked, dec)
+        for j, group in enumerate(groups):
+            expected = np.empty_like(group)
+            for i in range(6):
+                source = dec.mask_token if masked[j, i] else group[i]
+                for b in range(5):
+                    expected[i, b] = sum(source[a] * dec.w[a, b] for a in range(5)) + dec.b[b]
+            np.testing.assert_allclose(recon[j], expected, rtol=1e-12)
+            mse = float(((recon[j] - group) ** 2).mean())
+            mse_scalar = sum((expected[i, b] - group[i, b]) ** 2
+                             for i in range(6) for b in range(5)) / 30.0
+            assert mse == pytest.approx(mse_scalar, rel=1e-12)
 
     def test_plan_group_consistency(self):
         dec = init_decoder(3)
-        group = np.zeros((5, 3))
-        visible, plan = mask_features(group, 0.5, seed=1)
+        groups = np.zeros((2, 5, 3))
+        masked = mask_features(groups, 0.5, seed=1)
         with pytest.raises(ValueError):
-            reconstruct(visible[:-1], plan, dec)
+            reconstruct(groups[:, :-1], masked, dec)
+        with pytest.raises(ValueError):
+            reconstruct(groups[:1], masked, dec)
 
 
 class TestPoolNormalize:

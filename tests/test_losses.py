@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from gcmr import rng
 from gcmr.classifier import init_classifier, project_batch
 from gcmr.encoder import DecoderParams, EncoderParams, init_decoder, init_encoder
 from gcmr.losses import (DistanceDictionary, LossConfig, alpha_schedule,
-                         base_loss, build_distance_dictionary, incremental_loss)
+                         base_loss, base_loss_backward, build_distance_dictionary,
+                         incremental_loss)
 from gcmr.memory import init_representation_memory
 
 from oracles import (base_loss_scalar, cross_entropy_scalar,
-                     distance_vector_scalar, incremental_loss_scalar,
-                     project_scalar)
+                     distance_vector_scalar, finite_difference,
+                     incremental_loss_scalar, project_scalar)
 
 
 def distance_term(f, target, dictionary, params):
@@ -156,6 +158,43 @@ class TestBaseLoss:
         total, _ = base_loss(raw, labels, enc, dec, params, cfg, 0, seed=7)
         ref_total, _ = base_loss_scalar(raw, labels, enc, dec, params, cfg, 0, seed=7)
         assert total == pytest.approx(ref_total, rel=1e-10)
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("ratio", [0.5, 0.1])
+    def test_gradients_match_finite_differences(self, scope, reduction, ratio):
+        # ratio 0.1 hides no token of a 4-token group: the masked scope is
+        # empty and its reconstruction term and decoder gradients vanish
+        raw, labels, enc, dec, params, cfg = self.make_instance(
+            9, n=5, c=0.5, mask_ratio=ratio, recon_scope=scope,
+            recon_reduction=reduction)
+        _, terms, grads = base_loss_backward(raw, labels, enc, dec, params, cfg, 0, seed=4)
+        if scope == "masked" and ratio == 0.1:
+            assert terms["reconstruction"] == 0.0
+            assert not grads["dec_w"].any() and not grads["mask_token"].any()
+        for name, arr in (("enc_w", enc.w), ("enc_b", enc.b), ("dec_w", dec.w),
+                          ("dec_b", dec.b), ("mask_token", dec.mask_token),
+                          ("head_w1", params.w1), ("head_b2", params.b2)):
+            numeric = finite_difference(
+                lambda: base_loss(raw, labels, enc, dec, params, cfg, 0, seed=4)[0], arr)
+            np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-8)
+
+    def test_generator_count_is_independent_of_batch(self, monkeypatch):
+        calls = []
+        original = rng.generator
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rng, "generator", counting)
+        counts = set()
+        for n in (1, 8, 64):
+            raw, labels, enc, dec, params, cfg = self.make_instance(2, n=n, mask_ratio=0.5)
+            del calls[:]
+            base_loss_backward(raw, labels, enc, dec, params, cfg, 0, seed=3)
+            counts.add(len(calls))
+        assert counts == {2}   # one mask block and one dropout block
 
     def test_nonnegative_and_finite(self):
         for seed in range(5):
