@@ -23,8 +23,8 @@ from .losses import (DistanceDictionary, LossConfig, alpha_schedule,
                      base_loss, base_loss_backward, build_distance_dictionary,
                      incremental_loss)
 from .memory import (RepresentationMemory, WeightMemory, build_weight_memory,
-                     init_representation_memory, memory_budget_bytes,
-                     update_representation_memory)
+                     column_labels, init_representation_memory,
+                     memory_budget_bytes, update_representation_memory)
 from .nn_core import (NumericalError, cosine_lr, cross_entropy_rows,
                       sgd_momentum_step, softmax_rows)
 from .trainer import (SessionState, TrainConfig, run_protocol, train_base,

@@ -5,7 +5,9 @@ and imprinting-based expansion for novel classes.
 Head layout: hidden = ReLU(W1^T f + b1) with inverted dropout in train mode,
 logits = W2^T hidden + b2. The hidden map doubles as the projection applied
 to memory rows when building distance dictionaries, so examples and stored
-class means are always compared in the same activation space.
+class means are always compared in the same activation space. A label is a
+classifier column, and it is also the index of its memory row and of its
+distance-dictionary row.
 """
 
 from __future__ import annotations
@@ -110,8 +112,11 @@ def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads):
     """Train-mode cross-entropy mean over rows of `inputs`, plus head grads.
 
     inputs: (n, dim); targets: (n,) column indices; the dropout masks of all
-    rows come from one draw of the dropout_seed stream. Gradients are
-    already divided by n (they are gradients of the mean).
+    rows come from one draw of the dropout_seed stream. Returns (value,
+    grads, dz1): gradients are already divided by n (they are gradients of
+    the mean), and dz1 is the gradient of the first-layer pre-activation,
+    from which the base objective reaches its features. Both are None
+    without compute_grads.
     """
     n = inputs.shape[0]
     z1 = inputs @ params.w1 + params.b1
@@ -121,39 +126,34 @@ def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads):
     logits = hidden @ params.w2 + params.b2
     value, probs = cross_entropy_rows(logits, targets)
     if not compute_grads:
-        return value, None
+        return value, None, None
     dlogits = probs
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
     dz1 = (dlogits @ params.w2.T) * scales * (z1 > 0)
     return value, {"w1": inputs.T @ dz1, "b1": dz1.sum(axis=0),
-                   "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
+                   "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}, dz1
 
 
-def _distance_ce_with_grads(features, rows_idx, dictionary, params, compute_grads):
-    """Mean cross-entropy over negated squared distances to dictionary rows.
-
-    features: (n, dim) already restricted to examples that have a dictionary
-    row; rows_idx: their target row indices. In hidden space the gradient
-    flows through the projection of the example features; dictionary rows are
-    constants within a step, and feature-space distances involve no head
-    parameter at all (empty gradients).
+def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads):
+    """Mean cross-entropy over negated squared distances between the hidden
+    projections of features (n, dim) and the dictionary rows; targets are
+    the rows (classifier columns) of the labels. The gradient flows through
+    the projection of the example features; dictionary rows are constants
+    within a step.
     """
     n = features.shape[0]
     rows = dictionary.projected_rows
-    if dictionary.space == "hidden":
-        z1 = features @ params.w1 + params.b1
-        points = np.maximum(z1, 0.0)
-    else:
-        points = features
+    z1 = features @ params.w1 + params.b1
+    points = np.maximum(z1, 0.0)
     # Gram form |p|^2 + |r|^2 - 2 p.r, without an (n, rows, width) tensor
     d2 = ((points * points).sum(axis=1)[:, None] + (rows * rows).sum(axis=1)
           - 2.0 * (points @ rows.T))
-    value, probs = cross_entropy_rows(-d2, rows_idx)
-    if not compute_grads or dictionary.space != "hidden":
-        return value, {}
+    value, probs = cross_entropy_rows(-d2, targets)
+    if not compute_grads:
+        return value, None
     coeff = probs
-    coeff[np.arange(n), rows_idx] -= 1.0               # q - t
+    coeff[np.arange(n), targets] -= 1.0                # q - t
     dpoints = 2.0 * (coeff @ rows) / n
     dz1 = dpoints * (z1 > 0)
     return value, {"w1": features.T @ dz1, "b1": dz1.sum(axis=0)}
@@ -178,10 +178,10 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     features: (n, dim) normalized example features; labels: class columns.
     memory_rows: (m, dim) stored class means whose targets are their own row
     positions (memory order matches classifier column order). dictionary:
-    rows to measure squared distances against; may be None when
-    memory_regularization is off. Weighting: beta * distance +
-    (1 - beta) * (memory + classification); off mode keeps the
-    classification term alone.
+    one hidden-space row per classifier column, the distance target of the
+    labels; may be None when memory_regularization is off. Weighting:
+    beta * distance + (1 - beta) * (memory + classification); off mode keeps
+    the classification term alone.
     """
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("expected a non-empty (n, dim) feature batch")
@@ -191,7 +191,7 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     if y.shape != (features.shape[0],):
         raise ValueError("labels must align with features")
 
-    cls_value, cls_grads = _mean_ce_with_grads(
+    cls_value, cls_grads, _ = _mean_ce_with_grads(
         features, y, params, rng.stream_id(seed, CLASSIFICATION_TAG), compute_grads)
 
     if not memory_regularization:
@@ -203,23 +203,13 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     m = memory_rows.shape[0]
     if m > params.n_classes:
         raise ValueError("more memory rows than classifier columns")
-    mem_value, mem_grads = _mean_ce_with_grads(
+    if dictionary.projected_rows.shape[0] != params.n_classes:
+        raise ValueError(f"distance dictionary has {dictionary.projected_rows.shape[0]} "
+                         f"rows for {params.n_classes} classifier columns")
+    mem_value, mem_grads, _ = _mean_ce_with_grads(
         memory_rows, np.arange(m), params, rng.stream_id(seed, MEMORY_TAG), compute_grads)
-
-    row_of = {cls: i for i, cls in enumerate(dictionary.row_class)}
-    keep, rows_idx = [], []
-    for j, yj in enumerate(y):
-        row = row_of.get(int(yj))
-        if row is None:
-            if cfg.novel_label_handling == "ignore":
-                continue
-            raise ValueError(f"no dictionary row for label {yj}")
-        keep.append(j)
-        rows_idx.append(row)
-    dist_value, dist_grads = 0.0, {}
-    if keep:
-        dist_value, dist_grads = _distance_ce_with_grads(
-            features[keep], np.asarray(rows_idx), dictionary, params, compute_grads)
+    dist_value, dist_grads = _distance_ce_with_grads(
+        features, y, dictionary, params, compute_grads)
 
     beta = cfg.beta
     total = beta * dist_value + (1.0 - beta) * (mem_value + cls_value)

@@ -227,7 +227,7 @@ def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int,
     labels = gen.integers(0, n_classes, size=n_batch)
     memory_rows = gen.standard_normal((n_memory, dim))
     dict_rows = gen.standard_normal((n_classes, hidden))
-    dictionary = DistanceDictionary(dict_rows, tuple(range(n_classes)), "hidden")
+    dictionary = DistanceDictionary(dict_rows)
 
     _, _, grads = incremental_terms(features, labels, memory_rows, dictionary,
                                     params, cfg, seed)

@@ -326,14 +326,14 @@ def save_dataset(dataset: TokenDataset, path, precision: int = 8) -> None:
     if precision not in _WIDTH_DTYPES:
         raise ValueError("precision must be 4 or 8")
     n, g, d = dataset.features.shape
-    class_ids = sorted(int(c) for c in np.unique(dataset.labels)) if n else []
-    index_of = {cid: i for i, cid in enumerate(class_ids)}
+    # class table in ascending id order; each label stored as its table index
+    class_ids, label_index = np.unique(dataset.labels, return_inverse=True)
     body = bytearray()
     body += FORMAT_MAGIC
     body += struct.pack("<HBB", FORMAT_VERSION, KIND_DATASET, precision)
     body += struct.pack("<IIII", n, g, d, len(class_ids))
     body += np.asarray(class_ids, dtype="<i8").tobytes()
-    body += np.asarray([index_of[int(v)] for v in dataset.labels], dtype="<u4").tobytes()
+    body += np.asarray(label_index, dtype="<u4").tobytes()
     body += _float_bytes(dataset.features, precision)
     with open(path, "wb") as fh:
         fh.write(_finish_blob(body))

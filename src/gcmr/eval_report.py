@@ -19,7 +19,7 @@ import numpy as np
 
 from . import encoder
 from .classifier import eval_logits_batch
-from .memory import memory_budget_bytes
+from .memory import column_labels, memory_budget_bytes
 
 # Reports account memory at float32 width, the storage-budget convention.
 BUDGET_PRECISION = 4
@@ -78,13 +78,7 @@ def evaluate_session(state, test_features, test_labels,
     labels = np.asarray(test_labels)
     if raw.shape[0] == 0 or raw.shape[0] != labels.shape[0]:
         raise ValueError("test set is empty or misaligned")
-    known = set(state.mem.class_ids)
-    unseen = sorted(set(int(v) for v in labels) - known)
-    if unseen:
-        raise ValueError(f"test labels never trained on: {unseen}")
-
-    col_of = {cid: i for i, cid in enumerate(state.mem.class_ids)}
-    y = np.array([col_of[int(v)] for v in labels], dtype=np.int64)
+    y = column_labels(labels, state.mem.class_ids)
     preds = _predict(state, raw)
     correct = preds == y
 

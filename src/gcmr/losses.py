@@ -10,6 +10,9 @@ Two objectives drive the whole pipeline:
   classification term that keeps stored class means correctly classified,
   and plain example classification.
 
+Classes are indexed by classifier column everywhere: labels are columns,
+and row k of memory and of the distance dictionary belongs to column k.
+
 Both are plain functions of (inputs, parameters, seed); the seed determines
 masking and dropout noise, so values and gradients are reproducible.
 """
@@ -22,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifier, encoder, rng
-from .nn_core import cross_entropy_rows
 
 # Sub-stream tag for the mask selection of one base-objective step.
 MASK_TAG = 0
 
 RECON_SCOPES = ("all", "masked")
 RECON_REDUCTIONS = ("mean", "sum")
-DISTANCE_SPACES = ("hidden", "feature")
-NOVEL_HANDLING = ("provisional", "ignore")
 
 
 @dataclass
@@ -42,10 +42,7 @@ class LossConfig:
     memory and classification terms. recon_scope selects whether the
     reconstruction error is averaged over all token positions or the masked
     ones only; recon_reduction picks per-element averaging or a raw sum per
-    example. distance_space compares examples and dictionary rows after the
-    hidden projection or in raw feature space. novel_label_handling decides
-    what the distance term does with labels that have no dictionary row:
-    expect provisional rows, or silently skip those examples.
+    example.
     """
 
     c: float = 0.3
@@ -53,8 +50,6 @@ class LossConfig:
     mask_ratio: float = 0.75
     recon_scope: str = "all"
     recon_reduction: str = "mean"
-    distance_space: str = "hidden"
-    novel_label_handling: str = "provisional"
 
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
@@ -67,34 +62,20 @@ class LossConfig:
             raise ValueError(f"recon_scope must be one of {RECON_SCOPES}")
         if self.recon_reduction not in RECON_REDUCTIONS:
             raise ValueError(f"recon_reduction must be one of {RECON_REDUCTIONS}")
-        if self.distance_space not in DISTANCE_SPACES:
-            raise ValueError(f"distance_space must be one of {DISTANCE_SPACES}")
-        if self.novel_label_handling not in NOVEL_HANDLING:
-            raise ValueError(f"novel_label_handling must be one of {NOVEL_HANDLING}")
 
 
 @dataclass(frozen=True)
 class DistanceDictionary:
-    """Rows the distance regularizer measures against, plus their classes.
-
-    Rows live in hidden space (projected memory rows, optionally extended
-    with provisional projections of novel support means) or, behind the
-    feature-space flag, in raw feature space.
-    """
+    """Hidden-space rows the distance regularizer measures against, one
+    per classifier column: row k is the distance target of label k."""
 
     projected_rows: np.ndarray
-    row_class: tuple[int, ...]
-    space: str = "hidden"
 
     def __post_init__(self):
         object.__setattr__(self, "projected_rows",
                            np.asarray(self.projected_rows, dtype=np.float64))
         if self.projected_rows.ndim != 2 or self.projected_rows.shape[0] == 0:
             raise ValueError("dictionary needs at least one row")
-        if len(self.row_class) != self.projected_rows.shape[0]:
-            raise ValueError("row classes do not align with rows")
-        if len(set(self.row_class)) != len(self.row_class):
-            raise ValueError("duplicate class in dictionary rows")
         self.projected_rows.setflags(write=False)
 
 
@@ -105,30 +86,20 @@ def alpha_schedule(cfg: LossConfig, epoch: int) -> float:
     return cfg.c * math.exp(-epoch / 2.0)
 
 
-def build_distance_dictionary(mem, params, provisional=(), space: str = "hidden"):
-    """Project memory rows (plus provisional novel-class means) into the
-    distance comparison space.
-
-    provisional: sequence of (class_column, mean_vector) pairs for classes
-    introduced in the running session; their rows are recomputed from the
-    live first-layer weights whenever the dictionary is rebuilt.
-    """
-    if space not in DISTANCE_SPACES:
-        raise ValueError(f"space must be one of {DISTANCE_SPACES}")
-    blocks = [mem.rows]
-    if provisional:
-        blocks.append(np.stack([mean for _, mean in provisional]))
-    if space == "hidden":
-        blocks = [classifier.project_batch(block, params) for block in blocks]
-    columns = list(range(mem.n_classes)) + [int(column) for column, _ in provisional]
-    return DistanceDictionary(np.concatenate(blocks, axis=0), tuple(columns), space)
+def build_distance_dictionary(mem, params, novel_means):
+    """Project the memory rows, then the running session's novel support
+    means, through the live first layer: one row per classifier column.
+    Rebuilt whenever the first-layer weights have moved."""
+    return DistanceDictionary(np.concatenate(
+        [classifier.project_batch(mem.rows, params),
+         classifier.project_batch(np.stack(novel_means), params)], axis=0))
 
 
 def incremental_loss(features, labels, memory_rows, dictionary, params,
                      cfg: LossConfig, seed: int):
     """Scalar incremental objective and its unweighted per-term breakdown.
 
-    Value: beta * mean_j CE(-d_j, row(y_j)) + (1-beta) * mean_k CE(head(M_k), k)
+    Value: beta * mean_j CE(-d_j, y_j) + (1-beta) * mean_k CE(head(M_k), k)
     + (1-beta) * mean_j CE(head(f_j), y_j).
     """
     total, breakdown, _ = classifier.incremental_terms(
@@ -179,27 +150,19 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     diff = (recon - feats) * scope[:, :, None]
     recon_term = float(((diff * diff).sum(axis=(1, 2)) * weight).sum()) / n
 
-    # classification path
+    # classification path: the head term of the incremental objective
     pooled = feats.mean(axis=1)
     fbar = encoder.normalize_rows(pooled, enc.feature_norm)
-    z1 = fbar @ params.w1 + params.b1
-    relu = np.maximum(z1, 0.0)
-    scales = classifier.dropout_scale(n, params.hidden, params.dropout_rate,
-                                      rng.stream_id(seed, classifier.CLASSIFICATION_TAG))
-    hidden = relu * scales
-    logits = hidden @ params.w2 + params.b2
-    ce_term, probs = cross_entropy_rows(logits, y)
+    ce_term, head_grads, dz1 = classifier._mean_ce_with_grads(
+        fbar, y, params, rng.stream_id(seed, classifier.CLASSIFICATION_TAG),
+        compute_grads)
 
     total = alpha * recon_term + (1.0 - alpha) * ce_term
     breakdown = {"reconstruction": recon_term, "classification": ce_term}
     if not compute_grads:
         return total, breakdown, None
 
-    # classification backward
-    dlogits = probs
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    dz1 = (dlogits @ params.w2.T) * scales * (z1 > 0)
+    # classification backward, from the head's first-layer pre-activation
     dfbar = dz1 @ params.w1.T
     dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
     d_feats_ce = np.broadcast_to(dpooled[:, None, :] / n_tokens, feats.shape)
@@ -219,9 +182,6 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
         "dec_w": (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
         "dec_b": (alpha / n) * delta.sum(axis=(0, 1)),
         "mask_token": (alpha / n) * dfilled[masked].sum(axis=0),
-        "head_w1": (1.0 - alpha) * (fbar.T @ dz1),
-        "head_b1": (1.0 - alpha) * dz1.sum(axis=0),
-        "head_w2": (1.0 - alpha) * (hidden.T @ dlogits),
-        "head_b2": (1.0 - alpha) * dlogits.sum(axis=0),
+        **{f"head_{name}": (1.0 - alpha) * grad for name, grad in head_grads.items()},
     }
     return total, breakdown, grads

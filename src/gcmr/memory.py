@@ -42,12 +42,23 @@ class RepresentationMemory:
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    def column_of(self, class_id: int) -> int:
-        """Classifier column of an external class id (introduction order)."""
-        try:
-            return self.class_ids.index(class_id)
-        except ValueError:
-            raise KeyError(f"unknown class id {class_id}") from None
+
+def column_labels(labels, class_ids) -> np.ndarray:
+    """Classifier column of each label: the position of its id in class_ids.
+
+    class_ids lists the classes in column order (memory rows, then the
+    running session's novel classes). ValueError names every label whose id
+    is not in class_ids.
+    """
+    ids = np.asarray(class_ids, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    pos = np.searchsorted(ids[order], y)
+    found = pos < ids.size
+    found[found] = ids[order[pos[found]]] == y[found]
+    if not found.all():
+        raise ValueError(f"labels of unknown classes: {np.unique(y[~found]).tolist()}")
+    return order[pos]
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,13 @@ def cosine_lr(epoch: int, base_lr: float, min_lr: float, total_epochs: int) -> f
 
 
 def sgd_momentum_step(params: dict, grads: dict, velocities: dict,
-                      momentum: float, lr: float) -> None:
+                      momentum: float, lr: float, where: str = "") -> None:
     """One heavy-ball step on every named array, in place:
     v <- momentum*v + g, p <- p - lr*v.
 
     With momentum 0 this is bit-identical to vanilla gradient descent. A
-    parameter that leaves the finite range raises NumericalError naming it;
+    parameter that leaves the finite range raises NumericalError naming it
+    and `where` (the training loops pass "session s, epoch e, step k");
     any non-finite gradient entry lands in its parameter, so this one check
     covers the gradients too.
     """
@@ -65,4 +66,5 @@ def sgd_momentum_step(params: dict, grads: dict, velocities: dict,
         v += grads[name]
         p -= lr * v
         if not np.isfinite(p).all():
-            raise NumericalError(f"parameter {name} diverged to non-finite values")
+            at = f" at {where}" if where else ""
+            raise NumericalError(f"parameter {name} diverged to non-finite values{at}")

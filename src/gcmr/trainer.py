@@ -21,7 +21,8 @@ import numpy as np
 
 from . import classifier, encoder, losses, rng
 from .memory import (RepresentationMemory, WeightMemory, build_weight_memory,
-                     init_representation_memory, update_representation_memory)
+                     column_labels, init_representation_memory,
+                     update_representation_memory)
 from .nn_core import cosine_lr, sgd_momentum_step
 
 # Sub-stream tags for trainer-owned randomness.
@@ -85,16 +86,6 @@ class SessionState:
     wmem: WeightMemory
 
 
-def _column_labels(labels, class_ids) -> np.ndarray:
-    col_of = {cid: i for i, cid in enumerate(class_ids)}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        if int(label) not in col_of:
-            raise ValueError(f"label {label} is not part of this session's classes")
-        out[i] = col_of[int(label)]
-    return out
-
-
 def _batches(n: int, batch_size: int, order: np.ndarray):
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]
@@ -111,7 +102,7 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     class_ids = list(base_session.class_ids)
     if raw.shape[0] == 0:
         raise ValueError("base session has no training examples")
-    y = _column_labels(labels, class_ids)
+    y = column_labels(labels, class_ids)
     counts = np.bincount(y, minlength=len(class_ids))
     if np.any(counts == 0):
         missing = [class_ids[i] for i in np.flatnonzero(counts == 0)]
@@ -139,7 +130,8 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
                 step_seed = rng.stream_id(cfg.seed, STEP_TAG, 0, epoch, step)
                 total, breakdown, grads = losses.base_loss_backward(
                     raw[batch], y[batch], enc, dec, head, cfg.loss, epoch, step_seed)
-                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
+                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr,
+                                  where=f"session 0, epoch {epoch}, step {step}")
                 epoch_total += total
                 for key in epoch_terms:
                     epoch_terms[key] += breakdown[key]
@@ -195,21 +187,18 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
 
     head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
                                              support_means)
-    c_old = state.mem.n_classes
-    all_ids = list(state.mem.class_ids) + new_ids
-    y = _column_labels(labels, all_ids)
+    y = column_labels(labels, list(state.mem.class_ids) + new_ids)
 
     n = raw.shape[0]
     if cfg.incr_epochs > 0:
         params = head.arrays()
         velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
-        provisional = list(zip(range(c_old, c_old + len(new_ids)), support_means))
         for epoch in range(cfg.incr_epochs):
             lr = cosine_lr(epoch, cfg.incr_lr, cfg.min_lr, cfg.incr_epochs)
             dictionary = None
             if cfg.memory_regularization:
                 dictionary = losses.build_distance_dictionary(
-                    state.mem, head, provisional, cfg.loss.distance_space)
+                    state.mem, head, support_means)
             order = rng.generator(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
             epoch_total, epoch_terms, steps = 0.0, {}, 0
             for step, batch in enumerate(_batches(n, cfg.batch_size, order)):
@@ -218,7 +207,8 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
                     fbar[batch], y[batch], state.mem.rows, dictionary, head,
                     cfg.loss, step_seed,
                     memory_regularization=cfg.memory_regularization)
-                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
+                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr,
+                                  where=f"session {t}, epoch {epoch}, step {step}")
                 epoch_total += total
                 for key, value in breakdown.items():
                     epoch_terms[key] = epoch_terms.get(key, 0.0) + value

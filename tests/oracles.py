@@ -81,17 +81,11 @@ def incremental_loss_scalar(features, labels, memory_rows, dictionary, params, c
     n = len(features)
 
     dist_losses = []
-    row_of = {cls: i for i, cls in enumerate(dictionary.row_class)}
-    rows = dictionary.projected_rows.tolist()
+    rows = dictionary.projected_rows.tolist()   # row k belongs to label k
     for j in range(n):
-        fbar = [float(v) for v in features[j]]
-        if cfg.distance_space == "hidden":
-            point = project_scalar(fbar, params)
-        else:
-            point = fbar
+        point = project_scalar([float(v) for v in features[j]], params)
         d2 = distance_vector_scalar(point, rows)
-        target = row_of[int(labels[j])]
-        dist_losses.append(cross_entropy_scalar([-v for v in d2], target))
+        dist_losses.append(cross_entropy_scalar([-v for v in d2], int(labels[j])))
     distance = sum(dist_losses) / n
 
     mem_losses = []

@@ -46,8 +46,7 @@ def _incremental_instance(seed, dim=8, hidden=4, n_classes=5, n_batch=3,
     features = gen.standard_normal((n_batch, dim))
     labels = gen.integers(0, n_classes, size=n_batch)
     memory_rows = gen.standard_normal((n_memory, dim))
-    dictionary = DistanceDictionary(gen.standard_normal((n_classes, hidden)),
-                                    tuple(range(n_classes)), "hidden")
+    dictionary = DistanceDictionary(gen.standard_normal((n_classes, hidden)))
     return params, features, labels, memory_rows, dictionary, LossConfig(beta=beta)
 
 

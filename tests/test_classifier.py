@@ -41,8 +41,7 @@ def random_instance(seed, dim=8, hidden=4, n_classes=5, n_batch=3, n_memory=3,
     features = gen.standard_normal((n_batch, dim))
     labels = gen.integers(0, n_classes, size=n_batch)
     memory_rows = gen.standard_normal((n_memory, dim))
-    dictionary = DistanceDictionary(gen.standard_normal((n_classes, hidden)),
-                                    tuple(range(n_classes)), "hidden")
+    dictionary = DistanceDictionary(gen.standard_normal((n_classes, hidden)))
     cfg = LossConfig(beta=beta)
     return params, features, labels, memory_rows, dictionary, cfg
 
@@ -124,7 +123,7 @@ class TestBackward:
         point = np.maximum(features @ params.w1 + params.b1, 0.0)[0]
         offset = np.sqrt(50.0 / hidden)
         rows = np.stack([point, point + offset, point - offset])
-        dictionary = DistanceDictionary(rows, (0, 1, 2), "hidden")
+        dictionary = DistanceDictionary(rows)
         cfg = LossConfig(beta=1.0)
         _, _, grads = incremental_terms(features, np.array([0]), features, dictionary,
                                         params, cfg, seed=0)
@@ -140,7 +139,7 @@ class TestBackward:
         b2 = np.array([0.1, -0.1])
         params = ClassifierParams(w1, b1, w2, b2, dropout_rate=0.0)
         mem = np.array([[0.5, 0.5]])
-        dictionary = DistanceDictionary(np.array([[0.0], [1.0]]), (0, 1), "hidden")
+        dictionary = DistanceDictionary(np.array([[0.0], [1.0]]))
         cfg = LossConfig(beta=0.0)
         label = np.array([0])
 
@@ -194,22 +193,12 @@ class TestBackward:
             incremental_terms(features, bad, memory_rows, dictionary, params, cfg, 0)
 
     def test_missing_dictionary_row(self):
+        # one dictionary row per classifier column, no fewer and no more
         params, features, labels, memory_rows, _, cfg = random_instance(4)
-        tiny = DistanceDictionary(np.zeros((1, 4)), (0,), "hidden")
-        labels = np.full(len(labels), params.n_classes - 1)
-        with pytest.raises(ValueError):
-            incremental_terms(features, labels, memory_rows, tiny, params, cfg, 0)
-
-    def test_ignore_novel_mode_skips_unmatched_labels(self):
-        params, features, labels, memory_rows, _, _ = random_instance(5)
-        tiny = DistanceDictionary(np.zeros((1, 4)), (0,), "hidden")
-        cfg = LossConfig(beta=0.7, novel_label_handling="ignore")
-        labels = np.full(len(labels), params.n_classes - 1)
-        total, breakdown, _ = incremental_terms(
-            features, labels, memory_rows, tiny, params, cfg, 0, compute_grads=False)
-        assert breakdown["distance"] == 0.0
-        assert np.isfinite(total)
-
+        for n_rows in (1, params.n_classes - 1, params.n_classes + 1):
+            wrong = DistanceDictionary(np.zeros((n_rows, 4)))
+            with pytest.raises(ValueError, match=f"{n_rows} rows for 5 classifier columns"):
+                incremental_terms(features, labels, memory_rows, wrong, params, cfg, 0)
 
     def test_gram_form_matches_explicit_differences(self):
         gen = np.random.default_rng(21)
@@ -219,7 +208,7 @@ class TestBackward:
         points = project_batch(features, params)
         rows = points.mean(axis=0) + 0.5 * gen.standard_normal((1000, 16))
         rows[labels[0]] = points[0]          # a point equal to its own row
-        dictionary = DistanceDictionary(rows, tuple(range(1000)), "hidden")
+        dictionary = DistanceDictionary(rows)
         _, terms, grads = incremental_terms(features, labels, features[:1], dictionary,
                                             params, LossConfig(beta=1.0), seed=3)
         # explicit form: the (n, rows, hidden) difference tensor

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -187,13 +188,14 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_run_exits_4(self, tmp_path, dataset_file, capsys):
-        for field in ("train.incr_lr", "train.base_lr"):
+        for field, session in (("train.incr_lr", "[1-9]"), ("train.base_lr", "0")):
             path = write_config(tmp_path / "diverge.json", **{field: 1e200,
                                                               "train.momentum": 0.9})
             assert main(["run", "--config", str(path), "--data", str(dataset_file),
                          "--out", str(tmp_path / field)]) == EXIT_NUMERIC
             err = capsys.readouterr().err
             assert "numerical failure" in err and "parameter" in err
+            assert re.search(rf"at session {session}, epoch \d+, step \d+$", err.strip())
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
     def test_bad_thread_count_exits_2_before_training(self, tmp_path, config_file,
@@ -222,6 +224,17 @@ class TestRun:
         assert main(["run", "--config", str(config_file), "--data", str(data),
                      "--out", str(out), "--no-base-finetune"]) == 0
 
+
+    @pytest.mark.parametrize("key, value", [("distance_space", "feature"),
+                                            ("novel_label_handling", "ignore")])
+    def test_removed_loss_keys_exit_2_before_output(self, tmp_path, dataset_file,
+                                                    capsys, key, value):
+        config = write_config(tmp_path / "c.json", **{f"loss.{key}": value})
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mask_ratio_hiding_every_token_exits_2_before_output(self, tmp_path,
                                                                  dataset_file, capsys):

@@ -80,7 +80,7 @@ class TestEvaluateSession:
     def test_unseen_label_rejected(self):
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 1, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown classes: \[7\]"):
             evaluate_session(state, raw, np.array([0, 1, 7]))
 
     def test_acc_all_bounded_by_per_class_extremes(self):

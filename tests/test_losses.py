@@ -31,8 +31,7 @@ def random_incremental_instance(seed, dim=4, hidden=2, n_classes=3, n_batch=1,
     features = gen.standard_normal((n_batch, dim))
     labels = gen.integers(0, n_classes, size=n_batch)
     memory_rows = gen.standard_normal((n_memory, dim))
-    dictionary = DistanceDictionary(gen.standard_normal((n_classes, hidden)),
-                                    tuple(range(n_classes)), "hidden")
+    dictionary = DistanceDictionary(gen.standard_normal((n_classes, hidden)))
     cfg = LossConfig(beta=beta)
     return params, features, labels, memory_rows, dictionary, cfg
 
@@ -67,16 +66,18 @@ class TestDistanceVector:
         gen = np.random.default_rng(0)
         f = gen.normal(size=4)
         rows = np.stack([project_batch(f[None, :], params)[0], np.zeros(3)])
-        dictionary = DistanceDictionary(rows, (0, 1), "hidden")
+        dictionary = DistanceDictionary(rows)
         own_gap = float(rows[0] @ rows[0])      # distance to the zero row
         # d = [0, own_gap], so the term is log(1 + exp(-own_gap))
         assert distance_term(f, 0, dictionary, params) == pytest.approx(
             math.log1p(math.exp(-own_gap)), rel=1e-12)
 
     def test_orthonormal_basis_distance_two(self):
+        # identity first layer, zero bias: the projection of a one-hot
+        # feature is the feature itself
         params = init_classifier(3, 3, 2, seed=1)
-        dictionary = DistanceDictionary(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
-                                        (0, 1), "feature")
+        params.w1, params.b1 = np.eye(3), np.zeros(3)
+        dictionary = DistanceDictionary(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
         # d = [2, 0]: -log(e^-2 / (e^-2 + 1)) = log(1 + e^2)
         assert distance_term(np.array([1.0, 0.0, 0.0]), 0, dictionary, params) == \
             pytest.approx(math.log1p(math.exp(2.0)), rel=1e-12)
@@ -86,7 +87,7 @@ class TestDistanceVector:
         params = init_classifier(5, 4, 3, seed=2)
         f = gen.normal(size=5)
         rows = gen.normal(size=(3, 4))
-        dictionary = DistanceDictionary(rows, (0, 1, 2), "hidden")
+        dictionary = DistanceDictionary(rows)
         d = distance_vector_scalar(project_scalar(f.tolist(), params), rows.tolist())
         for target in range(3):
             assert distance_term(f, target, dictionary, params) == pytest.approx(
@@ -94,7 +95,7 @@ class TestDistanceVector:
 
     def test_dimension_mismatch(self):
         params = init_classifier(4, 3, 2, seed=3)
-        dictionary = DistanceDictionary(np.zeros((2, 5)), (0, 1), "hidden")
+        dictionary = DistanceDictionary(np.zeros((2, 5)))
         with pytest.raises(ValueError):
             distance_term(np.zeros(4), 0, dictionary, params)
 
@@ -263,7 +264,7 @@ class TestIncrementalLoss:
         for shrink in (4.0, 2.0, 1.0, 0.5):
             rows = far.copy()
             rows[1] = point + shrink  # move the own-class row closer
-            dictionary = DistanceDictionary(rows, (0, 1, 2), "hidden")
+            dictionary = DistanceDictionary(rows)
             _, breakdown = incremental_loss(features, labels, memory_rows,
                                             dictionary, params, cfg, seed=6)
             if previous is not None:
@@ -303,22 +304,14 @@ class TestBuildDictionary:
         mem = init_representation_memory({c: gen.normal(size=(2, 6)) for c in range(3)})
         params = init_classifier(6, 4, 5, seed=14)
         extra_mean = gen.normal(size=6)
-        dictionary = build_distance_dictionary(mem, params, [(3, extra_mean)])
+        dictionary = build_distance_dictionary(mem, params, [extra_mean])
         assert dictionary.projected_rows.shape == (4, 4)
-        assert dictionary.row_class == (0, 1, 2, 3)
         np.testing.assert_allclose(dictionary.projected_rows[3],
                                    project_scalar(extra_mean.tolist(), params), rtol=1e-12)
         for k in range(3):
             np.testing.assert_allclose(dictionary.projected_rows[k],
                                        project_scalar(mem.rows[k].tolist(), params),
                                        rtol=1e-12)
-
-    def test_feature_space_keeps_raw_rows(self):
-        gen = np.random.default_rng(15)
-        mem = init_representation_memory({c: gen.normal(size=(2, 6)) for c in range(2)})
-        params = init_classifier(6, 4, 3, seed=15)
-        dictionary = build_distance_dictionary(mem, params, space="feature")
-        np.testing.assert_array_equal(dictionary.projected_rows, mem.rows)
 
 
 class TestLossConfigValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcmr.classifier import init_classifier
-from gcmr.memory import (RepresentationMemory, build_weight_memory,
+from gcmr.memory import (RepresentationMemory, build_weight_memory, column_labels,
                          init_representation_memory, memory_budget_bytes,
                          update_representation_memory)
 
@@ -172,6 +172,20 @@ class TestBudget:
         mem, wmem = self.make_pair(2, 4, 3)
         with pytest.raises(ValueError):
             memory_budget_bytes(mem, wmem, 2)
+
+
+class TestColumnLabels:
+    def test_shuffled_negative_and_wide_ids(self):
+        ids = (7, -3, 2**40, 0, 2**32 + 5, -2**35)
+        labels = [2**32 + 5, -3, -3, -2**35, 7, 2**40, 0, 2**32 + 5]
+        np.testing.assert_array_equal(column_labels(labels, ids),
+                                      [ids.index(v) for v in labels])
+
+    def test_unknown_ids_are_named(self):
+        with pytest.raises(ValueError, match=r"unknown classes: \[-1, 4294967296\]"):
+            column_labels([3, 2**32, 1, -1, 2**32], (1, 2, 3))
+        with pytest.raises(ValueError, match=r"\[0\]"):
+            column_labels([0], ())
 
 
 class TestValidation:

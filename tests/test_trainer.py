@@ -83,6 +83,16 @@ class TestTrainBase:
         with pytest.raises(ValueError):
             trainer.train_base(broken, small_config())
 
+    def test_unknown_label_is_named(self):
+        base = small_stream()[0]
+        labels = base.train.labels.copy()
+        labels[3] = 999
+        broken = data_io.SessionData(
+            0, base.class_ids, data_io.TokenDataset(base.train.features, labels),
+            base.test)
+        with pytest.raises(ValueError, match=r"unknown classes: \[999\]"):
+            trainer.train_base(broken, small_config())
+
 
 class TestTrainIncremental:
     def test_zero_epochs_equals_imprinted_expansion(self):
@@ -108,6 +118,19 @@ class TestTrainIncremental:
             assert state.encoder.state_bytes() == frozen
             assert state.wmem.classifier_snapshot.state_bytes() == \
                 state.classifier.state_bytes()
+
+    def test_unknown_label_is_named(self):
+        sessions = small_stream()
+        cfg = small_config(base_epochs=0)
+        state = trainer.train_base(sessions[0], cfg)
+        session = sessions[1]
+        labels = session.train.labels.copy()
+        labels[0] = -7
+        broken = data_io.SessionData(
+            1, session.class_ids, data_io.TokenDataset(session.train.features, labels),
+            session.test)
+        with pytest.raises(ValueError, match=r"unknown classes: \[-7\]"):
+            trainer.train_incremental(state, broken, cfg)
 
     def test_label_collision_rejected(self):
         sessions = small_stream()
@@ -204,7 +227,8 @@ class TestRunProtocol:
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_base_session_names_the_parameter(self):
         names = "enc_w|enc_b|dec_w|dec_b|mask_token|head_w1|head_b1|head_w2|head_b2"
-        with pytest.raises(NumericalError, match=f"parameter ({names}) diverged"):
+        where = r"at session 0, epoch \d+, step \d+$"
+        with pytest.raises(NumericalError, match=f"parameter ({names}) diverged.* {where}"):
             trainer.run_protocol(small_stream(), small_config(base_lr=1e200))
 
     def test_on_session_sees_every_state_and_report(self):
