@@ -18,12 +18,17 @@ CSV ingestion accepts two layouts: flat features with header
 ``label,f0,...,f{D-1}`` (one single-token example per line) and token groups
 with header ``label,token,f0,...`` where token indices 0..G-1 delimit
 examples.
+
+Every writer goes through atomic_open, so an interrupted write leaves the
+previous file in place rather than a partial one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -321,6 +326,27 @@ def _finish_blob(body: bytearray) -> bytes:
     return bytes(body) + struct.pack("<I", crc)
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb", **open_kwargs):
+    """Write path through a temp file in its directory: a clean exit moves
+    the temp file over path with one os.replace; an exception removes it,
+    and path keeps its previous bytes. A killed process may leave the hidden
+    temp file behind, never a partial path. Nothing is fsynced, so this
+    guards against interruption, not power loss. mode is "w" or "wb"."""
+    if mode not in ("w", "wb"):
+        raise ValueError(f"atomic_open writes whole files, got mode {mode!r}")
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(dataset: TokenDataset, path, precision: int = 8) -> None:
     """Write a token dataset; precision picks the stored float width."""
     if precision not in _WIDTH_DTYPES:
@@ -335,7 +361,7 @@ def save_dataset(dataset: TokenDataset, path, precision: int = 8) -> None:
     body += np.asarray(class_ids, dtype="<i8").tobytes()
     body += np.asarray(label_index, dtype="<u4").tobytes()
     body += _float_bytes(dataset.features, precision)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_finish_blob(body))
 
 
@@ -404,7 +430,7 @@ def save_checkpoint(state: SessionState, path, precision: int = 8) -> None:
     body += _pack_classifier(wmem.classifier_snapshot, precision)
     body += struct.pack("<II", *wmem.projected_means.shape)
     body += _float_bytes(wmem.projected_means, precision)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(_finish_blob(body))
 
 

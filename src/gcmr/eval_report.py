@@ -1,9 +1,13 @@
 """Per-session evaluation over cumulative class sets and report emission.
 
-Predictions are the argmax of eval-mode logits; argmax ties break toward the
-lowest class column, so evaluation is deterministic. The environment
-variable GCMR_THREADS (default 1) caps how many worker threads score test
-chunks; aggregation is ordered, so the thread count never changes results.
+The encoder is frozen after the base session, so each session's test slice
+is encoded once (test_features) and the protocol keeps the pooled, normalized
+features; evaluate_session scores the cumulative feature set with the
+session's classifier and never calls the encoder. Predictions are the argmax
+of eval-mode logits; argmax ties break toward the lowest class column, so
+evaluation is deterministic. The environment variable GCMR_THREADS (default
+1) caps how many worker threads encode test chunks; every row is encoded on
+its own, so the thread count never changes results.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from . import encoder
 from .classifier import eval_logits_batch
+from .data_io import atomic_open
 from .memory import column_labels, memory_budget_bytes
 
 # Reports account memory at float32 width, the storage-budget convention.
@@ -56,40 +61,48 @@ def thread_count() -> int:
     return count
 
 
-def _predict(state, features_raw: np.ndarray) -> np.ndarray:
-    def score(chunk: np.ndarray) -> np.ndarray:
-        fbar = encoder.normalized_features(chunk, state.encoder)
-        return np.argmax(eval_logits_batch(fbar, state.classifier), axis=1)
+def test_features(state, raw) -> np.ndarray:
+    """Pooled, normalized features (n, dim) of raw token groups
+    (n, tokens, raw_dim) under the state's encoder, encoded in up to
+    GCMR_THREADS chunks and concatenated in order."""
+    raw = np.asarray(raw, dtype=np.float64)
+
+    def encode(chunk: np.ndarray) -> np.ndarray:
+        return encoder.normalized_features(chunk, state.encoder)
 
     threads = thread_count()
-    n = features_raw.shape[0]
-    if threads == 1 or n < 2 * threads:
-        return score(features_raw)
-    chunks = np.array_split(features_raw, threads)
+    if threads == 1 or raw.shape[0] < 2 * threads:
+        return encode(raw)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(score, chunks))
-    return np.concatenate(parts)
+        return np.concatenate(list(pool.map(encode, np.array_split(raw, threads))))
 
 
-def evaluate_session(state, test_features, test_labels,
+# keeps test collectors from taking the function for a test
+test_features.__test__ = False
+
+
+def evaluate_session(state, features, test_labels,
                      prior_acc_all: Sequence[float] = ()) -> SessionReport:
-    """Score the model on the cumulative test set of all classes seen so far."""
-    raw = np.asarray(test_features, dtype=np.float64)
+    """Score the model on the cumulative test set of all classes seen so far,
+    given as pooled, normalized features (n, dim) from test_features."""
+    feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(test_labels)
-    if raw.shape[0] == 0 or raw.shape[0] != labels.shape[0]:
+    dim = state.classifier.dim
+    if feats.ndim != 2 or feats.shape[1] != dim:
+        raise ValueError(f"expected test features of shape (n, {dim}), got {feats.shape}")
+    if feats.shape[0] == 0 or feats.shape[0] != labels.shape[0]:
         raise ValueError("test set is empty or misaligned")
-    y = column_labels(labels, state.mem.class_ids)
-    preds = _predict(state, raw)
-    correct = preds == y
+    class_ids = state.mem.class_ids
+    y = column_labels(labels, class_ids)
+    correct = np.argmax(eval_logits_batch(feats, state.classifier), axis=1) == y
 
-    per_class: dict[int, float] = {}
-    for col, cid in enumerate(state.mem.class_ids):
-        hits = correct[y == col]
-        if hits.size:
-            per_class[cid] = float(hits.mean())
+    counts = np.bincount(y, minlength=len(class_ids))
+    hits = np.bincount(y, weights=correct, minlength=len(class_ids))
+    seen = np.flatnonzero(counts)
+    per_class = dict(zip([class_ids[col] for col in seen],
+                         (hits[seen] / counts[seen]).tolist()))
 
-    base_cols = np.array([s == 0 for s in state.mem.session_of])
-    is_base = base_cols[y]
+    is_base = (np.asarray(state.mem.session_of) == 0)[y]
     acc_all = float(correct.mean())
     acc_base = float(correct[is_base].mean()) if is_base.any() else 0.0
     acc_novel = float(correct[~is_base].mean()) if (~is_base).any() else None
@@ -103,7 +116,7 @@ def evaluate_session(state, test_features, test_labels,
         per_class_acc=per_class,
         memory_budget=memory_budget_bytes(state.mem, state.wmem, BUDGET_PRECISION),
         avg_acc_so_far=float(np.mean(history)),
-        n_test=int(raw.shape[0]),
+        n_test=int(feats.shape[0]),
     )
 
 
@@ -126,13 +139,14 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, float]:
 def write_report(reports: Sequence[SessionReport], summary: dict, path,
                  fmt: str = "json", label: str = "run", append: bool = False) -> None:
     """Write one run's reports either as a JSON document or as one CSV row
-    (session columns, average accuracy, final memory bytes). In CSV append
-    mode the header is emitted only when the file starts empty."""
+    (session columns, average accuracy, final memory bytes). JSON and CSV
+    overwrites replace the file atomically; in CSV append mode the row is
+    appended, and the header is emitted only when the file starts empty."""
     if fmt == "json":
         payload = {"label": label,
                    "sessions": [r.to_json_dict() for r in reports],
                    "summary": summary}
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         return
@@ -142,11 +156,12 @@ def write_report(reports: Sequence[SessionReport], summary: dict, path,
               + ["avg_acc", "memory_bytes"])
     row = ([label] + [f"{r.acc_all:.6f}" for r in reports]
            + [f"{summary['avg_acc']:.6f}", str(reports[-1].memory_budget["total"])])
-    mode = "a" if append else "w"
     need_header = True
     if append and os.path.exists(path) and os.path.getsize(path) > 0:
         need_header = False
-    with open(path, mode, encoding="utf-8", newline="") as fh:
+    target = (open(path, "a", encoding="utf-8", newline="") if append
+              else atomic_open(path, "w", encoding="utf-8", newline=""))
+    with target as fh:
         writer = csv.writer(fh)
         if need_header:
             writer.writerow(header)

@@ -241,28 +241,30 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
                  on_session: Callable[[SessionState, object], None] | None = None):
     """Run the base session plus every incremental session, evaluating on
     the cumulative test set after each and then calling
-    on_session(state, report). Returns (reports, final_state)."""
-    from .eval_report import evaluate_session
+    on_session(state, report). Returns (reports, final_state).
+
+    The encoder is frozen once the base session ends, so each session's test
+    slice is encoded once, right after that session's training, and every
+    evaluation scores the cached features of all slices seen so far."""
+    from .eval_report import evaluate_session, test_features
 
     stream = list(stream)
     if not stream:
         raise ValueError("protocol stream is empty")
     reports = []
     acc_history: list[float] = []
-    test_features: list[np.ndarray] = []
-    test_labels: list[np.ndarray] = []
+    features: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     state = None
     for t, session in enumerate(stream):
         if t == 0:
             state = train_base(session, cfg, log_sink)
         else:
             state = train_incremental(state, session, cfg, log_sink)
-        test_features.append(np.asarray(session.test.features, dtype=np.float64))
-        test_labels.append(np.asarray(session.test.labels))
-        report = evaluate_session(state,
-                                  np.concatenate(test_features, axis=0),
-                                  np.concatenate(test_labels, axis=0),
-                                  prior_acc_all=acc_history)
+        features.append(test_features(state, session.test.features))
+        labels.append(np.asarray(session.test.labels))
+        report = evaluate_session(state, np.concatenate(features),
+                                  np.concatenate(labels), prior_acc_all=acc_history)
         acc_history.append(report.acc_all)
         reports.append(report)
         if on_session is not None:

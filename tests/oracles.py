@@ -5,16 +5,19 @@ functions, deliberately avoiding the vectorized code paths under test. The
 only shared machinery is the RNG plumbing: token masks and dropout masks
 are drawn through the package's own accessors (mask_features, dropout_scale)
 with the stream ids the objectives use; they are pinned by seeds and are
-not part of the arithmetic being checked.
+not part of the arithmetic being checked. reencoded_reports is the one
+protocol-level reference: it re-encodes the cumulative raw test set after
+every session, the way evaluation worked before test features were cached.
 """
 
 import math
 
 import numpy as np
 
-from gcmr import classifier, losses, rng
+from gcmr import classifier, losses, rng, trainer
 from gcmr.classifier import dropout_scale
-from gcmr.encoder import mask_features
+from gcmr.encoder import mask_features, normalized_features
+from gcmr.eval_report import evaluate_session
 
 
 def dropout_rows(n_rows, params, seed, tag):
@@ -184,3 +187,20 @@ def finite_difference(value_fn, array, h=1e-5):
 
 def max_rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)))
+
+
+def reencoded_reports(stream, cfg):
+    """The session reports of a protocol run whose evaluation encodes the
+    whole cumulative raw test set again after every session."""
+    reports, raws, labels, state = [], [], [], None
+    for t, session in enumerate(stream):
+        if t == 0:
+            state = trainer.train_base(session, cfg)
+        else:
+            state = trainer.train_incremental(state, session, cfg)
+        raws.append(np.asarray(session.test.features, dtype=np.float64))
+        labels.append(np.asarray(session.test.labels))
+        features = normalized_features(np.concatenate(raws), state.encoder)
+        reports.append(evaluate_session(state, features, np.concatenate(labels),
+                                        [r.acc_all for r in reports]))
+    return reports

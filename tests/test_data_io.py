@@ -8,7 +8,7 @@ from gcmr import data_io, trainer
 from gcmr.data_io import (BadMagicError, ChecksumError, DimensionError,
                           FormatError, ProtocolSpec, SyntheticSpec,
                           TokenDataset, TruncatedFileError, VersionError,
-                          fscil_split, generate_synthetic, load_checkpoint,
+                          atomic_open, fscil_split, generate_synthetic, load_checkpoint,
                           load_dataset, load_features, materialize_sessions,
                           save_checkpoint, save_dataset)
 
@@ -200,6 +200,50 @@ class TestBinaryRoundTrips:
         save_dataset(ds, path, precision=4)
         loaded = load_dataset(path)
         assert loaded.features.tobytes() == ds.features.tobytes()
+
+
+class TestAtomicWrites:
+    def test_write_that_raises_midway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(np.ones((2, 2, 2)), np.array([0, 1])), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write(b"partial")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.gcmr"]
+
+    def test_failed_checkpoint_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        state = small_state()
+        path = tmp_path / "state.gcmr"
+        save_checkpoint(state, path)
+        before = path.read_bytes()
+        state.session += 1
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data_io.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.gcmr"]
+
+    def test_success_replaces_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "data.gcmr"
+        path.write_bytes(b"old")
+        ds = TokenDataset(np.ones((2, 2, 2)), np.array([0, 1]))
+        save_dataset(ds, path)
+        assert load_dataset(path).features.tobytes() == ds.features.tobytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["data.gcmr"]
+
+    def test_only_whole_file_modes(self, tmp_path):
+        with pytest.raises(ValueError, match="mode 'a'"):
+            with atomic_open(tmp_path / "x", "a"):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFormatErrors:

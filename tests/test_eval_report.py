@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from gcmr import trainer
 from gcmr.classifier import ClassifierParams
 from gcmr.encoder import EncoderParams
 from gcmr.eval_report import (SessionReport, aggregate, evaluate_session,
-                              read_report, write_report)
+                              read_report, test_features, write_report)
 from gcmr.memory import (build_weight_memory, init_representation_memory)
 
 
@@ -42,7 +43,7 @@ class TestEvaluateSession:
     def test_oracle_stub_scores_perfectly(self):
         state = oracle_state(4)
         raw, labels = basis_examples(4, [0, 1, 2, 3, 2, 1])
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         assert report.acc_all == 1.0
         assert report.per_class_acc == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
@@ -54,19 +55,19 @@ class TestEvaluateSession:
         labels = np.repeat(np.arange(k), n // k)
         feature_classes = gen.integers(0, k, size=n)  # prediction independent of label
         raw, labels = basis_examples(k, labels, feature_classes)
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         assert abs(report.acc_all - 1 / k) < 0.02
 
     def test_hand_built_three_of_four_correct(self):
         state = oracle_state(2)
         raw, labels = basis_examples(2, [0, 0, 1, 1], feature_classes=[0, 0, 1, 0])
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         assert report.acc_all == 0.75
 
     def test_base_and_novel_breakdown(self):
         state = oracle_state(4, session_of=(0, 0, 1, 1))
         raw, labels = basis_examples(4, [0, 1, 2, 3], feature_classes=[0, 1, 2, 0])
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         assert report.acc_base == 1.0
         assert report.acc_novel == 0.5
         assert report.acc_all == 0.75
@@ -74,20 +75,20 @@ class TestEvaluateSession:
     def test_novel_accuracy_none_for_base_only(self):
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 1, 2])
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         assert report.acc_novel is None
 
     def test_unseen_label_rejected(self):
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 1, 2])
         with pytest.raises(ValueError, match=r"unknown classes: \[7\]"):
-            evaluate_session(state, raw, np.array([0, 1, 7]))
+            evaluate_session(state, test_features(state, raw), np.array([0, 1, 7]))
 
     def test_acc_all_bounded_by_per_class_extremes(self):
         state = oracle_state(3, session_of=(0, 0, 1))
         raw, labels = basis_examples(3, [0, 0, 1, 1, 2, 2],
                                      feature_classes=[0, 1, 1, 1, 2, 0])
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         values = list(report.per_class_acc.values())
         assert min(values) <= report.acc_all <= max(values)
 
@@ -95,20 +96,35 @@ class TestEvaluateSession:
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 0, 1, 1, 2, 2],
                                      feature_classes=[0, 1, 1, 2, 2, 2])
-        report = evaluate_session(state, raw, labels)
+        report = evaluate_session(state, test_features(state, raw), labels)
         assert report.acc_all == pytest.approx(
             np.mean(list(report.per_class_acc.values())), abs=1e-12)
+
+    def test_raw_groups_rejected(self):
+        state = oracle_state(3)
+        raw, labels = basis_examples(3, [0, 1, 2])
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            evaluate_session(state, raw, labels)
+
+    def test_feature_width_mismatch_rejected(self):
+        state = oracle_state(3)
+        with pytest.raises(ValueError, match=r"shape \(n, 3\), got \(3, 4\)"):
+            evaluate_session(state, np.eye(3, 4), np.array([0, 1, 2]))
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         state = oracle_state(4)
         gen = np.random.default_rng(1)
-        labels = gen.integers(0, 4, size=64)
-        raw, labels = basis_examples(4, labels, gen.integers(0, 4, size=64))
-        base = evaluate_session(state, raw, labels)
+        state.encoder = EncoderParams(gen.normal(size=(6, 4)), gen.normal(size=4),
+                                      "tanh", "layer")
+        raw = gen.normal(size=(67, 3, 6))
+        labels = gen.integers(0, 4, size=67)
+        feats = test_features(state, raw)
         monkeypatch.setenv("GCMR_THREADS", "4")
-        threaded = evaluate_session(state, raw, labels)
-        assert base.acc_all == threaded.acc_all
-        assert base.per_class_acc == threaded.per_class_acc
+        threaded = test_features(state, raw)
+        assert threaded.shape == (67, 4)
+        assert threaded.tobytes() == feats.tobytes()
+        assert (evaluate_session(state, threaded, labels).to_json_dict()
+                == evaluate_session(state, feats, labels).to_json_dict())
 
 
 def make_report(session, acc_all, acc_base=0.9):
@@ -177,6 +193,33 @@ class TestWriteReport:
         rows = list(csv.reader(path.open()))
         assert len(rows) == 3
         assert rows[1][0] == "a" and rows[2][0] == "b"
+
+    def test_json_write_that_raises_midway_keeps_previous_report(self, tmp_path):
+        reports = [make_report(0, 0.9), make_report(1, 0.8)]
+        path = tmp_path / "report.json"
+        write_report(reports, aggregate(reports), path, "json")
+        before = path.read_bytes()
+        # json.dump has streamed the sessions out when it reaches the summary
+        with pytest.raises(TypeError):
+            write_report(reports, {"avg_acc": object()}, path, "json")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_overwrite_keeps_previous_report(self, tmp_path, monkeypatch, fmt):
+        reports = [make_report(0, 0.9), make_report(1, 0.8)]
+        path = tmp_path / f"report.{fmt}"
+        write_report(reports, aggregate(reports), path, fmt, label="old")
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_report(reports, aggregate(reports), path, fmt, label="new")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gcmr import data_io, trainer
+from gcmr import data_io, encoder, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
 from gcmr.losses import LossConfig
 from gcmr.nn_core import NumericalError
+
+from oracles import reencoded_reports
 
 
 def small_stream(seed=3, n_classes=8, base_classes=4, n_way=2, sigma=2.0,
@@ -166,9 +168,11 @@ class TestTrainIncremental:
             off = trainer.train_incremental(base, sessions[1], cfg_off)
             base_test = sessions[0].test
             raw = np.asarray(base_test.features, dtype=np.float64)
-            from gcmr.eval_report import evaluate_session
-            acc_on = evaluate_session(on, raw, base_test.labels).acc_base
-            acc_off = evaluate_session(off, raw, base_test.labels).acc_base
+            from gcmr.eval_report import evaluate_session, test_features
+            acc_on = evaluate_session(on, test_features(on, raw),
+                                      base_test.labels).acc_base
+            acc_off = evaluate_session(off, test_features(off, raw),
+                                       base_test.labels).acc_base
             wins += acc_on > acc_off
         assert wins >= 8
 
@@ -219,6 +223,34 @@ class TestRunProtocol:
         assert [r.per_class_acc for r in r1] == [r.per_class_acc for r in r2]
         assert s1.classifier.state_bytes() == s2.classifier.state_bytes()
         assert s1.mem.rows.tobytes() == s2.mem.rows.tobytes()
+
+    @pytest.mark.parametrize("memory_regularization", [True, False])
+    def test_cached_test_features_match_reencoding(self, memory_regularization):
+        sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
+        cfg = small_config(base_epochs=3, incr_epochs=4,
+                           memory_regularization=memory_regularization)
+        reports, _ = trainer.run_protocol(sessions, cfg)
+        expected = reencoded_reports(sessions, cfg)
+        assert len(reports) == len(expected) == 4
+        for got, want in zip(reports, expected):
+            assert got.to_json_dict() == want.to_json_dict()
+
+    def test_each_test_example_is_encoded_once(self, monkeypatch):
+        # every row the encoder sees is a training example or a test example
+        # seen for the first time; a re-encoded cumulative test set fails this
+        sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
+        encoded = []
+        encode = encoder.normalized_features
+
+        def counting(raw_tokens, params):
+            encoded.append(len(raw_tokens))
+            return encode(raw_tokens, params)
+
+        monkeypatch.setattr(encoder, "normalized_features", counting)
+        trainer.run_protocol(sessions, small_config(base_epochs=1, incr_epochs=1))
+        n_train = sum(len(s.train) for s in sessions)
+        n_test = sum(len(s.test) for s in sessions)
+        assert sum(encoded) - n_train == n_test
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
