@@ -14,6 +14,12 @@ Every load failure is a distinct FormatError subclass carrying the byte
 offset where the problem was detected. Round trips at width 8 are bit-exact
 for all finite float64 values, signed zeros included.
 
+A load reads the file once into a writable buffer, runs the CRC once over a
+view of it and hands out views of that buffer: a width-8 payload at an
+8-byte aligned offset is used in place, anything else is copied once to
+float64. Writers stream the header parts and payload arrays into the file
+with a running CRC, without assembling the file in memory.
+
 CSV ingestion accepts two layouts: flat features with header
 ``label,f0,...,f{D-1}`` (one single-token example per line) and token groups
 with header ``label,token,f0,...`` where token indices 0..G-1 delimit
@@ -81,6 +87,11 @@ class DimensionError(FormatError):
     pass
 
 
+class ContentError(FormatError):
+    """A checksum-valid file whose fields the model rejects, e.g. duplicate
+    memory class ids or a dropout rate outside [0, 1)."""
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Shape of a class-incremental experiment."""
@@ -132,31 +143,40 @@ class SyntheticSpec:
 
 @dataclass
 class TokenDataset:
-    """Raw token groups with integer labels."""
+    """Raw token groups with integer labels; rejects non-finite features."""
 
     features: np.ndarray  # (n, g, d)
     labels: np.ndarray    # (n,)
 
     def __post_init__(self):
+        self._coerce()
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain non-finite entries")
+
+    def _coerce(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 3:
             raise ValueError("features must have shape (n, tokens, dim)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with features")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite entries")
+
+    @classmethod
+    def from_finite(cls, features, labels) -> "TokenDataset":
+        """A dataset over features already known to be finite (rows of a
+        validated dataset, a payload the binary reader scanned, CSV values
+        checked per line): the shape checks run, the finiteness scan does not."""
+        out = object.__new__(cls)
+        out.features, out.labels = features, labels
+        out._coerce()
+        return out
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     def subset(self, indices) -> "TokenDataset":
-        """The examples at `indices`, without a second finiteness scan: the
-        rows come from this already validated dataset."""
-        out = object.__new__(TokenDataset)
-        out.features = self.features[indices]
-        out.labels = self.labels[indices]
-        return out
+        """The examples at `indices`, without a second finiteness scan."""
+        return TokenDataset.from_finite(self.features[indices], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -265,12 +285,22 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 _WIDTH_DTYPES = {4: "<f4", 8: "<f8"}
 
 
+def _read_file(path) -> memoryview:
+    """The whole file, read with one readinto into a writable buffer."""
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        size = fh.readinto(buf)
+    return memoryview(buf)[:size]
+
+
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Sequential reads over a memoryview; every slice it hands out is a view."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         if self.pos + count > len(self.blob):
             raise TruncatedFileError(f"file ends inside {what}", self.pos)
         chunk = self.blob[self.pos:self.pos + count]
@@ -282,8 +312,12 @@ class _Reader:
         return struct.unpack(fmt, self.take(size, what))
 
     def floats(self, count: int, width: int, what: str) -> np.ndarray:
-        raw = self.take(count * width, what)
-        return np.frombuffer(raw, dtype=_WIDTH_DTYPES[width]).astype(np.float64)
+        """count floats as float64: a view of the buffer at width 8 when the
+        offset is 8-byte aligned, otherwise one copy."""
+        values = np.frombuffer(self.take(count * width, what), dtype=_WIDTH_DTYPES[width])
+        if values.dtype != np.float64 or not values.flags.aligned:
+            values = values.astype(np.float64)
+        return values
 
     def ints(self, count: int, fmt_char: str, what: str) -> np.ndarray:
         width = struct.calcsize("<" + fmt_char)
@@ -291,19 +325,21 @@ class _Reader:
         return np.frombuffer(raw, dtype="<" + {"q": "i8", "I": "u4"}[fmt_char]).astype(np.int64)
 
 
-def _float_bytes(arr: np.ndarray, width: int) -> bytes:
-    return np.ascontiguousarray(arr, dtype=_WIDTH_DTYPES[width]).tobytes()
+def _float_buffer(arr: np.ndarray, width: int) -> np.ndarray:
+    """arr as C-contiguous little-endian floats of the given width; no copy
+    when it already is one."""
+    return np.ascontiguousarray(arr, dtype=_WIDTH_DTYPES[width])
 
 
-def _open_blob(blob: bytes, expected_kind: int):
+def _open_blob(blob: memoryview, expected_kind: int):
     reader = _Reader(blob)
-    magic = reader.take(4, "magic")
+    magic = bytes(reader.take(4, "magic"))
     if magic != FORMAT_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {FORMAT_MAGIC!r}", 0)
     if len(blob) < 8 + 4:
         raise TruncatedFileError("file too short for header and checksum", len(blob))
     stored_crc, = struct.unpack("<I", blob[-4:])
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(blob[:-4])
     if stored_crc != actual_crc:
         raise ChecksumError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
@@ -321,9 +357,15 @@ def _open_blob(blob: bytes, expected_kind: int):
     return reader, width
 
 
-def _finish_blob(body: bytearray) -> bytes:
-    crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
-    return bytes(body) + struct.pack("<I", crc)
+def _write_blob(path, parts) -> None:
+    """Write the parts (bytes or C-contiguous arrays) and then the CRC32 of
+    all of them to path, through atomic_open."""
+    crc = 0
+    with atomic_open(path) as fh:
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 @contextlib.contextmanager
@@ -354,43 +396,47 @@ def save_dataset(dataset: TokenDataset, path, precision: int = 8) -> None:
     n, g, d = dataset.features.shape
     # class table in ascending id order; each label stored as its table index
     class_ids, label_index = np.unique(dataset.labels, return_inverse=True)
-    body = bytearray()
-    body += FORMAT_MAGIC
-    body += struct.pack("<HBB", FORMAT_VERSION, KIND_DATASET, precision)
-    body += struct.pack("<IIII", n, g, d, len(class_ids))
-    body += np.asarray(class_ids, dtype="<i8").tobytes()
-    body += np.asarray(label_index, dtype="<u4").tobytes()
-    body += _float_bytes(dataset.features, precision)
-    with atomic_open(path) as fh:
-        fh.write(_finish_blob(body))
+    _write_blob(path, [
+        FORMAT_MAGIC,
+        struct.pack("<HBB", FORMAT_VERSION, KIND_DATASET, precision),
+        struct.pack("<IIII", n, g, d, len(class_ids)),
+        np.asarray(class_ids, dtype="<i8"),
+        np.asarray(label_index, dtype="<u4"),
+        _float_buffer(dataset.features, precision),
+    ])
 
 
 def load_dataset(path) -> TokenDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    reader, width = _open_blob(blob, KIND_DATASET)
+    reader, width = _open_blob(_read_file(path), KIND_DATASET)
     n, g, d, n_classes = reader.unpack("<IIII", "dataset shape")
     if g < 1 or d < 1:
         raise DimensionError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
     class_ids = reader.ints(n_classes, "q", "class table")
     label_idx = reader.ints(n, "I", "labels")
-    if n_classes and np.any(label_idx >= n_classes):
-        raise DimensionError("label index outside the class table", reader.pos)
+    if n and label_idx.max() >= n_classes:
+        raise DimensionError(f"label index {label_idx.max()} outside the class table "
+                             f"of {n_classes} classes", reader.pos)
     values = reader.floats(n * g * d, width, "feature payload")
     if reader.pos != len(reader.blob):
         raise FormatError("trailing bytes after payload", reader.pos)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise FormatError("non-finite feature values", reader.pos)
-    labels = class_ids[label_idx] if n else np.empty(0, dtype=np.int64)
-    return TokenDataset(values.reshape(n, g, d), labels)
+    return TokenDataset.from_finite(values.reshape(n, g, d), class_ids[label_idx])
 
 
-def _pack_classifier(params: ClassifierParams, width: int) -> bytes:
-    body = struct.pack("<IIId", params.dim, params.hidden, params.n_classes,
-                       params.dropout_rate)
-    for arr in (params.w1, params.b1, params.w2, params.b2):
-        body += _float_bytes(arr, width)
-    return body
+def _construct(reader: _Reader, what: str, make, *args):
+    """make(*args), with the model's ValueError turned into a ContentError at
+    the reader's position."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ContentError(f"invalid {what}: {exc}", reader.pos) from None
+
+
+def _classifier_parts(params: ClassifierParams, width: int) -> list:
+    return [struct.pack("<IIId", params.dim, params.hidden, params.n_classes,
+                        params.dropout_rate),
+            *(_float_buffer(arr, width) for arr in (params.w1, params.b1, params.w2, params.b2))]
 
 
 def _unpack_classifier(reader: _Reader, width: int) -> ClassifierParams:
@@ -402,42 +448,37 @@ def _unpack_classifier(reader: _Reader, width: int) -> ClassifierParams:
     b1 = reader.floats(hidden, width, "b1")
     w2 = reader.floats(hidden * n_classes, width, "w2").reshape(hidden, n_classes)
     b2 = reader.floats(n_classes, width, "b2")
-    return ClassifierParams(w1, b1, w2, b2, dropout)
+    return _construct(reader, "classifier", ClassifierParams, w1, b1, w2, b2, dropout)
 
 
 def save_checkpoint(state: SessionState, path, precision: int = 8) -> None:
     """Serialize a full session state (encoder, head, both memories)."""
     if precision not in _WIDTH_DTYPES:
         raise ValueError("precision must be 4 or 8")
-    enc = state.encoder
-    body = bytearray()
-    body += FORMAT_MAGIC
-    body += struct.pack("<HBB", FORMAT_VERSION, KIND_CHECKPOINT, precision)
-    body += struct.pack("<I", state.session)
-    body += struct.pack("<BBBII", ACTIVATIONS.index(enc.activation),
-                        FEATURE_NORMS.index(enc.feature_norm),
-                        int(enc.frozen), enc.raw_dim, enc.dim)
-    body += _float_bytes(enc.w, precision)
-    body += _float_bytes(enc.b, precision)
-    body += _pack_classifier(state.classifier, precision)
-    mem = state.mem
-    body += struct.pack("<II", mem.n_classes, mem.dim)
-    body += np.asarray(mem.class_ids, dtype="<i8").tobytes()
-    body += np.asarray(mem.session_of, dtype="<u4").tobytes()
-    body += _float_bytes(mem.rows, precision)
-    wmem = state.wmem
-    body += struct.pack("<I", wmem.session)
-    body += _pack_classifier(wmem.classifier_snapshot, precision)
-    body += struct.pack("<II", *wmem.projected_means.shape)
-    body += _float_bytes(wmem.projected_means, precision)
-    with atomic_open(path) as fh:
-        fh.write(_finish_blob(body))
+    enc, mem, wmem = state.encoder, state.mem, state.wmem
+    _write_blob(path, [
+        FORMAT_MAGIC,
+        struct.pack("<HBB", FORMAT_VERSION, KIND_CHECKPOINT, precision),
+        struct.pack("<I", state.session),
+        struct.pack("<BBBII", ACTIVATIONS.index(enc.activation),
+                    FEATURE_NORMS.index(enc.feature_norm),
+                    int(enc.frozen), enc.raw_dim, enc.dim),
+        _float_buffer(enc.w, precision),
+        _float_buffer(enc.b, precision),
+        *_classifier_parts(state.classifier, precision),
+        struct.pack("<II", mem.n_classes, mem.dim),
+        np.asarray(mem.class_ids, dtype="<i8"),
+        np.asarray(mem.session_of, dtype="<u4"),
+        _float_buffer(mem.rows, precision),
+        struct.pack("<I", wmem.session),
+        *_classifier_parts(wmem.classifier_snapshot, precision),
+        struct.pack("<II", *wmem.projected_means.shape),
+        _float_buffer(wmem.projected_means, precision),
+    ])
 
 
 def load_checkpoint(path) -> SessionState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    reader, width = _open_blob(blob, KIND_CHECKPOINT)
+    reader, width = _open_blob(_read_file(path), KIND_CHECKPOINT)
     session, = reader.unpack("<I", "session index")
     act_code, norm_code, frozen, raw_dim, dim = reader.unpack("<BBBII", "encoder header")
     if act_code >= len(ACTIVATIONS) or norm_code >= len(FEATURE_NORMS):
@@ -446,7 +487,8 @@ def load_checkpoint(path) -> SessionState:
         raise DimensionError("degenerate encoder shape", reader.pos)
     enc_w = reader.floats(raw_dim * dim, width, "encoder weights").reshape(raw_dim, dim)
     enc_b = reader.floats(dim, width, "encoder bias")
-    enc = EncoderParams(enc_w, enc_b, ACTIVATIONS[act_code], FEATURE_NORMS[norm_code])
+    enc = _construct(reader, "encoder", EncoderParams, enc_w, enc_b,
+                     ACTIVATIONS[act_code], FEATURE_NORMS[norm_code])
     if frozen:
         enc.freeze()
     head = _unpack_classifier(reader, width)
@@ -457,7 +499,8 @@ def load_checkpoint(path) -> SessionState:
     if m_dim != head.dim:
         raise DimensionError(f"memory dim {m_dim} does not match classifier dim {head.dim}",
                              reader.pos)
-    mem = RepresentationMemory(rows, class_ids, session_of)
+    mem = _construct(reader, "representation memory", RepresentationMemory,
+                     rows, class_ids, session_of)
     w_session, = reader.unpack("<I", "weight memory session")
     snapshot = _unpack_classifier(reader, width)
     p_rows, p_cols = reader.unpack("<II", "projected means shape")
@@ -478,7 +521,7 @@ def _parse_floats(fields, line_no: int) -> list[float]:
         values = [float(v) for v in fields]
     except ValueError:
         raise FormatError(f"non-numeric feature value on line {line_no}") from None
-    if not all(np.isfinite(values)):
+    if not all(math.isfinite(v) for v in values):
         raise FormatError(f"non-finite feature value on line {line_no}")
     return values
 
@@ -519,7 +562,9 @@ def load_features_csv(path) -> TokenDataset:
                                      f"expected {len(header)}")
             labels.append(_parse_int(row[0], "label", line_no))
             features.append(_parse_floats(row[1:], line_no))
-        return TokenDataset(np.asarray(features)[:, None, :], np.asarray(labels))
+        if not features:
+            raise FormatError("CSV contains a header but no examples")
+        return TokenDataset.from_finite(np.asarray(features)[:, None, :], labels)
 
     examples: list[list[list[float]]] = []
     labels = []
@@ -544,7 +589,7 @@ def load_features_csv(path) -> TokenDataset:
     sizes = {len(e) for e in examples}
     if len(sizes) != 1:
         raise DimensionError(f"examples have differing token counts {sorted(sizes)}")
-    return TokenDataset(np.asarray(examples), np.asarray(labels))
+    return TokenDataset.from_finite(np.asarray(examples), labels)
 
 
 def load_features(path) -> TokenDataset:

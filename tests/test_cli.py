@@ -1,5 +1,7 @@
 import json
 import re
+import struct
+import zlib
 
 import pytest
 
@@ -170,6 +172,17 @@ class TestRun:
         bad.write_bytes(b"GCMR garbage")
         assert main(["run", "--config", str(config_file), "--data", str(bad),
                      "--out", str(tmp_path / "x")]) == EXIT_DATA
+
+    def test_dataset_without_class_table_exits_3(self, tmp_path, config_file, capsys):
+        # checksum-valid: 2 examples of 1x2 features, 0 classes in the table
+        body = (b"GCMR" + struct.pack("<HBBIIII", 1, 1, 8, 2, 1, 2, 0)
+                + struct.pack("<II", 0, 0) + bytes(8 * 4))
+        bad = tmp_path / "no_classes.gcmr"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert main(["run", "--config", str(config_file), "--data", str(bad),
+                     "--out", str(tmp_path / "x")]) == EXIT_DATA
+        assert "class table" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_beta_override_out_of_range_exits_2(self, tmp_path, config_file,
                                                 dataset_file, capsys):

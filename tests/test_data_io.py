@@ -1,11 +1,13 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcmr import data_io, trainer
-from gcmr.data_io import (BadMagicError, ChecksumError, DimensionError,
+from gcmr.data_io import (BadMagicError, ChecksumError, ContentError, DimensionError,
                           FormatError, ProtocolSpec, SyntheticSpec,
                           TokenDataset, TruncatedFileError, VersionError,
                           atomic_open, fscil_split, generate_synthetic, load_checkpoint,
@@ -150,6 +152,103 @@ def small_state(seed=5):
     return trainer.train_incremental(state, sessions[1], cfg)
 
 
+# --- reference encoder of the binary layout, for hand-built files ----------
+
+WIDTH_DTYPES = {4: "<f4", 8: "<f8"}
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def file_header(kind: int, width: int) -> bytes:
+    return b"GCMR" + struct.pack("<HBB", 1, kind, width)
+
+
+def dataset_body(width, g, d, class_ids, label_idx, values) -> bytes:
+    return (file_header(data_io.KIND_DATASET, width)
+            + struct.pack("<IIII", len(label_idx), g, d, len(class_ids))
+            + np.asarray(class_ids, dtype="<i8").tobytes()
+            + np.asarray(label_idx, dtype="<u4").tobytes()
+            + np.asarray(values, dtype=WIDTH_DTYPES[width]).tobytes())
+
+
+def write_blob(tmp_path, blob: bytes):
+    path = tmp_path / "blob.gcmr"
+    path.write_bytes(blob)
+    return path
+
+
+def seal(draw, body: bytes) -> bytes:
+    """body whole, cut at a drawn point or followed by drawn bytes; then its CRC."""
+    mode = draw(st.sampled_from(("whole", "cut", "extra")))
+    if mode == "cut":
+        body = body[:draw(st.integers(0, len(body)))]
+    elif mode == "extra":
+        body += draw(st.binary(min_size=1, max_size=9))
+    return with_crc(body)
+
+
+SMALL = st.integers(0, 3)
+
+
+def float_payload(draw, count: int, width: int) -> bytes:
+    """count drawn floats of the width, NaN and infinities included."""
+    values = draw(st.lists(st.floats(width=8 * width), min_size=count, max_size=count))
+    return np.asarray(values, dtype=WIDTH_DTYPES[width]).tobytes()
+
+
+@st.composite
+def dataset_blobs(draw):
+    width = draw(st.sampled_from((4, 8)))
+    n, g, d, n_classes = draw(st.integers(0, 5)), draw(SMALL), draw(SMALL), draw(SMALL)
+    class_ids = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                              min_size=n_classes, max_size=n_classes))
+    # one index past the end of the table is drawn as often as a valid one
+    label_idx = draw(st.lists(st.integers(0, n_classes), min_size=n, max_size=n))
+    body = dataset_body(width, g, d, class_ids, label_idx, [])
+    return seal(draw, body + float_payload(draw, n * g * d, width))
+
+
+@st.composite
+def checkpoint_blobs(draw):
+    width = draw(st.sampled_from((4, 8)))
+    consistent = draw(st.booleans())  # section shapes agree, so some blobs load
+
+    def classifier(dim):
+        hidden, n_classes = draw(SMALL), draw(SMALL)
+        dropout = draw(st.one_of(st.floats(0.0, 0.9), st.floats()))
+        count = dim * hidden + hidden + hidden * n_classes + n_classes
+        return hidden, (struct.pack("<IIId", dim, hidden, n_classes, dropout)
+                        + float_payload(draw, count, width))
+
+    raw_dim, dim = draw(SMALL), draw(SMALL)
+    body = file_header(data_io.KIND_CHECKPOINT, width)
+    body += struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1)))
+    body += struct.pack("<BBBII", draw(SMALL), draw(SMALL), draw(st.integers(0, 255)),
+                        raw_dim, dim)
+    body += float_payload(draw, raw_dim * dim + dim, width)
+    head_dim = dim if consistent else draw(SMALL)
+    body += classifier(head_dim)[1]
+    m_classes = draw(SMALL)
+    m_dim = head_dim if consistent else draw(SMALL)
+    body += struct.pack("<II", m_classes, m_dim)
+    ids = st.lists(st.integers(-1, 2), min_size=m_classes, max_size=m_classes)
+    body += np.asarray(draw(ids), dtype="<i8").tobytes()  # duplicates are likely
+    sessions = st.lists(st.integers(0, 2 ** 32 - 1), min_size=m_classes, max_size=m_classes)
+    body += np.asarray(draw(sessions), dtype="<u4").tobytes()
+    body += float_payload(draw, m_classes * m_dim, width)
+    body += struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1)))
+    hidden, snapshot = classifier(head_dim)
+    p_rows, p_cols = (m_classes, hidden) if consistent else (draw(SMALL), draw(SMALL))
+    body += snapshot + struct.pack("<II", p_rows, p_cols)
+    return seal(draw, body + float_payload(draw, p_rows * p_cols, width))
+
+
+FUZZ = settings(max_examples=300, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestBinaryRoundTrips:
     def test_dataset_round_trip_bit_exact(self, tmp_path):
         gen = np.random.default_rng(6)
@@ -200,6 +299,84 @@ class TestBinaryRoundTrips:
         save_dataset(ds, path, precision=4)
         loaded = load_dataset(path)
         assert loaded.features.tobytes() == ds.features.tobytes()
+
+    def test_dataset_file_matches_reference_layout(self, tmp_path):
+        # the streamed writer produces the documented layout byte for byte
+        gen = np.random.default_rng(14)
+        features = gen.normal(size=(3, 2, 2))
+        path = tmp_path / "data.gcmr"
+        for width in (4, 8):
+            save_dataset(TokenDataset(features, np.array([7, -2, 7])), path, precision=width)
+            expected = with_crc(dataset_body(width, 2, 2, [-2, 7], [1, 0, 1], features.ravel()))
+            assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_checkpoint_resaves_byte_identical(self, tmp_path, width):
+        state = small_state()
+        a, b = tmp_path / "a.gcmr", tmp_path / "b.gcmr"
+        save_checkpoint(state, a, precision=width)
+        loaded = load_checkpoint(a)
+        save_checkpoint(loaded, b, precision=width)
+        assert a.read_bytes() == b.read_bytes()
+        assert loaded.mem.rows.tobytes() == \
+            state.mem.rows.astype(WIDTH_DTYPES[width]).astype(np.float64).tobytes()
+
+
+class TestZeroCopyLoad:
+    @pytest.mark.parametrize("n", [4, 5])  # the payload offset is unaligned for odd n
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_features_are_contiguous_aligned_writable_float64(self, tmp_path, n, width):
+        features = np.random.default_rng(15).normal(size=(n, 3, 2))
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(features, np.arange(n) % 2), path, precision=width)
+        loaded = load_dataset(path).features
+        assert loaded.dtype == np.float64
+        assert loaded.flags.c_contiguous and loaded.flags.aligned and loaded.flags.writeable
+        stored = features.astype(WIDTH_DTYPES[width]).astype(np.float64)
+        assert loaded.tobytes() == stored.tobytes()
+        loaded[0, 0, 0] = 1.0  # writable in place
+
+    def test_load_allocates_little_beyond_the_file(self, tmp_path):
+        features = np.random.default_rng(16).normal(size=(1024, 8, 64))  # 4 MB
+        path = tmp_path / "big.gcmr"
+        save_dataset(TokenDataset(features, np.arange(1024) % 10), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.features.tobytes() == features.tobytes()
+        # one buffer of the file plus the finiteness mask (1/8) and labels
+        assert peak <= 1.25 * size
+
+    def test_loaders_build_through_the_scan_free_constructor(self, tmp_path, monkeypatch):
+        # the binary reader scans once itself; CSV values are checked per line
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(np.ones((2, 2, 2)), np.array([0, 1])), path)
+        flat = tmp_path / "flat.csv"
+        flat.write_text("label,f0,f1\n1,0.5,2.0\n")
+        groups = tmp_path / "groups.csv"
+        groups.write_text("label,token,f0\n3,0,1.0\n3,1,2.0\n")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("second finiteness scan")
+
+        monkeypatch.setattr(TokenDataset, "__post_init__", fail)
+        assert len(load_dataset(path)) == 2
+        monkeypatch.setattr(np, "isfinite", fail)
+        assert load_features(flat).features.shape == (1, 1, 2)
+        assert load_features(groups).features.shape == (1, 2, 1)
+
+    def test_plain_constructor_still_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                TokenDataset(np.array([[[1.0, bad]]]), np.array([0]))
+        ds = TokenDataset.from_finite(np.ones((2, 1, 2)), [4, 5])
+        assert ds.labels.dtype == np.int64
+        with pytest.raises(ValueError, match="align"):
+            TokenDataset.from_finite(np.ones((2, 1, 2)), [4])
 
 
 class TestAtomicWrites:
@@ -313,6 +490,69 @@ class TestFormatErrors:
             with pytest.raises(FormatError):
                 load_dataset(path)
 
+    def test_empty_class_table_with_examples(self, tmp_path):
+        blob = with_crc(dataset_body(8, 1, 2, [], [0, 0], np.zeros(4)))
+        with pytest.raises(DimensionError, match="class table") as excinfo:
+            load_dataset(write_blob(tmp_path, blob))
+        assert excinfo.value.offset == 24 + 4 * 2  # after the labels
+
+    def test_label_index_past_the_table(self, tmp_path):
+        blob = with_crc(dataset_body(8, 1, 2, [5, 6], [0, 2], np.zeros(4)))
+        with pytest.raises(DimensionError) as excinfo:
+            load_dataset(write_blob(tmp_path, blob))
+        assert excinfo.value.offset == 24 + 8 * 2 + 4 * 2
+
+    def test_empty_dataset_loads(self, tmp_path):
+        ds = load_dataset(write_blob(tmp_path, with_crc(dataset_body(8, 2, 3, [], [], []))))
+        assert ds.features.shape == (0, 2, 3) and ds.labels.shape == (0,)
+
+    def test_non_finite_payload_reports_payload_end(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            blob = with_crc(dataset_body(4, 1, 2, [1], [0], [0.0, bad]))
+            with pytest.raises(FormatError, match="non-finite") as excinfo:
+                load_dataset(write_blob(tmp_path, blob))
+            assert excinfo.value.offset == len(blob) - 4
+
+    @pytest.mark.parametrize("corrupt", ["duplicate ids", "dropout", "nan dropout",
+                                         "encoder dim"])
+    def test_checkpoint_fields_the_model_rejects(self, tmp_path, corrupt):
+        # checksum-valid files whose sections fail the model's own checks
+        state = small_state()
+        if corrupt == "duplicate ids":
+            ids = state.mem.class_ids
+            object.__setattr__(state.mem, "class_ids", (ids[0],) * len(ids))
+        elif corrupt == "dropout":
+            state.classifier.dropout_rate = 1.5
+        elif corrupt == "nan dropout":
+            state.wmem.classifier_snapshot.dropout_rate = float("nan")
+        else:
+            state.encoder.w = state.encoder.w[:, :1]
+            state.encoder.b = state.encoder.b[:1]
+        path = tmp_path / "state.gcmr"
+        save_checkpoint(state, path)
+        with pytest.raises(ContentError) as excinfo:
+            load_checkpoint(path)
+        assert 0 < excinfo.value.offset < path.stat().st_size
+
+    @FUZZ
+    @given(blob=dataset_blobs())
+    def test_fuzz_structured_datasets(self, tmp_path, blob):
+        try:
+            ds = load_dataset(write_blob(tmp_path, blob))
+        except FormatError:
+            return
+        assert ds.features.dtype == np.float64 and np.isfinite(ds.features).all()
+        assert ds.labels.shape == (ds.features.shape[0],)
+
+    @FUZZ
+    @given(blob=checkpoint_blobs())
+    def test_fuzz_structured_checkpoints(self, tmp_path, blob):
+        try:
+            state = load_checkpoint(write_blob(tmp_path, blob))
+        except FormatError:
+            return
+        assert state.mem.dim == state.classifier.dim
+
 
 class TestCsv:
     def test_flat_fixture(self, tmp_path):
@@ -381,3 +621,17 @@ class TestCsv:
         save_dataset(ds, path)
         loaded = load_features(path)
         assert loaded.features.tobytes() == ds.features.tobytes()
+
+    def test_header_without_examples_rejected(self, tmp_path):
+        for header in ("label,f0,f1\n", "label,token,f0\n"):
+            path = tmp_path / "empty.csv"
+            path.write_text(header)
+            with pytest.raises(FormatError, match="no examples"):
+                load_features(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            path = tmp_path / "bad.csv"
+            path.write_text(f"label,token,f0\n1,0,0.5\n1,1,{bad}\n")
+            with pytest.raises(FormatError, match="non-finite"):
+                load_features(path)
