@@ -42,4 +42,4 @@ print(f"representation memory: {state.mem.rows.shape}")
 budget = memory_budget_bytes(state.mem, state.wmem, 4)
 print(f"memory budget at float32: {budget['total']} bytes total "
       f"({budget['representation']} representation, "
-      f"{budget['projected']} projected, {budget['classifier']} classifier)")
+      f"{budget['classifier']} classifier snapshot)")

@@ -131,8 +131,7 @@ def _cmd_run(args) -> int:
         if args.no_base_finetune:
             cfg.finetune_base = False
             print("override: finetune_base=off")
-        eval_report.thread_count()
-    except (ConfigError, ValueError) as exc:  # ValueError: bad GCMR_THREADS
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -297,7 +296,7 @@ def _cmd_report(args) -> int:
         path = os.path.join(run_dir, "report.json")
         try:
             runs.append(eval_report.read_report(path))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not a report
             print(f"data error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_DATA
     counts = {len(r["sessions"]) for r in runs}

@@ -1,9 +1,9 @@
 """Protocol construction, synthetic data, and file formats.
 
-Binary format (version 1, all integers little-endian):
+Binary format (all integers little-endian):
 
     offset 0   magic  b"GCMR"
-    offset 4   u16    format version
+    offset 4   u16    format version of the kind (FORMAT_VERSION)
     offset 6   u8     kind: 1 = token dataset, 2 = session checkpoint
     offset 7   u8     float width in bytes (4 or 8)
     ...        kind-specific sections (shapes, class tables, row-major
@@ -11,8 +11,14 @@ Binary format (version 1, all integers little-endian):
     trailer    u32    CRC32 of every preceding byte
 
 Every load failure is a distinct FormatError subclass carrying the byte
-offset where the problem was detected. Round trips at width 8 are bit-exact
-for all finite float64 values, signed zeros included.
+offset where the problem was detected. Every float payload must be finite.
+Round trips at width 8 are bit-exact for all finite float64 values, signed
+zeros included.
+
+A checkpoint holds the session index, the encoder, the classifier head and
+the representation memory. The weight memory is not stored: it is a snapshot
+of the head, and load_checkpoint rebuilds it with build_weight_memory as the
+trainer does.
 
 A load reads the file once into a writable buffer, runs the CRC once over a
 view of it and hands out views of that buffer: a width-8 payload at an
@@ -45,13 +51,14 @@ import numpy as np
 from . import rng
 from .classifier import ClassifierParams
 from .encoder import ACTIVATIONS, EncoderParams, FEATURE_NORMS
-from .memory import RepresentationMemory, WeightMemory
+from .memory import RepresentationMemory, build_weight_memory
 from .trainer import SessionState
 
 FORMAT_MAGIC = b"GCMR"
-FORMAT_VERSION = 1
 KIND_DATASET = 1
 KIND_CHECKPOINT = 2
+# versioned per kind, so a new checkpoint layout leaves datasets loadable
+FORMAT_VERSION = {KIND_DATASET: 1, KIND_CHECKPOINT: 2}
 
 SPLIT_TAG = 201
 SYNTH_TAG = 202
@@ -89,7 +96,7 @@ class DimensionError(FormatError):
 
 class ContentError(FormatError):
     """A checksum-valid file whose fields the model rejects, e.g. duplicate
-    memory class ids or a dropout rate outside [0, 1)."""
+    memory class ids, a dropout rate outside [0, 1) or a non-finite float."""
 
 
 @dataclass(frozen=True)
@@ -313,10 +320,13 @@ class _Reader:
 
     def floats(self, count: int, width: int, what: str) -> np.ndarray:
         """count floats as float64: a view of the buffer at width 8 when the
-        offset is 8-byte aligned, otherwise one copy."""
+        offset is 8-byte aligned, otherwise one copy. ContentError at the end
+        of the section when one of them is not finite."""
         values = np.frombuffer(self.take(count * width, what), dtype=_WIDTH_DTYPES[width])
         if values.dtype != np.float64 or not values.flags.aligned:
             values = values.astype(np.float64)
+        if not np.isfinite(values).all():
+            raise ContentError(f"non-finite values in {what}", self.pos)
         return values
 
     def ints(self, count: int, fmt_char: str, what: str) -> np.ndarray:
@@ -344,13 +354,11 @@ def _open_blob(blob: memoryview, expected_kind: int):
         raise ChecksumError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
             len(blob) - 4)
-    version, = reader.unpack("<H", "version")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported format version {version}", 4)
-    kind, = reader.unpack("<B", "kind")
+    version, kind, width = reader.unpack("<HBB", "header")
     if kind != expected_kind:
         raise FormatError(f"wrong file kind {kind}, expected {expected_kind}", 6)
-    width, = reader.unpack("<B", "float width")
+    if version != FORMAT_VERSION[kind]:
+        raise VersionError(f"unsupported format version {version}", 4)
     if width not in _WIDTH_DTYPES:
         raise FormatError(f"unsupported float width {width}", 7)
     reader.blob = blob[:-4]  # stop body reads before the checksum
@@ -398,7 +406,7 @@ def save_dataset(dataset: TokenDataset, path, precision: int = 8) -> None:
     class_ids, label_index = np.unique(dataset.labels, return_inverse=True)
     _write_blob(path, [
         FORMAT_MAGIC,
-        struct.pack("<HBB", FORMAT_VERSION, KIND_DATASET, precision),
+        struct.pack("<HBB", FORMAT_VERSION[KIND_DATASET], KIND_DATASET, precision),
         struct.pack("<IIII", n, g, d, len(class_ids)),
         np.asarray(class_ids, dtype="<i8"),
         np.asarray(label_index, dtype="<u4"),
@@ -419,8 +427,6 @@ def load_dataset(path) -> TokenDataset:
     values = reader.floats(n * g * d, width, "feature payload")
     if reader.pos != len(reader.blob):
         raise FormatError("trailing bytes after payload", reader.pos)
-    if not np.isfinite(values).all():
-        raise FormatError("non-finite feature values", reader.pos)
     return TokenDataset.from_finite(values.reshape(n, g, d), class_ids[label_idx])
 
 
@@ -452,13 +458,14 @@ def _unpack_classifier(reader: _Reader, width: int) -> ClassifierParams:
 
 
 def save_checkpoint(state: SessionState, path, precision: int = 8) -> None:
-    """Serialize a full session state (encoder, head, both memories)."""
+    """Serialize a session state: encoder, head and representation memory.
+    The weight memory is not written; load_checkpoint rebuilds it."""
     if precision not in _WIDTH_DTYPES:
         raise ValueError("precision must be 4 or 8")
-    enc, mem, wmem = state.encoder, state.mem, state.wmem
+    enc, mem = state.encoder, state.mem
     _write_blob(path, [
         FORMAT_MAGIC,
-        struct.pack("<HBB", FORMAT_VERSION, KIND_CHECKPOINT, precision),
+        struct.pack("<HBB", FORMAT_VERSION[KIND_CHECKPOINT], KIND_CHECKPOINT, precision),
         struct.pack("<I", state.session),
         struct.pack("<BBBII", ACTIVATIONS.index(enc.activation),
                     FEATURE_NORMS.index(enc.feature_norm),
@@ -470,14 +477,12 @@ def save_checkpoint(state: SessionState, path, precision: int = 8) -> None:
         np.asarray(mem.class_ids, dtype="<i8"),
         np.asarray(mem.session_of, dtype="<u4"),
         _float_buffer(mem.rows, precision),
-        struct.pack("<I", wmem.session),
-        *_classifier_parts(wmem.classifier_snapshot, precision),
-        struct.pack("<II", *wmem.projected_means.shape),
-        _float_buffer(wmem.projected_means, precision),
     ])
 
 
 def load_checkpoint(path) -> SessionState:
+    """The session state save_checkpoint wrote, with the weight memory
+    rebuilt from the head."""
     reader, width = _open_blob(_read_file(path), KIND_CHECKPOINT)
     session, = reader.unpack("<I", "session index")
     act_code, norm_code, frozen, raw_dim, dim = reader.unpack("<BBBII", "encoder header")
@@ -492,6 +497,9 @@ def load_checkpoint(path) -> SessionState:
     if frozen:
         enc.freeze()
     head = _unpack_classifier(reader, width)
+    if head.dim != enc.dim:
+        raise DimensionError(f"classifier dim {head.dim} does not match encoder dim {enc.dim}",
+                             reader.pos)
     m_classes, m_dim = reader.unpack("<II", "memory shape")
     class_ids = tuple(int(v) for v in reader.ints(m_classes, "q", "memory class ids"))
     session_of = tuple(int(v) for v in reader.ints(m_classes, "I", "memory sessions"))
@@ -501,17 +509,9 @@ def load_checkpoint(path) -> SessionState:
                              reader.pos)
     mem = _construct(reader, "representation memory", RepresentationMemory,
                      rows, class_ids, session_of)
-    w_session, = reader.unpack("<I", "weight memory session")
-    snapshot = _unpack_classifier(reader, width)
-    p_rows, p_cols = reader.unpack("<II", "projected means shape")
-    projected = reader.floats(p_rows * p_cols, width, "projected means").reshape(p_rows, p_cols)
-    if p_rows != m_classes or p_cols != snapshot.hidden:
-        raise DimensionError("projected means shape disagrees with memory/classifier",
-                             reader.pos)
     if reader.pos != len(reader.blob):
         raise FormatError("trailing bytes after payload", reader.pos)
-    wmem = WeightMemory(snapshot, projected, w_session)
-    return SessionState(int(session), enc, head, mem, wmem)
+    return SessionState(session, enc, head, mem, build_weight_memory(head, mem, session))
 
 
 # --- CSV ingestion ---------------------------------------------------------

@@ -5,9 +5,7 @@ is encoded once (test_features) and the protocol keeps the pooled, normalized
 features; evaluate_session scores the cumulative feature set with the
 session's classifier and never calls the encoder. Predictions are the argmax
 of eval-mode logits; argmax ties break toward the lowest class column, so
-evaluation is deterministic. The environment variable GCMR_THREADS (default
-1) caps how many worker threads encode test chunks; every row is encoded on
-its own, so the thread count never changes results.
+evaluation is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -49,32 +46,10 @@ class SessionReport:
         return out
 
 
-def thread_count() -> int:
-    """GCMR_THREADS as a positive integer (default 1); ValueError otherwise."""
-    value = os.environ.get("GCMR_THREADS", "1")
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"GCMR_THREADS must be a positive integer, got {value!r}")
-    return count
-
-
 def test_features(state, raw) -> np.ndarray:
     """Pooled, normalized features (n, dim) of raw token groups
-    (n, tokens, raw_dim) under the state's encoder, encoded in up to
-    GCMR_THREADS chunks and concatenated in order."""
-    raw = np.asarray(raw, dtype=np.float64)
-
-    def encode(chunk: np.ndarray) -> np.ndarray:
-        return encoder.normalized_features(chunk, state.encoder)
-
-    threads = thread_count()
-    if threads == 1 or raw.shape[0] < 2 * threads:
-        return encode(raw)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(encode, np.array_split(raw, threads))))
+    (n, tokens, raw_dim) under the state's encoder."""
+    return encoder.normalized_features(raw, state.encoder)
 
 
 # keeps test collectors from taking the function for a test
@@ -169,6 +144,21 @@ def write_report(reports: Sequence[SessionReport], summary: dict, path,
 
 
 def read_report(path) -> dict:
-    """Load a JSON report written by write_report."""
+    """Load a JSON report written by write_report. ValueError when the file
+    is not JSON or lacks what a report table reads: a string label, a
+    non-empty session list with numeric acc_all, an integer final memory
+    total and a numeric summary avg_acc."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        report = json.load(fh)
+    try:
+        sessions = report["sessions"]
+        valid = (isinstance(report["label"], str) and isinstance(sessions, list)
+                 and len(sessions) > 0
+                 and isinstance(sessions[-1]["memory_budget"]["total"], int)
+                 and all(isinstance(v, (int, float)) for v in
+                         [report["summary"]["avg_acc"], *(s["acc_all"] for s in sessions)]))
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise ValueError("not a report written by write_report")
+    return report

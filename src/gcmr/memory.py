@@ -2,8 +2,8 @@
 
 Representation memory is append-only: each row is the mean normalized
 feature of one class, computed once when the class is introduced and never
-refreshed. Weight memory snapshots the trained classifier at the end of a
-session together with the memory rows projected through its first layer.
+refreshed. Weight memory is a bit-exact snapshot of the classifier at the
+end of a session.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifier import ClassifierParams, project_batch
+from .classifier import ClassifierParams
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,10 @@ def column_labels(labels, class_ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightMemory:
-    """End-of-session classifier snapshot plus projected class means."""
+    """Bit-exact snapshot of the classifier at the end of a session."""
 
     classifier_snapshot: ClassifierParams
-    projected_means: np.ndarray   # (classes, hidden)
     session: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "projected_means",
-                           np.asarray(self.projected_means, dtype=np.float64))
-        self.projected_means.setflags(write=False)
 
 
 def _class_means(class_features: Mapping[int, Sequence], dim: int | None):
@@ -120,11 +114,10 @@ def update_representation_memory(mem: RepresentationMemory,
 
 def build_weight_memory(params: ClassifierParams, mem: RepresentationMemory,
                         session: int) -> WeightMemory:
-    """Snapshot the classifier and project every memory row through its
-    first layer."""
+    """Snapshot the classifier that was trained on the memory's classes."""
     if params.dim != mem.dim:
         raise ValueError("classifier dim does not match memory dim")
-    return WeightMemory(params.copy(), project_batch(mem.rows, params), int(session))
+    return WeightMemory(params.copy(), int(session))
 
 
 def memory_budget_bytes(mem: RepresentationMemory, wmem: WeightMemory,
@@ -136,7 +129,6 @@ def memory_budget_bytes(mem: RepresentationMemory, wmem: WeightMemory,
     n_params = snap.w1.size + snap.b1.size + snap.w2.size + snap.b2.size
     breakdown = {
         "representation": mem.n_classes * mem.dim * precision,
-        "projected": wmem.projected_means.size * precision,
         "classifier": n_params * precision,
     }
     breakdown["total"] = sum(breakdown.values())

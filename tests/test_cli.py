@@ -210,17 +210,6 @@ class TestRun:
             assert "numerical failure" in err and "parameter" in err
             assert re.search(rf"at session {session}, epoch \d+, step \d+$", err.strip())
 
-    @pytest.mark.parametrize("threads", ["abc", "0"])
-    def test_bad_thread_count_exits_2_before_training(self, tmp_path, config_file,
-                                                      dataset_file, capsys, monkeypatch,
-                                                      threads):
-        monkeypatch.setenv("GCMR_THREADS", threads)
-        out = tmp_path / "x"
-        assert main(["run", "--config", str(config_file), "--data", str(dataset_file),
-                     "--out", str(out)]) == EXIT_CONFIG
-        assert "GCMR_THREADS" in capsys.readouterr().err
-        assert list((out / "checkpoints").glob("*")) == []
-
     def test_flat_csv_needs_no_base_finetune(self, tmp_path, config_file, capsys):
         data = tmp_path / "flat.csv"
         lines = ["label," + ",".join(f"f{i}" for i in range(4))]
@@ -321,6 +310,19 @@ class TestReport:
 
     def test_missing_report_exits_3(self, tmp_path, capsys):
         assert main(["report", "--runs", str(tmp_path / "nope")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("content", [
+        "{}", "[1]", '"text"',
+        '{"label": "x", "sessions": [], "summary": {"avg_acc": 0.5}}',
+        '{"label": "x", "sessions": [{"acc_all": "high", "memory_budget": {"total": 1}}], '
+        '"summary": {"avg_acc": 0.5}}',
+    ], ids=["empty object", "list", "string", "no sessions", "text accuracy"])
+    def test_malformed_report_exits_3(self, tmp_path, capsys, content):
+        (tmp_path / "report.json").write_text(content)
+        for fmt in ("csv", "json"):
+            assert main(["report", "--runs", str(tmp_path), "--format", fmt]) == EXIT_DATA
+            assert capsys.readouterr().err.startswith(
+                f"data error: cannot read {tmp_path / 'report.json'}")
 
     def test_json_format(self, tmp_path, config_file, dataset_file, capsys):
         out = self.run_once(tmp_path, config_file, dataset_file, "jsonrun")

@@ -161,16 +161,50 @@ def with_crc(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def file_header(kind: int, width: int) -> bytes:
-    return b"GCMR" + struct.pack("<HBB", 1, kind, width)
+def file_header(kind: int, width: int, version: int) -> bytes:
+    return b"GCMR" + struct.pack("<HBB", version, kind, width)
 
 
 def dataset_body(width, g, d, class_ids, label_idx, values) -> bytes:
-    return (file_header(data_io.KIND_DATASET, width)
+    return (file_header(data_io.KIND_DATASET, width, 1)
             + struct.pack("<IIII", len(label_idx), g, d, len(class_ids))
             + np.asarray(class_ids, dtype="<i8").tobytes()
             + np.asarray(label_idx, dtype="<u4").tobytes()
             + np.asarray(values, dtype=WIDTH_DTYPES[width]).tobytes())
+
+
+def classifier_section(width, params) -> bytes:
+    return (struct.pack("<IIId", params.dim, params.hidden, params.n_classes,
+                        params.dropout_rate)
+            + b"".join(np.asarray(arr, dtype=WIDTH_DTYPES[width]).tobytes()
+                       for arr in (params.w1, params.b1, params.w2, params.b2)))
+
+
+def checkpoint_body(width, state, version=2) -> bytes:
+    """Version 2: session, encoder, head, representation memory. Version 1
+    followed these with the weight-memory session, a second copy of the head
+    and the memory rows projected through it."""
+    enc, mem = state.encoder, state.mem
+    body = (file_header(data_io.KIND_CHECKPOINT, width, version)
+            + struct.pack("<I", state.session)
+            + struct.pack("<BBBII", ("identity", "tanh").index(enc.activation),
+                          ("layer", "l2").index(enc.feature_norm), int(enc.frozen),
+                          enc.raw_dim, enc.dim)
+            + np.asarray(enc.w, dtype=WIDTH_DTYPES[width]).tobytes()
+            + np.asarray(enc.b, dtype=WIDTH_DTYPES[width]).tobytes()
+            + classifier_section(width, state.classifier)
+            + struct.pack("<II", mem.n_classes, mem.dim)
+            + np.asarray(mem.class_ids, dtype="<i8").tobytes()
+            + np.asarray(mem.session_of, dtype="<u4").tobytes()
+            + np.asarray(mem.rows, dtype=WIDTH_DTYPES[width]).tobytes())
+    if version == 1:
+        snapshot = state.wmem.classifier_snapshot
+        projected = np.maximum(mem.rows @ snapshot.w1 + snapshot.b1, 0.0)
+        body += (struct.pack("<I", state.wmem.session)
+                 + classifier_section(width, snapshot)
+                 + struct.pack("<II", *projected.shape)
+                 + np.asarray(projected, dtype=WIDTH_DTYPES[width]).tobytes())
+    return body
 
 
 def write_blob(tmp_path, blob: bytes):
@@ -192,9 +226,12 @@ def seal(draw, body: bytes) -> bytes:
 SMALL = st.integers(0, 3)
 
 
-def float_payload(draw, count: int, width: int) -> bytes:
-    """count drawn floats of the width, NaN and infinities included."""
-    values = draw(st.lists(st.floats(width=8 * width), min_size=count, max_size=count))
+def float_payload(draw, count: int, width: int, finite: bool = False) -> bytes:
+    """count drawn floats of the width, NaN and infinities included unless
+    finite is set."""
+    values = draw(st.lists(st.floats(width=8 * width, allow_nan=not finite,
+                                     allow_infinity=not finite),
+                           min_size=count, max_size=count))
     return np.asarray(values, dtype=WIDTH_DTYPES[width]).tobytes()
 
 
@@ -213,23 +250,28 @@ def dataset_blobs(draw):
 @st.composite
 def checkpoint_blobs(draw):
     width = draw(st.sampled_from((4, 8)))
-    consistent = draw(st.booleans())  # section shapes agree, so some blobs load
+    # consistent blobs have valid codes, sizes and dropout and agreeing
+    # section shapes, so some of them load
+    consistent = draw(st.booleans())
+    finite = draw(st.booleans())
+    code = st.integers(0, 1) if consistent else SMALL
+    size = st.integers(1, 3) if consistent else SMALL
 
-    def classifier(dim):
-        hidden, n_classes = draw(SMALL), draw(SMALL)
-        dropout = draw(st.one_of(st.floats(0.0, 0.9), st.floats()))
-        count = dim * hidden + hidden + hidden * n_classes + n_classes
-        return hidden, (struct.pack("<IIId", dim, hidden, n_classes, dropout)
-                        + float_payload(draw, count, width))
+    def floats(count):
+        return float_payload(draw, count, width, finite)
 
-    raw_dim, dim = draw(SMALL), draw(SMALL)
-    body = file_header(data_io.KIND_CHECKPOINT, width)
+    raw_dim, dim = draw(size), draw(st.integers(2, 3) if consistent else SMALL)
+    body = file_header(data_io.KIND_CHECKPOINT, width, 2)
     body += struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1)))
-    body += struct.pack("<BBBII", draw(SMALL), draw(SMALL), draw(st.integers(0, 255)),
+    body += struct.pack("<BBBII", draw(code), draw(code), draw(st.integers(0, 255)),
                         raw_dim, dim)
-    body += float_payload(draw, raw_dim * dim + dim, width)
+    body += floats(raw_dim * dim + dim)
     head_dim = dim if consistent else draw(SMALL)
-    body += classifier(head_dim)[1]
+    hidden, n_classes = draw(size), draw(size)
+    dropout = draw(st.floats(0.0, 0.9) if consistent
+                   else st.one_of(st.floats(0.0, 0.9), st.floats()))
+    body += struct.pack("<IIId", head_dim, hidden, n_classes, dropout)
+    body += floats(head_dim * hidden + hidden + hidden * n_classes + n_classes)
     m_classes = draw(SMALL)
     m_dim = head_dim if consistent else draw(SMALL)
     body += struct.pack("<II", m_classes, m_dim)
@@ -237,12 +279,7 @@ def checkpoint_blobs(draw):
     body += np.asarray(draw(ids), dtype="<i8").tobytes()  # duplicates are likely
     sessions = st.lists(st.integers(0, 2 ** 32 - 1), min_size=m_classes, max_size=m_classes)
     body += np.asarray(draw(sessions), dtype="<u4").tobytes()
-    body += float_payload(draw, m_classes * m_dim, width)
-    body += struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1)))
-    hidden, snapshot = classifier(head_dim)
-    p_rows, p_cols = (m_classes, hidden) if consistent else (draw(SMALL), draw(SMALL))
-    body += snapshot + struct.pack("<II", p_rows, p_cols)
-    return seal(draw, body + float_payload(draw, p_rows * p_cols, width))
+    return seal(draw, body + floats(m_classes * m_dim))
 
 
 FUZZ = settings(max_examples=300, deadline=None, database=None,
@@ -281,8 +318,6 @@ class TestBinaryRoundTrips:
         assert loaded.wmem.session == state.wmem.session
         assert loaded.wmem.classifier_snapshot.state_bytes() == \
             state.wmem.classifier_snapshot.state_bytes()
-        assert loaded.wmem.projected_means.tobytes() == \
-            state.wmem.projected_means.tobytes()
 
     def test_save_is_deterministic(self, tmp_path):
         state = small_state()
@@ -309,6 +344,27 @@ class TestBinaryRoundTrips:
             save_dataset(TokenDataset(features, np.array([7, -2, 7])), path, precision=width)
             expected = with_crc(dataset_body(width, 2, 2, [-2, 7], [1, 0, 1], features.ravel()))
             assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_checkpoint_file_matches_reference_layout(self, tmp_path, width):
+        state = small_state()
+        path = tmp_path / "state.gcmr"
+        save_checkpoint(state, path, precision=width)
+        assert path.read_bytes() == with_crc(checkpoint_body(width, state))
+
+    def test_reloaded_weight_memory_is_the_saved_snapshot(self, tmp_path):
+        # the trainer's snapshot invariant survives a checkpoint round trip
+        state = small_state()
+        assert state.wmem.classifier_snapshot.state_bytes() == state.classifier.state_bytes()
+        path = tmp_path / "state.gcmr"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert loaded.wmem.session == loaded.session == state.session
+        snapshot = loaded.wmem.classifier_snapshot
+        assert snapshot.state_bytes() == state.wmem.classifier_snapshot.state_bytes()
+        assert snapshot.dropout_rate == state.wmem.classifier_snapshot.dropout_rate
+        for name, arr in loaded.classifier.arrays().items():
+            assert not np.shares_memory(arr, snapshot.arrays()[name])
 
     @pytest.mark.parametrize("width", [4, 8])
     def test_checkpoint_resaves_byte_identical(self, tmp_path, width):
@@ -448,6 +504,19 @@ class TestFormatErrors:
         with pytest.raises(VersionError):
             load_dataset(path)
 
+    def test_versions_are_per_kind(self, tmp_path):
+        state = small_state()
+        v1_checkpoint = with_crc(checkpoint_body(8, state, version=1))
+        with pytest.raises(VersionError) as excinfo:
+            load_checkpoint(write_blob(tmp_path, v1_checkpoint))
+        assert excinfo.value.offset == 4
+        v1_dataset = dataset_body(8, 1, 2, [3], [0], [1.0, -2.0])
+        assert load_dataset(write_blob(tmp_path, with_crc(v1_dataset))).labels.tolist() == [3]
+        v2_dataset = v1_dataset[:4] + struct.pack("<H", 2) + v1_dataset[6:]
+        with pytest.raises(VersionError) as excinfo:
+            load_dataset(write_blob(tmp_path, with_crc(v2_dataset)))
+        assert excinfo.value.offset == 4
+
     def test_truncation_reports_offset(self, tmp_path):
         path = self.make_dataset_file(tmp_path)
         blob = path.read_bytes()
@@ -514,23 +583,41 @@ class TestFormatErrors:
             assert excinfo.value.offset == len(blob) - 4
 
     @pytest.mark.parametrize("corrupt", ["duplicate ids", "dropout", "nan dropout",
-                                         "encoder dim"])
+                                         "encoder dim", "encoder wider than head",
+                                         "nan encoder bias", "nan head w2",
+                                         "inf memory row"])
     def test_checkpoint_fields_the_model_rejects(self, tmp_path, corrupt):
         # checksum-valid files whose sections fail the model's own checks
         state = small_state()
+        error = ContentError
         if corrupt == "duplicate ids":
             ids = state.mem.class_ids
             object.__setattr__(state.mem, "class_ids", (ids[0],) * len(ids))
         elif corrupt == "dropout":
             state.classifier.dropout_rate = 1.5
         elif corrupt == "nan dropout":
-            state.wmem.classifier_snapshot.dropout_rate = float("nan")
-        else:
+            state.classifier.dropout_rate = float("nan")
+        elif corrupt == "encoder dim":
             state.encoder.w = state.encoder.w[:, :1]
             state.encoder.b = state.encoder.b[:1]
+        elif corrupt == "encoder wider than head":
+            gen, wide = np.random.default_rng(17), state.encoder.dim + 3
+            state.encoder.w = gen.normal(size=(state.encoder.raw_dim, wide))
+            state.encoder.b = gen.normal(size=wide)
+            error = DimensionError
+        elif corrupt == "nan encoder bias":
+            state.encoder.b = np.where(np.arange(state.encoder.dim) == 1, np.nan,
+                                       state.encoder.b)
+        elif corrupt == "nan head w2":
+            state.classifier.w2 = state.classifier.w2.copy()
+            state.classifier.w2[-1, -1] = np.nan
+        else:
+            rows = state.mem.rows.copy()
+            rows[0, 0] = np.inf
+            object.__setattr__(state.mem, "rows", rows)
         path = tmp_path / "state.gcmr"
         save_checkpoint(state, path)
-        with pytest.raises(ContentError) as excinfo:
+        with pytest.raises(error) as excinfo:
             load_checkpoint(path)
         assert 0 < excinfo.value.offset < path.stat().st_size
 
@@ -551,7 +638,12 @@ class TestFormatErrors:
             state = load_checkpoint(write_blob(tmp_path, blob))
         except FormatError:
             return
-        assert state.mem.dim == state.classifier.dim
+        assert state.encoder.dim == state.classifier.dim == state.mem.dim
+        arrays = [state.encoder.w, state.encoder.b, state.mem.rows,
+                  *state.classifier.arrays().values()]
+        assert all(arr.dtype == np.float64 and np.isfinite(arr).all() for arr in arrays)
+        assert state.wmem.classifier_snapshot.state_bytes() == state.classifier.state_bytes()
+        assert state.wmem.session == state.session
 
 
 class TestCsv:

@@ -111,21 +111,6 @@ class TestEvaluateSession:
         with pytest.raises(ValueError, match=r"shape \(n, 3\), got \(3, 4\)"):
             evaluate_session(state, np.eye(3, 4), np.array([0, 1, 2]))
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        state = oracle_state(4)
-        gen = np.random.default_rng(1)
-        state.encoder = EncoderParams(gen.normal(size=(6, 4)), gen.normal(size=4),
-                                      "tanh", "layer")
-        raw = gen.normal(size=(67, 3, 6))
-        labels = gen.integers(0, 4, size=67)
-        feats = test_features(state, raw)
-        monkeypatch.setenv("GCMR_THREADS", "4")
-        threaded = test_features(state, raw)
-        assert threaded.shape == (67, 4)
-        assert threaded.tobytes() == feats.tobytes()
-        assert (evaluate_session(state, threaded, labels).to_json_dict()
-                == evaluate_session(state, feats, labels).to_json_dict())
-
 
 def make_report(session, acc_all, acc_base=0.9):
     return SessionReport(session=session, acc_all=acc_all, acc_base=acc_base,

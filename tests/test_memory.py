@@ -6,8 +6,6 @@ from gcmr.memory import (RepresentationMemory, build_weight_memory, column_label
                          init_representation_memory, memory_budget_bytes,
                          update_representation_memory)
 
-from oracles import project_scalar
-
 
 class TestInit:
     def test_single_example_class(self):
@@ -86,32 +84,6 @@ class TestUpdate:
 
 
 class TestWeightMemory:
-    def test_zero_classifier_projects_to_zero(self):
-        gen = np.random.default_rng(4)
-        mem = init_representation_memory({c: gen.normal(size=(2, 6)) for c in range(3)})
-        params = init_classifier(6, 4, 3, seed=0)
-        params.w1 = np.zeros_like(params.w1)
-        params.b1 = np.zeros_like(params.b1)
-        wmem = build_weight_memory(params, mem, 0)
-        np.testing.assert_array_equal(wmem.projected_means, 0.0)
-
-    def test_projection_shape(self):
-        gen = np.random.default_rng(5)
-        mem = init_representation_memory({c: gen.normal(size=(1, 32)) for c in range(100)})
-        params = init_classifier(32, 256, 100, seed=1)
-        wmem = build_weight_memory(params, mem, 0)
-        assert wmem.projected_means.shape == (100, 256)
-
-    def test_rows_match_independent_projection(self):
-        gen = np.random.default_rng(6)
-        mem = init_representation_memory({c: gen.normal(size=(2, 8)) for c in range(5)})
-        params = init_classifier(8, 4, 5, seed=2)
-        wmem = build_weight_memory(params, mem, 0)
-        for k in range(5):
-            np.testing.assert_allclose(wmem.projected_means[k],
-                                       project_scalar(mem.rows[k].tolist(), params),
-                                       rtol=1e-12)
-
     def test_snapshot_is_bit_exact_deep_copy(self):
         gen = np.random.default_rng(7)
         mem = init_representation_memory({0: gen.normal(size=(2, 4))})
@@ -120,16 +92,6 @@ class TestWeightMemory:
         assert wmem.classifier_snapshot.state_bytes() == params.state_bytes()
         params.w1 += 1.0
         assert wmem.classifier_snapshot.state_bytes() != params.state_bytes()
-
-    def test_row_counts_stay_aligned(self):
-        gen = np.random.default_rng(8)
-        mem = init_representation_memory({c: gen.normal(size=(1, 6)) for c in range(3)})
-        params = init_classifier(6, 4, 3, seed=4)
-        for t in range(1, 3):
-            mem = update_representation_memory(
-                mem, {100 + 10 * t: gen.normal(size=(2, 6))}, t)
-            wmem = build_weight_memory(params, mem, t)
-            assert wmem.projected_means.shape[0] == mem.n_classes
 
     def test_dimension_mismatch(self):
         mem = init_representation_memory({0: [np.zeros(5)]})
@@ -155,7 +117,6 @@ class TestBudget:
         mem, wmem = self.make_pair(65, 768, 256)
         budget = memory_budget_bytes(mem, wmem, 4)
         assert budget["representation"] == 65 * 768 * 4 == 199_680
-        assert budget["projected"] == 65 * 256 * 4 == 66_560
         snap = wmem.classifier_snapshot
         expected_clf = (snap.w1.size + snap.b1.size + snap.w2.size + snap.b2.size) * 4
         assert budget["classifier"] == expected_clf

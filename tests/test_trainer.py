@@ -62,7 +62,6 @@ class TestTrainBase:
         assert a.encoder.state_bytes() == b.encoder.state_bytes()
         assert a.classifier.state_bytes() == b.classifier.state_bytes()
         assert a.mem.rows.tobytes() == b.mem.rows.tobytes()
-        assert a.wmem.projected_means.tobytes() == b.wmem.projected_means.tobytes()
 
     def test_log_records_schedule(self):
         sessions = small_stream()
