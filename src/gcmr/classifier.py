@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn_core import cross_entropy_rows
+from .nn_core import cross_entropy_overwrite
 
 # Sub-stream tags keeping the dropout noise of the loss terms that share one
 # optimization step independent of each other.
@@ -100,12 +100,16 @@ def project_batch(features: np.ndarray, params: ClassifierParams) -> np.ndarray:
     Applied both to example features and to memory rows, so distances are
     measured between comparably transformed vectors.
     """
-    return np.maximum(features @ params.w1 + params.b1, 0.0)
+    hidden = features @ params.w1
+    hidden += params.b1
+    return np.maximum(hidden, 0.0, out=hidden)
 
 
 def eval_logits_batch(features: np.ndarray, params: ClassifierParams) -> np.ndarray:
     """Eval-mode logits for a (n, dim) feature batch."""
-    return project_batch(features, params) @ params.w2 + params.b2
+    logits = project_batch(features, params) @ params.w2
+    logits += params.b2
+    return logits
 
 
 def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads):
@@ -119,18 +123,25 @@ def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads):
     without compute_grads.
     """
     n = inputs.shape[0]
-    z1 = inputs @ params.w1 + params.b1
-    relu = np.maximum(z1, 0.0)
+    z1 = inputs @ params.w1
+    z1 += params.b1
+    # Elementwise steps overwrite arrays this call allocated: the ReLU mask
+    # is folded into the fresh dropout block (which then also masks dz1), z1
+    # becomes the hidden activations and the softmax replaces the logits.
     scales = dropout_scale(n, params.hidden, params.dropout_rate, dropout_seed)
-    hidden = relu * scales
-    logits = hidden @ params.w2 + params.b2
-    value, probs = cross_entropy_rows(logits, targets)
+    scales *= z1 > 0
+    hidden = np.maximum(z1, 0.0, out=z1)
+    hidden *= scales
+    logits = hidden @ params.w2
+    logits += params.b2
+    value, probs = cross_entropy_overwrite(logits, targets)
     if not compute_grads:
         return value, None, None
     dlogits = probs
     dlogits[np.arange(n), targets] -= 1.0
     dlogits /= n
-    dz1 = (dlogits @ params.w2.T) * scales * (z1 > 0)
+    dz1 = dlogits @ params.w2.T
+    dz1 *= scales
     return value, {"w1": inputs.T @ dz1, "b1": dz1.sum(axis=0),
                    "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}, dz1
 
@@ -149,7 +160,7 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
     # Gram form |p|^2 + |r|^2 - 2 p.r, without an (n, rows, width) tensor
     d2 = ((points * points).sum(axis=1)[:, None] + (rows * rows).sum(axis=1)
           - 2.0 * (points @ rows.T))
-    value, probs = cross_entropy_rows(-d2, targets)
+    value, probs = cross_entropy_overwrite(-d2, targets)
     if not compute_grads:
         return value, None
     coeff = probs

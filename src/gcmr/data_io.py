@@ -507,6 +507,9 @@ def load_checkpoint(path) -> SessionState:
     if m_dim != head.dim:
         raise DimensionError(f"memory dim {m_dim} does not match classifier dim {head.dim}",
                              reader.pos)
+    if m_classes != head.n_classes:
+        raise DimensionError(f"memory holds {m_classes} classes but the classifier has "
+                             f"{head.n_classes} columns", reader.pos)
     mem = _construct(reader, "representation memory", RepresentationMemory,
                      rows, class_ids, session_of)
     if reader.pos != len(reader.blob):

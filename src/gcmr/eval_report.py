@@ -5,7 +5,8 @@ is encoded once (test_features) and the protocol keeps the pooled, normalized
 features; evaluate_session scores the cumulative feature set with the
 session's classifier and never calls the encoder. Predictions are the argmax
 of eval-mode logits; argmax ties break toward the lowest class column, so
-evaluation is deterministic.
+evaluation is deterministic. Rows are scored in fixed-size chunks, so no
+(n, classes) logits array is ever held whole.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .memory import column_labels, memory_budget_bytes
 
 # Reports account memory at float32 width, the storage-budget convention.
 BUDGET_PRECISION = 4
+# Test rows scored per eval_logits_batch call: bounds the logits buffer at
+# EVAL_CHUNK_ROWS x classes instead of the whole cumulative test set.
+EVAL_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -69,7 +73,12 @@ def evaluate_session(state, features, test_labels,
         raise ValueError("test set is empty or misaligned")
     class_ids = state.mem.class_ids
     y = column_labels(labels, class_ids)
-    correct = np.argmax(eval_logits_batch(feats, state.classifier), axis=1) == y
+    predicted = np.empty(feats.shape[0], dtype=np.intp)
+    for start in range(0, feats.shape[0], EVAL_CHUNK_ROWS):
+        stop = start + EVAL_CHUNK_ROWS
+        predicted[start:stop] = np.argmax(
+            eval_logits_batch(feats[start:stop], state.classifier), axis=1)
+    correct = predicted == y
 
     counts = np.bincount(y, minlength=len(class_ids))
     hits = np.bincount(y, weights=correct, minlength=len(class_ids))

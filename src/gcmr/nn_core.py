@@ -21,22 +21,38 @@ class NumericalError(ArithmeticError):
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a 2-D array.
+    """Row-wise stable softmax of a 2-D array, as a new float64 array.
 
     The row max is subtracted before exponentiation, so logits as large as
-    1e4 in magnitude neither overflow nor change the argmax.
+    1e4 in magnitude neither overflow nor change the argmax. logits is not
+    modified.
     """
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
+    return _softmax_overwrite(np.array(logits, dtype=np.float64))
+
+
+def _softmax_overwrite(buf: np.ndarray) -> np.ndarray:
+    """softmax_rows written over buf, a float64 array the caller owns;
+    returns buf."""
+    buf -= buf.max(axis=1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=1, keepdims=True)
+    return buf
 
 
 def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     """Mean over rows of -log softmax(logits)[j, targets[j]], each
-    probability clamped at the 1e-12 floor. Returns (value, probs)."""
+    probability clamped at the 1e-12 floor. Returns (value, probs); probs
+    is a new array and logits is not modified."""
+    return cross_entropy_overwrite(np.array(logits, dtype=np.float64), targets)
+
+
+def cross_entropy_overwrite(logits: np.ndarray, targets: np.ndarray):
+    """cross_entropy_rows for logits the caller owns and no longer needs:
+    the softmax overwrites them, and the returned probs is that array."""
     n, n_classes = logits.shape
     if np.any(targets < 0) or np.any(targets >= n_classes):
         raise ValueError("label out of range for the current class count")
-    probs = softmax_rows(logits)
+    probs = _softmax_overwrite(logits)
     picked = np.maximum(probs[np.arange(n), targets], PROB_FLOOR)
     return float(-np.log(picked).mean()), probs
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from gcmr import rng
-from gcmr.classifier import (ClassifierParams, dropout_scale, eval_logits_batch,
-                             expand_with_imprinting, incremental_terms,
-                             init_classifier, project_batch)
+from gcmr.classifier import (ClassifierParams, _mean_ce_with_grads, dropout_scale,
+                             eval_logits_batch, expand_with_imprinting,
+                             incremental_terms, init_classifier, project_batch)
 from gcmr.losses import DistanceDictionary, LossConfig, incremental_loss
+from gcmr.nn_core import PROB_FLOOR
 
 from oracles import (cross_entropy_scalar, finite_difference, head_forward_scalar,
                      max_rel_err, project_scalar)
@@ -243,6 +244,72 @@ class TestBackward:
             incremental_terms(features, labels, memory_rows, dictionary, params, cfg, 9)
             counts.add(len(calls))
         assert counts == {2}
+
+
+def out_of_place_mean_ce(inputs, targets, params, dropout_seed):
+    """The head's train-mode term written as out-of-place expressions, each
+    intermediate a fresh array: (value, grads, dz1) as _mean_ce_with_grads
+    returns them."""
+    n = inputs.shape[0]
+    z1 = inputs @ params.w1 + params.b1
+    relu = np.maximum(z1, 0.0)
+    scales = dropout_scale(n, params.hidden, params.dropout_rate, dropout_seed)
+    hidden = relu * scales
+    logits = hidden @ params.w2 + params.b2
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    value = float(-np.log(np.maximum(probs[np.arange(n), targets], PROB_FLOOR)).mean())
+    dlogits = probs
+    dlogits[np.arange(n), targets] -= 1.0
+    dlogits /= n
+    dz1 = (dlogits @ params.w2.T) * scales * (z1 > 0)
+    grads = {"w1": inputs.T @ dz1, "b1": dz1.sum(axis=0),
+             "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
+    return value, grads, dz1
+
+
+class TestInPlaceBuffers:
+    """The head's forward and backward overwrite their own buffers; every
+    result must equal the out-of-place expressions byte for byte, signed
+    zeros included, and the caller's arrays must stay untouched."""
+
+    @pytest.mark.parametrize("rate, n, b1", [(0.0, 6, None), (0.5, 6, None),
+                                             (0.0, 1, None), (0.5, 1, None),
+                                             (0.0, 5, -10.0), (0.5, 5, -10.0)])
+    def test_train_term_matches_out_of_place_bytes(self, rate, n, b1):
+        gen = np.random.default_rng(n)
+        params = init_classifier(7, 9, 11, seed=n, dropout_rate=rate)
+        params.b2 = gen.normal(size=11)
+        if b1 is not None:
+            params.b1 = np.full(9, b1)      # every ReLU unit dead
+        inputs = gen.normal(size=(n, 7))
+        targets = gen.integers(0, 11, size=n)
+        before = inputs.tobytes(), targets.tobytes(), params.state_bytes()
+        value, grads, dz1 = _mean_ce_with_grads(inputs, targets, params, 99, True)
+        ref_value, ref_grads, ref_dz1 = out_of_place_mean_ce(inputs, targets, params, 99)
+        assert (inputs.tobytes(), targets.tobytes(), params.state_bytes()) == before
+        assert value == ref_value
+        assert dz1.tobytes() == ref_dz1.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+        if b1 is not None:
+            # the byte comparison above covered negative zeros
+            assert np.signbit(ref_dz1[ref_dz1 == 0.0]).any()
+        assert _mean_ce_with_grads(inputs, targets, params, 99, False) == (value, None, None)
+
+    @pytest.mark.parametrize("n, b1", [(1, None), (40, None), (40, -10.0)])
+    def test_eval_logits_match_out_of_place_bytes(self, n, b1):
+        gen = np.random.default_rng(n + 1)
+        params = init_classifier(7, 9, 11, seed=n, dropout_rate=0.5)
+        params.b2 = gen.normal(size=11)
+        if b1 is not None:
+            params.b1 = np.full(9, b1)
+        features = gen.normal(size=(n, 7))
+        before = features.tobytes(), params.state_bytes()
+        expected = np.maximum(features @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
+        assert eval_logits_batch(features, params).tobytes() == expected.tobytes()
+        assert (features.tobytes(), params.state_bytes()) == before
 
 
 class TestImprinting:

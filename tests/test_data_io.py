@@ -272,7 +272,7 @@ def checkpoint_blobs(draw):
                    else st.one_of(st.floats(0.0, 0.9), st.floats()))
     body += struct.pack("<IIId", head_dim, hidden, n_classes, dropout)
     body += floats(head_dim * hidden + hidden + hidden * n_classes + n_classes)
-    m_classes = draw(SMALL)
+    m_classes = n_classes if consistent else draw(SMALL)
     m_dim = head_dim if consistent else draw(SMALL)
     body += struct.pack("<II", m_classes, m_dim)
     ids = st.lists(st.integers(-1, 2), min_size=m_classes, max_size=m_classes)
@@ -585,7 +585,7 @@ class TestFormatErrors:
     @pytest.mark.parametrize("corrupt", ["duplicate ids", "dropout", "nan dropout",
                                          "encoder dim", "encoder wider than head",
                                          "nan encoder bias", "nan head w2",
-                                         "inf memory row"])
+                                         "inf memory row", "head narrower than memory"])
     def test_checkpoint_fields_the_model_rejects(self, tmp_path, corrupt):
         # checksum-valid files whose sections fail the model's own checks
         state = small_state()
@@ -611,6 +611,10 @@ class TestFormatErrors:
         elif corrupt == "nan head w2":
             state.classifier.w2 = state.classifier.w2.copy()
             state.classifier.w2[-1, -1] = np.nan
+        elif corrupt == "head narrower than memory":
+            state.classifier.w2 = state.classifier.w2[:, :2]
+            state.classifier.b2 = state.classifier.b2[:2]
+            error = DimensionError
         else:
             rows = state.mem.rows.copy()
             rows[0, 0] = np.inf
@@ -639,6 +643,7 @@ class TestFormatErrors:
         except FormatError:
             return
         assert state.encoder.dim == state.classifier.dim == state.mem.dim
+        assert state.classifier.n_classes == state.mem.n_classes
         arrays = [state.encoder.w, state.encoder.b, state.mem.rows,
                   *state.classifier.arrays().values()]
         assert all(arr.dtype == np.float64 and np.isfinite(arr).all() for arr in arrays)

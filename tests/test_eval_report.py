@@ -1,15 +1,18 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gcmr import trainer
-from gcmr.classifier import ClassifierParams
+from gcmr.classifier import ClassifierParams, eval_logits_batch
 from gcmr.encoder import EncoderParams
-from gcmr.eval_report import (SessionReport, aggregate, evaluate_session,
-                              read_report, test_features, write_report)
-from gcmr.memory import (build_weight_memory, init_representation_memory)
+from gcmr.eval_report import (EVAL_CHUNK_ROWS, SessionReport, aggregate,
+                              evaluate_session, read_report, test_features,
+                              write_report)
+from gcmr.memory import (RepresentationMemory, build_weight_memory,
+                         init_representation_memory)
 
 
 def oracle_state(n_classes, class_ids=None, session_of=None):
@@ -27,6 +30,20 @@ def oracle_state(n_classes, class_ids=None, session_of=None):
         mem = type(mem)(mem.rows, mem.class_ids, session_of)
     wmem = build_weight_memory(head, mem, 0)
     return trainer.SessionState(0, enc, head, mem, wmem)
+
+
+def random_head_state(n_classes, dim=4, hidden=8, seed=0):
+    """A state with a random head over n_classes columns; class ids are the
+    column indices."""
+    gen = np.random.default_rng(seed)
+    enc = EncoderParams(np.eye(dim), np.zeros(dim), "identity", "layer")
+    enc.freeze()
+    head = ClassifierParams(gen.normal(size=(dim, hidden)), gen.normal(size=hidden),
+                            gen.normal(size=(hidden, n_classes)),
+                            gen.normal(size=n_classes), 0.0)
+    mem = RepresentationMemory(gen.normal(size=(n_classes, dim)),
+                               tuple(range(n_classes)), (0,) * n_classes)
+    return trainer.SessionState(0, enc, head, mem, build_weight_memory(head, mem, 0))
 
 
 def basis_examples(n_classes, labels, feature_classes=None):
@@ -110,6 +127,48 @@ class TestEvaluateSession:
         state = oracle_state(3)
         with pytest.raises(ValueError, match=r"shape \(n, 3\), got \(3, 4\)"):
             evaluate_session(state, np.eye(3, 4), np.array([0, 1, 2]))
+
+
+class TestChunkedScoring:
+    @pytest.mark.parametrize("n", [EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS,
+                                   EVAL_CHUNK_ROWS + 1, 2 * EVAL_CHUNK_ROWS + 3])
+    def test_matches_whole_batch_argmax(self, n):
+        state = random_head_state(7, seed=n)
+        features = np.random.default_rng(n).normal(size=(n, 4))
+        whole = np.argmax(eval_logits_batch(features, state.classifier), axis=1)
+        # labelled with the whole-batch predictions every row is a hit, and
+        # labelled one column off every row is a miss; a row scored
+        # differently in its chunk, or never scored, breaks one of the two
+        report = evaluate_session(state, features, whole)
+        assert report.acc_all == 1.0 and report.n_test == n
+        assert report.per_class_acc == {int(c): 1.0 for c in np.unique(whole)}
+        assert evaluate_session(state, features, (whole + 1) % 7).acc_all == 0.0
+
+    def test_all_ties_predict_the_lowest_column(self):
+        state = random_head_state(5)
+        state.classifier.w2 = np.zeros_like(state.classifier.w2)
+        state.classifier.b2 = np.zeros_like(state.classifier.b2)
+        n = 2 * EVAL_CHUNK_ROWS + 3
+        labels = np.arange(n) % 2
+        features = np.random.default_rng(1).normal(size=(n, 4))
+        report = evaluate_session(state, features, labels)
+        assert report.per_class_acc == {0: 1.0, 1: 0.0}
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        n_classes, n = 512, 8 * EVAL_CHUNK_ROWS
+        state = random_head_state(n_classes)
+        gen = np.random.default_rng(2)
+        features = gen.normal(size=(n, 4))
+        labels = gen.integers(0, n_classes, size=n)
+        chunk_logits = EVAL_CHUNK_ROWS * n_classes * 8
+        tracemalloc.start()
+        try:
+            evaluate_session(state, features, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole batch's logits would be 8 chunks, twice over with the bias
+        assert peak < 2 * chunk_logits
 
 
 def make_report(session, acc_all, acc_base=0.9):

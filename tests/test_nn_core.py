@@ -63,6 +63,13 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             TokenDataset(np.array([[[1.0, np.nan]]]), np.array([0]))
 
+    def test_input_is_not_modified(self):
+        logits = np.random.default_rng(9).normal(size=(4, 5)) * 3
+        before = logits.tobytes()
+        probs = softmax_rows(logits)
+        assert logits.tobytes() == before
+        assert not np.shares_memory(probs, logits)
+
     def test_argmax_invariant_under_constant_shift(self):
         gen = np.random.default_rng(8)
         for _ in range(100):
@@ -92,6 +99,13 @@ class TestCrossEntropy:
         expected = np.mean([cross_entropy_scalar(r.tolist(), t) for r, t in zip(rows, targets)])
         assert value == pytest.approx(expected, rel=1e-12)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
+
+    def test_input_is_not_modified(self):
+        logits = np.random.default_rng(10).normal(size=(4, 5)) * 3
+        before = logits.tobytes()
+        _, probs = cross_entropy_rows(logits, np.array([0, 4, 2, 2]))
+        assert logits.tobytes() == before
+        assert not np.shares_memory(probs, logits)
 
     def test_nonnegative(self):
         gen = np.random.default_rng(2)
