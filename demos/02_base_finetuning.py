@@ -10,8 +10,8 @@ import numpy as np
 
 from gcmr import (LossConfig, ProtocolSpec, SyntheticSpec, TrainConfig,
                   evaluate_session, fscil_split, generate_synthetic,
-                  materialize_sessions, memory_budget_bytes, test_features,
-                  train_base)
+                  materialize_sessions, memory_budget_bytes,
+                  normalized_features, train_base)
 
 spec = SyntheticSpec(d=32, g=8, n_classes=12, class_mean_norm=float(np.sqrt(32)),
                      within_class_sigma=3.5, examples_per_class=40, seed=1)
@@ -34,7 +34,7 @@ for record in log[::3]:
     print(f"{record['epoch']:>5}  {record['lr']:.5f}  {record['alpha']:.5f}"
           f"  {b['reconstruction']:.4f}   {b['classification']:.4f}")
 
-report = evaluate_session(state, test_features(state, base.test.features),
+report = evaluate_session(state, normalized_features(base.test.features, state.encoder),
                           base.test.labels)
 print(f"\nbase test accuracy: {report.acc_all:.3f}")
 print(f"encoder frozen: {state.encoder.frozen}")

@@ -18,7 +18,7 @@ from .data_io import (ProtocolSpec, SessionData, SyntheticSpec, TokenDataset,
 from .encoder import (DecoderParams, EncoderParams, encode_batch, init_decoder,
                       init_encoder, mask_features, normalize_rows,
                       normalized_features, reconstruct)
-from .eval_report import (SessionReport, aggregate, evaluate_session, test_features,
+from .eval_report import (SessionReport, aggregate, evaluate_session,
                           write_report)
 from .losses import (DistanceDictionary, LossConfig, alpha_schedule,
                      base_loss, base_loss_backward, build_distance_dictionary,

@@ -18,6 +18,7 @@ rejected rather than ignored.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -304,19 +305,10 @@ def _cmd_report(args) -> int:
         print(f"config error: runs have mismatched session counts {sorted(counts)}",
               file=sys.stderr)
         return EXIT_CONFIG
-    n_sessions = counts.pop()
     if args.format == "json":
         print(json.dumps(runs, indent=2))
         return EXIT_OK
-    header = (["run"] + [f"session_{t}" for t in range(n_sessions)]
-              + ["avg_acc", "memory_bytes"])
-    print(",".join(header))
-    for run in runs:
-        cells = [run["label"]]
-        cells += [f"{s['acc_all']:.6f}" for s in run["sessions"]]
-        cells.append(f"{run['summary']['avg_acc']:.6f}")
-        cells.append(str(run["sessions"][-1]["memory_budget"]["total"]))
-        print(",".join(cells))
+    csv.writer(sys.stdout, lineterminator="\n").writerows(eval_report.report_table(runs))
     return EXIT_OK
 
 

@@ -553,22 +553,11 @@ def load_features_csv(path) -> TokenDataset:
     if header[:1] != ["label"]:
         raise FormatError("CSV header must start with 'label'")
     grouped = len(header) > 1 and header[1] == "token"
-    feature_width = len(header) - (2 if grouped else 1)
-    if feature_width < 1:
+    first = 2 if grouped else 1     # column of the first feature
+    if len(header) - first < 1:
         raise FormatError("CSV header declares no feature columns")
 
-    if not grouped:
-        features, labels = [], []
-        for line_no, row in enumerate(rows[1:], start=2):
-            if len(row) != len(header):
-                raise DimensionError(f"line {line_no} has {len(row)} fields, "
-                                     f"expected {len(header)}")
-            labels.append(_parse_int(row[0], "label", line_no))
-            features.append(_parse_floats(row[1:], line_no))
-        if not features:
-            raise FormatError("CSV contains a header but no examples")
-        return TokenDataset.from_finite(np.asarray(features)[:, None, :], labels)
-
+    # a flat line is token 0 of a single-token example
     examples: list[list[list[float]]] = []
     labels = []
     for line_no, row in enumerate(rows[1:], start=2):
@@ -576,8 +565,8 @@ def load_features_csv(path) -> TokenDataset:
             raise DimensionError(f"line {line_no} has {len(row)} fields, "
                                  f"expected {len(header)}")
         label = _parse_int(row[0], "label", line_no)
-        token = _parse_int(row[1], "token index", line_no)
-        values = _parse_floats(row[2:], line_no)
+        token = _parse_int(row[1], "token index", line_no) if grouped else 0
+        values = _parse_floats(row[first:], line_no)
         if token == 0:
             examples.append([values])
             labels.append(label)

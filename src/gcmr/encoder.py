@@ -59,10 +59,6 @@ class EncoderParams:
         self.b.setflags(write=False)
         self.frozen = True
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.w.copy(), self.b.copy(), self.activation,
-                             self.feature_norm, self.frozen)
-
     def state_bytes(self) -> bytes:
         """Canonical byte image of the parameters, for freeze checks."""
         return b"|".join([self.activation.encode(), self.feature_norm.encode(),
@@ -88,9 +84,6 @@ class DecoderParams:
     @property
     def dim(self) -> int:
         return self.w.shape[0]
-
-    def copy(self) -> "DecoderParams":
-        return DecoderParams(self.w.copy(), self.b.copy(), self.mask_token.copy())
 
 
 def init_encoder(raw_dim: int, dim: int, activation: str = "tanh",

@@ -1,8 +1,8 @@
 """Per-session evaluation over cumulative class sets and report emission.
 
-The encoder is frozen after the base session, so each session's test slice
-is encoded once (test_features) and the protocol keeps the pooled, normalized
-features; evaluate_session scores the cumulative feature set with the
+The encoder is frozen after the base session, so the protocol encodes each
+session's test slice once (encoder.normalized_features) and keeps the pooled,
+normalized features; evaluate_session scores the cumulative feature set with the
 session's classifier and never calls the encoder. Predictions are the argmax
 of eval-mode logits; argmax ties break toward the lowest class column, so
 evaluation is deterministic. Rows are scored in fixed-size chunks, so no
@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import encoder
 from .classifier import eval_logits_batch
 from .data_io import atomic_open
 from .memory import column_labels, memory_budget_bytes
@@ -50,20 +49,11 @@ class SessionReport:
         return out
 
 
-def test_features(state, raw) -> np.ndarray:
-    """Pooled, normalized features (n, dim) of raw token groups
-    (n, tokens, raw_dim) under the state's encoder."""
-    return encoder.normalized_features(raw, state.encoder)
-
-
-# keeps test collectors from taking the function for a test
-test_features.__test__ = False
-
-
 def evaluate_session(state, features, test_labels,
                      prior_acc_all: Sequence[float] = ()) -> SessionReport:
     """Score the model on the cumulative test set of all classes seen so far,
-    given as pooled, normalized features (n, dim) from test_features."""
+    given as pooled, normalized features (n, dim) from
+    encoder.normalized_features."""
     feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(test_labels)
     dim = state.classifier.dim
@@ -136,10 +126,9 @@ def write_report(reports: Sequence[SessionReport], summary: dict, path,
         return
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    header = (["run"] + [f"session_{r.session}" for r in reports]
-              + ["avg_acc", "memory_bytes"])
-    row = ([label] + [f"{r.acc_all:.6f}" for r in reports]
-           + [f"{summary['avg_acc']:.6f}", str(reports[-1].memory_budget["total"])])
+    # only the fields the table reads, without to_json_dict's per-class copy
+    sessions = [{"acc_all": r.acc_all, "memory_budget": r.memory_budget} for r in reports]
+    header, row = report_table([{"label": label, "sessions": sessions, "summary": summary}])
     need_header = True
     if append and os.path.exists(path) and os.path.getsize(path) > 0:
         need_header = False
@@ -150,6 +139,20 @@ def write_report(reports: Sequence[SessionReport], summary: dict, path,
         if need_header:
             writer.writerow(header)
         writer.writerow(row)
+
+
+def report_table(runs: Sequence[dict]) -> list[list[str]]:
+    """The CSV comparison table of runs in the JSON report layout: a header,
+    then per run its label, accuracy after each session, average accuracy
+    and final memory bytes. Every run has as many sessions as the first."""
+    table = [["run"] + [f"session_{t}" for t in range(len(runs[0]["sessions"]))]
+             + ["avg_acc", "memory_bytes"]]
+    for run in runs:
+        sessions = run["sessions"]
+        table.append([run["label"]] + [f"{s['acc_all']:.6f}" for s in sessions]
+                     + [f"{run['summary']['avg_acc']:.6f}",
+                        str(sessions[-1]["memory_budget"]["total"])])
+    return table
 
 
 def read_report(path) -> dict:

@@ -86,9 +86,37 @@ class SessionState:
     wmem: WeightMemory
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: TrainConfig,
+                   log_sink: LogSink | None, begin_epoch) -> None:
+    """The optimizer loop of every session: `epochs` epochs of momentum SGD on
+    `params` over shuffled batches of `n` rows, the learning rate annealed
+    from base_lr by the cosine schedule.
+
+    begin_epoch(epoch) returns the step function
+    (batch, step_seed) -> (total, breakdown, grads), the extra log fields and
+    the term weights (None when the epoch's log has no weighted terms)."""
+    velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
+    batches = range(0, n, cfg.batch_size)
+    for epoch in range(epochs):
+        lr = cosine_lr(epoch, base_lr, cfg.min_lr, epochs)
+        step_fn, fields, weights = begin_epoch(epoch)
+        order = rng.generator(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
+        epoch_total, epoch_terms = 0.0, {}
+        for step, start in enumerate(batches):
+            step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
+            total, breakdown, grads = step_fn(order[start:start + cfg.batch_size], step_seed)
+            sgd_momentum_step(params, grads, velocities, cfg.momentum, lr,
+                              where=f"session {t}, epoch {epoch}, step {step}")
+            epoch_total += total
+            for key, value in breakdown.items():
+                epoch_terms[key] = epoch_terms.get(key, 0.0) + value
+        if log_sink is not None:
+            out = {"total": epoch_total / len(batches),
+                   **{key: value / len(batches) for key, value in epoch_terms.items()}}
+            if weights is not None:
+                out["weighted"] = {key: w * out[key] for key, w in weights.items()}
+            log_sink({"session": t, "epoch": epoch, "lr": lr, **fields,
+                      "loss_breakdown": out})
 
 
 def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) -> SessionState:
@@ -116,32 +144,20 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
                                       rng.stream_id(cfg.seed, INIT_TAG),
                                       cfg.dropout_rate)
 
-    n = raw.shape[0]
-    if cfg.finetune_base and cfg.base_epochs > 0:
-        params = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w, "dec_b": dec.b,
-                  "mask_token": dec.mask_token,
-                  **{f"head_{name}": arr for name, arr in head.arrays().items()}}
-        velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
-        for epoch in range(cfg.base_epochs):
-            lr = cosine_lr(epoch, cfg.base_lr, cfg.min_lr, cfg.base_epochs)
-            order = rng.generator(cfg.seed, SHUFFLE_TAG, 0, epoch).permutation(n)
-            epoch_total, epoch_terms, steps = 0.0, {"reconstruction": 0.0, "classification": 0.0}, 0
-            for step, batch in enumerate(_batches(n, cfg.batch_size, order)):
-                step_seed = rng.stream_id(cfg.seed, STEP_TAG, 0, epoch, step)
-                total, breakdown, grads = losses.base_loss_backward(
-                    raw[batch], y[batch], enc, dec, head, cfg.loss, epoch, step_seed)
-                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr,
-                                  where=f"session 0, epoch {epoch}, step {step}")
-                epoch_total += total
-                for key in epoch_terms:
-                    epoch_terms[key] += breakdown[key]
-                steps += 1
-            if log_sink is not None:
-                log_sink({"session": 0, "epoch": epoch, "lr": lr,
-                          "alpha": losses.alpha_schedule(cfg.loss, epoch),
-                          "loss_breakdown": _base_epoch_breakdown(
-                              epoch_total, epoch_terms, steps,
-                              losses.alpha_schedule(cfg.loss, epoch))})
+    def begin_epoch(epoch):
+        alpha = losses.alpha_schedule(cfg.loss, epoch)
+
+        def step(batch, step_seed):
+            return losses.base_loss_backward(raw[batch], y[batch], enc, dec, head,
+                                             cfg.loss, epoch, step_seed)
+        return step, {"alpha": alpha}, {"reconstruction": alpha,
+                                        "classification": 1.0 - alpha}
+
+    params = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w, "dec_b": dec.b,
+              "mask_token": dec.mask_token,
+              **{f"head_{name}": arr for name, arr in head.arrays().items()}}
+    _train_session(params, raw.shape[0], cfg.base_epochs if cfg.finetune_base else 0,
+                   cfg.base_lr, 0, cfg, log_sink, begin_epoch)
 
     enc.freeze()
     fbar = encoder.normalized_features(raw, enc)
@@ -149,15 +165,6 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     mem = init_representation_memory(class_features)
     wmem = build_weight_memory(head, mem, 0)
     return SessionState(0, enc, head, mem, wmem)
-
-
-def _base_epoch_breakdown(total, terms, steps, alpha):
-    out = {"total": total / steps,
-           "reconstruction": terms["reconstruction"] / steps,
-           "classification": terms["classification"] / steps}
-    out["weighted"] = {"reconstruction": alpha * out["reconstruction"],
-                       "classification": (1.0 - alpha) * out["classification"]}
-    return out
 
 
 def train_incremental(state: SessionState, session, cfg: TrainConfig,
@@ -188,53 +195,29 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
                                              support_means)
     y = column_labels(labels, list(state.mem.class_ids) + new_ids)
+    beta = cfg.loss.beta
+    weights = None
+    if cfg.memory_regularization:
+        weights = {"distance": beta, "memory": 1.0 - beta, "classification": 1.0 - beta}
 
-    n = raw.shape[0]
-    if cfg.incr_epochs > 0:
-        params = head.arrays()
-        velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
-        for epoch in range(cfg.incr_epochs):
-            lr = cosine_lr(epoch, cfg.incr_lr, cfg.min_lr, cfg.incr_epochs)
-            dictionary = None
-            if cfg.memory_regularization:
-                dictionary = losses.build_distance_dictionary(
-                    state.mem, head, support_means)
-            order = rng.generator(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
-            epoch_total, epoch_terms, steps = 0.0, {}, 0
-            for step, batch in enumerate(_batches(n, cfg.batch_size, order)):
-                step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
-                total, breakdown, grads = classifier.incremental_terms(
-                    fbar[batch], y[batch], state.mem.rows, dictionary, head,
-                    cfg.loss, step_seed,
-                    memory_regularization=cfg.memory_regularization)
-                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr,
-                                  where=f"session {t}, epoch {epoch}, step {step}")
-                epoch_total += total
-                for key, value in breakdown.items():
-                    epoch_terms[key] = epoch_terms.get(key, 0.0) + value
-                steps += 1
-            if log_sink is not None:
-                log_sink({"session": t, "epoch": epoch, "lr": lr,
-                          "beta": cfg.loss.beta,
-                          "loss_breakdown": _incremental_epoch_breakdown(
-                              epoch_total, epoch_terms, steps, cfg)})
+    def begin_epoch(epoch):
+        dictionary = None
+        if cfg.memory_regularization:
+            dictionary = losses.build_distance_dictionary(state.mem, head, support_means)
+
+        def step(batch, step_seed):
+            return classifier.incremental_terms(
+                fbar[batch], y[batch], state.mem.rows, dictionary, head, cfg.loss,
+                step_seed, memory_regularization=cfg.memory_regularization)
+        return step, {"beta": beta}, weights
+
+    _train_session(head.arrays(), raw.shape[0], cfg.incr_epochs, cfg.incr_lr, t, cfg,
+                   log_sink, begin_epoch)
 
     new_features = {cid: fbar[labels == cid] for cid in new_ids}
     mem = update_representation_memory(state.mem, new_features, t)
     wmem = build_weight_memory(head, mem, t)
     return SessionState(t, state.encoder, head, mem, wmem)
-
-
-def _incremental_epoch_breakdown(total, terms, steps, cfg):
-    out = {"total": total / steps}
-    for key, value in terms.items():
-        out[key] = value / steps
-    if cfg.memory_regularization:
-        beta = cfg.loss.beta
-        out["weighted"] = {"distance": beta * out["distance"],
-                           "memory": (1.0 - beta) * out["memory"],
-                           "classification": (1.0 - beta) * out["classification"]}
-    return out
 
 
 def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
@@ -246,7 +229,7 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     The encoder is frozen once the base session ends, so each session's test
     slice is encoded once, right after that session's training, and every
     evaluation scores the cached features of all slices seen so far."""
-    from .eval_report import evaluate_session, test_features
+    from .eval_report import evaluate_session
 
     stream = list(stream)
     if not stream:
@@ -261,7 +244,8 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
             state = train_base(session, cfg, log_sink)
         else:
             state = train_incremental(state, session, cfg, log_sink)
-        features.append(test_features(state, session.test.features))
+        features.append(encoder.normalized_features(session.test.features,
+                                                    state.encoder))
         labels.append(np.asarray(session.test.labels))
         report = evaluate_session(state, np.concatenate(features),
                                   np.concatenate(labels), prior_acc_all=acc_history)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import struct
@@ -287,6 +289,17 @@ class TestReport:
         assert len(lines) == 2
         assert lines[0].startswith("run,session_0")
         assert lines[1].startswith("solo,")
+
+    def test_csv_quotes_a_label_with_a_comma(self, tmp_path, config_file, dataset_file,
+                                             capsys):
+        out = self.run_once(tmp_path, config_file, dataset_file, "x,y")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(out), "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(row) == len(header)
+        assert row[0] == "x,y"
+        with open(out / "report.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1] == row
 
     def test_two_runs_two_rows(self, tmp_path, config_file, dataset_file, capsys):
         a = self.run_once(tmp_path, config_file, dataset_file, "full")

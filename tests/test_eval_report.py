@@ -7,10 +7,9 @@ import pytest
 
 from gcmr import trainer
 from gcmr.classifier import ClassifierParams, eval_logits_batch
-from gcmr.encoder import EncoderParams
+from gcmr.encoder import EncoderParams, normalized_features
 from gcmr.eval_report import (EVAL_CHUNK_ROWS, SessionReport, aggregate,
-                              evaluate_session, read_report, test_features,
-                              write_report)
+                              evaluate_session, read_report, write_report)
 from gcmr.memory import (RepresentationMemory, build_weight_memory,
                          init_representation_memory)
 
@@ -60,7 +59,7 @@ class TestEvaluateSession:
     def test_oracle_stub_scores_perfectly(self):
         state = oracle_state(4)
         raw, labels = basis_examples(4, [0, 1, 2, 3, 2, 1])
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         assert report.acc_all == 1.0
         assert report.per_class_acc == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
@@ -72,19 +71,19 @@ class TestEvaluateSession:
         labels = np.repeat(np.arange(k), n // k)
         feature_classes = gen.integers(0, k, size=n)  # prediction independent of label
         raw, labels = basis_examples(k, labels, feature_classes)
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         assert abs(report.acc_all - 1 / k) < 0.02
 
     def test_hand_built_three_of_four_correct(self):
         state = oracle_state(2)
         raw, labels = basis_examples(2, [0, 0, 1, 1], feature_classes=[0, 0, 1, 0])
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         assert report.acc_all == 0.75
 
     def test_base_and_novel_breakdown(self):
         state = oracle_state(4, session_of=(0, 0, 1, 1))
         raw, labels = basis_examples(4, [0, 1, 2, 3], feature_classes=[0, 1, 2, 0])
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         assert report.acc_base == 1.0
         assert report.acc_novel == 0.5
         assert report.acc_all == 0.75
@@ -92,20 +91,21 @@ class TestEvaluateSession:
     def test_novel_accuracy_none_for_base_only(self):
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 1, 2])
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         assert report.acc_novel is None
 
     def test_unseen_label_rejected(self):
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 1, 2])
         with pytest.raises(ValueError, match=r"unknown classes: \[7\]"):
-            evaluate_session(state, test_features(state, raw), np.array([0, 1, 7]))
+            evaluate_session(state, normalized_features(raw, state.encoder),
+                             np.array([0, 1, 7]))
 
     def test_acc_all_bounded_by_per_class_extremes(self):
         state = oracle_state(3, session_of=(0, 0, 1))
         raw, labels = basis_examples(3, [0, 0, 1, 1, 2, 2],
                                      feature_classes=[0, 1, 1, 1, 2, 0])
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         values = list(report.per_class_acc.values())
         assert min(values) <= report.acc_all <= max(values)
 
@@ -113,7 +113,7 @@ class TestEvaluateSession:
         state = oracle_state(3)
         raw, labels = basis_examples(3, [0, 0, 1, 1, 2, 2],
                                      feature_classes=[0, 1, 1, 2, 2, 2])
-        report = evaluate_session(state, test_features(state, raw), labels)
+        report = evaluate_session(state, normalized_features(raw, state.encoder), labels)
         assert report.acc_all == pytest.approx(
             np.mean(list(report.per_class_acc.values())), abs=1e-12)
 

@@ -167,13 +167,42 @@ class TestTrainIncremental:
             off = trainer.train_incremental(base, sessions[1], cfg_off)
             base_test = sessions[0].test
             raw = np.asarray(base_test.features, dtype=np.float64)
-            from gcmr.eval_report import evaluate_session, test_features
-            acc_on = evaluate_session(on, test_features(on, raw),
+            from gcmr.encoder import normalized_features
+            from gcmr.eval_report import evaluate_session
+            acc_on = evaluate_session(on, normalized_features(raw, on.encoder),
                                       base_test.labels).acc_base
-            acc_off = evaluate_session(off, test_features(off, raw),
+            acc_off = evaluate_session(off, normalized_features(raw, off.encoder),
                                        base_test.labels).acc_base
             wins += acc_on > acc_off
         assert wins >= 8
+
+
+class TestLogSchema:
+    @pytest.mark.parametrize("mode", ["base", "incremental-on", "incremental-off"])
+    def test_epoch_record_layout_and_weighted_terms(self, mode):
+        sessions = small_stream()
+        cfg = small_config(base_epochs=2, incr_epochs=2,
+                           memory_regularization=mode != "incremental-off")
+        records = []
+        state = trainer.train_base(sessions[0], cfg,
+                                   records.append if mode == "base" else None)
+        if mode != "base":
+            trainer.train_incremental(state, sessions[1], cfg, records.append)
+        field = "alpha" if mode == "base" else "beta"
+        assert [r["epoch"] for r in records] == [0, 1]
+        for record in records:
+            assert list(record) == ["session", "epoch", "lr", field, "loss_breakdown"]
+            breakdown = record["loss_breakdown"]
+            if mode == "incremental-off":
+                assert list(breakdown) == ["total", "classification"]
+                continue
+            w = record[field]
+            weights = ({"reconstruction": w, "classification": 1.0 - w} if mode == "base"
+                       else {"distance": w, "memory": 1.0 - w, "classification": 1.0 - w})
+            assert list(breakdown) == ["total", *weights, "weighted"]
+            assert list(breakdown["weighted"]) == list(weights)
+            for key, weight in weights.items():
+                assert breakdown["weighted"][key] == weight * breakdown[key]
 
 
 class TestRunProtocol:
