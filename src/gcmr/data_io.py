@@ -43,8 +43,8 @@ import math
 import os
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -252,15 +252,37 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     return sessions
 
 
+class SessionSequence(Sequence):
+    """Read-only sequence of SessionData over one dataset and its split.
+
+    Indexing a session slices its train/test pair out of the dataset then
+    and there (TokenDataset.subset) and keeps no reference to it, so only the
+    sessions a caller holds are alive; indexing again gives equal data.
+    Indices and slices behave as on a list, and a slice is again a
+    SessionSequence."""
+
+    def __init__(self, dataset: TokenDataset, split: Sequence[SessionAssignment]):
+        self._dataset = dataset
+        self._split = tuple(split)
+
+    def __len__(self) -> int:
+        return len(self._split)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SessionSequence(self._dataset, self._split[index])
+        part = self._split[index]
+        return SessionData(part.session, part.class_ids,
+                           self._dataset.subset(part.train_indices),
+                           self._dataset.subset(part.test_indices))
+
+
 def materialize_sessions(dataset: TokenDataset,
-                         split: Sequence[SessionAssignment]) -> list[SessionData]:
-    """Slice the dataset into per-session train/test TokenDatasets."""
-    out = []
-    for part in split:
-        out.append(SessionData(
-            part.session, part.class_ids,
-            dataset.subset(part.train_indices), dataset.subset(part.test_indices)))
-    return out
+                         split: Sequence[SessionAssignment]) -> SessionSequence:
+    """The per-session train/test TokenDatasets of a split, as a sequence
+    that slices a session out of the dataset each time it is indexed, so the
+    dataset is never held twice."""
+    return SessionSequence(dataset, split)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:

@@ -21,6 +21,10 @@ MASK_STREAM = 0x6D61736B
 
 ACTIVATIONS = ("identity", "tanh")
 FEATURE_NORMS = ("layer", "l2")
+# Examples encoded per encode_batch call in normalized_features: bounds the
+# (rows, tokens, dim) activations at ENCODE_CHUNK_ROWS rows instead of the
+# whole slice (the size of eval_report.EVAL_CHUNK_ROWS).
+ENCODE_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -96,10 +100,6 @@ def init_decoder(dim: int) -> DecoderParams:
     return DecoderParams(np.eye(dim), np.zeros(dim), np.zeros(dim))
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    return np.tanh(z) if activation == "tanh" else z
-
-
 def activation_grad(outputs: np.ndarray, activation: str) -> np.ndarray:
     """d(activation)/d(pre-activation) expressed through the outputs."""
     if activation == "tanh":
@@ -107,13 +107,22 @@ def activation_grad(outputs: np.ndarray, activation: str) -> np.ndarray:
     return np.ones_like(outputs)
 
 
-def encode_batch(raw_tokens, params: EncoderParams) -> np.ndarray:
-    """Map a (n, tokens, raw_dim) stack of groups into feature space;
-    deterministic."""
+def _raw_tokens(raw_tokens, params: EncoderParams) -> np.ndarray:
     raw = np.asarray(raw_tokens, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[2] != params.raw_dim:
         raise ValueError("expected raw tokens of shape (n, tokens, raw_dim)")
-    return _activate(raw @ params.w + params.b, params.activation)
+    return raw
+
+
+def encode_batch(raw_tokens, params: EncoderParams) -> np.ndarray:
+    """Map a (n, tokens, raw_dim) stack of groups into feature space;
+    deterministic. The bias and activation apply in place, so one
+    (n, tokens, dim) array is allocated."""
+    out = _raw_tokens(raw_tokens, params) @ params.w
+    out += params.b
+    if params.activation == "tanh":
+        np.tanh(out, out=out)
+    return out
 
 
 def mask_count(n_tokens: int, ratio: float) -> int:
@@ -163,13 +172,20 @@ def reconstruct(groups, masked: np.ndarray, dec: DecoderParams) -> np.ndarray:
 
 
 def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
-    """encode -> mean-pool -> normalize for a (n, tokens, raw_dim) batch.
+    """encode -> mean-pool -> normalize for a (n, tokens, raw_dim) batch,
+    returned as (n, dim).
 
     This is the feature every classifier input and memory row is built from.
+    Rows run in chunks of ENCODE_CHUNK_ROWS; every step is row-wise, so the
+    result is byte-equal to encoding the whole batch at once.
     """
-    feats = encode_batch(raw_tokens, params)
-    pooled = feats.mean(axis=1)
-    return normalize_rows(pooled, params.feature_norm)
+    raw = _raw_tokens(raw_tokens, params)
+    out = np.empty((raw.shape[0], params.dim))
+    for start in range(0, raw.shape[0], ENCODE_CHUNK_ROWS):
+        stop = start + ENCODE_CHUNK_ROWS
+        out[start:stop] = normalize_rows(encode_batch(raw[start:stop], params).mean(axis=1),
+                                         params.feature_norm)
+    return out
 
 
 def normalize_rows(rows: np.ndarray, kind: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +44,11 @@ class SessionReport:
     n_test: int
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
+        """The fields in declaration order, per-class keys as strings; the
+        two dicts are new, so the result shares no mutable state with self."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["per_class_acc"] = {str(k): v for k, v in self.per_class_acc.items()}
+        out["memory_budget"] = dict(self.memory_budget)
         return out
 
 

@@ -161,7 +161,9 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
 
     enc.freeze()
     fbar = encoder.normalized_features(raw, enc)
-    class_features = {cid: fbar[y == col] for col, cid in enumerate(class_ids)}
+    # one stable sort groups the rows by column, each class in row order
+    by_class = np.split(fbar[np.argsort(y, kind="stable")], np.cumsum(counts)[:-1])
+    class_features = dict(zip(class_ids, by_class))
     mem = init_representation_memory(class_features)
     wmem = build_weight_memory(head, mem, 0)
     return SessionState(0, enc, head, mem, wmem)
@@ -226,14 +228,14 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     the cumulative test set after each and then calling
     on_session(state, report). Returns (reports, final_state).
 
-    The encoder is frozen once the base session ends, so each session's test
-    slice is encoded once, right after that session's training, and every
-    evaluation scores the cached features of all slices seen so far."""
+    stream is any iterable of sessions, read once and in order, so with a
+    data_io.materialize_sessions sequence or a generator only the running
+    session's data is alive. The encoder is frozen once the base session
+    ends, so each session's test slice is encoded once, right after that
+    session's training, and every evaluation scores the cached features of
+    all slices seen so far."""
     from .eval_report import evaluate_session
 
-    stream = list(stream)
-    if not stream:
-        raise ValueError("protocol stream is empty")
     reports = []
     acc_history: list[float] = []
     features: list[np.ndarray] = []
@@ -253,4 +255,7 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
         reports.append(report)
         if on_session is not None:
             on_session(state, report)
+        del session  # release its slices before the stream slices the next
+    if state is None:
+        raise ValueError("protocol stream is empty")
     return reports, state

@@ -85,6 +85,64 @@ class TestProtocolSplit:
             fscil_split(spec, self.labels_for(5, 10))
 
 
+class TestSessionSequence:
+    def dataset_and_split(self):
+        spec = SyntheticSpec(d=32, g=4, n_classes=10, class_mean_norm=4.0,
+                             within_class_sigma=1.0, examples_per_class=50, seed=4)
+        ds = generate_synthetic(spec)
+        proto = ProtocolSpec(total_classes=10, base_classes=4, n_way=2, k_shot=5,
+                             seed=4, test_per_class=10)
+        return ds, fscil_split(proto, ds.labels)
+
+    @staticmethod
+    def assert_session_equals_subset(session, ds, part):
+        assert session.session == part.session
+        assert session.class_ids == part.class_ids
+        for got, indices in ((session.train, part.train_indices),
+                             (session.test, part.test_indices)):
+            want = ds.subset(indices)
+            assert got.features.tobytes() == want.features.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_indices_and_slices_behave_as_on_a_list(self):
+        ds, split = self.dataset_and_split()
+        sessions = materialize_sessions(ds, split)
+        assert len(sessions) == len(split) == 4
+        for i in range(-len(split), len(split)):
+            self.assert_session_equals_subset(sessions[i], ds, split[i])
+        for part_slice in (slice(1, None), slice(None, -1), slice(None, None, -2),
+                           slice(5, None)):
+            sliced = sessions[part_slice]
+            assert len(sliced) == len(split[part_slice])
+            for session, part in zip(sliced, split[part_slice]):
+                self.assert_session_equals_subset(session, ds, part)
+        for i in (len(split), -len(split) - 1):
+            with pytest.raises(IndexError):
+                sessions[i]
+
+    def test_iterating_again_gives_equal_data(self):
+        ds, split = self.dataset_and_split()
+        sessions = materialize_sessions(ds, split)
+        for _ in range(2):
+            seen = list(sessions)
+            assert len(seen) == len(split)
+            for session, part in zip(seen, split):
+                self.assert_session_equals_subset(session, ds, part)
+
+    def test_sessions_are_not_sliced_up_front(self):
+        ds, split = self.dataset_and_split()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sessions = materialize_sessions(ds, split)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sessions) == len(split)
+        # a copy of every session's rows would be nearly the whole dataset
+        assert after - before < 0.01 * ds.features.nbytes
+
+
 class TestSynthetic:
     def test_sigma_to_zero_collapses_classes(self):
         spec = SyntheticSpec(d=6, g=3, n_classes=2, class_mean_norm=2.0,

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gcmr.encoder import (DecoderParams, EncoderParams, encode_batch,
+from gcmr.encoder import (ENCODE_CHUNK_ROWS, DecoderParams, EncoderParams, encode_batch,
                           init_decoder, init_encoder, mask_count, mask_features,
                           normalize_rows, normalize_rows_backward,
                           normalized_features, reconstruct)
@@ -232,3 +234,54 @@ class TestRowNormalization:
         for j in range(4):
             pooled = np.asarray(encode_scalar(raw[j], enc)).mean(axis=0)
             np.testing.assert_allclose(out[j], layer_normalize_scalar(pooled), rtol=1e-10)
+
+
+def random_encoder(raw_dim, dim, activation, feature_norm, seed=16):
+    gen = np.random.default_rng(seed)
+    return EncoderParams(gen.normal(size=(raw_dim, dim)), gen.normal(size=dim),
+                         activation, feature_norm)
+
+
+class TestChunkedEncoding:
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_encode_batch_matches_the_out_of_place_expression(self, activation):
+        enc = random_encoder(5, 6, activation, "layer")
+        raw = np.random.default_rng(17).normal(size=(9, 3, 5))
+        z = raw @ enc.w + enc.b
+        expected = np.tanh(z) if activation == "tanh" else z
+        assert encode_batch(raw, enc).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [ENCODE_CHUNK_ROWS - 1, ENCODE_CHUNK_ROWS,
+                                   ENCODE_CHUNK_ROWS + 1, 2 * ENCODE_CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    @pytest.mark.parametrize("feature_norm", ["layer", "l2"])
+    def test_chunks_are_byte_equal_to_the_whole_batch(self, n, activation, feature_norm):
+        enc = random_encoder(5, 6, activation, feature_norm)
+        raw = np.random.default_rng(n).normal(size=(n, 3, 5))
+        whole = normalize_rows(encode_batch(raw, enc).mean(axis=1), feature_norm)
+        out = normalized_features(raw, enc)
+        assert out.shape == (n, 6)
+        assert out.tobytes() == whole.tobytes()
+
+    def test_no_rows_give_an_empty_feature_matrix(self):
+        out = normalized_features(np.zeros((0, 3, 5)), random_encoder(5, 6, "tanh", "layer"))
+        assert out.shape == (0, 6)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 3, 4), (0, 5), (2, 5), (2, 3, 5, 1)])
+    def test_wrong_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="raw tokens of shape"):
+            normalized_features(np.zeros(shape), random_encoder(5, 6, "tanh", "layer"))
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        tokens, dim = 16, 4
+        enc = random_encoder(dim, dim, "tanh", "layer")
+        raw = np.random.default_rng(18).normal(size=(8 * ENCODE_CHUNK_ROWS, tokens, dim))
+        chunk_activations = ENCODE_CHUNK_ROWS * tokens * dim * 8
+        tracemalloc.start()
+        try:
+            normalized_features(raw, enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole batch's activations would be 8 chunks, twice over with tanh
+        assert peak < 2 * chunk_activations

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import json
 import os
 import tracemalloc
 
@@ -180,6 +182,36 @@ def make_report(session, acc_all, acc_base=0.9):
                          avg_acc_so_far=acc_all, n_test=100)
 
 
+class TestJsonDict:
+    def multi_class_report(self):
+        return SessionReport(session=2, acc_all=0.75, acc_base=0.8, acc_novel=0.5,
+                             per_class_acc={7: 1.0, 3: 0.5, 11: 0.0, 0: 0.25},
+                             memory_budget={"representation": 96, "classifier": 640,
+                                            "total": 736},
+                             avg_acc_so_far=0.8, n_test=40)
+
+    def test_equals_the_asdict_form(self):
+        report = self.multi_class_report()
+        expected = dataclasses.asdict(report)
+        expected["per_class_acc"] = {str(k): v for k, v in report.per_class_acc.items()}
+        out = report.to_json_dict()
+        assert out == expected
+        assert list(out) == list(expected)
+        assert list(out["per_class_acc"]) == ["7", "3", "11", "0"]
+        assert json.dumps(out) == json.dumps(expected)
+
+    def test_mutating_the_result_leaves_the_report_unchanged(self):
+        report = self.multi_class_report()
+        before = dataclasses.asdict(report)
+        out = report.to_json_dict()
+        out["per_class_acc"]["7"] = -1.0
+        out["per_class_acc"].clear()
+        out["memory_budget"]["total"] = 0
+        out["memory_budget"]["extra"] = 1
+        out["acc_all"] = 0.0
+        assert dataclasses.asdict(report) == before
+
+
 class TestAggregate:
     def test_single_report(self):
         summary = aggregate([make_report(0, 0.8)])
@@ -223,7 +255,8 @@ class TestWriteReport:
         summary = aggregate(reports)
         path = tmp_path / "report.csv"
         write_report(reports, summary, path, "csv")
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == (["run"] + [f"session_{t}" for t in range(9)]
                            + ["avg_acc", "memory_bytes"])
         assert len(rows) == 2
@@ -234,7 +267,8 @@ class TestWriteReport:
         path = tmp_path / "report.csv"
         write_report(reports, summary, path, "csv", label="a", append=True)
         write_report(reports, summary, path, "csv", label="b", append=True)
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 3
         assert rows[1][0] == "a" and rows[2][0] == "b"
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gcmr import data_io, encoder, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
 from gcmr.losses import LossConfig
+from gcmr.memory import column_labels, init_representation_memory
 from gcmr.nn_core import NumericalError
 
 from oracles import reencoded_reports
@@ -72,6 +74,21 @@ class TestTrainBase:
         assert records[0]["lr"] >= records[-1]["lr"]
         assert {"total", "reconstruction", "classification",
                 "weighted"} <= set(records[0]["loss_breakdown"])
+
+    def test_memory_rows_are_the_class_means_in_row_order(self):
+        # shuffled rows: each class's rows are averaged in their order in the
+        # session, as a per-class boolean mask selects them
+        base = small_stream()[0]
+        order = np.random.default_rng(7).permutation(len(base.train))
+        shuffled = data_io.SessionData(0, base.class_ids,
+                                       base.train.subset(order), base.test)
+        state = trainer.train_base(shuffled, small_config(base_epochs=2))
+        fbar = normalized_features(shuffled.train.features, state.encoder)
+        y = column_labels(shuffled.train.labels, base.class_ids)
+        expected = init_representation_memory(
+            {cid: fbar[y == col] for col, cid in enumerate(base.class_ids)})
+        assert state.mem.class_ids == expected.class_ids
+        assert state.mem.rows.tobytes() == expected.rows.tobytes()
 
     def test_class_without_examples_rejected(self):
         sessions = small_stream()
@@ -283,6 +300,34 @@ class TestRunProtocol:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             trainer.run_protocol([], small_config())
+
+    @pytest.mark.parametrize("make_stream", [
+        lambda sessions: sessions[:0],
+        lambda sessions: (s for s in sessions[:0]),
+    ], ids=["sequence", "generator"])
+    def test_empty_sequence_or_generator_rejected(self, make_stream):
+        with pytest.raises(ValueError, match="protocol stream is empty"):
+            trainer.run_protocol(make_stream(small_stream()), small_config())
+
+    def test_generator_stream_runs_like_the_sequence(self):
+        sessions = small_stream()
+        cfg = small_config(base_epochs=2, incr_epochs=2)
+        from_sequence, s1 = trainer.run_protocol(sessions, cfg)
+        from_generator, s2 = trainer.run_protocol((s for s in sessions), cfg)
+        assert ([r.to_json_dict() for r in from_generator]
+                == [r.to_json_dict() for r in from_sequence])
+        assert s1.classifier.state_bytes() == s2.classifier.state_bytes()
+
+    def test_reruns_over_one_sequence_are_byte_identical(self):
+        sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
+        cfg = small_config(base_epochs=2, incr_epochs=3)
+        runs = []
+        for _ in range(2):
+            reports, state = trainer.run_protocol(sessions, cfg)
+            runs.append((json.dumps([r.to_json_dict() for r in reports]),
+                         state.classifier.state_bytes(), state.mem.rows.tobytes(),
+                         state.encoder.state_bytes()))
+        assert runs[0] == runs[1]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_base_session_names_the_parameter(self):
