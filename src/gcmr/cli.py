@@ -12,7 +12,9 @@ Exit codes: 0 success, 2 configuration/validation error, 3 data error,
 Run configuration files are strict JSON: a top-level "version" plus
 optional "train", "loss", "protocol" and "synthetic" sections whose keys
 must match the corresponding dataclass fields exactly; unknown keys are
-rejected rather than ignored.
+rejected rather than ignored. Every value must have its field's type: an int
+field takes a JSON integer (not 2.0, "2" or true), a bool field only true or
+false, a float field any number but not a bool, and an optional field null.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -48,10 +51,19 @@ class ConfigError(Exception):
 def _build_section(cls, section: dict, where: str):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(section) - known)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
+    for key, value in section.items():
+        # exact JSON types: a bool is no int and 2.0 is no int, but a float
+        # field takes an int, and `X | None` takes null
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if not any(type(value) is kind or (kind is float and type(value) is int)
+                   for kind in kinds):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"{where}.{key} must be {names}, got {json.dumps(value)}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:

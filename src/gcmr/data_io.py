@@ -196,14 +196,42 @@ class SessionAssignment:
     test_indices: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionData:
-    """Materialized data of one session."""
+    """One session: the dataset its rows live in and the assignment that
+    picks them. It holds no rows of its own; `train` and `test` slice a new
+    TokenDataset out of the dataset on every access, and the trainer reads
+    rows through the assignment's indices instead."""
 
-    session: int
-    class_ids: tuple[int, ...]
-    train: TokenDataset
-    test: TokenDataset
+    dataset: TokenDataset
+    assignment: SessionAssignment
+
+    @classmethod
+    def from_datasets(cls, session: int, class_ids, train: TokenDataset,
+                      test: TokenDataset) -> "SessionData":
+        """A session over its own train and test sets, stacked into one
+        dataset: train rows first, then test rows."""
+        dataset = TokenDataset.from_finite(np.concatenate([train.features, test.features]),
+                                           np.concatenate([train.labels, test.labels]))
+        n = len(train)
+        return cls(dataset, SessionAssignment(session, tuple(class_ids), np.arange(n),
+                                              np.arange(n, len(dataset))))
+
+    @property
+    def session(self) -> int:
+        return self.assignment.session
+
+    @property
+    def class_ids(self) -> tuple[int, ...]:
+        return self.assignment.class_ids
+
+    @property
+    def train(self) -> TokenDataset:
+        return self.dataset.subset(self.assignment.train_indices)
+
+    @property
+    def test(self) -> TokenDataset:
+        return self.dataset.subset(self.assignment.test_indices)
 
 
 def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
@@ -255,11 +283,9 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
 class SessionSequence(Sequence):
     """Read-only sequence of SessionData over one dataset and its split.
 
-    Indexing a session slices its train/test pair out of the dataset then
-    and there (TokenDataset.subset) and keeps no reference to it, so only the
-    sessions a caller holds are alive; indexing again gives equal data.
-    Indices and slices behave as on a list, and a slice is again a
-    SessionSequence."""
+    Indexing a session wraps the dataset and that session's assignment and
+    copies no rows. Indices and slices behave as on a list, and a slice is
+    again a SessionSequence."""
 
     def __init__(self, dataset: TokenDataset, split: Sequence[SessionAssignment]):
         self._dataset = dataset
@@ -271,17 +297,14 @@ class SessionSequence(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return SessionSequence(self._dataset, self._split[index])
-        part = self._split[index]
-        return SessionData(part.session, part.class_ids,
-                           self._dataset.subset(part.train_indices),
-                           self._dataset.subset(part.test_indices))
+        return SessionData(self._dataset, self._split[index])
 
 
 def materialize_sessions(dataset: TokenDataset,
                          split: Sequence[SessionAssignment]) -> SessionSequence:
-    """The per-session train/test TokenDatasets of a split, as a sequence
-    that slices a session out of the dataset each time it is indexed, so the
-    dataset is never held twice."""
+    """The sessions of a split, as a sequence of views: each session is the
+    dataset plus its assignment, so no session's rows are ever copied until
+    a caller reads its `train` or `test`."""
     return SessionSequence(dataset, split)
 
 

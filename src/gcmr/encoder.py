@@ -21,9 +21,10 @@ MASK_STREAM = 0x6D61736B
 
 ACTIVATIONS = ("identity", "tanh")
 FEATURE_NORMS = ("layer", "l2")
-# Examples encoded per encode_batch call in normalized_features: bounds the
-# (rows, tokens, dim) activations at ENCODE_CHUNK_ROWS rows instead of the
-# whole slice (the size of eval_report.EVAL_CHUNK_ROWS).
+# Examples encoded per encode_batch call in normalized_features, and rows
+# the trainer gathers per normalized_features call: bounds the gathered raw
+# rows and the (rows, tokens, dim) activations at ENCODE_CHUNK_ROWS rows
+# instead of the whole slice (the size of eval_report.EVAL_CHUNK_ROWS).
 ENCODE_CHUNK_ROWS = 1024
 
 

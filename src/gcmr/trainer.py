@@ -119,24 +119,44 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
                       "loss_breakdown": out})
 
 
+def _encode_rows(features: np.ndarray, indices: np.ndarray,
+                 params: encoder.EncoderParams) -> np.ndarray:
+    """normalized_features of features[indices], gathered and encoded
+    ENCODE_CHUNK_ROWS rows at a time, so the selected rows are never copied
+    whole. Byte-equal to encoding features[indices] in one call."""
+    out = np.empty((indices.shape[0], params.dim))
+    for start in range(0, indices.shape[0], encoder.ENCODE_CHUNK_ROWS):
+        chunk = indices[start:start + encoder.ENCODE_CHUNK_ROWS]
+        out[start:start + chunk.shape[0]] = encoder.normalized_features(features[chunk], params)
+    return out
+
+
+def _rows_by_column(rows: np.ndarray, y: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """rows grouped by their column y with one stable sort: group k holds
+    the counts[k] rows labelled k, in row order."""
+    return np.split(rows[np.argsort(y, kind="stable")], np.cumsum(counts)[:-1])
+
+
 def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) -> SessionState:
     """Joint finetuning on the base classes, then memory initialization.
 
-    With finetune_base off (or zero epochs) the optimization loop is
-    skipped and memories are built from the freshly initialized model.
+    Each batch is gathered from the session's dataset through its train
+    indices, so the train rows are never copied whole. With finetune_base
+    off (or zero epochs) the optimization loop is skipped and memories are
+    built from the freshly initialized model.
     """
-    raw = np.asarray(base_session.train.features, dtype=np.float64)
-    labels = np.asarray(base_session.train.labels)
+    features = base_session.dataset.features
+    indices = base_session.assignment.train_indices
     class_ids = list(base_session.class_ids)
-    if raw.shape[0] == 0:
+    if indices.shape[0] == 0:
         raise ValueError("base session has no training examples")
-    y = column_labels(labels, class_ids)
+    y = column_labels(base_session.dataset.labels[indices], class_ids)
     counts = np.bincount(y, minlength=len(class_ids))
     if np.any(counts == 0):
         missing = [class_ids[i] for i in np.flatnonzero(counts == 0)]
         raise ValueError(f"base classes without examples: {missing}")
 
-    raw_dim = raw.shape[2]
+    raw_dim = features.shape[2]
     dim = cfg.feature_dim or raw_dim
     enc = encoder.init_encoder(raw_dim, dim, cfg.encoder_activation, cfg.feature_norm)
     dec = encoder.init_decoder(dim)
@@ -148,23 +168,20 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
         alpha = losses.alpha_schedule(cfg.loss, epoch)
 
         def step(batch, step_seed):
-            return losses.base_loss_backward(raw[batch], y[batch], enc, dec, head,
-                                             cfg.loss, epoch, step_seed)
+            return losses.base_loss_backward(features[indices[batch]], y[batch], enc, dec,
+                                             head, cfg.loss, epoch, step_seed)
         return step, {"alpha": alpha}, {"reconstruction": alpha,
                                         "classification": 1.0 - alpha}
 
     params = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w, "dec_b": dec.b,
               "mask_token": dec.mask_token,
               **{f"head_{name}": arr for name, arr in head.arrays().items()}}
-    _train_session(params, raw.shape[0], cfg.base_epochs if cfg.finetune_base else 0,
+    _train_session(params, indices.shape[0], cfg.base_epochs if cfg.finetune_base else 0,
                    cfg.base_lr, 0, cfg, log_sink, begin_epoch)
 
     enc.freeze()
-    fbar = encoder.normalized_features(raw, enc)
-    # one stable sort groups the rows by column, each class in row order
-    by_class = np.split(fbar[np.argsort(y, kind="stable")], np.cumsum(counts)[:-1])
-    class_features = dict(zip(class_ids, by_class))
-    mem = init_representation_memory(class_features)
+    fbar = _encode_rows(features, indices, enc)
+    mem = init_representation_memory(dict(zip(class_ids, _rows_by_column(fbar, y, counts))))
     wmem = build_weight_memory(head, mem, 0)
     return SessionState(0, enc, head, mem, wmem)
 
@@ -176,27 +193,27 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     The encoder stays frozen throughout."""
     if state.mem.n_classes == 0:
         raise ValueError("cannot run an incremental session without memory")
-    raw = np.asarray(session.train.features, dtype=np.float64)
-    labels = np.asarray(session.train.labels)
+    indices = session.assignment.train_indices
     new_ids = list(session.class_ids)
-    if raw.shape[0] == 0 or not new_ids:
+    if indices.shape[0] == 0 or not new_ids:
         raise ValueError("incremental session has no training examples")
     collisions = set(new_ids) & set(state.mem.class_ids)
     if collisions:
         raise ValueError(f"session classes already seen: {sorted(collisions)}")
 
     t = state.session + 1
-    fbar = encoder.normalized_features(raw, state.encoder)
-    support_means = []
-    for cid in new_ids:
-        rows = fbar[labels == cid]
-        if rows.shape[0] == 0:
-            raise ValueError(f"novel class {cid} has no support examples")
-        support_means.append(rows.mean(axis=0))
+    n_old = state.mem.n_classes
+    y = column_labels(session.dataset.labels[indices], list(state.mem.class_ids) + new_ids)
+    counts = np.bincount(y, minlength=n_old + len(new_ids))
+    if np.any(counts[n_old:] == 0):
+        missing = [new_ids[i] for i in np.flatnonzero(counts[n_old:] == 0)]
+        raise ValueError(f"novel classes without support examples: {missing}")
+    fbar = _encode_rows(session.dataset.features, indices, state.encoder)
+    new_features = dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:]))
+    support_means = [rows.mean(axis=0) for rows in new_features.values()]
 
     head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
                                              support_means)
-    y = column_labels(labels, list(state.mem.class_ids) + new_ids)
     beta = cfg.loss.beta
     weights = None
     if cfg.memory_regularization:
@@ -213,10 +230,9 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
                 step_seed, memory_regularization=cfg.memory_regularization)
         return step, {"beta": beta}, weights
 
-    _train_session(head.arrays(), raw.shape[0], cfg.incr_epochs, cfg.incr_lr, t, cfg,
+    _train_session(head.arrays(), indices.shape[0], cfg.incr_epochs, cfg.incr_lr, t, cfg,
                    log_sink, begin_epoch)
 
-    new_features = {cid: fbar[labels == cid] for cid in new_ids}
     mem = update_representation_memory(state.mem, new_features, t)
     wmem = build_weight_memory(head, mem, t)
     return SessionState(t, state.encoder, head, mem, wmem)
@@ -228,12 +244,13 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     the cumulative test set after each and then calling
     on_session(state, report). Returns (reports, final_state).
 
-    stream is any iterable of sessions, read once and in order, so with a
-    data_io.materialize_sessions sequence or a generator only the running
-    session's data is alive. The encoder is frozen once the base session
-    ends, so each session's test slice is encoded once, right after that
-    session's training, and every evaluation scores the cached features of
-    all slices seen so far."""
+    stream is any iterable of data_io.SessionData, read once and in order.
+    Rows are read through each session's indices: training gathers its
+    batches, and every encode gathers ENCODE_CHUNK_ROWS rows at a time, so
+    no copy of a session's train or test rows exists. The encoder is frozen
+    once the base session ends, so each session's test rows are encoded
+    once, right after that session's training, and every evaluation scores
+    the cached features of all sessions seen so far."""
     from .eval_report import evaluate_session
 
     reports = []
@@ -246,16 +263,15 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
             state = train_base(session, cfg, log_sink)
         else:
             state = train_incremental(state, session, cfg, log_sink)
-        features.append(encoder.normalized_features(session.test.features,
-                                                    state.encoder))
-        labels.append(np.asarray(session.test.labels))
+        test = session.assignment.test_indices
+        features.append(_encode_rows(session.dataset.features, test, state.encoder))
+        labels.append(session.dataset.labels[test])
         report = evaluate_session(state, np.concatenate(features),
                                   np.concatenate(labels), prior_acc_all=acc_history)
         acc_history.append(report.acc_all)
         reports.append(report)
         if on_session is not None:
             on_session(state, report)
-        del session  # release its slices before the stream slices the next
     if state is None:
         raise ValueError("protocol stream is empty")
     return reports, state

@@ -73,6 +73,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("train.base_epochs", 1.5), ("train.base_epochs", 2.0), ("train.seed", "7"),
+        ("train.batch_size", True), ("train.finetune_base", 0),
+        ("train.memory_regularization", "no"), ("train.memory_regularization", None),
+        ("train.base_lr", False), ("train.feature_dim", 8.0), ("train.feature_dim", "8"),
+        ("train.feature_norm", 1), ("loss.beta", True), ("loss.c", "0.3"),
+        ("protocol.k_shot", 2.5), ("protocol.test_per_class", None),
+        ("synthetic.d", 12.0), ("synthetic.within_class_sigma", True),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, tmp_path, key, value):
+        path = write_config(tmp_path / "c.json", **{key: value})
+        with pytest.raises(ConfigError, match=rf"^{key.replace('.', '[.]')} must be "):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("train.base_lr", 1, 1), ("loss.beta", 0, 0), ("synthetic.class_mean_norm", 4, 4),
+        ("train.feature_dim", None, None), ("train.feature_dim", 6, 6),
+        ("train.finetune_base", False, False), ("protocol.seed", 0, 0),
+    ])
+    def test_value_of_the_field_type_accepted(self, tmp_path, key, value, expected):
+        config = load_run_config(write_config(tmp_path / "c.json", **{key: value}))
+        section, field = key.split(".")
+        assert getattr(config[section], field) == expected
+
 
 class TestSynth:
     def test_valid_spec_creates_file(self, tmp_path, config_file, capsys):
@@ -238,6 +262,21 @@ class TestRun:
         assert main(["run", "--config", str(config), "--data", str(dataset_file),
                      "--out", str(out)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    # the probes of a typed config: each used to crash or run silently
+    @pytest.mark.parametrize("key, value", [
+        ("train.base_epochs", 1.5), ("train.hidden_dim", 2.5), ("train.batch_size", 8.5),
+        ("protocol.k_shot", 2.5), ("train.memory_regularization", "no"),
+        ("train.seed", "7"),
+    ])
+    def test_wrongly_typed_value_exits_2_before_output(self, tmp_path, dataset_file,
+                                                       capsys, key, value):
+        config = write_config(tmp_path / "c.json", **{key: value})
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mask_ratio_hiding_every_token_exits_2_before_output(self, tmp_path,

@@ -129,6 +129,34 @@ class TestSessionSequence:
             for session, part in zip(seen, split):
                 self.assert_session_equals_subset(session, ds, part)
 
+    def test_a_session_is_its_dataset_and_assignment(self):
+        ds, split = self.dataset_and_split()
+        sessions = materialize_sessions(ds, split)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            held = [sessions[i] for i in range(-len(split), len(split))]
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # indexing wraps; only reading train or test slices rows
+        assert after - before < 0.01 * ds.features.nbytes
+        for session, part in zip(held, split + split):
+            assert session.dataset is ds and session.assignment is part
+            assert session.test.features is not session.test.features
+
+    def test_from_datasets_stacks_train_then_test(self):
+        ds, split = self.dataset_and_split()
+        train, test = ds.subset(split[1].train_indices), ds.subset(split[1].test_indices)
+        session = data_io.SessionData.from_datasets(1, split[1].class_ids, train, test)
+        assert session.session == 1 and session.class_ids == split[1].class_ids
+        np.testing.assert_array_equal(session.assignment.train_indices, np.arange(len(train)))
+        np.testing.assert_array_equal(session.assignment.test_indices,
+                                      np.arange(len(train), len(train) + len(test)))
+        for got, want in ((session.train, train), (session.test, test)):
+            assert got.features.tobytes() == want.features.tobytes()
+            np.testing.assert_array_equal(got.labels, want.labels)
+
     def test_sessions_are_not_sliced_up_front(self):
         ds, split = self.dataset_and_split()
         tracemalloc.start()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from gcmr import data_io, encoder, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
 from gcmr.losses import LossConfig
-from gcmr.memory import column_labels, init_representation_memory
+from gcmr.memory import (column_labels, init_representation_memory,
+                         update_representation_memory)
 from gcmr.nn_core import NumericalError
 
 from oracles import reencoded_reports
@@ -80,8 +82,8 @@ class TestTrainBase:
         # session, as a per-class boolean mask selects them
         base = small_stream()[0]
         order = np.random.default_rng(7).permutation(len(base.train))
-        shuffled = data_io.SessionData(0, base.class_ids,
-                                       base.train.subset(order), base.test)
+        shuffled = data_io.SessionData.from_datasets(0, base.class_ids,
+                                                     base.train.subset(order), base.test)
         state = trainer.train_base(shuffled, small_config(base_epochs=2))
         fbar = normalized_features(shuffled.train.features, state.encoder)
         y = column_labels(shuffled.train.labels, base.class_ids)
@@ -94,7 +96,7 @@ class TestTrainBase:
         sessions = small_stream()
         base = sessions[0]
         keep = base.train.labels != base.class_ids[0]
-        broken = data_io.SessionData(
+        broken = data_io.SessionData.from_datasets(
             0, base.class_ids,
             data_io.TokenDataset(base.train.features[keep], base.train.labels[keep]),
             base.test)
@@ -105,7 +107,7 @@ class TestTrainBase:
         base = small_stream()[0]
         labels = base.train.labels.copy()
         labels[3] = 999
-        broken = data_io.SessionData(
+        broken = data_io.SessionData.from_datasets(
             0, base.class_ids, data_io.TokenDataset(base.train.features, labels),
             base.test)
         with pytest.raises(ValueError, match=r"unknown classes: \[999\]"):
@@ -144,10 +146,45 @@ class TestTrainIncremental:
         session = sessions[1]
         labels = session.train.labels.copy()
         labels[0] = -7
-        broken = data_io.SessionData(
+        broken = data_io.SessionData.from_datasets(
             1, session.class_ids, data_io.TokenDataset(session.train.features, labels),
             session.test)
         with pytest.raises(ValueError, match=r"unknown classes: \[-7\]"):
+            trainer.train_incremental(state, broken, cfg)
+
+    def test_support_rows_are_grouped_in_row_order(self):
+        # shuffled support rows: each novel class's mean and memory row
+        # average its rows in their order in the session, as a per-class
+        # boolean mask selects them
+        sessions = small_stream()
+        cfg = small_config(base_epochs=1, incr_epochs=0)
+        state = trainer.train_base(sessions[0], cfg)
+        part = sessions[1].assignment
+        order = np.random.default_rng(3).permutation(len(part.train_indices))
+        shuffled = data_io.SessionData(sessions[1].dataset, dataclasses.replace(
+            part, train_indices=part.train_indices[order]))
+        nxt = trainer.train_incremental(state, shuffled, cfg)
+        fbar = normalized_features(shuffled.train.features, state.encoder)
+        labels = shuffled.train.labels
+        new_features = {cid: fbar[labels == cid] for cid in shuffled.class_ids}
+        means = [rows.mean(axis=0) for rows in new_features.values()]
+        imprinted = expand_with_imprinting(state.wmem.classifier_snapshot, means)
+        expected = update_representation_memory(state.mem, new_features, 1)
+        assert nxt.classifier.state_bytes() == imprinted.state_bytes()
+        assert nxt.mem.class_ids == expected.class_ids
+        assert nxt.mem.rows.tobytes() == expected.rows.tobytes()
+
+    def test_novel_class_without_support_rejected(self):
+        sessions = small_stream()
+        cfg = small_config(base_epochs=0)
+        state = trainer.train_base(sessions[0], cfg)
+        session = sessions[1]
+        keep = session.train.labels != session.class_ids[1]
+        broken = data_io.SessionData.from_datasets(
+            1, session.class_ids,
+            data_io.TokenDataset(session.train.features[keep], session.train.labels[keep]),
+            session.test)
+        with pytest.raises(ValueError, match=rf"without support examples: \[{session.class_ids[1]}\]"):
             trainer.train_incremental(state, broken, cfg)
 
     def test_label_collision_rejected(self):
@@ -296,6 +333,42 @@ class TestRunProtocol:
         n_train = sum(len(s.train) for s in sessions)
         n_test = sum(len(s.test) for s in sessions)
         assert sum(encoded) - n_train == n_test
+
+    def test_no_copy_of_a_session_is_made(self):
+        # a base-only stream with 4,000 train and 8,000 test rows of 8 x 16
+        # tokens (4.1 and 8.2 MB): a copy of either slice shows in the traced
+        # peak, the encoder's 1024-row chunks and 4-wide features do not
+        spec = data_io.SyntheticSpec(d=16, g=8, n_classes=4, class_mean_norm=4.0,
+                                     within_class_sigma=1.0, examples_per_class=3000,
+                                     seed=6)
+        ds = data_io.generate_synthetic(spec)
+        proto = data_io.ProtocolSpec(total_classes=4, base_classes=4, n_way=1, k_shot=1,
+                                     seed=6, test_per_class=2000)
+        split = data_io.fscil_split(proto, ds.labels)
+        sessions = data_io.materialize_sessions(ds, split)
+        test_bytes = ds.features[split[0].test_indices].nbytes
+        cfg = small_config(base_epochs=1, batch_size=64, feature_dim=4)
+        tracemalloc.start()
+        try:
+            reports, _ = trainer.run_protocol(sessions, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 1
+        assert peak < test_bytes / 4
+
+    def test_eager_sessions_run_like_views(self):
+        sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
+        eager = [data_io.SessionData.from_datasets(s.session, s.class_ids, s.train, s.test)
+                 for s in sessions]
+        cfg = small_config(base_epochs=2, incr_epochs=3)
+        runs = []
+        for stream in (sessions, eager):
+            reports, state = trainer.run_protocol(stream, cfg)
+            runs.append((json.dumps([r.to_json_dict() for r in reports]),
+                         state.classifier.state_bytes(), state.mem.rows.tobytes(),
+                         state.encoder.state_bytes()))
+        assert runs[0] == runs[1]
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
