@@ -338,9 +338,10 @@ _WIDTH_DTYPES = {4: "<f4", 8: "<f8"}
 
 
 def _read_file(path) -> memoryview:
-    """The whole file, read with one readinto into a writable buffer."""
+    """The whole file, read with one readinto into a writable buffer that
+    is left uninitialized, since the read overwrites what it keeps."""
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         size = fh.readinto(buf)
     return memoryview(buf)[:size]
 

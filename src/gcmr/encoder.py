@@ -21,11 +21,11 @@ MASK_STREAM = 0x6D61736B
 
 ACTIVATIONS = ("identity", "tanh")
 FEATURE_NORMS = ("layer", "l2")
-# Examples encoded per encode_batch call in normalized_features, and rows
-# the trainer gathers per normalized_features call: bounds the gathered raw
-# rows and the (rows, tokens, dim) activations at ENCODE_CHUNK_ROWS rows
-# instead of the whole slice (the size of eval_report.EVAL_CHUNK_ROWS).
-ENCODE_CHUNK_ROWS = 1024
+# Byte budget of one encode chunk: normalized_features encodes, and the
+# trainer gathers, encode_chunk_rows rows at a time, so the gathered raw rows
+# and the (rows, tokens, dim) activations each stay within it whatever the
+# width of a row.
+ENCODE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -172,18 +172,28 @@ def reconstruct(groups, masked: np.ndarray, dec: DecoderParams) -> np.ndarray:
     return np.where(masked[:, :, None], dec.mask_token, feats) @ dec.w + dec.b
 
 
+def encode_chunk_rows(n_tokens: int, params: EncoderParams) -> int:
+    """Rows per encode chunk: as many float64 rows of n_tokens raw or
+    encoded tokens, whichever is wider, as fit ENCODE_CHUNK_BYTES; at least
+    one."""
+    row_bytes = max(n_tokens, 1) * max(params.raw_dim, params.dim) * 8
+    return max(1, ENCODE_CHUNK_BYTES // row_bytes)
+
+
 def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
     """encode -> mean-pool -> normalize for a (n, tokens, raw_dim) batch,
     returned as (n, dim).
 
     This is the feature every classifier input and memory row is built from.
-    Rows run in chunks of ENCODE_CHUNK_ROWS; every step is row-wise, so the
-    result is byte-equal to encoding the whole batch at once.
+    Rows run in chunks of encode_chunk_rows(tokens, params), so one chunk's
+    activations stay within ENCODE_CHUNK_BYTES; every step is row-wise, so
+    the result is byte-equal to encoding the whole batch at once.
     """
     raw = _raw_tokens(raw_tokens, params)
     out = np.empty((raw.shape[0], params.dim))
-    for start in range(0, raw.shape[0], ENCODE_CHUNK_ROWS):
-        stop = start + ENCODE_CHUNK_ROWS
+    rows = encode_chunk_rows(raw.shape[1], params)
+    for start in range(0, raw.shape[0], rows):
+        stop = start + rows
         out[start:stop] = normalize_rows(encode_batch(raw[start:stop], params).mean(axis=1),
                                          params.feature_norm)
     return out

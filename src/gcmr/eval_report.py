@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -114,11 +113,10 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, float]:
 
 
 def write_report(reports: Sequence[SessionReport], summary: dict, path,
-                 fmt: str = "json", label: str = "run", append: bool = False) -> None:
-    """Write one run's reports either as a JSON document or as one CSV row
-    (session columns, average accuracy, final memory bytes). JSON and CSV
-    overwrites replace the file atomically; in CSV append mode the row is
-    appended, and the header is emitted only when the file starts empty."""
+                 fmt: str = "json", label: str = "run") -> None:
+    """Write one run's reports either as a JSON document or as a CSV header
+    and one row (session columns, average accuracy, final memory bytes),
+    replacing the file atomically."""
     if fmt == "json":
         payload = {"label": label,
                    "sessions": [r.to_json_dict() for r in reports],
@@ -131,17 +129,9 @@ def write_report(reports: Sequence[SessionReport], summary: dict, path,
         raise ValueError(f"unknown report format {fmt!r}")
     # only the fields the table reads, without to_json_dict's per-class copy
     sessions = [{"acc_all": r.acc_all, "memory_budget": r.memory_budget} for r in reports]
-    header, row = report_table([{"label": label, "sessions": sessions, "summary": summary}])
-    need_header = True
-    if append and os.path.exists(path) and os.path.getsize(path) > 0:
-        need_header = False
-    target = (open(path, "a", encoding="utf-8", newline="") if append
-              else atomic_open(path, "w", encoding="utf-8", newline=""))
-    with target as fh:
-        writer = csv.writer(fh)
-        if need_header:
-            writer.writerow(header)
-        writer.writerow(row)
+    table = report_table([{"label": label, "sessions": sessions, "summary": summary}])
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(table)
 
 
 def report_table(runs: Sequence[dict]) -> list[list[str]]:

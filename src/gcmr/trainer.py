@@ -14,6 +14,7 @@ bit-identical.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -122,13 +123,26 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
 def _encode_rows(features: np.ndarray, indices: np.ndarray,
                  params: encoder.EncoderParams) -> np.ndarray:
     """normalized_features of features[indices], gathered and encoded
-    ENCODE_CHUNK_ROWS rows at a time, so the selected rows are never copied
-    whole. Byte-equal to encoding features[indices] in one call."""
+    encoder.encode_chunk_rows rows at a time, so the selected rows are never
+    copied whole and the working set stays within a few ENCODE_CHUNK_BYTES
+    however wide a row is. Byte-equal to encoding features[indices] in one
+    call."""
     out = np.empty((indices.shape[0], params.dim))
-    for start in range(0, indices.shape[0], encoder.ENCODE_CHUNK_ROWS):
-        chunk = indices[start:start + encoder.ENCODE_CHUNK_ROWS]
+    rows = encoder.encode_chunk_rows(features.shape[1], params)
+    for start in range(0, indices.shape[0], rows):
+        chunk = indices[start:start + rows]
         out[start:start + chunk.shape[0]] = encoder.normalized_features(features[chunk], params)
     return out
+
+
+@contextmanager
+def _session_errors(t: int):
+    """Prefix a ValueError raised in the block with "session <t>: ", so a
+    session rejected before training names itself."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"session {t}: {exc}") from exc
 
 
 def _rows_by_column(rows: np.ndarray, y: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
@@ -148,21 +162,22 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     features = base_session.dataset.features
     indices = base_session.assignment.train_indices
     class_ids = list(base_session.class_ids)
-    if indices.shape[0] == 0:
-        raise ValueError("base session has no training examples")
-    y = column_labels(base_session.dataset.labels[indices], class_ids)
-    counts = np.bincount(y, minlength=len(class_ids))
-    if np.any(counts == 0):
-        missing = [class_ids[i] for i in np.flatnonzero(counts == 0)]
-        raise ValueError(f"base classes without examples: {missing}")
+    with _session_errors(0):
+        if indices.shape[0] == 0:
+            raise ValueError("base session has no training examples")
+        y = column_labels(base_session.dataset.labels[indices], class_ids)
+        counts = np.bincount(y, minlength=len(class_ids))
+        if np.any(counts == 0):
+            missing = [class_ids[i] for i in np.flatnonzero(counts == 0)]
+            raise ValueError(f"base classes without examples: {missing}")
 
-    raw_dim = features.shape[2]
-    dim = cfg.feature_dim or raw_dim
-    enc = encoder.init_encoder(raw_dim, dim, cfg.encoder_activation, cfg.feature_norm)
-    dec = encoder.init_decoder(dim)
-    head = classifier.init_classifier(dim, cfg.hidden_dim, len(class_ids),
-                                      rng.stream_id(cfg.seed, INIT_TAG),
-                                      cfg.dropout_rate)
+        raw_dim = features.shape[2]
+        dim = cfg.feature_dim or raw_dim
+        enc = encoder.init_encoder(raw_dim, dim, cfg.encoder_activation, cfg.feature_norm)
+        dec = encoder.init_decoder(dim)
+        head = classifier.init_classifier(dim, cfg.hidden_dim, len(class_ids),
+                                          rng.stream_id(cfg.seed, INIT_TAG),
+                                          cfg.dropout_rate)
 
     def begin_epoch(epoch):
         alpha = losses.alpha_schedule(cfg.loss, epoch)
@@ -191,29 +206,30 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     """One N-way K-shot session: restore head from weight memory, imprint
     novel columns, train on the incremental objective, update both memories.
     The encoder stays frozen throughout."""
-    if state.mem.n_classes == 0:
-        raise ValueError("cannot run an incremental session without memory")
+    t = state.session + 1
     indices = session.assignment.train_indices
     new_ids = list(session.class_ids)
-    if indices.shape[0] == 0 or not new_ids:
-        raise ValueError("incremental session has no training examples")
-    collisions = set(new_ids) & set(state.mem.class_ids)
-    if collisions:
-        raise ValueError(f"session classes already seen: {sorted(collisions)}")
-
-    t = state.session + 1
     n_old = state.mem.n_classes
-    y = column_labels(session.dataset.labels[indices], list(state.mem.class_ids) + new_ids)
-    counts = np.bincount(y, minlength=n_old + len(new_ids))
-    if np.any(counts[n_old:] == 0):
-        missing = [new_ids[i] for i in np.flatnonzero(counts[n_old:] == 0)]
-        raise ValueError(f"novel classes without support examples: {missing}")
-    fbar = _encode_rows(session.dataset.features, indices, state.encoder)
-    new_features = dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:]))
-    support_means = [rows.mean(axis=0) for rows in new_features.values()]
+    with _session_errors(t):
+        if n_old == 0:
+            raise ValueError("cannot run an incremental session without memory")
+        if indices.shape[0] == 0 or not new_ids:
+            raise ValueError("incremental session has no training examples")
+        collisions = set(new_ids) & set(state.mem.class_ids)
+        if collisions:
+            raise ValueError(f"session classes already seen: {sorted(collisions)}")
 
-    head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
-                                             support_means)
+        y = column_labels(session.dataset.labels[indices], list(state.mem.class_ids) + new_ids)
+        counts = np.bincount(y, minlength=n_old + len(new_ids))
+        if np.any(counts[n_old:] == 0):
+            missing = [new_ids[i] for i in np.flatnonzero(counts[n_old:] == 0)]
+            raise ValueError(f"novel classes without support examples: {missing}")
+        fbar = _encode_rows(session.dataset.features, indices, state.encoder)
+        new_features = dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:]))
+        support_means = [rows.mean(axis=0) for rows in new_features.values()]
+
+        head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
+                                                 support_means)
     beta = cfg.loss.beta
     weights = None
     if cfg.memory_regularization:
@@ -246,8 +262,9 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
 
     stream is any iterable of data_io.SessionData, read once and in order.
     Rows are read through each session's indices: training gathers its
-    batches, and every encode gathers ENCODE_CHUNK_ROWS rows at a time, so
-    no copy of a session's train or test rows exists. The encoder is frozen
+    batches, and every encode gathers a chunk of at most ENCODE_CHUNK_BYTES
+    at a time, so no copy of a session's train or test rows exists and the
+    encode working set does not grow with the row width. The encoder is frozen
     once the base session ends, so each session's test rows are encoded
     once, right after that session's training, and every evaluation scores
     the cached features of all sessions seen so far."""

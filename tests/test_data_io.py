@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -129,18 +128,12 @@ class TestSessionSequence:
             for session, part in zip(seen, split):
                 self.assert_session_equals_subset(session, ds, part)
 
-    def test_a_session_is_its_dataset_and_assignment(self):
+    def test_a_session_is_its_dataset_and_assignment(self, traced_peak):
         ds, split = self.dataset_and_split()
         sessions = materialize_sessions(ds, split)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            held = [sessions[i] for i in range(-len(split), len(split))]
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        held, peak = traced_peak(lambda: [sessions[i] for i in range(-len(split), len(split))])
         # indexing wraps; only reading train or test slices rows
-        assert after - before < 0.01 * ds.features.nbytes
+        assert peak < 0.01 * ds.features.nbytes
         for session, part in zip(held, split + split):
             assert session.dataset is ds and session.assignment is part
             assert session.test.features is not session.test.features
@@ -157,18 +150,12 @@ class TestSessionSequence:
             assert got.features.tobytes() == want.features.tobytes()
             np.testing.assert_array_equal(got.labels, want.labels)
 
-    def test_sessions_are_not_sliced_up_front(self):
+    def test_sessions_are_not_sliced_up_front(self, traced_peak):
         ds, split = self.dataset_and_split()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            sessions = materialize_sessions(ds, split)
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        sessions, peak = traced_peak(materialize_sessions, ds, split)
         assert len(sessions) == len(split)
         # a copy of every session's rows would be nearly the whole dataset
-        assert after - before < 0.01 * ds.features.nbytes
+        assert peak < 0.01 * ds.features.nbytes
 
 
 class TestSynthetic:
@@ -478,17 +465,12 @@ class TestZeroCopyLoad:
         assert loaded.tobytes() == stored.tobytes()
         loaded[0, 0, 0] = 1.0  # writable in place
 
-    def test_load_allocates_little_beyond_the_file(self, tmp_path):
+    def test_load_allocates_little_beyond_the_file(self, tmp_path, traced_peak):
         features = np.random.default_rng(16).normal(size=(1024, 8, 64))  # 4 MB
         path = tmp_path / "big.gcmr"
         save_dataset(TokenDataset(features, np.arange(1024) % 10), path)
         size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            loaded = load_dataset(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(load_dataset, path)
         assert loaded.features.tobytes() == features.tobytes()
         # one buffer of the file plus the finiteness mask (1/8) and labels
         assert peak <= 1.25 * size

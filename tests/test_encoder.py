@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from gcmr.encoder import (ENCODE_CHUNK_ROWS, DecoderParams, EncoderParams, encode_batch,
+from gcmr.encoder import (DecoderParams, EncoderParams, encode_batch, encode_chunk_rows,
                           init_decoder, init_encoder, mask_count, mask_features,
                           normalize_rows, normalize_rows_backward,
                           normalized_features, reconstruct)
@@ -242,7 +240,21 @@ def random_encoder(raw_dim, dim, activation, feature_norm, seed=16):
                          activation, feature_norm)
 
 
+# rows of 16 tokens encoded 5 -> 8 wide are 1 KiB, so a chunk holds 1024
+CHUNK_TOKENS = 16
+CHUNK_ROWS = encode_chunk_rows(CHUNK_TOKENS, random_encoder(5, 8, "tanh", "layer"))
+
+
 class TestChunkedEncoding:
+    @pytest.mark.parametrize("tokens, raw_dim, dim, rows", [
+        (16, 64, 64, 128),    # cli-stream rows: 8 KiB each
+        (16, 4, 64, 128),     # the encoded width sets the size when wider
+        (196, 768, 2, 1),     # a row over the budget is encoded alone
+    ])
+    def test_chunk_rows_fit_the_byte_budget(self, tokens, raw_dim, dim, rows):
+        enc = EncoderParams(np.zeros((raw_dim, dim)), np.zeros(dim))
+        assert encode_chunk_rows(tokens, enc) == rows
+
     @pytest.mark.parametrize("activation", ["identity", "tanh"])
     def test_encode_batch_matches_the_out_of_place_expression(self, activation):
         enc = random_encoder(5, 6, activation, "layer")
@@ -251,16 +263,16 @@ class TestChunkedEncoding:
         expected = np.tanh(z) if activation == "tanh" else z
         assert encode_batch(raw, enc).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [ENCODE_CHUNK_ROWS - 1, ENCODE_CHUNK_ROWS,
-                                   ENCODE_CHUNK_ROWS + 1, 2 * ENCODE_CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS,
+                                   CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
     @pytest.mark.parametrize("activation", ["identity", "tanh"])
     @pytest.mark.parametrize("feature_norm", ["layer", "l2"])
     def test_chunks_are_byte_equal_to_the_whole_batch(self, n, activation, feature_norm):
-        enc = random_encoder(5, 6, activation, feature_norm)
-        raw = np.random.default_rng(n).normal(size=(n, 3, 5))
+        enc = random_encoder(5, 8, activation, feature_norm)
+        raw = np.random.default_rng(n).normal(size=(n, CHUNK_TOKENS, 5))
         whole = normalize_rows(encode_batch(raw, enc).mean(axis=1), feature_norm)
         out = normalized_features(raw, enc)
-        assert out.shape == (n, 6)
+        assert out.shape == (n, 8)
         assert out.tobytes() == whole.tobytes()
 
     def test_no_rows_give_an_empty_feature_matrix(self):
@@ -272,16 +284,12 @@ class TestChunkedEncoding:
         with pytest.raises(ValueError, match="raw tokens of shape"):
             normalized_features(np.zeros(shape), random_encoder(5, 6, "tanh", "layer"))
 
-    def test_peak_memory_is_bounded_by_the_chunk(self):
+    def test_peak_memory_is_bounded_by_the_chunk(self, traced_peak):
         tokens, dim = 16, 4
         enc = random_encoder(dim, dim, "tanh", "layer")
-        raw = np.random.default_rng(18).normal(size=(8 * ENCODE_CHUNK_ROWS, tokens, dim))
-        chunk_activations = ENCODE_CHUNK_ROWS * tokens * dim * 8
-        tracemalloc.start()
-        try:
-            normalized_features(raw, enc)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rows = encode_chunk_rows(tokens, enc)
+        raw = np.random.default_rng(18).normal(size=(8 * rows, tokens, dim))
+        chunk_activations = rows * tokens * dim * 8
+        _, peak = traced_peak(normalized_features, raw, enc)
         # the whole batch's activations would be 8 chunks, twice over with tanh
         assert peak < 2 * chunk_activations

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +102,13 @@ class TestTrainBase:
         with pytest.raises(ValueError):
             trainer.train_base(broken, small_config())
 
+    def test_rejection_names_the_session(self):
+        base = small_stream()[0]
+        empty = data_io.SessionData(base.dataset, dataclasses.replace(
+            base.assignment, train_indices=base.assignment.train_indices[:0]))
+        with pytest.raises(ValueError, match="^session 0: base session has no training"):
+            trainer.train_base(empty, small_config())
+
     def test_unknown_label_is_named(self):
         base = small_stream()[0]
         labels = base.train.labels.copy()
@@ -193,6 +199,13 @@ class TestTrainIncremental:
         state = trainer.train_base(sessions[0], cfg)
         with pytest.raises(ValueError):
             trainer.train_incremental(state, sessions[0], cfg)
+
+    def test_rejection_names_the_session(self):
+        sessions = small_stream()
+        cfg = small_config(base_epochs=0, incr_epochs=0)
+        state = trainer.train_incremental(trainer.train_base(sessions[0], cfg), sessions[1], cfg)
+        with pytest.raises(ValueError, match=r"^session 2: session classes already seen: "):
+            trainer.train_incremental(state, sessions[1], cfg)
 
     def test_off_mode_step_is_plain_cross_entropy(self):
         # with memory regularization off, the logged loss must equal plain
@@ -334,10 +347,10 @@ class TestRunProtocol:
         n_test = sum(len(s.test) for s in sessions)
         assert sum(encoded) - n_train == n_test
 
-    def test_no_copy_of_a_session_is_made(self):
+    def test_no_copy_of_a_session_is_made(self, traced_peak):
         # a base-only stream with 4,000 train and 8,000 test rows of 8 x 16
         # tokens (4.1 and 8.2 MB): a copy of either slice shows in the traced
-        # peak, the encoder's 1024-row chunks and 4-wide features do not
+        # peak, the encoder's 1 MiB chunks and 4-wide features do not
         spec = data_io.SyntheticSpec(d=16, g=8, n_classes=4, class_mean_norm=4.0,
                                      within_class_sigma=1.0, examples_per_class=3000,
                                      seed=6)
@@ -348,14 +361,19 @@ class TestRunProtocol:
         sessions = data_io.materialize_sessions(ds, split)
         test_bytes = ds.features[split[0].test_indices].nbytes
         cfg = small_config(base_epochs=1, batch_size=64, feature_dim=4)
-        tracemalloc.start()
-        try:
-            reports, _ = trainer.run_protocol(sessions, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (reports, _), peak = traced_peak(trainer.run_protocol, sessions, cfg)
         assert len(reports) == 1
         assert peak < test_bytes / 4
+
+    def test_wide_rows_encode_within_the_chunk_budget(self, traced_peak):
+        # 1,024 indices into rows of 64 x 64 tokens (32 KiB each): gathering
+        # them in one chunk would take 32 MiB, and as much again to encode
+        features = np.random.default_rng(8).normal(size=(32, 64, 64))
+        indices = np.arange(1024) % 32
+        enc = encoder.init_encoder(64, 64)
+        out, peak = traced_peak(trainer._encode_rows, features, indices, enc)
+        assert out.tobytes() == np.tile(normalized_features(features, enc), (32, 1)).tobytes()
+        assert peak < 3 * encoder.ENCODE_CHUNK_BYTES
 
     def test_eager_sessions_run_like_views(self):
         sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
