@@ -126,6 +126,23 @@ def _session_row(reports) -> str:
     return f"acc_all: {cells} | avg {avg:.4f}"
 
 
+def _check_fresh_out(out: str) -> None:
+    """ConfigError when out is not a directory, or already holds a run's
+    report.json, run_log.jsonl or any file under checkpoints/: a second run
+    into it would leave the first run's files beside its own."""
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out} exists and is not a directory")
+    held = [name for name in ("report.json", "run_log.jsonl")
+            if os.path.lexists(os.path.join(out, name))]
+    ckpt_dir = os.path.join(out, "checkpoints")
+    if (os.path.lexists(ckpt_dir) and not os.path.isdir(ckpt_dir)
+            or any(files for _, _, files in os.walk(ckpt_dir))):
+        held.append("checkpoints/")
+    if held:
+        raise ConfigError(f"--out {out} already holds a run ({', '.join(held)}); "
+                          "choose a new directory or empty this one")
+
+
 def _cmd_run(args) -> int:
     try:
         config = load_run_config(args.config)
@@ -144,6 +161,7 @@ def _cmd_run(args) -> int:
         if args.no_base_finetune:
             cfg.finetune_base = False
             print("override: finetune_base=off")
+        _check_fresh_out(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -266,9 +284,8 @@ def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int,
     base_labels = gen.integers(0, n_classes, size=n_batch)
     _, _, base_grads = base_loss_backward(raw, base_labels, enc, dec, params,
                                           cfg, 1, seed)
-    base_arrays = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w,
-                   "dec_b": dec.b, "mask_token": dec.mask_token,
-                   **{f"head_{name}": arr for name, arr in params.arrays().items()}}
+    base_arrays = losses.base_arrays(enc.w, enc.b, dec.w, dec.b, dec.mask_token,
+                                     params.arrays())
 
     def base_value():
         total, _ = base_loss(raw, base_labels, enc, dec, params, cfg, 1, seed)

@@ -117,11 +117,22 @@ def base_loss(raw_tokens, labels, enc, dec, params, cfg: LossConfig,
     return total, breakdown
 
 
+def base_arrays(enc_w, enc_b, dec_w, dec_b, mask_token, head) -> dict[str, np.ndarray]:
+    """The arrays of the base objective by name: enc_w, enc_b, dec_w, dec_b,
+    mask_token, then head_<name> for each entry of head (a dict keyed like
+    ClassifierParams.arrays()). The one place these names are spelled: the
+    trainer's parameters, the gradcheck's and base_loss_backward's gradients
+    all come from here. The arrays are taken as they are, not copied."""
+    return {"enc_w": enc_w, "enc_b": enc_b, "dec_w": dec_w, "dec_b": dec_b,
+            "mask_token": mask_token,
+            **{f"head_{name}": arr for name, arr in head.items()}}
+
+
 def base_loss_backward(raw_tokens, labels, enc, dec, params, cfg: LossConfig,
                        epoch: int, seed: int):
     """Base objective value, breakdown, and analytic gradients for encoder,
     decoder (including the mask token) and head parameters, as one dict
-    keyed enc_w, enc_b, dec_w, dec_b, mask_token and head_w1 ... head_b2."""
+    keyed by base_arrays."""
     return _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
                       compute_grads=True)
 
@@ -176,12 +187,11 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     # combine both paths through the encoder
     d_feats_total = (alpha / n) * d_feats + (1.0 - alpha) * d_feats_ce
     dz_enc = d_feats_total * encoder.activation_grad(feats, enc.activation)
-    grads = {
-        "enc_w": raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
-        "enc_b": dz_enc.sum(axis=(0, 1)),
-        "dec_w": (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
-        "dec_b": (alpha / n) * delta.sum(axis=(0, 1)),
-        "mask_token": (alpha / n) * dfilled[masked].sum(axis=0),
-        **{f"head_{name}": (1.0 - alpha) * grad for name, grad in head_grads.items()},
-    }
+    grads = base_arrays(
+        raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
+        dz_enc.sum(axis=(0, 1)),
+        (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
+        (alpha / n) * delta.sum(axis=(0, 1)),
+        (alpha / n) * dfilled[masked].sum(axis=0),
+        {name: (1.0 - alpha) * grad for name, grad in head_grads.items()})
     return total, breakdown, grads

@@ -30,7 +30,28 @@ def stream_id(*parts: int) -> int:
     return acc
 
 
+def _key(seed: int, parts) -> np.ndarray:
+    """The Philox4x64 key of the (seed, *parts) stream."""
+    return np.array([int(seed) & _MASK64, stream_id(*parts)], dtype=np.uint64)
+
+
 def generator(seed: int, *parts: int) -> np.random.Generator:
     """Independent generator for (seed, *parts), keyed into Philox4x64."""
-    key = np.array([int(seed) & _MASK64, stream_id(*parts)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, parts)))
+
+
+def rekey(gen: np.random.Generator, seed: int, *parts: int) -> np.random.Generator:
+    """gen, moved in place to the start of the (seed, *parts) stream: from
+    here it draws exactly what generator(seed, *parts) draws, whatever gen
+    drew before, since the counter, the output buffer and the spare uint32
+    are reset with the key. Cheaper than building a new generator, which
+    seeds a throwaway SeedSequence from OS entropy first. gen must be
+    backed by Philox, as every generator of this module is.
+
+    Returns gen itself, so the stream it draws is valid only until the next
+    re-key of gen."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _key(seed, parts)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen

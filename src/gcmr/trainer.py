@@ -188,9 +188,7 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
         return step, {"alpha": alpha}, {"reconstruction": alpha,
                                         "classification": 1.0 - alpha}
 
-    params = {"enc_w": enc.w, "enc_b": enc.b, "dec_w": dec.w, "dec_b": dec.b,
-              "mask_token": dec.mask_token,
-              **{f"head_{name}": arr for name, arr in head.arrays().items()}}
+    params = losses.base_arrays(enc.w, enc.b, dec.w, dec.b, dec.mask_token, head.arrays())
     _train_session(params, indices.shape[0], cfg.base_epochs if cfg.finetune_base else 0,
                    cfg.base_lr, 0, cfg, log_sink, begin_epoch)
 

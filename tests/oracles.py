@@ -5,16 +5,18 @@ functions, deliberately avoiding the vectorized code paths under test. The
 only shared machinery is the RNG plumbing: token masks and dropout masks
 are drawn through the package's own accessors (mask_features, dropout_scale)
 with the stream ids the objectives use; they are pinned by seeds and are
-not part of the arithmetic being checked. reencoded_reports is the one
+not part of the arithmetic being checked. reencoded_reports is a
 protocol-level reference: it re-encodes the cumulative raw test set after
 every session, the way evaluation worked before test features were cached.
+fscil_split_per_class is the reference split: one pass over the labels and
+one new generator per class.
 """
 
 import math
 
 import numpy as np
 
-from gcmr import classifier, losses, rng, trainer
+from gcmr import classifier, data_io, losses, rng, trainer
 from gcmr.classifier import dropout_scale
 from gcmr.encoder import mask_features, normalized_features
 from gcmr.eval_report import evaluate_session
@@ -204,3 +206,44 @@ def reencoded_reports(stream, cfg):
         reports.append(evaluate_session(state, features, np.concatenate(labels),
                                         [r.acc_all for r in reports]))
     return reports
+
+
+def fscil_split_per_class(spec, labels):
+    """data_io.fscil_split, class by class: the sorted distinct labels, a
+    `labels == cid` pass and a new (seed, SPLIT_TAG, pos + 1) generator for
+    each class in shuffle order."""
+    labels = np.asarray(labels, dtype=np.int64)
+    classes = sorted(int(c) for c in np.unique(labels))
+    if len(classes) != spec.total_classes:
+        raise ValueError(f"dataset has {len(classes)} classes, spec expects {spec.total_classes}")
+    order = rng.generator(spec.seed, data_io.SPLIT_TAG).permutation(len(classes))
+    shuffled = [classes[i] for i in order]
+
+    per_class_indices = {}
+    for pos, cid in enumerate(shuffled):
+        idx = np.flatnonzero(labels == cid)
+        if idx.size < spec.k_shot + spec.test_per_class:
+            raise ValueError(
+                f"class {cid} has {idx.size} examples, needs at least "
+                f"{spec.k_shot + spec.test_per_class}")
+        perm = rng.generator(spec.seed, data_io.SPLIT_TAG, pos + 1).permutation(idx.size)
+        per_class_indices[cid] = idx[perm]
+
+    sessions = []
+    base_ids = shuffled[:spec.base_classes]
+    train_parts = [per_class_indices[cid][spec.test_per_class:] for cid in base_ids]
+    test_parts = [per_class_indices[cid][:spec.test_per_class] for cid in base_ids]
+    sessions.append(data_io.SessionAssignment(0, tuple(base_ids),
+                                              np.concatenate(train_parts),
+                                              np.concatenate(test_parts)))
+    for t in range(spec.n_sessions):
+        ids = shuffled[spec.base_classes + t * spec.n_way:
+                       spec.base_classes + (t + 1) * spec.n_way]
+        train_parts = [per_class_indices[cid][spec.test_per_class:
+                                              spec.test_per_class + spec.k_shot]
+                       for cid in ids]
+        test_parts = [per_class_indices[cid][:spec.test_per_class] for cid in ids]
+        sessions.append(data_io.SessionAssignment(t + 1, tuple(ids),
+                                                  np.concatenate(train_parts),
+                                                  np.concatenate(test_parts)))
+    return sessions

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +295,86 @@ class TestRun:
         assert not out.exists()
         assert main(["run", "--config", str(config), "--data", str(dataset_file),
                      "--out", str(out), "--no-base-finetune"]) == 0
+
+
+class TestFreshOut:
+    """gcmr run refuses an --out that already holds a run, before training
+    and without writing anything."""
+
+    @staticmethod
+    def snapshot(root):
+        return {str(p.relative_to(root)): (p.read_bytes() if p.is_file() else None,
+                                           p.stat().st_mtime_ns)
+                for p in sorted(root.rglob("*"))}
+
+    @staticmethod
+    def run(config, data, out):
+        return main(["run", "--config", str(config), "--data", str(data), "--out", str(out)])
+
+    def test_rerun_into_a_used_out_exits_2_and_writes_nothing(self, tmp_path, dataset_file,
+                                                              capsys):
+        five = write_config(tmp_path / "five.json", **{"protocol.n_way": 1})
+        three = write_config(tmp_path / "three.json")
+        out = tmp_path / "run"
+        assert self.run(five, dataset_file, out) == 0
+        assert (out / "checkpoints" / "session_04.gcmr").exists()
+        before = self.snapshot(out)
+        capsys.readouterr()
+        assert self.run(three, dataset_file, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out") and "already holds a run" in err
+        assert self.snapshot(out) == before
+
+    @pytest.mark.parametrize("leftover", ["report.json", "run_log.jsonl",
+                                          "checkpoints/session_00.gcmr",
+                                          "checkpoints/.session_01.gcmr.0a1b2c3d.tmp"])
+    def test_any_leftover_of_a_run_is_refused(self, tmp_path, config_file, dataset_file,
+                                              capsys, leftover):
+        out = tmp_path / "run"
+        (out / leftover).parent.mkdir(parents=True)
+        (out / leftover).write_text("stale")
+        before = self.snapshot(out)
+        assert self.run(config_file, dataset_file, out) == EXIT_CONFIG
+        assert leftover.split("/")[0] in capsys.readouterr().err
+        assert self.snapshot(out) == before
+
+    def test_an_empty_or_unrelated_out_still_runs(self, tmp_path, config_file, dataset_file):
+        out = tmp_path / "run"
+        (out / "checkpoints").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        assert self.run(config_file, dataset_file, out) == 0
+        assert (out / "report.json").exists() and (out / "notes.txt").read_text() == "kept"
+
+    def test_out_that_is_a_file_exits_2(self, tmp_path, config_file, dataset_file, capsys):
+        out = tmp_path / "run"
+        out.write_text("not a directory")
+        assert self.run(config_file, dataset_file, out) == EXIT_CONFIG
+        assert "not a directory" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+
+class TestModuleEntryPoint:
+    def test_run_does_not_import_numpy_ma(self, tmp_path, config_file, dataset_file):
+        # `python -m gcmr run` in a fresh interpreter; numpy loads numpy.ma
+        # (~15 ms) on its first np.unique, which a run has no use for
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = ["gcmr", "run", "--config", str(config_file), "--data", str(dataset_file),
+                "--out", str(tmp_path / "run")]
+        script = ("import runpy, sys\n"
+                  f"sys.argv = {argv!r}\n"
+                  "try:\n"
+                  "    runpy.run_module('gcmr', run_name='__main__', alter_sys=True)\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n"
+                  "print(sorted(m for m in sys.modules\n"
+                  "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "run" / "report.json").exists()
 
 
 class TestGradcheck:

@@ -12,6 +12,9 @@ from gcmr.data_io import (BadMagicError, ChecksumError, ContentError, DimensionE
                           atomic_open, fscil_split, generate_synthetic, load_checkpoint,
                           load_dataset, load_features, materialize_sessions,
                           save_checkpoint, save_dataset)
+from oracles import fscil_split_per_class
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 class TestProtocolSplit:
@@ -84,7 +87,81 @@ class TestProtocolSplit:
             fscil_split(spec, self.labels_for(5, 10))
 
 
+class TestSplitMatchesPerClassReference:
+    """fscil_split groups indices with one sort and re-keys one generator;
+    its splits are byte-equal to the per-class reference in tests/oracles.py."""
+
+    @staticmethod
+    def shuffled_labels(ids, counts, seed):
+        labels = np.repeat(np.asarray(ids, dtype=np.int64), counts)
+        return np.random.default_rng(seed).permutation(labels)
+
+    @staticmethod
+    def assert_same_split(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.session == b.session
+            assert a.class_ids == b.class_ids
+            assert all(type(c) is int for c in a.class_ids)
+            for x, y in ((a.train_indices, b.train_indices), (a.test_indices, b.test_indices)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @staticmethod
+    def error_text(split_fn, spec, labels):
+        with pytest.raises(ValueError) as info:
+            split_fn(spec, labels)
+        return str(info.value)
+
+    @pytest.mark.parametrize("ids", [
+        list(range(8)),
+        [-3, -1, 0, 5, -100, 2, 7, -8],
+        [3, 1000, 10 ** 9, 17, 2 ** 40, 5, 99, 123_456],
+        [INT64_MIN, INT64_MAX, INT64_MIN + 1, INT64_MAX - 1, 0, -1, 1, 2 ** 62],
+    ], ids=["unsorted", "negative", "sparse", "int64-extreme"])
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 40])
+    def test_byte_equal_to_reference(self, ids, seed):
+        spec = ProtocolSpec(8, 4, 2, 3, seed=seed, test_per_class=4)
+        labels = self.shuffled_labels(ids, [7 + i % 4 for i in range(8)], seed)
+        self.assert_same_split(fscil_split(spec, labels), fscil_split_per_class(spec, labels))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=12,
+                        unique=True),
+           extra=st.lists(st.integers(0, 5), min_size=12, max_size=12),
+           k_shot=st.integers(1, 3), test_per_class=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 64 - 1), order_seed=st.integers(0, 2 ** 32 - 1),
+           base=st.integers(1, 12))
+    def test_byte_equal_to_reference_on_drawn_labels(self, ids, extra, k_shot, test_per_class,
+                                                     seed, order_seed, base):
+        n_way = 1
+        base = min(base, len(ids))
+        spec = ProtocolSpec(len(ids), base, n_way, k_shot, seed=seed,
+                            test_per_class=test_per_class)
+        counts = [k_shot + test_per_class + extra[i] for i in range(len(ids))]
+        labels = self.shuffled_labels(ids, counts, order_seed)
+        self.assert_same_split(fscil_split(spec, labels), fscil_split_per_class(spec, labels))
+
+    @pytest.mark.parametrize("short", [[5], [2, 6], list(range(8))])
+    def test_too_few_examples_raise_the_reference_error(self, short):
+        spec = ProtocolSpec(8, 4, 2, 3, seed=4, test_per_class=4)
+        ids = [-9, 40, 2 ** 50, 3, 0, 11, -2 ** 33, 6]
+        counts = [6 if i in short else 9 for i in range(8)]
+        labels = self.shuffled_labels(ids, counts, 1)
+        want = self.error_text(fscil_split_per_class, spec, labels)
+        assert want.startswith("class ") and "needs at least 7" in want
+        assert self.error_text(fscil_split, spec, labels) == want
+
+    @pytest.mark.parametrize("n_classes", [0, 5, 7])
+    def test_class_count_mismatch_raises_the_reference_error(self, n_classes):
+        spec = ProtocolSpec(6, 4, 2, 2, seed=9, test_per_class=2)
+        labels = self.shuffled_labels(range(n_classes), [6] * n_classes, 2)
+        want = self.error_text(fscil_split_per_class, spec, labels)
+        assert self.error_text(fscil_split, spec, labels) == want
+
+
 class TestSessionSequence:
+    """The list of sessions materialize_sessions returns."""
+
     def dataset_and_split(self):
         spec = SyntheticSpec(d=32, g=4, n_classes=10, class_mean_norm=4.0,
                              within_class_sigma=1.0, examples_per_class=50, seed=4)
@@ -106,12 +183,14 @@ class TestSessionSequence:
     def test_indices_and_slices_behave_as_on_a_list(self):
         ds, split = self.dataset_and_split()
         sessions = materialize_sessions(ds, split)
+        assert type(sessions) is list
         assert len(sessions) == len(split) == 4
         for i in range(-len(split), len(split)):
             self.assert_session_equals_subset(sessions[i], ds, split[i])
         for part_slice in (slice(1, None), slice(None, -1), slice(None, None, -2),
                            slice(5, None)):
             sliced = sessions[part_slice]
+            assert type(sliced) is list
             assert len(sliced) == len(split[part_slice])
             for session, part in zip(sliced, split[part_slice]):
                 self.assert_session_equals_subset(session, ds, part)
