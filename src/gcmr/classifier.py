@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn_core import cross_entropy_overwrite
+from .nn_core import check_labels, cross_entropy_overwrite
 
 # Sub-stream tags keeping the dropout noise of the loss terms that share one
 # optimization step independent of each other.
@@ -90,7 +90,7 @@ def dropout_scale(n_rows: int, n_units: int, rate: float, seed: int) -> np.ndarr
     dropped units, 1/(1-rate) otherwise."""
     if rate == 0.0:
         return np.ones((n_rows, n_units))
-    keep = rng.generator(seed, DROPOUT_STREAM).random((n_rows, n_units)) >= rate
+    keep = rng.stream(seed, DROPOUT_STREAM).random((n_rows, n_units)) >= rate
     return keep / (1.0 - rate)
 
 
@@ -158,7 +158,7 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
     z1 = features @ params.w1 + params.b1
     points = np.maximum(z1, 0.0)
     # Gram form |p|^2 + |r|^2 - 2 p.r, without an (n, rows, width) tensor
-    d2 = ((points * points).sum(axis=1)[:, None] + (rows * rows).sum(axis=1)
+    d2 = ((points * points).sum(axis=1)[:, None] + dictionary.sq_norms
           - 2.0 * (points @ rows.T))
     value, probs = cross_entropy_overwrite(-d2, targets)
     if not compute_grads:
@@ -170,13 +170,20 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
     return value, {"w1": features.T @ dz1, "b1": dz1.sum(axis=0)}
 
 
-def _blend(params: ClassifierParams, weighted) -> dict[str, np.ndarray]:
-    """sum_k weight_k * grads_k per head array, accumulated from zeros in
-    the given order; arrays missing from a term count as zero."""
-    out = {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+def _blend(weighted) -> dict[str, np.ndarray]:
+    """sum_k weight_k * grads_k per head array, accumulated in the given
+    order; arrays missing from a term count as zero. Each sum starts from
+    the first term that has the array, not from zeros, so a -0.0 entry
+    keeps its sign where a sum from zeros would make it +0.0. The optimizer
+    only adds a gradient to a velocity, which erases that sign unless the
+    velocity entry is itself -0.0."""
+    out = {}
     for weight, grads in weighted:
         for name, grad in grads.items():
-            out[name] += weight * grad
+            if name in out:
+                out[name] += weight * grad
+            else:
+                out[name] = weight * grad
     return out
 
 
@@ -201,13 +208,15 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (features.shape[0],):
         raise ValueError("labels must align with features")
+    # the one label check of the call: memory targets are 0..m-1 with
+    # m <= columns, and the dictionary has one row per column
+    check_labels(y, params.n_classes)
 
     cls_value, cls_grads, _ = _mean_ce_with_grads(
         features, y, params, rng.stream_id(seed, CLASSIFICATION_TAG), compute_grads)
 
     if not memory_regularization:
-        grads = _blend(params, [(1.0, cls_grads)]) if compute_grads else None
-        return cls_value, {"classification": cls_value}, grads
+        return cls_value, {"classification": cls_value}, cls_grads
 
     if memory_rows.ndim != 2 or memory_rows.shape[0] == 0:
         raise ValueError("memory rows must be a non-empty (m, dim) matrix")
@@ -228,8 +237,8 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
                  "classification": cls_value}
     grads = None
     if compute_grads:
-        grads = _blend(params, [(beta, dist_grads), (1.0 - beta, mem_grads),
-                                (1.0 - beta, cls_grads)])
+        grads = _blend([(beta, dist_grads), (1.0 - beta, mem_grads),
+                        (1.0 - beta, cls_grads)])
     return total, breakdown, grads
 
 

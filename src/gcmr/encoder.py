@@ -154,7 +154,7 @@ def mask_features(groups, ratio: float, seed: int) -> np.ndarray:
         raise ValueError("expected groups of shape (n, tokens, dim)")
     n, n_tokens = shape[0], shape[1]
     n_masked = mask_count(n_tokens, ratio)
-    noise = rng.generator(seed, MASK_STREAM).random((n, n_tokens))
+    noise = rng.stream(seed, MASK_STREAM).random((n, n_tokens))
     order = np.argsort(noise, axis=1)
     masked = np.zeros((n, n_tokens), dtype=bool)
     np.put_along_axis(masked, order[:, :n_masked], True, axis=1)

@@ -20,11 +20,12 @@ masking and dropout noise, so values and gradients are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classifier, encoder, rng
+from .nn_core import check_labels
 
 # Sub-stream tag for the mask selection of one base-objective step.
 MASK_TAG = 0
@@ -67,16 +68,22 @@ class LossConfig:
 @dataclass(frozen=True)
 class DistanceDictionary:
     """Hidden-space rows the distance regularizer measures against, one
-    per classifier column: row k is the distance target of label k."""
+    per classifier column: row k is the distance target of label k.
+    sq_norms holds each row's squared norm, computed once per build for
+    every step that measures against the rows; both are read-only."""
 
     projected_rows: np.ndarray
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "projected_rows",
-                           np.asarray(self.projected_rows, dtype=np.float64))
-        if self.projected_rows.ndim != 2 or self.projected_rows.shape[0] == 0:
+        rows = np.asarray(self.projected_rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("dictionary needs at least one row")
-        self.projected_rows.setflags(write=False)
+        rows.setflags(write=False)
+        sq_norms = (rows * rows).sum(axis=1)
+        sq_norms.setflags(write=False)
+        object.__setattr__(self, "projected_rows", rows)
+        object.__setattr__(self, "sq_norms", sq_norms)
 
 
 def alpha_schedule(cfg: LossConfig, epoch: int) -> float:
@@ -145,6 +152,7 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     n, n_tokens, _ = raw.shape
     if y.shape != (n,):
         raise ValueError("labels must align with the batch")
+    check_labels(y, params.n_classes)
     alpha = alpha_schedule(cfg, epoch)
 
     feats = encoder.encode_batch(raw, enc)                 # (n, tokens, dim)
@@ -152,13 +160,18 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
 
     # reconstruction path: one mask draw and one decode for the whole batch
     masked = encoder.mask_features(feats, cfg.mask_ratio, rng.stream_id(seed, MASK_TAG))
-    recon = encoder.reconstruct(feats, masked, dec)
-    scope = masked if cfg.recon_scope == "masked" else np.ones_like(masked)
-    n_scope = scope.sum(axis=1)
-    norm = n_scope * dim if cfg.recon_reduction == "mean" else 1.0
+    diff = encoder.reconstruct(feats, masked, dec)
+    diff -= feats
     # per-example weight 1/norm; an example with an empty scope contributes 0
-    weight = np.where(n_scope > 0, 1.0 / np.maximum(norm, 1), 0.0)
-    diff = (recon - feats) * scope[:, :, None]
+    if cfg.recon_scope == "masked":
+        n_scope = masked.sum(axis=1)
+        norm = n_scope * dim if cfg.recon_reduction == "mean" else 1.0
+        weight = np.where(n_scope > 0, 1.0 / np.maximum(norm, 1), 0.0)
+        diff *= masked[:, :, None]
+    else:
+        # every position is in scope, and a group has >= 2 tokens
+        norm = n_tokens * dim if cfg.recon_reduction == "mean" else 1.0
+        weight = np.full(n, 1.0 / norm)
     recon_term = float(((diff * diff).sum(axis=(1, 2)) * weight).sum()) / n
 
     # classification path: the head term of the incremental objective
@@ -176,7 +189,8 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     # classification backward, from the head's first-layer pre-activation
     dfbar = dz1 @ params.w1.T
     dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
-    d_feats_ce = np.broadcast_to(dpooled[:, None, :] / n_tokens, feats.shape)
+    # scaled per (n, dim) row, then broadcast over the tokens
+    d_feats_ce = (1.0 - alpha) * (dpooled / n_tokens)
 
     # reconstruction backward; the target side of diff also reaches feats
     delta = (2.0 * weight)[:, None, None] * diff
@@ -185,8 +199,9 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta
 
     # combine both paths through the encoder
-    d_feats_total = (alpha / n) * d_feats + (1.0 - alpha) * d_feats_ce
-    dz_enc = d_feats_total * encoder.activation_grad(feats, enc.activation)
+    d_feats *= alpha / n
+    d_feats += d_feats_ce[:, None, :]
+    dz_enc = d_feats * encoder.activation_grad(feats, enc.activation)
     grads = base_arrays(
         raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
         dz_enc.sum(axis=(0, 1)),

@@ -3,7 +3,8 @@
 Everything here works on batches: row-wise stable softmax, mean
 cross-entropy over rows, the cosine learning-rate schedule, and one
 SGD-with-momentum step over a name->array mapping. Inputs are validated
-where data enters the package (datasets, configs), not here.
+where data enters the package (datasets, configs), not here; labels are
+checked once per objective call, by check_labels.
 """
 
 from __future__ import annotations
@@ -39,22 +40,32 @@ def _softmax_overwrite(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
+def check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Raise ValueError unless every label lies in [0, n_classes)."""
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError("label out of range for the current class count")
+
+
 def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
     """Mean over rows of -log softmax(logits)[j, targets[j]], each
     probability clamped at the 1e-12 floor. Returns (value, probs); probs
-    is a new array and logits is not modified."""
-    return cross_entropy_overwrite(np.array(logits, dtype=np.float64), targets)
+    is a new array and logits is not modified. A target outside the
+    columns raises ValueError."""
+    logits = np.array(logits, dtype=np.float64)
+    check_labels(targets, logits.shape[1])
+    return cross_entropy_overwrite(logits, targets)
 
 
 def cross_entropy_overwrite(logits: np.ndarray, targets: np.ndarray):
     """cross_entropy_rows for logits the caller owns and no longer needs:
-    the softmax overwrites them, and the returned probs is that array."""
-    n, n_classes = logits.shape
-    if np.any(targets < 0) or np.any(targets >= n_classes):
-        raise ValueError("label out of range for the current class count")
+    the softmax overwrites them, and the returned probs is that array.
+    targets are not checked here: each objective checks its labels once per
+    call, with check_labels."""
+    n = logits.shape[0]
     probs = _softmax_overwrite(logits)
     picked = np.maximum(probs[np.arange(n), targets], PROB_FLOOR)
-    return float(-np.log(picked).mean()), probs
+    # sum / n is numpy's own mean, without the dispatch of .mean()
+    return float(-np.log(picked).sum() / n), probs
 
 
 def cosine_lr(epoch: int, base_lr: float, min_lr: float, total_epochs: int) -> float:

@@ -5,6 +5,12 @@ synthetic data) draws from a stream addressed by a root seed plus a tuple of
 integer parts. Streams with distinct part tuples are statistically
 independent, and the Philox bit stream is identical across platforms, so
 seeded runs reproduce exactly.
+
+generator builds a new generator and is for set-up draws only: weight
+init, the session split, synthetic data and the gradient check. The
+per-step draws of training (epoch shuffle, token mask, dropout) go through
+stream, which re-keys one module-owned generator instead of building one
+per draw.
 """
 
 from __future__ import annotations
@@ -30,14 +36,15 @@ def stream_id(*parts: int) -> int:
     return acc
 
 
-def _key(seed: int, parts) -> np.ndarray:
-    """The Philox4x64 key of the (seed, *parts) stream."""
-    return np.array([int(seed) & _MASK64, stream_id(*parts)], dtype=np.uint64)
+def _key(seed: int, parts) -> tuple[int, int]:
+    """The two 64-bit words of the Philox4x64 key of the (seed, *parts) stream."""
+    return int(seed) & _MASK64, stream_id(*parts)
 
 
 def generator(seed: int, *parts: int) -> np.random.Generator:
     """Independent generator for (seed, *parts), keyed into Philox4x64."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, parts)))
+    key = np.array(_key(seed, parts), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rekey(gen: np.random.Generator, seed: int, *parts: int) -> np.random.Generator:
@@ -55,3 +62,18 @@ def rekey(gen: np.random.Generator, seed: int, *parts: int) -> np.random.Generat
         "state": {"counter": (0, 0, 0, 0), "key": _key(seed, parts)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
+
+
+_shared: np.random.Generator | None = None
+
+
+def stream(seed: int, *parts: int) -> np.random.Generator:
+    """The module's shared generator, re-keyed to the start of the
+    (seed, *parts) stream, so it draws exactly what generator(seed, *parts)
+    draws. It is created on the first call and re-keyed on every call, so
+    a caller takes what it needs in one go, before any other draw through
+    stream; it is not for use from more than one thread at a time."""
+    global _shared
+    if _shared is None:
+        _shared = np.random.Generator(np.random.Philox(0))   # keyed by rekey
+    return rekey(_shared, seed, *parts)

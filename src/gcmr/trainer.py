@@ -101,7 +101,7 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
     for epoch in range(epochs):
         lr = cosine_lr(epoch, base_lr, cfg.min_lr, epochs)
         step_fn, fields, weights = begin_epoch(epoch)
-        order = rng.generator(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
+        order = rng.stream(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
         epoch_total, epoch_terms = 0.0, {}
         for step, start in enumerate(batches):
             step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)

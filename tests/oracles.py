@@ -9,14 +9,15 @@ not part of the arithmetic being checked. reencoded_reports is a
 protocol-level reference: it re-encodes the cumulative raw test set after
 every session, the way evaluation worked before test features were cached.
 fscil_split_per_class is the reference split: one pass over the labels and
-one new generator per class.
+one new generator per class. base_core_reference is the base objective's
+vectorized core as first written, for byte-level comparison.
 """
 
 import math
 
 import numpy as np
 
-from gcmr import classifier, data_io, losses, rng, trainer
+from gcmr import classifier, data_io, encoder, losses, rng, trainer
 from gcmr.classifier import dropout_scale
 from gcmr.encoder import mask_features, normalized_features
 from gcmr.eval_report import evaluate_session
@@ -247,3 +248,69 @@ def fscil_split_per_class(spec, labels):
                                                   np.concatenate(train_parts),
                                                   np.concatenate(test_parts)))
     return sessions
+
+
+def base_core_reference(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
+                        compute_grads):
+    """losses._base_core as it was written before its per-step cuts (a
+    multiply by an all-ones scope, the classification gradient scaled after
+    its broadcast over the tokens): the byte-level reference for the value,
+    the breakdown and every gradient."""
+    raw = np.asarray(raw_tokens, dtype=np.float64)
+    if raw.ndim != 3 or raw.shape[0] == 0:
+        raise ValueError("expected a non-empty (n, tokens, raw_dim) batch")
+    y = np.asarray(labels, dtype=np.int64)
+    n, n_tokens, _ = raw.shape
+    if y.shape != (n,):
+        raise ValueError("labels must align with the batch")
+    alpha = losses.alpha_schedule(cfg, epoch)
+
+    feats = encoder.encode_batch(raw, enc)                 # (n, tokens, dim)
+    dim = feats.shape[2]
+
+    # reconstruction path: one mask draw and one decode for the whole batch
+    masked = encoder.mask_features(feats, cfg.mask_ratio,
+                                   rng.stream_id(seed, losses.MASK_TAG))
+    recon = encoder.reconstruct(feats, masked, dec)
+    scope = masked if cfg.recon_scope == "masked" else np.ones_like(masked)
+    n_scope = scope.sum(axis=1)
+    norm = n_scope * dim if cfg.recon_reduction == "mean" else 1.0
+    # per-example weight 1/norm; an example with an empty scope contributes 0
+    weight = np.where(n_scope > 0, 1.0 / np.maximum(norm, 1), 0.0)
+    diff = (recon - feats) * scope[:, :, None]
+    recon_term = float(((diff * diff).sum(axis=(1, 2)) * weight).sum()) / n
+
+    # classification path: the head term of the incremental objective
+    pooled = feats.mean(axis=1)
+    fbar = encoder.normalize_rows(pooled, enc.feature_norm)
+    ce_term, head_grads, dz1 = classifier._mean_ce_with_grads(
+        fbar, y, params, rng.stream_id(seed, classifier.CLASSIFICATION_TAG),
+        compute_grads)
+
+    total = alpha * recon_term + (1.0 - alpha) * ce_term
+    breakdown = {"reconstruction": recon_term, "classification": ce_term}
+    if not compute_grads:
+        return total, breakdown, None
+
+    # classification backward, from the head's first-layer pre-activation
+    dfbar = dz1 @ params.w1.T
+    dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
+    d_feats_ce = np.broadcast_to(dpooled[:, None, :] / n_tokens, feats.shape)
+
+    # reconstruction backward; the target side of diff also reaches feats
+    delta = (2.0 * weight)[:, None, None] * diff
+    filled = np.where(masked[:, :, None], dec.mask_token, feats)
+    dfilled = delta @ dec.w.T
+    d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta
+
+    # combine both paths through the encoder
+    d_feats_total = (alpha / n) * d_feats + (1.0 - alpha) * d_feats_ce
+    dz_enc = d_feats_total * encoder.activation_grad(feats, enc.activation)
+    grads = losses.base_arrays(
+        raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
+        dz_enc.sum(axis=(0, 1)),
+        (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
+        (alpha / n) * delta.sum(axis=(0, 1)),
+        (alpha / n) * dfilled[masked].sum(axis=0),
+        {name: (1.0 - alpha) * grad for name, grad in head_grads.items()})
+    return total, breakdown, grads

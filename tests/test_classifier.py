@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gcmr import rng
 from gcmr.classifier import (ClassifierParams, _mean_ce_with_grads, dropout_scale,
                              eval_logits_batch, expand_with_imprinting,
                              incremental_terms, init_classifier, project_batch)
@@ -188,10 +187,13 @@ class TestBackward:
 
     def test_label_out_of_range(self):
         params, features, labels, memory_rows, dictionary, cfg = random_instance(3)
-        bad = labels.copy()
-        bad[0] = params.n_classes
-        with pytest.raises(ValueError):
-            incremental_terms(features, bad, memory_rows, dictionary, params, cfg, 0)
+        for value in (-1, params.n_classes):
+            bad = labels.copy()
+            bad[0] = value
+            for memory_regularization in (True, False):
+                with pytest.raises(ValueError, match="label out of range"):
+                    incremental_terms(features, bad, memory_rows, dictionary, params, cfg,
+                                      0, memory_regularization=memory_regularization)
 
     def test_missing_dictionary_row(self):
         # one dictionary row per classifier column, no fewer and no more
@@ -227,23 +229,16 @@ class TestBackward:
         for name, ref in (("w1", features.T @ dz1), ("b1", dz1.sum(axis=0))):
             assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_generator_count_is_independent_of_batch_and_memory(self, monkeypatch):
-        calls = []
-        original = rng.generator
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(rng, "generator", counting)
+    def test_generator_count_is_independent_of_batch_and_memory(self, rng_calls):
         counts = set()
         for n_batch, n_memory in ((2, 3), (40, 3), (2, 300), (40, 300)):
             params, features, labels, memory_rows, dictionary, cfg = random_instance(
                 1, n_classes=300, n_batch=n_batch, n_memory=n_memory, dropout_rate=0.2)
-            del calls[:]
+            rng_calls.clear()
             incremental_terms(features, labels, memory_rows, dictionary, params, cfg, 9)
-            counts.add(len(calls))
-        assert counts == {2}
+            counts.add(len(rng_calls.stream))
+            assert rng_calls.generator == []     # a step builds no generator
+        assert counts == {2}   # one dropout block per head term
 
 
 def out_of_place_mean_ce(inputs, targets, params, dropout_seed):

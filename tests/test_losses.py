@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gcmr import rng
 from gcmr.classifier import init_classifier, project_batch
 from gcmr.encoder import DecoderParams, EncoderParams, init_decoder, init_encoder
-from gcmr.losses import (DistanceDictionary, LossConfig, alpha_schedule,
-                         base_loss, base_loss_backward, build_distance_dictionary,
-                         incremental_loss)
+from gcmr.losses import (RECON_REDUCTIONS, RECON_SCOPES, DistanceDictionary, LossConfig,
+                         _base_core, alpha_schedule, base_loss, base_loss_backward,
+                         build_distance_dictionary, incremental_loss)
 from gcmr.memory import init_representation_memory
 
-from oracles import (base_loss_scalar, cross_entropy_scalar,
+from oracles import (base_core_reference, base_loss_scalar, cross_entropy_scalar,
                      distance_vector_scalar, finite_difference,
                      incremental_loss_scalar, project_scalar)
 
@@ -180,22 +179,23 @@ class TestBaseLoss:
                 lambda: base_loss(raw, labels, enc, dec, params, cfg, 0, seed=4)[0], arr)
             np.testing.assert_allclose(grads[name], numeric, rtol=1e-5, atol=1e-8)
 
-    def test_generator_count_is_independent_of_batch(self, monkeypatch):
-        calls = []
-        original = rng.generator
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(rng, "generator", counting)
+    def test_generator_count_is_independent_of_batch(self, rng_calls):
         counts = set()
         for n in (1, 8, 64):
             raw, labels, enc, dec, params, cfg = self.make_instance(2, n=n, mask_ratio=0.5)
-            del calls[:]
+            rng_calls.clear()
             base_loss_backward(raw, labels, enc, dec, params, cfg, 0, seed=3)
-            counts.add(len(calls))
+            counts.add(len(rng_calls.stream))
+            assert rng_calls.generator == []     # a step builds no generator
         assert counts == {2}   # one mask block and one dropout block
+
+    def test_label_out_of_range(self):
+        # the objective's one label check, below zero and at the class count
+        raw, labels, enc, dec, params, cfg = self.make_instance(16, n=3)
+        for bad in (-1, params.n_classes):
+            labels[2] = bad
+            with pytest.raises(ValueError, match="label out of range"):
+                base_loss_backward(raw, labels, enc, dec, params, cfg, 0, seed=0)
 
     def test_nonnegative_and_finite(self):
         for seed in range(5):
@@ -208,6 +208,48 @@ class TestBaseLoss:
         with pytest.raises(ValueError):
             base_loss(np.empty((0, 4, 6)), np.empty(0, dtype=int), enc, dec,
                       params, cfg, 0, seed=0)
+
+
+class TestBaseCoreBytes:
+    """_base_core against its first form, oracles.base_core_reference: the
+    value, the breakdown and every gradient agree byte for byte, signed
+    zeros included."""
+
+    @pytest.mark.parametrize("scope", RECON_SCOPES)
+    @pytest.mark.parametrize("reduction", RECON_REDUCTIONS)
+    @pytest.mark.parametrize("activation, norm", [("tanh", "layer"), ("tanh", "l2"),
+                                                  ("identity", "layer"),
+                                                  ("identity", "l2")])
+    @pytest.mark.parametrize("ratio", [0.5, 0.1])
+    def test_matches_reference_bytes(self, scope, reduction, activation, norm, ratio):
+        # ratio 0.1 hides no token of a 5-token group, so the masked scope
+        # is empty; a large negative head bias kills ReLU units, which
+        # gives signed zeros in the gradients
+        gen = np.random.default_rng(31)
+        enc = EncoderParams(np.eye(5, 6) + 0.2 * gen.standard_normal((5, 6)),
+                            0.1 * gen.standard_normal(6), activation, norm)
+        dec = DecoderParams(np.eye(6) + 0.1 * gen.standard_normal((6, 6)),
+                            0.1 * gen.standard_normal(6), 0.1 * gen.standard_normal(6))
+        params = init_classifier(6, 7, 4, seed=31, dropout_rate=0.3)
+        params.b1[:3] = -10.0
+        raw = gen.standard_normal((9, 5, 5))
+        labels = gen.integers(0, 4, size=9)
+        cfg = LossConfig(c=0.6, mask_ratio=ratio, recon_scope=scope,
+                         recon_reduction=reduction)
+        for epoch, compute_grads in ((0, True), (3, True), (1, False)):
+            total, terms, grads = _base_core(raw, labels, enc, dec, params, cfg,
+                                             epoch, 8, compute_grads)
+            ref_total, ref_terms, ref_grads = base_core_reference(
+                raw, labels, enc, dec, params, cfg, epoch, 8, compute_grads)
+            assert np.float64(total).tobytes() == np.float64(ref_total).tobytes()
+            assert terms == ref_terms
+            if not compute_grads:
+                assert grads is ref_grads is None
+                continue
+            assert list(grads) == list(ref_grads)
+            for name, grad in grads.items():
+                assert grad.dtype == ref_grads[name].dtype, name
+                assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestIncrementalLoss:
@@ -312,6 +354,16 @@ class TestBuildDictionary:
             np.testing.assert_allclose(dictionary.projected_rows[k],
                                        project_scalar(mem.rows[k].tolist(), params),
                                        rtol=1e-12)
+
+
+    def test_squared_norms_are_cached_read_only(self):
+        rows = np.random.default_rng(17).normal(size=(5, 3))
+        dictionary = DistanceDictionary(rows)
+        assert dictionary.sq_norms.tobytes() == (rows * rows).sum(axis=1).tobytes()
+        for arr in (dictionary.projected_rows, dictionary.sq_norms):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestLossConfigValidation:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gcmr import data_io, encoder, trainer
+from gcmr import data_io, encoder, rng, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
 from gcmr.losses import LossConfig
@@ -387,6 +387,27 @@ class TestRunProtocol:
                          state.classifier.state_bytes(), state.mem.rows.tobytes(),
                          state.encoder.state_bytes()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("memory_regularization", [True, False])
+    def test_shared_draws_match_fresh_generators(self, monkeypatch, memory_regularization):
+        # every per-step draw re-keys rng's shared generator; a run where
+        # each draw builds a new generator instead must match it byte for byte
+        sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
+        cfg = small_config(base_epochs=3, incr_epochs=4, dropout_rate=0.3,
+                           memory_regularization=memory_regularization)
+
+        def run():
+            records = []
+            reports, state = trainer.run_protocol(sessions, cfg, records.append)
+            return (json.dumps([r.to_json_dict() for r in reports]), json.dumps(records),
+                    state.classifier.state_bytes(), state.mem.rows.tobytes(),
+                    state.encoder.state_bytes())
+
+        shared = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "stream", lambda seed, *parts: rng.generator(seed, *parts))
+            fresh = run()
+        assert shared == fresh
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
