@@ -9,9 +9,8 @@ initializes both memories from the trained model.
 import numpy as np
 
 from gcmr import (LossConfig, ProtocolSpec, SyntheticSpec, TrainConfig,
-                  evaluate_session, fscil_split, generate_synthetic,
-                  materialize_sessions, memory_budget_bytes,
-                  normalized_features, train_base)
+                  encode_rows, evaluate_session, fscil_split, generate_synthetic,
+                  materialize_sessions, memory_budget_bytes, train_base)
 
 spec = SyntheticSpec(d=32, g=8, n_classes=12, class_mean_norm=float(np.sqrt(32)),
                      within_class_sigma=3.5, examples_per_class=40, seed=1)
@@ -34,8 +33,9 @@ for record in log[::3]:
     print(f"{record['epoch']:>5}  {record['lr']:.5f}  {record['alpha']:.5f}"
           f"  {b['reconstruction']:.4f}   {b['classification']:.4f}")
 
-report = evaluate_session(state, normalized_features(base.test.features, state.encoder),
-                          base.test.labels)
+test = base.assignment.test_indices
+report = evaluate_session(state, encode_rows(dataset.features, test, state.encoder),
+                          dataset.labels[test])
 print(f"\nbase test accuracy: {report.acc_all:.3f}")
 print(f"encoder frozen: {state.encoder.frozen}")
 print(f"representation memory: {state.mem.rows.shape}")

@@ -15,8 +15,8 @@ from .data_io import (ProtocolSpec, SessionData, SyntheticSpec, TokenDataset,
                       fscil_split, generate_synthetic, load_checkpoint,
                       load_features, materialize_sessions, save_checkpoint,
                       save_dataset)
-from .encoder import (DecoderParams, EncoderParams, encode_batch, init_decoder,
-                      init_encoder, mask_features, normalize_rows,
+from .encoder import (DecoderParams, EncoderParams, encode_batch, encode_rows,
+                      init_decoder, init_encoder, mask_features, normalize_rows,
                       normalized_features, reconstruct)
 from .eval_report import (SessionReport, aggregate, evaluate_session,
                           write_report)

@@ -159,8 +159,8 @@ def _cmd_run(args) -> int:
             cfg.memory_regularization = False
             print("override: memory_regularization=off")
         if args.no_base_finetune:
-            cfg.finetune_base = False
-            print("override: finetune_base=off")
+            cfg.base_epochs = 0
+            print("override: base_epochs=0")
         _check_fresh_out(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -173,7 +173,7 @@ def _cmd_run(args) -> int:
     except (data_io.FormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if cfg.finetune_base and cfg.base_epochs > 0:
+    if cfg.base_epochs > 0:
         n_tokens = dataset.features.shape[1]
         try:
             mask_count(n_tokens, cfg.loss.mask_ratio)

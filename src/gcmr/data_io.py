@@ -247,10 +247,10 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     examples. Identical seeds give identical splits.
 
     One stable argsort groups the example indices by class (ascending ids,
-    ascending indices within a class). The class order and every class's
-    permutation come from one generator, re-keyed before each class to that
-    class's (seed, SPLIT_TAG, position + 1) stream, which shuffles the
-    class's indices in place.
+    ascending indices within a class). The class order is drawn from
+    rng.stream(seed, SPLIT_TAG), and the class at position pos of that
+    order shuffles its indices in place from
+    rng.stream(seed, SPLIT_TAG, pos + 1).
     """
     labels = np.asarray(labels, dtype=np.int64)
     by_class = np.argsort(labels, kind="stable")
@@ -261,8 +261,7 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     classes = grouped[bounds[:-1]].tolist()
     if len(classes) != spec.total_classes:
         raise ValueError(f"dataset has {len(classes)} classes, spec expects {spec.total_classes}")
-    gen = rng.generator(spec.seed, SPLIT_TAG)
-    order = gen.permutation(len(classes)).tolist()
+    order = rng.stream(spec.seed, SPLIT_TAG).permutation(len(classes)).tolist()
 
     needed = spec.k_shot + spec.test_per_class
     counts = np.diff(bounds)
@@ -273,7 +272,7 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     per_class = []
     for pos, c in enumerate(order):
         idx = by_class[bounds[c]:bounds[c + 1]]
-        rng.rekey(gen, spec.seed, SPLIT_TAG, pos + 1).shuffle(idx)
+        rng.stream(spec.seed, SPLIT_TAG, pos + 1).shuffle(idx)
         per_class.append(idx)
 
     held = spec.test_per_class

@@ -21,10 +21,10 @@ MASK_STREAM = 0x6D61736B
 
 ACTIVATIONS = ("identity", "tanh")
 FEATURE_NORMS = ("layer", "l2")
-# Byte budget of one encode chunk: normalized_features encodes, and the
-# trainer gathers, encode_chunk_rows rows at a time, so the gathered raw rows
-# and the (rows, tokens, dim) activations each stay within it whatever the
-# width of a row.
+# Byte budget of one encode chunk: encode_rows gathers and encodes
+# encode_chunk_rows rows at a time, so the gathered raw rows and the
+# (rows, tokens, dim) activations each stay within it whatever the width of
+# a row.
 ENCODE_CHUNK_BYTES = 1 << 20
 
 
@@ -108,18 +108,14 @@ def activation_grad(outputs: np.ndarray, activation: str) -> np.ndarray:
     return np.ones_like(outputs)
 
 
-def _raw_tokens(raw_tokens, params: EncoderParams) -> np.ndarray:
-    raw = np.asarray(raw_tokens, dtype=np.float64)
-    if raw.ndim != 3 or raw.shape[2] != params.raw_dim:
-        raise ValueError("expected raw tokens of shape (n, tokens, raw_dim)")
-    return raw
-
-
 def encode_batch(raw_tokens, params: EncoderParams) -> np.ndarray:
     """Map a (n, tokens, raw_dim) stack of groups into feature space;
     deterministic. The bias and activation apply in place, so one
     (n, tokens, dim) array is allocated."""
-    out = _raw_tokens(raw_tokens, params) @ params.w
+    raw = np.asarray(raw_tokens, dtype=np.float64)
+    if raw.ndim != 3 or raw.shape[2] != params.raw_dim:
+        raise ValueError("expected raw tokens of shape (n, tokens, raw_dim)")
+    out = raw @ params.w
     out += params.b
     if params.activation == "tanh":
         np.tanh(out, out=out)
@@ -182,20 +178,25 @@ def encode_chunk_rows(n_tokens: int, params: EncoderParams) -> int:
 
 def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
     """encode -> mean-pool -> normalize for a (n, tokens, raw_dim) batch,
-    returned as (n, dim).
+    returned as (n, dim); every step is row-wise.
 
     This is the feature every classifier input and memory row is built from.
-    Rows run in chunks of encode_chunk_rows(tokens, params), so one chunk's
-    activations stay within ENCODE_CHUNK_BYTES; every step is row-wise, so
-    the result is byte-equal to encoding the whole batch at once.
-    """
-    raw = _raw_tokens(raw_tokens, params)
-    out = np.empty((raw.shape[0], params.dim))
-    rows = encode_chunk_rows(raw.shape[1], params)
-    for start in range(0, raw.shape[0], rows):
-        stop = start + rows
-        out[start:stop] = normalize_rows(encode_batch(raw[start:stop], params).mean(axis=1),
-                                         params.feature_norm)
+    It encodes the batch in one go: encode_rows bounds the working set of
+    a large or wide one."""
+    return normalize_rows(encode_batch(raw_tokens, params).mean(axis=1), params.feature_norm)
+
+
+def encode_rows(features: np.ndarray, indices: np.ndarray,
+                params: EncoderParams) -> np.ndarray:
+    """normalized_features of features[indices], gathered and encoded
+    encode_chunk_rows rows at a time, so the selected rows are never copied
+    whole and the working set stays within a few ENCODE_CHUNK_BYTES however
+    wide a row is. Byte-equal to normalized_features(features[indices])."""
+    out = np.empty((indices.shape[0], params.dim))
+    rows = encode_chunk_rows(features.shape[1], params)
+    for start in range(0, indices.shape[0], rows):
+        chunk = indices[start:start + rows]
+        out[start:start + chunk.shape[0]] = normalized_features(features[chunk], params)
     return out
 
 

@@ -1,7 +1,7 @@
 """Per-session evaluation over cumulative class sets and report emission.
 
 The encoder is frozen after the base session, so the protocol encodes each
-session's test slice once (encoder.normalized_features) and keeps the pooled,
+session's test slice once (encoder.encode_rows) and keeps the pooled,
 normalized features; evaluate_session scores the cumulative feature set with the
 session's classifier and never calls the encoder. Predictions are the argmax
 of eval-mode logits; argmax ties break toward the lowest class column, so
@@ -55,7 +55,7 @@ def evaluate_session(state, features, test_labels,
                      prior_acc_all: Sequence[float] = ()) -> SessionReport:
     """Score the model on the cumulative test set of all classes seen so far,
     given as pooled, normalized features (n, dim) from
-    encoder.normalized_features."""
+    encoder.encode_rows."""
     feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(test_labels)
     dim = state.classifier.dim

@@ -6,11 +6,11 @@ integer parts. Streams with distinct part tuples are statistically
 independent, and the Philox bit stream is identical across platforms, so
 seeded runs reproduce exactly.
 
-generator builds a new generator and is for set-up draws only: weight
-init, the session split, synthetic data and the gradient check. The
-per-step draws of training (epoch shuffle, token mask, dropout) go through
-stream, which re-keys one module-owned generator instead of building one
-per draw.
+generator builds a new generator and is for draws a caller keeps across
+other draws: weight init, synthetic data and the gradient check. Every
+other draw (the session split, epoch shuffle, token mask, dropout) goes
+through stream, which re-keys one module-owned generator instead of
+building one per draw.
 """
 
 from __future__ import annotations
@@ -47,33 +47,22 @@ def generator(seed: int, *parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rekey(gen: np.random.Generator, seed: int, *parts: int) -> np.random.Generator:
-    """gen, moved in place to the start of the (seed, *parts) stream: from
-    here it draws exactly what generator(seed, *parts) draws, whatever gen
-    drew before, since the counter, the output buffer and the spare uint32
-    are reset with the key. Cheaper than building a new generator, which
-    seeds a throwaway SeedSequence from OS entropy first. gen must be
-    backed by Philox, as every generator of this module is.
-
-    Returns gen itself, so the stream it draws is valid only until the next
-    re-key of gen."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": _key(seed, parts)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
-
-
 _shared: np.random.Generator | None = None
 
 
 def stream(seed: int, *parts: int) -> np.random.Generator:
-    """The module's shared generator, re-keyed to the start of the
-    (seed, *parts) stream, so it draws exactly what generator(seed, *parts)
-    draws. It is created on the first call and re-keyed on every call, so
-    a caller takes what it needs in one go, before any other draw through
-    stream; it is not for use from more than one thread at a time."""
+    """The module's shared generator, moved to the start of the
+    (seed, *parts) stream: the counter, output buffer and spare uint32 are
+    reset with the key, so it draws exactly what generator(seed, *parts)
+    draws, without seeding the throwaway SeedSequence a new generator does.
+    It is created on the first call and re-keyed on every call, so a caller
+    takes what it needs in one go, before any other draw through stream; it
+    is not for use from more than one thread at a time."""
     global _shared
     if _shared is None:
-        _shared = np.random.Generator(np.random.Philox(0))   # keyed by rekey
-    return rekey(_shared, seed, *parts)
+        _shared = np.random.Generator(np.random.Philox(0))   # keyed below
+    _shared.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": _key(seed, parts)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _shared

@@ -48,7 +48,6 @@ class TrainConfig:
     loss: losses.LossConfig = field(default_factory=losses.LossConfig)
     seed: int = 0
     memory_regularization: bool = True
-    finetune_base: bool = True
     hidden_dim: int = 256
     feature_dim: int | None = None      # None: same as the raw token dim
     encoder_activation: str = "tanh"
@@ -120,21 +119,6 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
                       "loss_breakdown": out})
 
 
-def _encode_rows(features: np.ndarray, indices: np.ndarray,
-                 params: encoder.EncoderParams) -> np.ndarray:
-    """normalized_features of features[indices], gathered and encoded
-    encoder.encode_chunk_rows rows at a time, so the selected rows are never
-    copied whole and the working set stays within a few ENCODE_CHUNK_BYTES
-    however wide a row is. Byte-equal to encoding features[indices] in one
-    call."""
-    out = np.empty((indices.shape[0], params.dim))
-    rows = encoder.encode_chunk_rows(features.shape[1], params)
-    for start in range(0, indices.shape[0], rows):
-        chunk = indices[start:start + rows]
-        out[start:start + chunk.shape[0]] = encoder.normalized_features(features[chunk], params)
-    return out
-
-
 @contextmanager
 def _session_errors(t: int):
     """Prefix a ValueError raised in the block with "session <t>: ", so a
@@ -155,9 +139,10 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     """Joint finetuning on the base classes, then memory initialization.
 
     Each batch is gathered from the session's dataset through its train
-    indices, so the train rows are never copied whole. With finetune_base
-    off (or zero epochs) the optimization loop is skipped and memories are
-    built from the freshly initialized model.
+    indices, and the final train features come from encoder.encode_rows,
+    so the train rows are never copied whole. With base_epochs 0 (what
+    `gcmr run --no-base-finetune` sets) the optimization loop is skipped
+    and memories are built from the freshly initialized model.
     """
     features = base_session.dataset.features
     indices = base_session.assignment.train_indices
@@ -189,11 +174,11 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
                                         "classification": 1.0 - alpha}
 
     params = losses.base_arrays(enc.w, enc.b, dec.w, dec.b, dec.mask_token, head.arrays())
-    _train_session(params, indices.shape[0], cfg.base_epochs if cfg.finetune_base else 0,
-                   cfg.base_lr, 0, cfg, log_sink, begin_epoch)
+    _train_session(params, indices.shape[0], cfg.base_epochs, cfg.base_lr, 0, cfg,
+                   log_sink, begin_epoch)
 
     enc.freeze()
-    fbar = _encode_rows(features, indices, enc)
+    fbar = encoder.encode_rows(features, indices, enc)
     mem = init_representation_memory(dict(zip(class_ids, _rows_by_column(fbar, y, counts))))
     wmem = build_weight_memory(head, mem, 0)
     return SessionState(0, enc, head, mem, wmem)
@@ -222,7 +207,7 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
         if np.any(counts[n_old:] == 0):
             missing = [new_ids[i] for i in np.flatnonzero(counts[n_old:] == 0)]
             raise ValueError(f"novel classes without support examples: {missing}")
-        fbar = _encode_rows(session.dataset.features, indices, state.encoder)
+        fbar = encoder.encode_rows(session.dataset.features, indices, state.encoder)
         new_features = dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:]))
         support_means = [rows.mean(axis=0) for rows in new_features.values()]
 
@@ -260,9 +245,9 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
 
     stream is any iterable of data_io.SessionData, read once and in order.
     Rows are read through each session's indices: training gathers its
-    batches, and every encode gathers a chunk of at most ENCODE_CHUNK_BYTES
-    at a time, so no copy of a session's train or test rows exists and the
-    encode working set does not grow with the row width. The encoder is frozen
+    batches, and every encode goes through encoder.encode_rows, so no copy
+    of a session's train or test rows exists and the encode working set
+    does not grow with the row width. The encoder is frozen
     once the base session ends, so each session's test rows are encoded
     once, right after that session's training, and every evaluation scores
     the cached features of all sessions seen so far."""
@@ -279,7 +264,7 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
         else:
             state = train_incremental(state, session, cfg, log_sink)
         test = session.assignment.test_indices
-        features.append(_encode_rows(session.dataset.features, test, state.encoder))
+        features.append(encoder.encode_rows(session.dataset.features, test, state.encoder))
         labels.append(session.dataset.labels[test])
         report = evaluate_session(state, np.concatenate(features),
                                   np.concatenate(labels), prior_acc_all=acc_history)

@@ -79,7 +79,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value", [
         ("train.base_epochs", 1.5), ("train.base_epochs", 2.0), ("train.seed", "7"),
-        ("train.batch_size", True), ("train.finetune_base", 0),
+        ("train.batch_size", True), ("train.memory_regularization", 0),
         ("train.memory_regularization", "no"), ("train.memory_regularization", None),
         ("train.base_lr", False), ("train.feature_dim", 8.0), ("train.feature_dim", "8"),
         ("train.feature_norm", 1), ("loss.beta", True), ("loss.c", "0.3"),
@@ -94,7 +94,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key, value, expected", [
         ("train.base_lr", 1, 1), ("loss.beta", 0, 0), ("synthetic.class_mean_norm", 4, 4),
         ("train.feature_dim", None, None), ("train.feature_dim", 6, 6),
-        ("train.finetune_base", False, False), ("protocol.seed", 0, 0),
+        ("train.memory_regularization", False, False), ("protocol.seed", 0, 0),
     ])
     def test_value_of_the_field_type_accepted(self, tmp_path, key, value, expected):
         config = load_run_config(write_config(tmp_path / "c.json", **{key: value}))
@@ -221,13 +221,24 @@ class TestRun:
 
     def test_no_base_finetune_override(self, tmp_path, config_file,
                                        dataset_file, capsys):
-        out = tmp_path / "nofinetune"
+        # the flag is the config's base_epochs 0; reports carry the name of
+        # their directory, so both runs write into one named "run"
+        out, zero_out = tmp_path / "flag" / "run", tmp_path / "zero" / "run"
         assert main(["run", "--config", str(config_file), "--data", str(dataset_file),
                      "--out", str(out), "--no-base-finetune"]) == 0
-        assert "override: finetune_base=off" in capsys.readouterr().out
+        assert "override: base_epochs=0" in capsys.readouterr().out
         records = [json.loads(line) for line in
                    (out / "run_log.jsonl").read_text().splitlines()]
         assert all(r["session"] > 0 for r in records)  # no base epochs logged
+        zero = write_config(tmp_path / "zero.json", **{"train.base_epochs": 0})
+        assert main(["run", "--config", str(zero), "--data", str(dataset_file),
+                     "--out", str(zero_out)]) == 0
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert len(files) == 3 + 3  # report.json/csv, run_log.jsonl, 3 checkpoints
+        assert files == sorted(p.relative_to(zero_out) for p in zero_out.rglob("*")
+                               if p.is_file())
+        for name in files:
+            assert (out / name).read_bytes() == (zero_out / name).read_bytes(), name
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_run_exits_4(self, tmp_path, dataset_file, capsys):
@@ -257,11 +268,13 @@ class TestRun:
                      "--out", str(out), "--no-base-finetune"]) == 0
 
 
-    @pytest.mark.parametrize("key, value", [("distance_space", "feature"),
-                                            ("novel_label_handling", "ignore")])
-    def test_removed_loss_keys_exit_2_before_output(self, tmp_path, dataset_file,
-                                                    capsys, key, value):
-        config = write_config(tmp_path / "c.json", **{f"loss.{key}": value})
+    @pytest.mark.parametrize("section, key, value", [
+        ("loss", "distance_space", "feature"), ("loss", "novel_label_handling", "ignore"),
+        ("train", "finetune_base", False),
+    ])
+    def test_removed_config_keys_exit_2_before_output(self, tmp_path, dataset_file,
+                                                      capsys, section, key, value):
+        config = write_config(tmp_path / "c.json", **{f"{section}.{key}": value})
         out = tmp_path / "x"
         assert main(["run", "--config", str(config), "--data", str(dataset_file),
                      "--out", str(out)]) == EXIT_CONFIG

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gcmr.encoder import (DecoderParams, EncoderParams, encode_batch, encode_chunk_rows,
-                          init_decoder, init_encoder, mask_count, mask_features,
-                          normalize_rows, normalize_rows_backward,
+                          encode_rows, init_decoder, init_encoder, mask_count,
+                          mask_features, normalize_rows, normalize_rows_backward,
                           normalized_features, reconstruct)
 
 from oracles import encode_scalar, layer_normalize_scalar
@@ -271,7 +271,7 @@ class TestChunkedEncoding:
         enc = random_encoder(5, 8, activation, feature_norm)
         raw = np.random.default_rng(n).normal(size=(n, CHUNK_TOKENS, 5))
         whole = normalize_rows(encode_batch(raw, enc).mean(axis=1), feature_norm)
-        out = normalized_features(raw, enc)
+        out = encode_rows(raw, np.arange(n), enc)
         assert out.shape == (n, 8)
         assert out.tobytes() == whole.tobytes()
 
@@ -290,6 +290,8 @@ class TestChunkedEncoding:
         rows = encode_chunk_rows(tokens, enc)
         raw = np.random.default_rng(18).normal(size=(8 * rows, tokens, dim))
         chunk_activations = rows * tokens * dim * 8
-        _, peak = traced_peak(normalized_features, raw, enc)
-        # the whole batch's activations would be 8 chunks, twice over with tanh
-        assert peak < 2 * chunk_activations
+        _, peak = traced_peak(encode_rows, raw, np.arange(raw.shape[0]), enc)
+        # one chunk of gathered rows, one of activations and the half-chunk
+        # (n, dim) result; gathering and encoding the whole batch would
+        # take 8 chunks each
+        assert peak < 3 * chunk_activations

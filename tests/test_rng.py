@@ -1,5 +1,6 @@
-"""rng.rekey moves an existing generator to the start of another stream; it
-must then draw exactly what a new rng.generator for that stream draws."""
+"""rng.stream moves its shared generator to the start of the requested
+stream; whatever the generator drew before, it must then draw exactly what
+a new rng.generator for that stream draws."""
 
 import numpy as np
 import pytest
@@ -29,25 +30,17 @@ def assert_same_draws(a, b):
 ], ids=["fresh", "buffer", "uint32", "permutation", "many"])
 @pytest.mark.parametrize("seed, parts", [(0, ()), (7, (201, 1)), (2 ** 64 - 1, (201, 999)),
                                          (-3, (-1, 2 ** 63))])
-def test_rekeyed_generator_draws_what_a_new_one_draws(consume, seed, parts):
-    gen = rng.generator(11, 5)
-    consume(gen)
-    assert rng.rekey(gen, seed, *parts) is gen
-    assert_same_draws(gen, rng.generator(seed, *parts))
+def test_stream_draws_what_a_new_generator_draws(consume, seed, parts):
+    consume(rng.stream(11, 5))
+    assert_same_draws(rng.stream(seed, *parts), rng.generator(seed, *parts))
 
 
-def test_each_rekey_restarts_its_stream():
-    gen = rng.generator(1, 2)
+def test_each_stream_call_restarts_its_stream():
     for pos in (1, 2, 1):
-        assert_same_draws(rng.rekey(gen, 3, 201, pos), rng.generator(3, 201, pos))
-
-
-def test_rekey_needs_a_philox_generator():
-    with pytest.raises(ValueError):
-        rng.rekey(np.random.Generator(np.random.PCG64(0)), 1, 2)
+        assert_same_draws(rng.stream(3, 201, pos), rng.generator(3, 201, pos))
 
 
 def test_the_uint32_case_leaves_a_spare_uint32_set():
-    gen = rng.generator(11, 5)
+    gen = rng.stream(11, 5)
     gen.integers(0, 5, size=3, dtype=np.int32)
     assert gen.bit_generator.state["has_uint32"] == 1

@@ -371,7 +371,7 @@ class TestRunProtocol:
         features = np.random.default_rng(8).normal(size=(32, 64, 64))
         indices = np.arange(1024) % 32
         enc = encoder.init_encoder(64, 64)
-        out, peak = traced_peak(trainer._encode_rows, features, indices, enc)
+        out, peak = traced_peak(encoder.encode_rows, features, indices, enc)
         assert out.tobytes() == np.tile(normalized_features(features, enc), (32, 1)).tobytes()
         assert peak < 3 * encoder.ENCODE_CHUNK_BYTES
 
