@@ -14,7 +14,8 @@ optional "train", "loss", "protocol" and "synthetic" sections whose keys
 must match the corresponding dataclass fields exactly; unknown keys are
 rejected rather than ignored. Every value must have its field's type: an int
 field takes a JSON integer (not 2.0, "2" or true), a bool field only true or
-false, a float field any number but not a bool, and an optional field null.
+false, and a float field any number but not a bool; an integer in a float
+field must lie within float range.
 """
 
 from __future__ import annotations
@@ -58,12 +59,17 @@ def _build_section(cls, section: dict, where: str):
         raise ConfigError(f"unknown keys in {where}: {unknown}")
     for key, value in section.items():
         # exact JSON types: a bool is no int and 2.0 is no int, but a float
-        # field takes an int, and `X | None` takes null
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if not any(type(value) is kind or (kind is float and type(value) is int)
-                   for kind in kinds):
-            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-            raise ConfigError(f"{where}.{key} must be {names}, got {json.dumps(value)}")
+        # field takes an int that a float can hold
+        kind = hints[key]
+        if kind is float and type(value) is int:
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{where}.{key} must be a number within float "
+                                  "range, got an integer too large for a float") from None
+        elif type(value) is not kind:
+            raise ConfigError(f"{where}.{key} must be {kind.__name__}, "
+                              f"got {json.dumps(value)}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -77,7 +83,7 @@ def load_run_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

@@ -152,15 +152,15 @@ def read_report(path) -> dict:
     """Load a JSON report written by write_report. ValueError when the file
     is not JSON or lacks what a report table reads: a string label, a
     non-empty session list with numeric acc_all, an integer final memory
-    total and a numeric summary avg_acc."""
+    total and a numeric summary avg_acc. A bool is not a number here."""
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     try:
         sessions = report["sessions"]
         valid = (isinstance(report["label"], str) and isinstance(sessions, list)
                  and len(sessions) > 0
-                 and isinstance(sessions[-1]["memory_budget"]["total"], int)
-                 and all(isinstance(v, (int, float)) for v in
+                 and type(sessions[-1]["memory_budget"]["total"]) is int
+                 and all(type(v) in (int, float) for v in
                          [report["summary"]["avg_acc"], *(s["acc_all"] for s in sessions)]))
     except (KeyError, TypeError):
         valid = False

@@ -30,9 +30,6 @@ from .nn_core import check_labels
 # Sub-stream tag for the mask selection of one base-objective step.
 MASK_TAG = 0
 
-RECON_SCOPES = ("all", "masked")
-RECON_REDUCTIONS = ("mean", "sum")
-
 
 @dataclass
 class LossConfig:
@@ -40,17 +37,14 @@ class LossConfig:
 
     c is the epoch-0 reconstruction weight (the weight decays as
     c * exp(-epoch/2)); beta balances the distance regularizer against the
-    memory and classification terms. recon_scope selects whether the
-    reconstruction error is averaged over all token positions or the masked
-    ones only; recon_reduction picks per-element averaging or a raw sum per
-    example.
+    memory and classification terms; mask_ratio is the share of each
+    example's tokens masked before reconstruction. The reconstruction error
+    is the mean squared error over every token position and feature.
     """
 
     c: float = 0.3
     beta: float = 0.7
     mask_ratio: float = 0.75
-    recon_scope: str = "all"
-    recon_reduction: str = "mean"
 
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
@@ -59,10 +53,6 @@ class LossConfig:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in [0, 1)")
-        if self.recon_scope not in RECON_SCOPES:
-            raise ValueError(f"recon_scope must be one of {RECON_SCOPES}")
-        if self.recon_reduction not in RECON_REDUCTIONS:
-            raise ValueError(f"recon_reduction must be one of {RECON_REDUCTIONS}")
 
 
 @dataclass(frozen=True)
@@ -162,16 +152,8 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     masked = encoder.mask_features(feats, cfg.mask_ratio, rng.stream_id(seed, MASK_TAG))
     diff = encoder.reconstruct(feats, masked, dec)
     diff -= feats
-    # per-example weight 1/norm; an example with an empty scope contributes 0
-    if cfg.recon_scope == "masked":
-        n_scope = masked.sum(axis=1)
-        norm = n_scope * dim if cfg.recon_reduction == "mean" else 1.0
-        weight = np.where(n_scope > 0, 1.0 / np.maximum(norm, 1), 0.0)
-        diff *= masked[:, :, None]
-    else:
-        # every position is in scope, and a group has >= 2 tokens
-        norm = n_tokens * dim if cfg.recon_reduction == "mean" else 1.0
-        weight = np.full(n, 1.0 / norm)
+    # mean over every token position and feature of each example
+    weight = 1.0 / (n_tokens * dim)
     recon_term = float(((diff * diff).sum(axis=(1, 2)) * weight).sum()) / n
 
     # classification path: the head term of the incremental objective
@@ -193,7 +175,7 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     d_feats_ce = (1.0 - alpha) * (dpooled / n_tokens)
 
     # reconstruction backward; the target side of diff also reaches feats
-    delta = (2.0 * weight)[:, None, None] * diff
+    delta = (2.0 * weight) * diff
     filled = np.where(masked[:, :, None], dec.mask_token, feats)
     dfilled = delta @ dec.w.T
     d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta

@@ -49,9 +49,6 @@ class TrainConfig:
     seed: int = 0
     memory_regularization: bool = True
     hidden_dim: int = 256
-    feature_dim: int | None = None      # None: same as the raw token dim
-    encoder_activation: str = "tanh"
-    feature_norm: str = "layer"
     dropout_rate: float = 0.1
 
     def __post_init__(self):
@@ -65,14 +62,8 @@ class TrainConfig:
             raise ValueError("learning rates must be positive and finite")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
-        if self.feature_dim is not None and self.feature_dim < 2:
-            raise ValueError("feature_dim must be at least 2 when set")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.encoder_activation not in encoder.ACTIVATIONS:
-            raise ValueError(f"encoder_activation must be one of {encoder.ACTIVATIONS}")
-        if self.feature_norm not in encoder.FEATURE_NORMS:
-            raise ValueError(f"feature_norm must be one of {encoder.FEATURE_NORMS}")
 
 
 @dataclass
@@ -157,10 +148,9 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
             raise ValueError(f"base classes without examples: {missing}")
 
         raw_dim = features.shape[2]
-        dim = cfg.feature_dim or raw_dim
-        enc = encoder.init_encoder(raw_dim, dim, cfg.encoder_activation, cfg.feature_norm)
-        dec = encoder.init_decoder(dim)
-        head = classifier.init_classifier(dim, cfg.hidden_dim, len(class_ids),
+        enc = encoder.init_encoder(raw_dim, raw_dim)
+        dec = encoder.init_decoder(raw_dim)
+        head = classifier.init_classifier(raw_dim, cfg.hidden_dim, len(class_ids),
                                           rng.stream_id(cfg.seed, INIT_TAG),
                                           cfg.dropout_rate)
 

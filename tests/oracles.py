@@ -148,14 +148,8 @@ def base_loss_scalar(raw_tokens, labels, enc, dec, params, cfg, epoch, seed):
             source = dec.mask_token.tolist() if i in masked else group[i]
             recon.append([sum(source[a] * dec.w[a][b] for a in range(dim)) + dec.b[b]
                           for b in range(dim)])
-        scope = range(n_tokens) if cfg.recon_scope == "all" else sorted(masked)
-        scope = list(scope)
-        if scope:
-            sq = sum((recon[i][b] - group[i][b]) ** 2 for i in scope for b in range(dim))
-            norm = len(scope) * dim if cfg.recon_reduction == "mean" else 1.0
-            recon_losses.append(sq / norm)
-        else:
-            recon_losses.append(0.0)
+        sq = sum((recon[i][b] - group[i][b]) ** 2 for i in range(n_tokens) for b in range(dim))
+        recon_losses.append(sq / (n_tokens * dim))
 
         pooled = [sum(group[i][b] for i in range(n_tokens)) / n_tokens for b in range(dim)]
         if enc.feature_norm == "layer":
@@ -272,11 +266,9 @@ def base_core_reference(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
     masked = encoder.mask_features(feats, cfg.mask_ratio,
                                    rng.stream_id(seed, losses.MASK_TAG))
     recon = encoder.reconstruct(feats, masked, dec)
-    scope = masked if cfg.recon_scope == "masked" else np.ones_like(masked)
-    n_scope = scope.sum(axis=1)
-    norm = n_scope * dim if cfg.recon_reduction == "mean" else 1.0
-    # per-example weight 1/norm; an example with an empty scope contributes 0
-    weight = np.where(n_scope > 0, 1.0 / np.maximum(norm, 1), 0.0)
+    # every position is in scope: per-example weights 1/(positions * dim)
+    scope = np.ones_like(masked)
+    weight = 1.0 / (scope.sum(axis=1) * dim)
     diff = (recon - feats) * scope[:, :, None]
     recon_term = float(((diff * diff).sum(axis=(1, 2)) * weight).sum()) / n
 

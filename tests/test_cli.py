@@ -81,8 +81,8 @@ class TestConfigParsing:
         ("train.base_epochs", 1.5), ("train.base_epochs", 2.0), ("train.seed", "7"),
         ("train.batch_size", True), ("train.memory_regularization", 0),
         ("train.memory_regularization", "no"), ("train.memory_regularization", None),
-        ("train.base_lr", False), ("train.feature_dim", 8.0), ("train.feature_dim", "8"),
-        ("train.feature_norm", 1), ("loss.beta", True), ("loss.c", "0.3"),
+        ("train.base_lr", False), ("train.hidden_dim", 8.0), ("train.hidden_dim", "8"),
+        ("train.dropout_rate", "0.1"), ("loss.beta", True), ("loss.c", "0.3"),
         ("protocol.k_shot", 2.5), ("protocol.test_per_class", None),
         ("synthetic.d", 12.0), ("synthetic.within_class_sigma", True),
     ])
@@ -93,7 +93,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value, expected", [
         ("train.base_lr", 1, 1), ("loss.beta", 0, 0), ("synthetic.class_mean_norm", 4, 4),
-        ("train.feature_dim", None, None), ("train.feature_dim", 6, 6),
+        ("train.dropout_rate", 0, 0), ("train.hidden_dim", 6, 6),
         ("train.memory_regularization", False, False), ("protocol.seed", 0, 0),
     ])
     def test_value_of_the_field_type_accepted(self, tmp_path, key, value, expected):
@@ -270,7 +270,9 @@ class TestRun:
 
     @pytest.mark.parametrize("section, key, value", [
         ("loss", "distance_space", "feature"), ("loss", "novel_label_handling", "ignore"),
-        ("train", "finetune_base", False),
+        ("train", "finetune_base", False), ("loss", "recon_scope", "all"),
+        ("loss", "recon_reduction", "mean"), ("train", "feature_dim", None),
+        ("train", "encoder_activation", "tanh"), ("train", "feature_norm", "layer"),
     ])
     def test_removed_config_keys_exit_2_before_output(self, tmp_path, dataset_file,
                                                       capsys, section, key, value):
@@ -294,6 +296,32 @@ class TestRun:
         assert main(["run", "--config", str(config), "--data", str(dataset_file),
                      "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["train.base_lr", "train.incr_lr", "train.min_lr",
+                                     "synthetic.class_mean_norm",
+                                     "synthetic.within_class_sigma"])
+    def test_integer_beyond_float_range_exits_2_before_output(self, tmp_path, capsys, key):
+        # 10**400 is a valid JSON integer that no float can hold
+        config = write_config(tmp_path / "c.json", **{key: 10 ** 400})
+        out = tmp_path / "x"
+        data = tmp_path / "d.gcmr"
+        assert main(["synth", "--spec", str(config), "--out", str(data)]) == EXIT_CONFIG
+        assert main(["run", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {key} must be a number within float range") == 2
+        assert not data.exists() and not out.exists()
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json refuses to parse an integer this long: a config error, not a crash
+        config = write_config(tmp_path / "c.json")
+        config.write_text(config.read_text().replace('"base_lr": 0.05',
+                                                     '"base_lr": 1' + "0" * 5000))
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--data", str(tmp_path / "d"),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mask_ratio_hiding_every_token_exits_2_before_output(self, tmp_path,
@@ -465,7 +493,15 @@ class TestReport:
         '{"label": "x", "sessions": [], "summary": {"avg_acc": 0.5}}',
         '{"label": "x", "sessions": [{"acc_all": "high", "memory_budget": {"total": 1}}], '
         '"summary": {"avg_acc": 0.5}}',
-    ], ids=["empty object", "list", "string", "no sessions", "text accuracy"])
+        # a bool is no number, as in a config
+        '{"label": "r1", "sessions": [{"acc_all": true, "memory_budget": {"total": 1}}], '
+        '"summary": {"avg_acc": 0.5}}',
+        '{"label": "r1", "sessions": [{"acc_all": 0.5, "memory_budget": {"total": true}}], '
+        '"summary": {"avg_acc": 0.5}}',
+        '{"label": "r1", "sessions": [{"acc_all": 0.5, "memory_budget": {"total": 1}}], '
+        '"summary": {"avg_acc": false}}',
+    ], ids=["empty object", "list", "string", "no sessions", "text accuracy",
+            "bool accuracy", "bool memory total", "bool average"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, content):
         (tmp_path / "report.json").write_text(content)
         for fmt in ("csv", "json"):

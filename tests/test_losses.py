@@ -5,9 +5,9 @@ import pytest
 
 from gcmr.classifier import init_classifier, project_batch
 from gcmr.encoder import DecoderParams, EncoderParams, init_decoder, init_encoder
-from gcmr.losses import (RECON_REDUCTIONS, RECON_SCOPES, DistanceDictionary, LossConfig,
-                         _base_core, alpha_schedule, base_loss, base_loss_backward,
-                         build_distance_dictionary, incremental_loss)
+from gcmr.losses import (DistanceDictionary, LossConfig, _base_core, alpha_schedule,
+                         base_loss, base_loss_backward, build_distance_dictionary,
+                         incremental_loss)
 from gcmr.memory import init_representation_memory
 
 from oracles import (base_core_reference, base_loss_scalar, cross_entropy_scalar,
@@ -145,33 +145,15 @@ class TestBaseLoss:
         assert breakdown["classification"] == pytest.approx(
             ref_terms["classification"], rel=1e-10)
 
-    def test_masked_scope_matches_scalar_oracle(self):
-        raw, labels, enc, dec, params, cfg = self.make_instance(
-            6, c=0.5, mask_ratio=0.5, recon_scope="masked")
-        total, _ = base_loss(raw, labels, enc, dec, params, cfg, 0, seed=6)
-        ref_total, _ = base_loss_scalar(raw, labels, enc, dec, params, cfg, 0, seed=6)
-        assert total == pytest.approx(ref_total, rel=1e-10)
-
-    def test_sum_reduction_matches_scalar_oracle(self):
-        raw, labels, enc, dec, params, cfg = self.make_instance(
-            7, c=0.5, mask_ratio=0.5, recon_reduction="sum")
-        total, _ = base_loss(raw, labels, enc, dec, params, cfg, 0, seed=7)
-        ref_total, _ = base_loss_scalar(raw, labels, enc, dec, params, cfg, 0, seed=7)
-        assert total == pytest.approx(ref_total, rel=1e-10)
-
-    @pytest.mark.parametrize("scope", ["all", "masked"])
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
     @pytest.mark.parametrize("ratio", [0.5, 0.1])
-    def test_gradients_match_finite_differences(self, scope, reduction, ratio):
-        # ratio 0.1 hides no token of a 4-token group: the masked scope is
-        # empty and its reconstruction term and decoder gradients vanish
+    def test_gradients_match_finite_differences(self, ratio):
+        # ratio 0.1 hides no token of a 4-token group: every position is
+        # decoded from its own feature and the mask token gets no gradient
         raw, labels, enc, dec, params, cfg = self.make_instance(
-            9, n=5, c=0.5, mask_ratio=ratio, recon_scope=scope,
-            recon_reduction=reduction)
-        _, terms, grads = base_loss_backward(raw, labels, enc, dec, params, cfg, 0, seed=4)
-        if scope == "masked" and ratio == 0.1:
-            assert terms["reconstruction"] == 0.0
-            assert not grads["dec_w"].any() and not grads["mask_token"].any()
+            9, n=5, c=0.5, mask_ratio=ratio)
+        _, _, grads = base_loss_backward(raw, labels, enc, dec, params, cfg, 0, seed=4)
+        if ratio == 0.1:
+            assert not grads["mask_token"].any()
         for name, arr in (("enc_w", enc.w), ("enc_b", enc.b), ("dec_w", dec.w),
                           ("dec_b", dec.b), ("mask_token", dec.mask_token),
                           ("head_w1", params.w1), ("head_b2", params.b2)):
@@ -215,16 +197,14 @@ class TestBaseCoreBytes:
     value, the breakdown and every gradient agree byte for byte, signed
     zeros included."""
 
-    @pytest.mark.parametrize("scope", RECON_SCOPES)
-    @pytest.mark.parametrize("reduction", RECON_REDUCTIONS)
     @pytest.mark.parametrize("activation, norm", [("tanh", "layer"), ("tanh", "l2"),
                                                   ("identity", "layer"),
                                                   ("identity", "l2")])
     @pytest.mark.parametrize("ratio", [0.5, 0.1])
-    def test_matches_reference_bytes(self, scope, reduction, activation, norm, ratio):
-        # ratio 0.1 hides no token of a 5-token group, so the masked scope
-        # is empty; a large negative head bias kills ReLU units, which
-        # gives signed zeros in the gradients
+    def test_matches_reference_bytes(self, activation, norm, ratio):
+        # ratio 0.1 hides no token of a 5-token group; a large negative
+        # head bias kills ReLU units, which gives signed zeros in the
+        # gradients
         gen = np.random.default_rng(31)
         enc = EncoderParams(np.eye(5, 6) + 0.2 * gen.standard_normal((5, 6)),
                             0.1 * gen.standard_normal(6), activation, norm)
@@ -234,8 +214,7 @@ class TestBaseCoreBytes:
         params.b1[:3] = -10.0
         raw = gen.standard_normal((9, 5, 5))
         labels = gen.integers(0, 4, size=9)
-        cfg = LossConfig(c=0.6, mask_ratio=ratio, recon_scope=scope,
-                         recon_reduction=reduction)
+        cfg = LossConfig(c=0.6, mask_ratio=ratio)
         for epoch, compute_grads in ((0, True), (3, True), (1, False)):
             total, terms, grads = _base_core(raw, labels, enc, dec, params, cfg,
                                              epoch, 8, compute_grads)
@@ -377,5 +356,3 @@ class TestLossConfigValidation:
             LossConfig(beta=-0.1)
         with pytest.raises(ValueError):
             LossConfig(mask_ratio=1.0)
-        with pytest.raises(ValueError):
-            LossConfig(recon_scope="sometimes")

@@ -147,13 +147,13 @@ class TestLayerNormalize:
             assert abs(out.var() - 1.0) < 1e-6
 
     def test_rejects_degenerate_input(self):
-        # a 1-wide feature normalizes to a constant, so the widths are
-        # rejected where they are configured
-        from gcmr.encoder import init_encoder
+        # a 1-wide feature normalizes to a constant, so an encoder of that
+        # width is rejected however it is built
+        from gcmr.encoder import EncoderParams, init_encoder
         with pytest.raises(ValueError):
             init_encoder(1, 1)
-        with pytest.raises(ValueError):
-            TrainConfig(feature_dim=1)
+        with pytest.raises(ValueError, match="feature dim >= 2"):
+            EncoderParams(np.ones((4, 1)), np.zeros(1))
 
 
 class TestL2Normalize:

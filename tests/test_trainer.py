@@ -348,10 +348,11 @@ class TestRunProtocol:
         assert sum(encoded) - n_train == n_test
 
     def test_no_copy_of_a_session_is_made(self, traced_peak):
-        # a base-only stream with 4,000 train and 8,000 test rows of 8 x 16
-        # tokens (4.1 and 8.2 MB): a copy of either slice shows in the traced
-        # peak, the encoder's 1 MiB chunks and 4-wide features do not
-        spec = data_io.SyntheticSpec(d=16, g=8, n_classes=4, class_mean_norm=4.0,
+        # a base-only stream with 4,000 train and 8,000 test rows of 64
+        # tokens of width 4 (8.2 and 16.4 MB): a copy of either slice shows
+        # in the traced peak, the encoder's 1 MiB chunks and 4-wide features
+        # do not
+        spec = data_io.SyntheticSpec(d=4, g=64, n_classes=4, class_mean_norm=4.0,
                                      within_class_sigma=1.0, examples_per_class=3000,
                                      seed=6)
         ds = data_io.generate_synthetic(spec)
@@ -360,7 +361,7 @@ class TestRunProtocol:
         split = data_io.fscil_split(proto, ds.labels)
         sessions = data_io.materialize_sessions(ds, split)
         test_bytes = ds.features[split[0].test_indices].nbytes
-        cfg = small_config(base_epochs=1, batch_size=64, feature_dim=4)
+        cfg = small_config(base_epochs=1, batch_size=64)
         (reports, _), peak = traced_peak(trainer.run_protocol, sessions, cfg)
         assert len(reports) == 1
         assert peak < test_bytes / 4
@@ -469,7 +470,3 @@ class TestConfigValidation:
             trainer.TrainConfig(base_epochs=-1)
         with pytest.raises(ValueError):
             trainer.TrainConfig(dropout_rate=1.5)
-        with pytest.raises(ValueError):
-            trainer.TrainConfig(encoder_activation="relu")
-        with pytest.raises(ValueError):
-            trainer.TrainConfig(feature_norm="batch")
