@@ -300,7 +300,9 @@ class TestRun:
 
     @pytest.mark.parametrize("key", ["train.base_lr", "train.incr_lr", "train.min_lr",
                                      "synthetic.class_mean_norm",
-                                     "synthetic.within_class_sigma"])
+                                     "synthetic.within_class_sigma", "train.momentum",
+                                     "train.dropout_rate", "loss.c", "loss.beta",
+                                     "loss.mask_ratio"])
     def test_integer_beyond_float_range_exits_2_before_output(self, tmp_path, capsys, key):
         # 10**400 is a valid JSON integer that no float can hold
         config = write_config(tmp_path / "c.json", **{key: 10 ** 400})
@@ -500,8 +502,13 @@ class TestReport:
         '"summary": {"avg_acc": 0.5}}',
         '{"label": "r1", "sessions": [{"acc_all": 0.5, "memory_budget": {"total": 1}}], '
         '"summary": {"avg_acc": false}}',
+        '{"label": "r1", "sessions": [{"acc_all": true, "memory_budget": {"total": 1}}, '
+        '{"acc_all": 0.5, "memory_budget": {"total": 1}}], "summary": {"avg_acc": 0.5}}',
+        '{"label": "r1", "sessions": [{"acc_all": 0.5, "memory_budget": {"total": 1.0}}], '
+        '"summary": {"avg_acc": 0.5}}',
     ], ids=["empty object", "list", "string", "no sessions", "text accuracy",
-            "bool accuracy", "bool memory total", "bool average"])
+            "bool accuracy", "bool memory total", "bool average",
+            "bool accuracy of an earlier session", "float memory total"])
     def test_malformed_report_exits_3(self, tmp_path, capsys, content):
         (tmp_path / "report.json").write_text(content)
         for fmt in ("csv", "json"):

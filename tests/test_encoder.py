@@ -52,6 +52,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(np.zeros((3, 4)), enc)
 
+    @pytest.mark.parametrize("activation, feature_norm", [("relu", "layer"),
+                                                          ("tanh", "batch")])
+    def test_unknown_activation_or_norm_rejected(self, activation, feature_norm):
+        with pytest.raises(ValueError, match="unknown"):
+            EncoderParams(np.eye(3), np.zeros(3), activation, feature_norm)
+
     def test_freeze_makes_arrays_read_only(self):
         enc = init_encoder(3, 3)
         enc.freeze()

@@ -145,7 +145,20 @@ class TestBaseLoss:
         assert breakdown["classification"] == pytest.approx(
             ref_terms["classification"], rel=1e-10)
 
-    @pytest.mark.parametrize("ratio", [0.5, 0.1])
+    @pytest.mark.parametrize("ratio", [0.25, 0.5, 0.75])
+    def test_matches_scalar_oracle_at_each_mask_count(self, ratio):
+        # a 4-token group hides 1, 2 or 3 tokens; the reconstruction term
+        # stays the mean squared error over every position
+        raw, labels, enc, dec, params, cfg = self.make_instance(
+            6, n=3, c=0.5, mask_ratio=ratio)
+        total, breakdown = base_loss(raw, labels, enc, dec, params, cfg, 0, seed=6)
+        ref_total, ref_terms = base_loss_scalar(raw, labels, enc, dec, params,
+                                                cfg, 0, seed=6)
+        assert total == pytest.approx(ref_total, rel=1e-10)
+        assert breakdown["reconstruction"] == pytest.approx(
+            ref_terms["reconstruction"], rel=1e-10)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.1, 0.75])
     def test_gradients_match_finite_differences(self, ratio):
         # ratio 0.1 hides no token of a 4-token group: every position is
         # decoded from its own feature and the mask token gets no gradient
@@ -200,9 +213,10 @@ class TestBaseCoreBytes:
     @pytest.mark.parametrize("activation, norm", [("tanh", "layer"), ("tanh", "l2"),
                                                   ("identity", "layer"),
                                                   ("identity", "l2")])
-    @pytest.mark.parametrize("ratio", [0.5, 0.1])
+    @pytest.mark.parametrize("ratio", [0.5, 0.1, 0.75])
     def test_matches_reference_bytes(self, activation, norm, ratio):
-        # ratio 0.1 hides no token of a 5-token group; a large negative
+        # ratio 0.1 hides no token of a 5-token group and 0.75, the default,
+        # hides four of them; a large negative
         # head bias kills ReLU units, which gives signed zeros in the
         # gradients
         gen = np.random.default_rng(31)

@@ -44,6 +44,13 @@ class TestTrainBase:
         assert state.encoder.frozen
         assert state.wmem.classifier_snapshot.state_bytes() == state.classifier.state_bytes()
 
+    def test_encoder_is_tanh_layer_norm_as_wide_as_the_tokens(self):
+        base = small_stream()[0]
+        state = trainer.train_base(base, small_config(base_epochs=0))
+        built = encoder.init_encoder(16, 16)
+        assert (built.activation, built.feature_norm) == ("tanh", "layer")
+        assert state.encoder.state_bytes() == built.state_bytes()
+
     def test_separable_clusters_reach_95_percent(self):
         # four well-separated clusters (mean gap > 6 sigma), 50 epochs
         spec = data_io.SyntheticSpec(d=16, g=4, n_classes=4, class_mean_norm=6.0,
