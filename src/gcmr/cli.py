@@ -109,15 +109,23 @@ def load_run_config(path) -> dict:
     return out
 
 
+def _check_out_file(out: str) -> None:
+    """ConfigError unless out names a file in an existing directory."""
+    if os.path.isdir(out):
+        raise ConfigError(f"--out {out} is a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {out} is not in an existing directory")
+
+
 def _cmd_synth(args) -> int:
     try:
-        config = load_run_config(args.spec)
+        spec = load_run_config(args.spec)["synthetic"]
+        if spec is None:
+            raise ConfigError("synth requires a 'synthetic' section")
+        _check_out_file(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    spec = config["synthetic"]
-    if spec is None:
-        print("config error: synth requires a 'synthetic' section", file=sys.stderr)
         return EXIT_CONFIG
     dataset = data_io.generate_synthetic(spec)
     data_io.save_dataset(dataset, args.out)
@@ -133,11 +141,16 @@ def _session_row(reports) -> str:
 
 
 def _check_fresh_out(out: str) -> None:
-    """ConfigError when out is not a directory, or already holds a run's
-    report.json, run_log.jsonl or any file under checkpoints/: a second run
-    into it would leave the first run's files beside its own."""
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise ConfigError(f"--out {out} exists and is not a directory")
+    """ConfigError when out is not a directory and cannot be made one (it
+    or its nearest existing ancestor is something else), or already holds a
+    run's report.json, run_log.jsonl or any file under checkpoints/: a
+    second run into it would leave the first run's files beside its own."""
+    existing = os.path.abspath(out)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {out} cannot be a directory: {existing} exists "
+                          "and is not a directory")
     held = [name for name in ("report.json", "run_log.jsonl")
             if os.path.lexists(os.path.join(out, name))]
     ckpt_dir = os.path.join(out, "checkpoints")

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import rng
 from .classifier import ClassifierParams
-from .encoder import ACTIVATIONS, EncoderParams, FEATURE_NORMS
+from .encoder import EncoderParams
 from .memory import RepresentationMemory, build_weight_memory
 from .trainer import SessionState
 
@@ -58,7 +58,7 @@ FORMAT_MAGIC = b"GCMR"
 KIND_DATASET = 1
 KIND_CHECKPOINT = 2
 # versioned per kind, so a new checkpoint layout leaves datasets loadable
-FORMAT_VERSION = {KIND_DATASET: 1, KIND_CHECKPOINT: 2}
+FORMAT_VERSION = {KIND_DATASET: 1, KIND_CHECKPOINT: 3}
 
 SPLIT_TAG = 201
 SYNTH_TAG = 202
@@ -511,9 +511,7 @@ def save_checkpoint(state: SessionState, path, precision: int = 8) -> None:
         FORMAT_MAGIC,
         struct.pack("<HBB", FORMAT_VERSION[KIND_CHECKPOINT], KIND_CHECKPOINT, precision),
         struct.pack("<I", state.session),
-        struct.pack("<BBBII", ACTIVATIONS.index(enc.activation),
-                    FEATURE_NORMS.index(enc.feature_norm),
-                    int(enc.frozen), enc.raw_dim, enc.dim),
+        struct.pack("<BII", int(enc.frozen), enc.raw_dim, enc.dim),
         _float_buffer(enc.w, precision),
         _float_buffer(enc.b, precision),
         *_classifier_parts(state.classifier, precision),
@@ -529,15 +527,12 @@ def load_checkpoint(path) -> SessionState:
     rebuilt from the head."""
     reader, width = _open_blob(_read_file(path), KIND_CHECKPOINT)
     session, = reader.unpack("<I", "session index")
-    act_code, norm_code, frozen, raw_dim, dim = reader.unpack("<BBBII", "encoder header")
-    if act_code >= len(ACTIVATIONS) or norm_code >= len(FEATURE_NORMS):
-        raise FormatError("unknown encoder activation or norm code", reader.pos)
+    frozen, raw_dim, dim = reader.unpack("<BII", "encoder header")
     if min(raw_dim, dim) < 1:
         raise DimensionError("degenerate encoder shape", reader.pos)
     enc_w = reader.floats(raw_dim * dim, width, "encoder weights").reshape(raw_dim, dim)
     enc_b = reader.floats(dim, width, "encoder bias")
-    enc = _construct(reader, "encoder", EncoderParams, enc_w, enc_b,
-                     ACTIVATIONS[act_code], FEATURE_NORMS[norm_code])
+    enc = _construct(reader, "encoder", EncoderParams, enc_w, enc_b)
     if frozen:
         enc.freeze()
     head = _unpack_classifier(reader, width)

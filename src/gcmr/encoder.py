@@ -1,10 +1,11 @@
 """Per-example feature groups: toy encoder/decoder, token masking, pooled features.
 
 The encoder stands in for a heavy pretrained backbone: a single affine map
-from raw token space into feature space with an optional tanh squash. The
-matching decoder maps features back per token, with a learned fill vector
-substituted at masked positions before decoding. Both are trainable only in
-the base session; afterwards the encoder is frozen for good.
+from raw token space into feature space followed by tanh, whose mean-pooled
+features are layer normalized. The matching decoder maps features back per
+token, with a learned fill vector substituted at masked positions before
+decoding. Both are trainable only in the base session; afterwards the
+encoder is frozen for good.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .nn_core import LAYER_NORM_EPS
 # Sub-stream tag isolating mask-index selection from other seed consumers.
 MASK_STREAM = 0x6D61736B
 
-ACTIVATIONS = ("identity", "tanh")
-FEATURE_NORMS = ("layer", "l2")
 # Byte budget of one encode chunk: encode_rows gathers and encodes
 # encode_chunk_rows rows at a time, so the gathered raw rows and the
 # (rows, tokens, dim) activations each stay within it whatever the width of
@@ -30,13 +29,11 @@ ENCODE_CHUNK_BYTES = 1 << 20
 
 @dataclass
 class EncoderParams:
-    """Affine token encoder raw_dim -> dim plus the feature normalization choice."""
+    """Affine tanh token encoder raw_dim -> dim; frozen once freeze() has
+    made its arrays read-only."""
 
     w: np.ndarray  # (raw_dim, dim)
     b: np.ndarray  # (dim,)
-    activation: str = "tanh"
-    feature_norm: str = "layer"
-    frozen: bool = False
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
@@ -45,10 +42,6 @@ class EncoderParams:
             raise ValueError("encoder weight/bias shapes disagree")
         if self.w.shape[1] < 2:
             raise ValueError("feature normalization needs a feature dim >= 2")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.feature_norm not in FEATURE_NORMS:
-            raise ValueError(f"unknown feature norm {self.feature_norm!r}")
 
     @property
     def raw_dim(self) -> int:
@@ -58,16 +51,18 @@ class EncoderParams:
     def dim(self) -> int:
         return self.w.shape[1]
 
+    @property
+    def frozen(self) -> bool:
+        return not self.w.flags.writeable
+
     def freeze(self) -> None:
         """Make the parameters immutable for every later session."""
         self.w.setflags(write=False)
         self.b.setflags(write=False)
-        self.frozen = True
 
     def state_bytes(self) -> bytes:
-        """Canonical byte image of the parameters, for freeze checks."""
-        return b"|".join([self.activation.encode(), self.feature_norm.encode(),
-                          self.w.tobytes(), self.b.tobytes()])
+        """Canonical byte image of the parameters, w|b, for freeze checks."""
+        return b"|".join([self.w.tobytes(), self.b.tobytes()])
 
 
 @dataclass
@@ -91,35 +86,26 @@ class DecoderParams:
         return self.w.shape[0]
 
 
-def init_encoder(raw_dim: int, dim: int, activation: str = "tanh",
-                 feature_norm: str = "layer") -> EncoderParams:
-    """Identity-like deterministic initialization (rectangular eye, zero bias)."""
-    return EncoderParams(np.eye(raw_dim, dim), np.zeros(dim), activation, feature_norm)
+def init_encoder(raw_dim: int, dim: int) -> EncoderParams:
+    """The tanh encoder at an identity-like deterministic initialization
+    (rectangular eye, zero bias)."""
+    return EncoderParams(np.eye(raw_dim, dim), np.zeros(dim))
 
 
 def init_decoder(dim: int) -> DecoderParams:
     return DecoderParams(np.eye(dim), np.zeros(dim), np.zeros(dim))
 
 
-def activation_grad(outputs: np.ndarray, activation: str) -> np.ndarray:
-    """d(activation)/d(pre-activation) expressed through the outputs."""
-    if activation == "tanh":
-        return 1.0 - outputs * outputs
-    return np.ones_like(outputs)
-
-
 def encode_batch(raw_tokens, params: EncoderParams) -> np.ndarray:
     """Map a (n, tokens, raw_dim) stack of groups into feature space;
-    deterministic. The bias and activation apply in place, so one
+    deterministic. The bias and tanh apply in place, so one
     (n, tokens, dim) array is allocated."""
     raw = np.asarray(raw_tokens, dtype=np.float64)
     if raw.ndim != 3 or raw.shape[2] != params.raw_dim:
         raise ValueError("expected raw tokens of shape (n, tokens, raw_dim)")
     out = raw @ params.w
     out += params.b
-    if params.activation == "tanh":
-        np.tanh(out, out=out)
-    return out
+    return np.tanh(out, out=out)
 
 
 def mask_count(n_tokens: int, ratio: float) -> int:
@@ -183,7 +169,7 @@ def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
     This is the feature every classifier input and memory row is built from.
     It encodes the batch in one go: encode_rows bounds the working set of
     a large or wide one."""
-    return normalize_rows(encode_batch(raw_tokens, params).mean(axis=1), params.feature_norm)
+    return normalize_rows(encode_batch(raw_tokens, params).mean(axis=1))
 
 
 def encode_rows(features: np.ndarray, indices: np.ndarray,
@@ -200,39 +186,21 @@ def encode_rows(features: np.ndarray, indices: np.ndarray,
     return out
 
 
-def normalize_rows(rows: np.ndarray, kind: str) -> np.ndarray:
-    """Normalize each row: "layer" shifts/scales to mean 0 and unit
-    population variance over sqrt(var + 1e-5), with no learnable affine
-    terms, so a constant row maps to zeros; "l2" scales to unit Euclidean
-    norm and passes zero rows through unchanged."""
-    if kind == "layer":
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        var = (centered * centered).mean(axis=1, keepdims=True)
-        return centered / np.sqrt(var + LAYER_NORM_EPS)
-    if kind == "l2":
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return rows / safe
-    raise ValueError(f"unknown normalization {kind!r}")
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Layer-normalize each row: shift/scale to mean 0 and unit population
+    variance over sqrt(var + 1e-5), with no learnable affine terms, so a
+    constant row maps to zeros."""
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    return centered / np.sqrt(var + LAYER_NORM_EPS)
 
 
-def normalize_rows_backward(grad: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
+def normalize_rows_backward(grad: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Gradient of normalize_rows with respect to its input rows."""
-    if kind == "layer":
-        centered = rows - rows.mean(axis=1, keepdims=True)
-        var = (centered * centered).mean(axis=1, keepdims=True)
-        scale = np.sqrt(var + LAYER_NORM_EPS)
-        out = centered / scale
-        g_mean = grad.mean(axis=1, keepdims=True)
-        proj = (grad * out).mean(axis=1, keepdims=True)
-        return (grad - g_mean - out * proj) / scale
-    if kind == "l2":
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        out = rows / safe
-        proj = (grad * out).sum(axis=1, keepdims=True)
-        # zero rows pass through normalize_rows unchanged, so their
-        # gradient is the identity
-        adjusted = np.where(norms == 0.0, grad, (grad - out * proj) / safe)
-        return adjusted
-    raise ValueError(f"unknown normalization {kind!r}")
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    scale = np.sqrt(var + LAYER_NORM_EPS)
+    out = centered / scale
+    g_mean = grad.mean(axis=1, keepdims=True)
+    proj = (grad * out).mean(axis=1, keepdims=True)
+    return (grad - g_mean - out * proj) / scale

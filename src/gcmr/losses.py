@@ -158,7 +158,7 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
 
     # classification path: the head term of the incremental objective
     pooled = feats.mean(axis=1)
-    fbar = encoder.normalize_rows(pooled, enc.feature_norm)
+    fbar = encoder.normalize_rows(pooled)
     ce_term, head_grads, dz1 = classifier._mean_ce_with_grads(
         fbar, y, params, rng.stream_id(seed, classifier.CLASSIFICATION_TAG),
         compute_grads)
@@ -170,7 +170,7 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
 
     # classification backward, from the head's first-layer pre-activation
     dfbar = dz1 @ params.w1.T
-    dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
+    dpooled = encoder.normalize_rows_backward(dfbar, pooled)
     # scaled per (n, dim) row, then broadcast over the tokens
     d_feats_ce = (1.0 - alpha) * (dpooled / n_tokens)
 
@@ -180,10 +180,10 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     dfilled = delta @ dec.w.T
     d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta
 
-    # combine both paths through the encoder
+    # combine both paths through the encoder; tanh' is 1 - feats**2
     d_feats *= alpha / n
     d_feats += d_feats_ce[:, None, :]
-    dz_enc = d_feats * encoder.activation_grad(feats, enc.activation)
+    dz_enc = d_feats * (1.0 - feats * feats)
     grads = base_arrays(
         raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
         dz_enc.sum(axis=(0, 1)),

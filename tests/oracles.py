@@ -116,13 +116,13 @@ def incremental_loss_scalar(features, labels, memory_rows, dictionary, params, c
 
 
 def encode_scalar(raw_group, enc):
-    """Per-row affine map plus activation, scalar arithmetic."""
+    """Per-row affine map plus tanh, scalar arithmetic."""
     out = []
     for row in raw_group:
         encoded = []
         for o in range(enc.dim):
             z = sum(float(row[i]) * enc.w[i][o] for i in range(enc.raw_dim)) + enc.b[o]
-            encoded.append(math.tanh(z) if enc.activation == "tanh" else z)
+            encoded.append(math.tanh(z))
         out.append(encoded)
     return out
 
@@ -152,11 +152,7 @@ def base_loss_scalar(raw_tokens, labels, enc, dec, params, cfg, epoch, seed):
         recon_losses.append(sq / (n_tokens * dim))
 
         pooled = [sum(group[i][b] for i in range(n_tokens)) / n_tokens for b in range(dim)]
-        if enc.feature_norm == "layer":
-            fbar = layer_normalize_scalar(pooled)
-        else:
-            norm = math.sqrt(sum(v * v for v in pooled))
-            fbar = pooled if norm == 0.0 else [v / norm for v in pooled]
+        fbar = layer_normalize_scalar(pooled)
         _, logits = head_forward_scalar(fbar, params, scales[j])
         ce_losses.append(cross_entropy_scalar(logits, int(labels[j])))
 
@@ -274,7 +270,7 @@ def base_core_reference(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
 
     # classification path: the head term of the incremental objective
     pooled = feats.mean(axis=1)
-    fbar = encoder.normalize_rows(pooled, enc.feature_norm)
+    fbar = encoder.normalize_rows(pooled)
     ce_term, head_grads, dz1 = classifier._mean_ce_with_grads(
         fbar, y, params, rng.stream_id(seed, classifier.CLASSIFICATION_TAG),
         compute_grads)
@@ -286,7 +282,7 @@ def base_core_reference(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
 
     # classification backward, from the head's first-layer pre-activation
     dfbar = dz1 @ params.w1.T
-    dpooled = encoder.normalize_rows_backward(dfbar, pooled, enc.feature_norm)
+    dpooled = encoder.normalize_rows_backward(dfbar, pooled)
     d_feats_ce = np.broadcast_to(dpooled[:, None, :] / n_tokens, feats.shape)
 
     # reconstruction backward; the target side of diff also reaches feats
@@ -295,9 +291,9 @@ def base_core_reference(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
     dfilled = delta @ dec.w.T
     d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta
 
-    # combine both paths through the encoder
+    # combine both paths through the encoder; tanh' is 1 - feats**2
     d_feats_total = (alpha / n) * d_feats + (1.0 - alpha) * d_feats_ce
-    dz_enc = d_feats_total * encoder.activation_grad(feats, enc.activation)
+    dz_enc = d_feats_total * (1.0 - feats * feats)
     grads = losses.base_arrays(
         raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
         dz_enc.sum(axis=(0, 1)),

@@ -53,7 +53,7 @@ def _incremental_instance(seed, dim=8, hidden=4, n_classes=5, n_batch=3,
 def _base_instance(seed, dim=8, hidden=4, n_classes=5, n_batch=2, n_tokens=4):
     gen = np.random.default_rng(10_000 + seed)
     enc = EncoderParams(np.eye(dim) + 0.1 * gen.standard_normal((dim, dim)),
-                        0.1 * gen.standard_normal(dim), "tanh")
+                        0.1 * gen.standard_normal(dim))
     dec = DecoderParams(np.eye(dim) + 0.1 * gen.standard_normal((dim, dim)),
                         0.1 * gen.standard_normal(dim),
                         0.1 * gen.standard_normal(dim))

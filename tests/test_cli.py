@@ -109,6 +109,20 @@ class TestSynth:
         assert out.exists()
         assert "wrote 160 examples" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out, expected", [("missing/data.gcmr", "not in an existing"),
+                                               (".", "is a directory")])
+    def test_unusable_out_exits_2_before_generating(self, tmp_path, config_file, capsys,
+                                                    monkeypatch, out, expected):
+        def no_generation(spec):
+            raise AssertionError("generated a dataset for an unusable --out")
+
+        monkeypatch.setattr("gcmr.data_io.generate_synthetic", no_generation)
+        out = tmp_path / out
+        assert main(["synth", "--spec", str(config_file), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out") and expected in err
+        assert not (tmp_path / "missing").exists()
+
     def test_nonpositive_sigma_exits_2_naming_field(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", **{"synthetic.within_class_sigma": -1.0})
         assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "d")]) == EXIT_CONFIG
@@ -394,6 +408,19 @@ class TestFreshOut:
         assert self.run(config_file, dataset_file, out) == EXIT_CONFIG
         assert "not a directory" in capsys.readouterr().err
         assert out.read_text() == "not a directory"
+
+    def test_out_under_a_file_exits_2_before_loading(self, tmp_path, config_file,
+                                                     dataset_file, capsys, monkeypatch):
+        def no_load(path):
+            raise AssertionError("loaded the dataset for an unusable --out")
+
+        monkeypatch.setattr("gcmr.data_io.load_features", no_load)
+        afile = tmp_path / "afile"
+        afile.write_text("a regular file")
+        assert self.run(config_file, dataset_file, afile / "sub") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out") and "not a directory" in err
+        assert afile.read_text() == "a regular file"
 
 
 class TestModuleEntryPoint:

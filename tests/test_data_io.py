@@ -332,16 +332,17 @@ def classifier_section(width, params) -> bytes:
                        for arr in (params.w1, params.b1, params.w2, params.b2)))
 
 
-def checkpoint_body(width, state, version=2) -> bytes:
-    """Version 2: session, encoder, head, representation memory. Version 1
-    followed these with the weight-memory session, a second copy of the head
-    and the memory rows projected through it."""
+def checkpoint_body(width, state, version=3) -> bytes:
+    """Version 3: session, encoder, head, representation memory. Versions 1
+    and 2 led the encoder header with an activation and a norm code (1 and 0
+    for tanh and layer norm); version 1 also followed the memory with the
+    weight-memory session, a second copy of the head and the memory rows
+    projected through it."""
     enc, mem = state.encoder, state.mem
+    codes = b"" if version == 3 else struct.pack("<BB", 1, 0)
     body = (file_header(data_io.KIND_CHECKPOINT, width, version)
             + struct.pack("<I", state.session)
-            + struct.pack("<BBBII", ("identity", "tanh").index(enc.activation),
-                          ("layer", "l2").index(enc.feature_norm), int(enc.frozen),
-                          enc.raw_dim, enc.dim)
+            + codes + struct.pack("<BII", int(enc.frozen), enc.raw_dim, enc.dim)
             + np.asarray(enc.w, dtype=WIDTH_DTYPES[width]).tobytes()
             + np.asarray(enc.b, dtype=WIDTH_DTYPES[width]).tobytes()
             + classifier_section(width, state.classifier)
@@ -402,21 +403,19 @@ def dataset_blobs(draw):
 @st.composite
 def checkpoint_blobs(draw):
     width = draw(st.sampled_from((4, 8)))
-    # consistent blobs have valid codes, sizes and dropout and agreeing
-    # section shapes, so some of them load
+    # consistent blobs have valid sizes and dropout and agreeing section
+    # shapes, so some of them load
     consistent = draw(st.booleans())
     finite = draw(st.booleans())
-    code = st.integers(0, 1) if consistent else SMALL
     size = st.integers(1, 3) if consistent else SMALL
 
     def floats(count):
         return float_payload(draw, count, width, finite)
 
     raw_dim, dim = draw(size), draw(st.integers(2, 3) if consistent else SMALL)
-    body = file_header(data_io.KIND_CHECKPOINT, width, 2)
+    body = file_header(data_io.KIND_CHECKPOINT, width, 3)
     body += struct.pack("<I", draw(st.integers(0, 2 ** 32 - 1)))
-    body += struct.pack("<BBBII", draw(code), draw(code), draw(st.integers(0, 255)),
-                        raw_dim, dim)
+    body += struct.pack("<BII", draw(st.integers(0, 255)), raw_dim, dim)
     body += floats(raw_dim * dim + dim)
     head_dim = dim if consistent else draw(SMALL)
     hidden, n_classes = draw(size), draw(size)
@@ -462,6 +461,8 @@ class TestBinaryRoundTrips:
         assert loaded.session == state.session
         assert loaded.encoder.state_bytes() == state.encoder.state_bytes()
         assert loaded.encoder.frozen == state.encoder.frozen
+        assert loaded.encoder.frozen and not loaded.encoder.w.flags.writeable
+        assert not loaded.encoder.b.flags.writeable
         assert loaded.classifier.state_bytes() == state.classifier.state_bytes()
         assert loaded.classifier.dropout_rate == state.classifier.dropout_rate
         assert loaded.mem.rows.tobytes() == state.mem.rows.tobytes()
@@ -653,10 +654,11 @@ class TestFormatErrors:
 
     def test_versions_are_per_kind(self, tmp_path):
         state = small_state()
-        v1_checkpoint = with_crc(checkpoint_body(8, state, version=1))
-        with pytest.raises(VersionError) as excinfo:
-            load_checkpoint(write_blob(tmp_path, v1_checkpoint))
-        assert excinfo.value.offset == 4
+        for version in (1, 2):
+            old_checkpoint = with_crc(checkpoint_body(8, state, version=version))
+            with pytest.raises(VersionError) as excinfo:
+                load_checkpoint(write_blob(tmp_path, old_checkpoint))
+            assert excinfo.value.offset == 4
         v1_dataset = dataset_body(8, 1, 2, [3], [0], [1.0, -2.0])
         assert load_dataset(write_blob(tmp_path, with_crc(v1_dataset))).labels.tolist() == [3]
         v2_dataset = v1_dataset[:4] + struct.pack("<H", 2) + v1_dataset[6:]

@@ -1,5 +1,6 @@
 """README stays in step with the package: its layout table names every
-module once, and every `gcmr.<module>.<name>` it cites exists."""
+module once, every `gcmr.<module>.<name>` it cites exists, and the format
+versions it states are the ones data_io writes."""
 
 import importlib
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gcmr
+from gcmr import data_io
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 PACKAGE_DIR = Path(gcmr.__file__).resolve().parent
@@ -30,3 +32,9 @@ def test_layout_table_lists_exactly_the_package_modules():
 def test_cited_name_resolves(module, name):
     owner = importlib.import_module(f"gcmr.{module}")
     assert hasattr(owner, name), f"gcmr.{module}.{name}"
+
+
+def test_stated_format_versions_match_data_io():
+    stated = re.findall(r"datasets are version (\d+),\s+checkpoints\s+version (\d+)", README)
+    assert stated == [(str(data_io.FORMAT_VERSION[data_io.KIND_DATASET]),
+                       str(data_io.FORMAT_VERSION[data_io.KIND_CHECKPOINT]))]

@@ -14,33 +14,34 @@ def encode(group, enc):
     return encode_batch(np.asarray(group)[None], enc)[0]
 
 
-def pool_normalize(group, kind="layer"):
-    """normalized_features of one group through an identity encoder (n = 1)."""
+def pool_normalize(group):
+    """normalized_features of one group through the identity-initialized
+    encoder (n = 1), so each token is tanh of itself."""
     dim = group.shape[1]
-    return normalized_features(group[None], init_encoder(dim, dim, "identity", kind))[0]
+    return normalized_features(group[None], init_encoder(dim, dim))[0]
 
 
 class TestEncode:
-    def test_identity_configuration_is_identity(self):
-        enc = init_encoder(6, 6, activation="identity")
+    def test_identity_initialization_is_tanh(self):
+        enc = init_encoder(6, 6)
         gen = np.random.default_rng(0)
         raw = gen.normal(size=(4, 6))
-        np.testing.assert_array_equal(encode(raw, enc), raw)
+        np.testing.assert_array_equal(encode(raw, enc), np.tanh(raw))
 
     def test_zero_input_zero_bias(self):
-        enc = init_encoder(5, 5, activation="tanh")
+        enc = init_encoder(5, 5)
         np.testing.assert_array_equal(encode(np.zeros((3, 5)), enc), 0.0)
 
     def test_matches_row_wise_scalar_oracle(self):
         gen = np.random.default_rng(1)
-        enc = EncoderParams(gen.normal(size=(5, 7)), gen.normal(size=7), "tanh")
+        enc = EncoderParams(gen.normal(size=(5, 7)), gen.normal(size=7))
         raw = gen.normal(size=(4, 5))
         expected = np.asarray(encode_scalar(raw, enc))
         np.testing.assert_allclose(encode(raw, enc), expected, rtol=1e-12)
 
     def test_batch_matches_single(self):
         gen = np.random.default_rng(2)
-        enc = EncoderParams(gen.normal(size=(5, 7)), gen.normal(size=7), "tanh")
+        enc = EncoderParams(gen.normal(size=(5, 7)), gen.normal(size=7))
         raw = gen.normal(size=(3, 4, 5))
         batch = encode_batch(raw, enc)
         for j in range(3):
@@ -52,18 +53,24 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(np.zeros((3, 4)), enc)
 
-    @pytest.mark.parametrize("activation, feature_norm", [("relu", "layer"),
-                                                          ("tanh", "batch")])
-    def test_unknown_activation_or_norm_rejected(self, activation, feature_norm):
-        with pytest.raises(ValueError, match="unknown"):
-            EncoderParams(np.eye(3), np.zeros(3), activation, feature_norm)
-
     def test_freeze_makes_arrays_read_only(self):
-        enc = init_encoder(3, 3)
+        enc = EncoderParams(np.eye(3), np.zeros(3))
+        assert not enc.frozen
         enc.freeze()
         assert enc.frozen
         with pytest.raises(ValueError):
             enc.w[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            enc.b[0] = 1.0
+
+    def test_frozen_is_not_a_field(self):
+        # a stray third argument has no field to land in
+        with pytest.raises(TypeError):
+            EncoderParams(np.eye(3), np.zeros(3), "tanh")
+        with pytest.raises(TypeError):
+            EncoderParams(np.eye(3), np.zeros(3), frozen=True)
+        with pytest.raises(AttributeError):
+            init_encoder(3, 3).frozen = True
 
 
 class TestMaskFeatures:
@@ -183,9 +190,11 @@ class TestPoolNormalize:
         gen = np.random.default_rng(9)
         v = gen.normal(size=8)
         group = np.tile(v, (5, 1))
-        np.testing.assert_allclose(pool_normalize(group), layer_normalize_scalar(v), rtol=1e-10)
+        np.testing.assert_allclose(pool_normalize(group), layer_normalize_scalar(np.tanh(v)),
+                                   rtol=1e-10)
 
     def test_antipodal_tokens_cancel(self):
+        # tanh is odd, so the encoded tokens cancel too
         gen = np.random.default_rng(10)
         v = gen.normal(size=6)
         group = np.stack([v, -v])
@@ -194,21 +203,15 @@ class TestPoolNormalize:
     def test_matches_mean_then_normalize(self):
         gen = np.random.default_rng(11)
         group = gen.normal(size=(7, 9))
-        expected = layer_normalize_scalar(group.mean(axis=0))
+        expected = layer_normalize_scalar(np.tanh(group).mean(axis=0))
         np.testing.assert_allclose(pool_normalize(group), expected, rtol=1e-10)
-
-    def test_l2_variant(self):
-        gen = np.random.default_rng(12)
-        group = gen.normal(size=(4, 5))
-        out = pool_normalize(group, kind="l2")
-        np.testing.assert_allclose(np.linalg.norm(out), 1.0, rtol=1e-12)
 
 
 class TestRowNormalization:
     def test_rows_match_vector_functions(self):
         gen = np.random.default_rng(13)
         rows = gen.normal(size=(6, 10))
-        batched = normalize_rows(rows, "layer")
+        batched = normalize_rows(rows)
         for j in range(6):
             np.testing.assert_allclose(batched[j], layer_normalize_scalar(rows[j]), rtol=1e-10)
 
@@ -216,23 +219,22 @@ class TestRowNormalization:
         gen = np.random.default_rng(14)
         rows = gen.normal(size=(3, 6))
         downstream = gen.normal(size=(3, 6))
-        for kind in ("layer", "l2"):
-            analytic = normalize_rows_backward(downstream, rows, kind)
-            h = 1e-6
-            numeric = np.zeros_like(rows)
-            for i in range(rows.shape[0]):
-                for j in range(rows.shape[1]):
-                    rows[i, j] += h
-                    up = float((normalize_rows(rows, kind) * downstream).sum())
-                    rows[i, j] -= 2 * h
-                    down = float((normalize_rows(rows, kind) * downstream).sum())
-                    rows[i, j] += h
-                    numeric[i, j] = (up - down) / (2 * h)
-            np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+        analytic = normalize_rows_backward(downstream, rows)
+        h = 1e-6
+        numeric = np.zeros_like(rows)
+        for i in range(rows.shape[0]):
+            for j in range(rows.shape[1]):
+                rows[i, j] += h
+                up = float((normalize_rows(rows) * downstream).sum())
+                rows[i, j] -= 2 * h
+                down = float((normalize_rows(rows) * downstream).sum())
+                rows[i, j] += h
+                numeric[i, j] = (up - down) / (2 * h)
+        np.testing.assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_normalized_features_pipeline(self):
         gen = np.random.default_rng(15)
-        enc = init_encoder(5, 5, activation="tanh")
+        enc = init_encoder(5, 5)
         raw = gen.normal(size=(4, 6, 5))
         out = normalized_features(raw, enc)
         for j in range(4):
@@ -240,15 +242,14 @@ class TestRowNormalization:
             np.testing.assert_allclose(out[j], layer_normalize_scalar(pooled), rtol=1e-10)
 
 
-def random_encoder(raw_dim, dim, activation, feature_norm, seed=16):
+def random_encoder(raw_dim, dim, seed=16):
     gen = np.random.default_rng(seed)
-    return EncoderParams(gen.normal(size=(raw_dim, dim)), gen.normal(size=dim),
-                         activation, feature_norm)
+    return EncoderParams(gen.normal(size=(raw_dim, dim)), gen.normal(size=dim))
 
 
 # rows of 16 tokens encoded 5 -> 8 wide are 1 KiB, so a chunk holds 1024
 CHUNK_TOKENS = 16
-CHUNK_ROWS = encode_chunk_rows(CHUNK_TOKENS, random_encoder(5, 8, "tanh", "layer"))
+CHUNK_ROWS = encode_chunk_rows(CHUNK_TOKENS, random_encoder(5, 8))
 
 
 class TestChunkedEncoding:
@@ -261,38 +262,34 @@ class TestChunkedEncoding:
         enc = EncoderParams(np.zeros((raw_dim, dim)), np.zeros(dim))
         assert encode_chunk_rows(tokens, enc) == rows
 
-    @pytest.mark.parametrize("activation", ["identity", "tanh"])
-    def test_encode_batch_matches_the_out_of_place_expression(self, activation):
-        enc = random_encoder(5, 6, activation, "layer")
+    def test_encode_batch_matches_the_out_of_place_expression(self):
+        enc = random_encoder(5, 6)
         raw = np.random.default_rng(17).normal(size=(9, 3, 5))
-        z = raw @ enc.w + enc.b
-        expected = np.tanh(z) if activation == "tanh" else z
+        expected = np.tanh(raw @ enc.w + enc.b)
         assert encode_batch(raw, enc).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS,
                                    CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
-    @pytest.mark.parametrize("activation", ["identity", "tanh"])
-    @pytest.mark.parametrize("feature_norm", ["layer", "l2"])
-    def test_chunks_are_byte_equal_to_the_whole_batch(self, n, activation, feature_norm):
-        enc = random_encoder(5, 8, activation, feature_norm)
+    def test_chunks_are_byte_equal_to_the_whole_batch(self, n):
+        enc = random_encoder(5, 8)
         raw = np.random.default_rng(n).normal(size=(n, CHUNK_TOKENS, 5))
-        whole = normalize_rows(encode_batch(raw, enc).mean(axis=1), feature_norm)
+        whole = normalize_rows(encode_batch(raw, enc).mean(axis=1))
         out = encode_rows(raw, np.arange(n), enc)
         assert out.shape == (n, 8)
         assert out.tobytes() == whole.tobytes()
 
     def test_no_rows_give_an_empty_feature_matrix(self):
-        out = normalized_features(np.zeros((0, 3, 5)), random_encoder(5, 6, "tanh", "layer"))
+        out = normalized_features(np.zeros((0, 3, 5)), random_encoder(5, 6))
         assert out.shape == (0, 6)
 
     @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 3, 4), (0, 5), (2, 5), (2, 3, 5, 1)])
     def test_wrong_shapes_rejected(self, shape):
         with pytest.raises(ValueError, match="raw tokens of shape"):
-            normalized_features(np.zeros(shape), random_encoder(5, 6, "tanh", "layer"))
+            normalized_features(np.zeros(shape), random_encoder(5, 6))
 
     def test_peak_memory_is_bounded_by_the_chunk(self, traced_peak):
         tokens, dim = 16, 4
-        enc = random_encoder(dim, dim, "tanh", "layer")
+        enc = random_encoder(dim, dim)
         rows = encode_chunk_rows(tokens, enc)
         raw = np.random.default_rng(18).normal(size=(8 * rows, tokens, dim))
         chunk_activations = rows * tokens * dim * 8

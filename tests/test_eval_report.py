@@ -8,7 +8,7 @@ import pytest
 
 from gcmr import trainer
 from gcmr.classifier import ClassifierParams, eval_logits_batch
-from gcmr.encoder import EncoderParams, normalized_features
+from gcmr.encoder import init_encoder, normalized_features
 from gcmr.eval_report import (EVAL_CHUNK_ROWS, SessionReport, aggregate,
                               evaluate_session, read_report, write_report)
 from gcmr.memory import (RepresentationMemory, build_weight_memory,
@@ -20,7 +20,7 @@ def oracle_state(n_classes, class_ids=None, session_of=None):
     logit argmax c exactly (identity-style classifier over basis features)."""
     class_ids = class_ids or tuple(range(n_classes))
     dim = n_classes
-    enc = EncoderParams(np.eye(dim), np.zeros(dim), "identity", "layer")
+    enc = init_encoder(dim, dim)
     enc.freeze()
     head = ClassifierParams(np.eye(dim), np.zeros(dim), np.eye(dim),
                             np.zeros(dim), 0.0)
@@ -36,7 +36,7 @@ def random_head_state(n_classes, dim=4, hidden=8, seed=0):
     """A state with a random head over n_classes columns; class ids are the
     column indices."""
     gen = np.random.default_rng(seed)
-    enc = EncoderParams(np.eye(dim), np.zeros(dim), "identity", "layer")
+    enc = init_encoder(dim, dim)
     enc.freeze()
     head = ClassifierParams(gen.normal(size=(dim, hidden)), gen.normal(size=hidden),
                             gen.normal(size=(hidden, n_classes)),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcmr.classifier import ClassifierParams, expand_with_imprinting
 from gcmr.data_io import TokenDataset
 from gcmr.encoder import normalize_rows
 from gcmr.nn_core import (cosine_lr, cross_entropy_rows, sgd_momentum_step,
@@ -26,11 +27,16 @@ def cross_entropy(logits, label):
 
 
 def layer_normalize(vector):
-    return normalize_rows(np.asarray(vector, dtype=np.float64)[None, :], "layer")[0]
+    return normalize_rows(np.asarray(vector, dtype=np.float64)[None, :])[0]
 
 
 def l2_normalize(vector):
-    return normalize_rows(np.asarray(vector, dtype=np.float64)[None, :], "l2")[0]
+    """The column expand_with_imprinting appends for a non-negative mean
+    through an identity first layer: the mean scaled to unit norm."""
+    v = np.asarray(vector, dtype=np.float64)
+    params = ClassifierParams(np.eye(v.size), np.zeros(v.size), np.zeros((v.size, 1)),
+                              np.zeros(1))
+    return expand_with_imprinting(params, [v]).w2[:, 1]
 
 
 class TestSoftmax:
