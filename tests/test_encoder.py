@@ -251,6 +251,10 @@ def random_encoder(raw_dim, dim, seed=16):
 CHUNK_TOKENS = 16
 CHUNK_ROWS = encode_chunk_rows(CHUNK_TOKENS, random_encoder(5, 8))
 
+# (raw_dim, dim) pairs: widening, narrowing, the narrowest feature dim the
+# layer norm allows, and a raw width that sets a smaller chunk (512 rows)
+WIDTHS = [(5, 8), (8, 5), (16, 2), (3, 16)]
+
 
 class TestChunkedEncoding:
     @pytest.mark.parametrize("tokens, raw_dim, dim, rows", [
@@ -262,20 +266,24 @@ class TestChunkedEncoding:
         enc = EncoderParams(np.zeros((raw_dim, dim)), np.zeros(dim))
         assert encode_chunk_rows(tokens, enc) == rows
 
-    def test_encode_batch_matches_the_out_of_place_expression(self):
-        enc = random_encoder(5, 6)
-        raw = np.random.default_rng(17).normal(size=(9, 3, 5))
+    @pytest.mark.parametrize("raw_dim, dim", WIDTHS)
+    def test_encode_batch_matches_the_out_of_place_expression(self, raw_dim, dim):
+        enc = random_encoder(raw_dim, dim)
+        raw = np.random.default_rng(17).normal(size=(9, 3, raw_dim))
         expected = np.tanh(raw @ enc.w + enc.b)
         assert encode_batch(raw, enc).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS,
-                                   CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
-    def test_chunks_are_byte_equal_to_the_whole_batch(self, n):
-        enc = random_encoder(5, 8)
-        raw = np.random.default_rng(n).normal(size=(n, CHUNK_TOKENS, 5))
+    # n is one chunk less a row, one chunk, one chunk and a row, and two
+    # chunks and three rows, in chunks of the encoder's own width
+    @pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("raw_dim, dim", WIDTHS)
+    def test_chunks_are_byte_equal_to_the_whole_batch(self, chunks, extra, raw_dim, dim):
+        enc = random_encoder(raw_dim, dim)
+        n = chunks * encode_chunk_rows(CHUNK_TOKENS, enc) + extra
+        raw = np.random.default_rng(n).normal(size=(n, CHUNK_TOKENS, raw_dim))
         whole = normalize_rows(encode_batch(raw, enc).mean(axis=1))
         out = encode_rows(raw, np.arange(n), enc)
-        assert out.shape == (n, 8)
+        assert out.shape == (n, dim)
         assert out.tobytes() == whole.tobytes()
 
     def test_no_rows_give_an_empty_feature_matrix(self):

@@ -210,20 +210,22 @@ class TestBaseCoreBytes:
     value, the breakdown and every gradient agree byte for byte, signed
     zeros included."""
 
+    @pytest.mark.parametrize("raw_dim, dim", [(5, 6), (6, 5), (5, 2), (3, 8)])
     @pytest.mark.parametrize("ratio", [0.5, 0.1, 0.75])
-    def test_matches_reference_bytes(self, ratio):
+    def test_matches_reference_bytes(self, raw_dim, dim, ratio):
         # ratio 0.1 hides no token of a 5-token group and 0.75, the default,
-        # hides four of them; a large negative
+        # hides four of them; the encoder widens, narrows, or narrows to the
+        # smallest feature dim the layer norm allows; a large negative
         # head bias kills ReLU units, which gives signed zeros in the
         # gradients
         gen = np.random.default_rng(31)
-        enc = EncoderParams(np.eye(5, 6) + 0.2 * gen.standard_normal((5, 6)),
-                            0.1 * gen.standard_normal(6))
-        dec = DecoderParams(np.eye(6) + 0.1 * gen.standard_normal((6, 6)),
-                            0.1 * gen.standard_normal(6), 0.1 * gen.standard_normal(6))
-        params = init_classifier(6, 7, 4, seed=31, dropout_rate=0.3)
+        enc = EncoderParams(np.eye(raw_dim, dim) + 0.2 * gen.standard_normal((raw_dim, dim)),
+                            0.1 * gen.standard_normal(dim))
+        dec = DecoderParams(np.eye(dim) + 0.1 * gen.standard_normal((dim, dim)),
+                            0.1 * gen.standard_normal(dim), 0.1 * gen.standard_normal(dim))
+        params = init_classifier(dim, 7, 4, seed=31, dropout_rate=0.3)
         params.b1[:3] = -10.0
-        raw = gen.standard_normal((9, 5, 5))
+        raw = gen.standard_normal((9, 5, raw_dim))
         labels = gen.integers(0, 4, size=9)
         cfg = LossConfig(c=0.6, mask_ratio=ratio)
         for epoch, compute_grads in ((0, True), (3, True), (1, False)):
