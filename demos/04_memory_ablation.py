@@ -30,8 +30,7 @@ print("run                 acc per session                      avg    base drop
 rows = []
 for label, cfg in [
     ("memory-reg on", base_cfg),
-    ("memory-reg off", dataclasses.replace(
-        base_cfg, memory_regularization=False, loss=LossConfig(c=0.3, beta=0.7))),
+    ("memory-reg off", dataclasses.replace(base_cfg, memory_regularization=False)),
 ]:
     reports, _ = run_protocol(sessions, cfg)
     summary = aggregate(reports)
@@ -43,7 +42,7 @@ for label, cfg in [
 print("\nbeta sweep (regularization on):")
 print("beta   avg acc  final  base drop")
 for beta in (0.0, 0.3, 0.7, 1.0):
-    cfg = dataclasses.replace(base_cfg, loss=LossConfig(c=0.3, beta=beta))
+    cfg = dataclasses.replace(base_cfg, loss=dataclasses.replace(base_cfg.loss, beta=beta))
     reports, _ = run_protocol(sessions, cfg)
     summary = aggregate(reports)
     print(f"{beta:.1f}    {summary['avg_acc']:.3f}    {summary['final_acc']:.3f}"

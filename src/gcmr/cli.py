@@ -49,7 +49,7 @@ class ConfigError(Exception):
     pass
 
 
-def _build_section(cls, section: dict, where: str):
+def _build_section(cls, section: dict, where: str, **fixed):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
     hints = typing.get_type_hints(cls)
@@ -71,7 +71,7 @@ def _build_section(cls, section: dict, where: str):
             raise ConfigError(f"{where}.{key} must be {kind.__name__}, "
                               f"got {json.dumps(value)}")
     try:
-        return cls(**section)
+        return cls(**section, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from None
 
@@ -95,11 +95,10 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
 
     loss_cfg = _build_section(LossConfig, raw.get("loss", {}), "loss")
-    train_section = dict(raw.get("train", {}))
-    if "loss" in train_section:
+    train_section = raw.get("train", {})
+    if isinstance(train_section, dict) and "loss" in train_section:
         raise ConfigError("loss settings belong in the top-level 'loss' section")
-    train_cfg = _build_section(trainer.TrainConfig, train_section, "train")
-    train_cfg.loss = loss_cfg
+    train_cfg = _build_section(trainer.TrainConfig, train_section, "train", loss=loss_cfg)
 
     out = {"train": train_cfg, "loss": loss_cfg, "protocol": None, "synthetic": None}
     if "protocol" in raw:
@@ -170,15 +169,17 @@ def _cmd_run(args) -> int:
         if protocol is None:
             raise ConfigError("run requires a 'protocol' section")
         if args.beta is not None:
-            if not 0.0 <= args.beta <= 1.0:
-                raise ConfigError("beta override must lie in [0, 1]")
-            cfg.loss.beta = args.beta
+            try:
+                loss = dataclasses.replace(cfg.loss, beta=args.beta)
+            except ValueError as exc:
+                raise ConfigError(f"--beta {args.beta}: {exc}") from None
+            cfg = dataclasses.replace(cfg, loss=loss)
             print(f"override: beta={args.beta}")
         if args.no_memory_reg:
-            cfg.memory_regularization = False
+            cfg = dataclasses.replace(cfg, memory_regularization=False)
             print("override: memory_regularization=off")
         if args.no_base_finetune:
-            cfg.base_epochs = 0
+            cfg = dataclasses.replace(cfg, base_epochs=0)
             print("override: base_epochs=0")
         _check_fresh_out(args.out)
     except ConfigError as exc:
@@ -187,6 +188,8 @@ def _cmd_run(args) -> int:
 
     try:
         dataset = data_io.load_features(args.data)
+        dim = dataset.features.shape[2]
+        init_encoder(dim, dim)  # the base session's encoder: tokens need >= 2 features
         split = data_io.fscil_split(protocol, dataset.labels)
         sessions = data_io.materialize_sessions(dataset, split)
     except (data_io.FormatError, OSError, ValueError) as exc:
@@ -227,10 +230,7 @@ def _cmd_run(args) -> int:
         return EXIT_DATA
 
     summary = eval_report.aggregate(reports)
-    eval_report.write_report(reports, summary, os.path.join(args.out, "report.json"),
-                             "json", label=os.path.basename(os.path.normpath(args.out)))
-    eval_report.write_report(reports, summary, os.path.join(args.out, "report.csv"),
-                             "csv", label=os.path.basename(os.path.normpath(args.out)))
+    eval_report.write_report(reports, summary, args.out)
     print(_session_row(reports))
     return EXIT_OK
 
@@ -259,8 +259,7 @@ def _max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)))
 
 
-def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int,
-                  corrupt: bool = False):
+def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int):
     """Compare analytic against finite-difference gradients of both
     objectives on one random instance. Returns rows of
     (objective, parameter, max relative error)."""
@@ -280,8 +279,6 @@ def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int,
 
     _, _, grads = incremental_terms(features, labels, memory_rows, dictionary,
                                     params, cfg, seed)
-    if corrupt:
-        grads["w1"][0, 0] += 1e-2
     arrays = params.arrays()
 
     def incr_value():
@@ -329,7 +326,7 @@ def _cmd_gradcheck(args) -> int:
     if dim * hidden * n_classes > 10_000:
         print("config error: --dims product must stay <= 10000", file=sys.stderr)
         return EXIT_CONFIG
-    rows = run_gradcheck(args.seed, dim, hidden, n_classes, corrupt=args.corrupt)
+    rows = run_gradcheck(args.seed, dim, hidden, n_classes)
     print(f"{'objective':<12} {'parameter':<12} {'max rel err':>12}  status")
     ok = True
     for objective, name, err in rows:
@@ -383,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--dims", default="8,4,5", help="D,H,C")
-    p_grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_rep = sub.add_parser("report", help="merge run reports into one table")

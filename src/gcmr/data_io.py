@@ -5,15 +5,15 @@ Binary format (all integers little-endian):
     offset 0   magic  b"GCMR"
     offset 4   u16    format version of the kind (FORMAT_VERSION)
     offset 6   u8     kind: 1 = token dataset, 2 = session checkpoint
-    offset 7   u8     float width in bytes (4 or 8)
+    offset 7   u8     float width in bytes, always 8
     ...        kind-specific sections (shapes, class tables, row-major
-               float payloads at the declared width)
+               float64 payloads)
     trailer    u32    CRC32 of every preceding byte
 
 Every load failure is a distinct FormatError subclass carrying the byte
-offset where the problem was detected. Every float payload must be finite.
-Round trips at width 8 are bit-exact for all finite float64 values, signed
-zeros included.
+offset where the problem was detected; a width other than 8 fails at offset
+7. Every float payload must be finite. Round trips are bit-exact for all
+finite float64 values, signed zeros included.
 
 A checkpoint holds the session index, the encoder, the classifier head and
 the representation memory. The weight memory is not stored: it is a snapshot
@@ -21,10 +21,10 @@ of the head, and load_checkpoint rebuilds it with build_weight_memory as the
 trainer does.
 
 A load reads the file once into a writable buffer, runs the CRC once over a
-view of it and hands out views of that buffer: a width-8 payload at an
-8-byte aligned offset is used in place, anything else is copied once to
-float64. Writers stream the header parts and payload arrays into the file
-with a running CRC, without assembling the file in memory.
+view of it and hands out views of that buffer: a payload at an 8-byte
+aligned offset is used in place, any other is copied once. Writers stream
+the header parts and payload arrays into the file with a running CRC,
+without assembling the file in memory.
 
 CSV ingestion accepts two layouts: flat features with header
 ``label,f0,...,f{D-1}`` (one single-token example per line) and token groups
@@ -324,9 +324,6 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 
 # --- binary reader/writer helpers -----------------------------------------
 
-_WIDTH_DTYPES = {4: "<f4", 8: "<f8"}
-
-
 def _read_file(path) -> memoryview:
     """The whole file, read with one readinto into a writable buffer that
     is left uninitialized, since the read overwrites what it keeps."""
@@ -354,12 +351,12 @@ class _Reader:
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size, what))
 
-    def floats(self, count: int, width: int, what: str) -> np.ndarray:
-        """count floats as float64: a view of the buffer at width 8 when the
-        offset is 8-byte aligned, otherwise one copy. ContentError at the end
-        of the section when one of them is not finite."""
-        values = np.frombuffer(self.take(count * width, what), dtype=_WIDTH_DTYPES[width])
-        if values.dtype != np.float64 or not values.flags.aligned:
+    def floats(self, count: int, what: str) -> np.ndarray:
+        """count float64 values: a view of the buffer when the offset is
+        8-byte aligned, otherwise one copy. ContentError at the end of the
+        section when one of them is not finite."""
+        values = np.frombuffer(self.take(count * 8, what), dtype="<f8")
+        if not values.flags.aligned:
             values = values.astype(np.float64)
         # Keep this scan whole-array rather than blockwise. Freeing its
         # boolean temporary (6 MB for a cli-stream dataset) raises glibc's
@@ -379,10 +376,9 @@ class _Reader:
         return np.frombuffer(raw, dtype="<" + {"q": "i8", "I": "u4"}[fmt_char]).astype(np.int64)
 
 
-def _float_buffer(arr: np.ndarray, width: int) -> np.ndarray:
-    """arr as C-contiguous little-endian floats of the given width; no copy
-    when it already is one."""
-    return np.ascontiguousarray(arr, dtype=_WIDTH_DTYPES[width])
+def _float_buffer(arr: np.ndarray) -> np.ndarray:
+    """arr as C-contiguous little-endian float64; no copy when it already is."""
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 def _open_blob(blob: memoryview, expected_kind: int):
@@ -403,10 +399,10 @@ def _open_blob(blob: memoryview, expected_kind: int):
         raise FormatError(f"wrong file kind {kind}, expected {expected_kind}", 6)
     if version != FORMAT_VERSION[kind]:
         raise VersionError(f"unsupported format version {version}", 4)
-    if width not in _WIDTH_DTYPES:
-        raise FormatError(f"unsupported float width {width}", 7)
+    if width != 8:
+        raise FormatError(f"unsupported float width {width}, expected 8", 7)
     reader.blob = blob[:-4]  # stop body reads before the checksum
-    return reader, width
+    return reader
 
 
 def _write_blob(path, parts) -> None:
@@ -441,25 +437,23 @@ def atomic_open(path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def save_dataset(dataset: TokenDataset, path, precision: int = 8) -> None:
-    """Write a token dataset; precision picks the stored float width."""
-    if precision not in _WIDTH_DTYPES:
-        raise ValueError("precision must be 4 or 8")
+def save_dataset(dataset: TokenDataset, path) -> None:
+    """Write a token dataset, its features as float64."""
     n, g, d = dataset.features.shape
     # class table in ascending id order; each label stored as its table index
     class_ids, label_index = np.unique(dataset.labels, return_inverse=True)
     _write_blob(path, [
         FORMAT_MAGIC,
-        struct.pack("<HBB", FORMAT_VERSION[KIND_DATASET], KIND_DATASET, precision),
+        struct.pack("<HBB", FORMAT_VERSION[KIND_DATASET], KIND_DATASET, 8),
         struct.pack("<IIII", n, g, d, len(class_ids)),
         np.asarray(class_ids, dtype="<i8"),
         np.asarray(label_index, dtype="<u4"),
-        _float_buffer(dataset.features, precision),
+        _float_buffer(dataset.features),
     ])
 
 
 def load_dataset(path) -> TokenDataset:
-    reader, width = _open_blob(_read_file(path), KIND_DATASET)
+    reader = _open_blob(_read_file(path), KIND_DATASET)
     n, g, d, n_classes = reader.unpack("<IIII", "dataset shape")
     if g < 1 or d < 1:
         raise DimensionError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
@@ -468,7 +462,7 @@ def load_dataset(path) -> TokenDataset:
     if n and label_idx.max() >= n_classes:
         raise DimensionError(f"label index {label_idx.max()} outside the class table "
                              f"of {n_classes} classes", reader.pos)
-    values = reader.floats(n * g * d, width, "feature payload")
+    values = reader.floats(n * g * d, "feature payload")
     if reader.pos != len(reader.blob):
         raise FormatError("trailing bytes after payload", reader.pos)
     return TokenDataset.from_finite(values.reshape(n, g, d), class_ids[label_idx])
@@ -483,66 +477,65 @@ def _construct(reader: _Reader, what: str, make, *args):
         raise ContentError(f"invalid {what}: {exc}", reader.pos) from None
 
 
-def _classifier_parts(params: ClassifierParams, width: int) -> list:
+def _classifier_parts(params: ClassifierParams) -> list:
     return [struct.pack("<IIId", params.dim, params.hidden, params.n_classes,
                         params.dropout_rate),
-            *(_float_buffer(arr, width) for arr in (params.w1, params.b1, params.w2, params.b2))]
+            *(_float_buffer(arr) for arr in (params.w1, params.b1, params.w2, params.b2))]
 
 
-def _unpack_classifier(reader: _Reader, width: int) -> ClassifierParams:
+def _unpack_classifier(reader: _Reader) -> ClassifierParams:
     dim, hidden, n_classes = reader.unpack("<III", "classifier shape")
     dropout, = reader.unpack("<d", "dropout rate")
     if min(dim, hidden, n_classes) < 1:
         raise DimensionError("degenerate classifier shape", reader.pos)
-    w1 = reader.floats(dim * hidden, width, "w1").reshape(dim, hidden)
-    b1 = reader.floats(hidden, width, "b1")
-    w2 = reader.floats(hidden * n_classes, width, "w2").reshape(hidden, n_classes)
-    b2 = reader.floats(n_classes, width, "b2")
+    w1 = reader.floats(dim * hidden, "w1").reshape(dim, hidden)
+    b1 = reader.floats(hidden, "b1")
+    w2 = reader.floats(hidden * n_classes, "w2").reshape(hidden, n_classes)
+    b2 = reader.floats(n_classes, "b2")
     return _construct(reader, "classifier", ClassifierParams, w1, b1, w2, b2, dropout)
 
 
-def save_checkpoint(state: SessionState, path, precision: int = 8) -> None:
-    """Serialize a session state: encoder, head and representation memory.
-    The weight memory is not written; load_checkpoint rebuilds it."""
-    if precision not in _WIDTH_DTYPES:
-        raise ValueError("precision must be 4 or 8")
+def save_checkpoint(state: SessionState, path) -> None:
+    """Serialize a session state, floats as float64: encoder, head and
+    representation memory. The weight memory is not written;
+    load_checkpoint rebuilds it."""
     enc, mem = state.encoder, state.mem
     _write_blob(path, [
         FORMAT_MAGIC,
-        struct.pack("<HBB", FORMAT_VERSION[KIND_CHECKPOINT], KIND_CHECKPOINT, precision),
+        struct.pack("<HBB", FORMAT_VERSION[KIND_CHECKPOINT], KIND_CHECKPOINT, 8),
         struct.pack("<I", state.session),
         struct.pack("<BII", int(enc.frozen), enc.raw_dim, enc.dim),
-        _float_buffer(enc.w, precision),
-        _float_buffer(enc.b, precision),
-        *_classifier_parts(state.classifier, precision),
+        _float_buffer(enc.w),
+        _float_buffer(enc.b),
+        *_classifier_parts(state.classifier),
         struct.pack("<II", mem.n_classes, mem.dim),
         np.asarray(mem.class_ids, dtype="<i8"),
         np.asarray(mem.session_of, dtype="<u4"),
-        _float_buffer(mem.rows, precision),
+        _float_buffer(mem.rows),
     ])
 
 
 def load_checkpoint(path) -> SessionState:
     """The session state save_checkpoint wrote, with the weight memory
     rebuilt from the head."""
-    reader, width = _open_blob(_read_file(path), KIND_CHECKPOINT)
+    reader = _open_blob(_read_file(path), KIND_CHECKPOINT)
     session, = reader.unpack("<I", "session index")
     frozen, raw_dim, dim = reader.unpack("<BII", "encoder header")
     if min(raw_dim, dim) < 1:
         raise DimensionError("degenerate encoder shape", reader.pos)
-    enc_w = reader.floats(raw_dim * dim, width, "encoder weights").reshape(raw_dim, dim)
-    enc_b = reader.floats(dim, width, "encoder bias")
+    enc_w = reader.floats(raw_dim * dim, "encoder weights").reshape(raw_dim, dim)
+    enc_b = reader.floats(dim, "encoder bias")
     enc = _construct(reader, "encoder", EncoderParams, enc_w, enc_b)
     if frozen:
         enc.freeze()
-    head = _unpack_classifier(reader, width)
+    head = _unpack_classifier(reader)
     if head.dim != enc.dim:
         raise DimensionError(f"classifier dim {head.dim} does not match encoder dim {enc.dim}",
                              reader.pos)
     m_classes, m_dim = reader.unpack("<II", "memory shape")
     class_ids = tuple(int(v) for v in reader.ints(m_classes, "q", "memory class ids"))
     session_of = tuple(int(v) for v in reader.ints(m_classes, "I", "memory sessions"))
-    rows = reader.floats(m_classes * m_dim, width, "memory rows").reshape(m_classes, m_dim)
+    rows = reader.floats(m_classes * m_dim, "memory rows").reshape(m_classes, m_dim)
     if m_dim != head.dim:
         raise DimensionError(f"memory dim {m_dim} does not match classifier dim {head.dim}",
                              reader.pos)

@@ -7,12 +7,16 @@ session's classifier and never calls the encoder. Predictions are the argmax
 of eval-mode logits; argmax ties break toward the lowest class column, so
 evaluation is deterministic. Rows are scored in fixed-size chunks, so no
 (n, classes) logits array is ever held whole.
+
+One write_report call writes a run's two report files into its directory:
+report.json and report.csv, the report_table of the JSON document.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -112,26 +116,19 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, float]:
     }
 
 
-def write_report(reports: Sequence[SessionReport], summary: dict, path,
-                 fmt: str = "json", label: str = "run") -> None:
-    """Write one run's reports either as a JSON document or as a CSV header
-    and one row (session columns, average accuracy, final memory bytes),
-    replacing the file atomically."""
-    if fmt == "json":
-        payload = {"label": label,
-                   "sessions": [r.to_json_dict() for r in reports],
-                   "summary": summary}
-        with atomic_open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown report format {fmt!r}")
-    # only the fields the table reads, without to_json_dict's per-class copy
-    sessions = [{"acc_all": r.acc_all, "memory_budget": r.memory_budget} for r in reports]
-    table = report_table([{"label": label, "sessions": sessions, "summary": summary}])
-    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(table)
+def write_report(reports: Sequence[SessionReport], summary: dict, run_dir) -> None:
+    """Write one run's reports into run_dir, each file replaced atomically:
+    report.json, the JSON document labelled with run_dir's name, and
+    report.csv, its report_table (a header and one row)."""
+    payload = {"label": os.path.basename(os.path.normpath(run_dir)),
+               "sessions": [r.to_json_dict() for r in reports],
+               "summary": summary}
+    with atomic_open(os.path.join(run_dir, "report.json"), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    with atomic_open(os.path.join(run_dir, "report.csv"), "w", encoding="utf-8",
+                     newline="") as fh:
+        csv.writer(fh).writerows(report_table([payload]))
 
 
 def report_table(runs: Sequence[dict]) -> list[list[str]]:

@@ -31,7 +31,7 @@ from .nn_core import check_labels
 MASK_TAG = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """Knobs of both objectives.
 

@@ -34,7 +34,7 @@ STEP_TAG = 103
 LogSink = Callable[[dict], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one protocol run."""
 

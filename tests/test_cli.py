@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from gcmr import cli
+from gcmr.classifier import incremental_terms
 from gcmr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError,
                       load_run_config, main)
 
@@ -64,6 +66,13 @@ class TestConfigParsing:
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", extras={"x": 1})
         with pytest.raises(ConfigError):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("section", ["train", "loss"])
+    def test_section_that_is_not_an_object_rejected(self, tmp_path, section):
+        # a train section of 5 used to raise TypeError
+        path = write_config(tmp_path / "c.json", **{section: 5})
+        with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
             load_run_config(path)
 
     def test_missing_version_rejected(self, tmp_path):
@@ -233,6 +242,25 @@ class TestRun:
         assert main(["run", "--config", str(config_file), "--data", str(dataset_file),
                      "--out", str(tmp_path / "x"), "--beta", "1.5"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("beta", ["2", "-0.1", "nan"])
+    def test_bad_beta_exits_2_before_output(self, tmp_path, config_file, dataset_file,
+                                            capsys, beta):
+        # LossConfig's own range check rejects the override
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config_file), "--data", str(dataset_file),
+                     "--out", str(out), "--beta", beta]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--beta {beta}" in err and "beta must lie in [0, 1]" in err
+        assert not out.exists()
+
+    def test_config_is_frozen(self, config_file):
+        config = load_run_config(config_file)
+        assert config["train"].loss is config["loss"]
+        with pytest.raises(AttributeError):
+            config["train"].base_epochs = 0
+        with pytest.raises(AttributeError):
+            config["loss"].beta = 0.0
+
     def test_no_base_finetune_override(self, tmp_path, config_file,
                                        dataset_file, capsys):
         # the flag is the config's base_epochs 0; reports carry the name of
@@ -281,6 +309,30 @@ class TestRun:
         assert main(["run", "--config", str(config_file), "--data", str(data),
                      "--out", str(out), "--no-base-finetune"]) == 0
 
+
+    @pytest.mark.parametrize("layout", ["flat csv", "token csv", "binary"])
+    def test_one_feature_tokens_exit_3_before_output(self, tmp_path, config_file,
+                                                      capsys, layout):
+        # the base encoder's layer norm needs two features per token
+        data = tmp_path / "data"
+        if layout == "binary":
+            spec = write_config(tmp_path / "d1.json", **{"synthetic.d": 1})
+            assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        else:
+            # 8 classes of 12 examples: flat lines, or groups of two tokens
+            grouped = layout == "token csv"
+            tokens = ["0,", "1,"] if grouped else [""]
+            lines = ["label,token,f0" if grouped else "label,f0"]
+            lines += [f"{label},{token}{label + 0.1 * k}" for label in range(8)
+                      for k in range(12) for token in tokens]
+            data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        for _ in range(2):  # a rerun into the same --out fails the same way
+            assert main(["run", "--config", str(config_file), "--data", str(data),
+                         "--out", str(out)]) == EXIT_DATA
+            assert "data error: feature normalization needs a feature dim >= 2" in \
+                capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("loss", "distance_space", "feature"), ("loss", "novel_label_handling", "ignore"),
@@ -453,9 +505,21 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--seed", "3", "--corrupt"]) != 0
+    def test_corrupted_gradient_fails(self, capsys, monkeypatch):
+        def corrupted(*args, **kwargs):
+            total, breakdown, grads = incremental_terms(*args, **kwargs)
+            grads["w1"][0, 0] += 1e-2
+            return total, breakdown, grads
+
+        monkeypatch.setattr(cli, "incremental_terms", corrupted)
+        assert main(["gradcheck", "--seed", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_corrupt_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gradcheck", "--seed", "3", "--corrupt"])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert "--corrupt" in capsys.readouterr().err
 
     def test_same_seed_identical_table(self, capsys):
         main(["gradcheck", "--seed", "4"])

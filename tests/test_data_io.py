@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcmr import data_io, trainer
+from gcmr.cli import EXIT_DATA, main
 from gcmr.data_io import (BadMagicError, ChecksumError, ContentError, DimensionError,
                           FormatError, ProtocolSpec, SyntheticSpec,
                           TokenDataset, TruncatedFileError, VersionError,
@@ -306,6 +308,8 @@ def small_state(seed=5):
 
 # --- reference encoder of the binary layout, for hand-built files ----------
 
+# Files store float64 (width 8); width 4 builds the float32 layout the
+# loaders reject.
 WIDTH_DTYPES = {4: "<f4", 8: "<f8"}
 
 
@@ -379,30 +383,39 @@ def seal(draw, body: bytes) -> bytes:
 SMALL = st.integers(0, 3)
 
 
-def float_payload(draw, count: int, width: int, finite: bool = False) -> bytes:
-    """count drawn floats of the width, NaN and infinities included unless
+def float_payload(draw, count: int, finite: bool = False) -> bytes:
+    """count drawn float64 values, NaN and infinities included unless
     finite is set."""
-    values = draw(st.lists(st.floats(width=8 * width, allow_nan=not finite,
-                                     allow_infinity=not finite),
+    values = draw(st.lists(st.floats(allow_nan=not finite, allow_infinity=not finite),
                            min_size=count, max_size=count))
-    return np.asarray(values, dtype=WIDTH_DTYPES[width]).tobytes()
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+# the header's width byte: 8 about half the time, else any byte
+WIDTH_BYTES = st.one_of(st.just(8), st.integers(0, 255))
+
+
+def declares_other_width(blob: bytes) -> bool:
+    """Whether the sealed blob holds a whole header whose width byte is not 8."""
+    return len(blob) >= 8 + 4 and blob[7] != 8
 
 
 @st.composite
 def dataset_blobs(draw):
-    width = draw(st.sampled_from((4, 8)))
+    width = draw(WIDTH_BYTES)
     n, g, d, n_classes = draw(st.integers(0, 5)), draw(SMALL), draw(SMALL), draw(SMALL)
     class_ids = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
                               min_size=n_classes, max_size=n_classes))
     # one index past the end of the table is drawn as often as a valid one
     label_idx = draw(st.lists(st.integers(0, n_classes), min_size=n, max_size=n))
-    body = dataset_body(width, g, d, class_ids, label_idx, [])
-    return seal(draw, body + float_payload(draw, n * g * d, width))
+    body = dataset_body(8, g, d, class_ids, label_idx, [])
+    body = body[:7] + bytes([width]) + body[8:]
+    return seal(draw, body + float_payload(draw, n * g * d))
 
 
 @st.composite
 def checkpoint_blobs(draw):
-    width = draw(st.sampled_from((4, 8)))
+    width = draw(WIDTH_BYTES)
     # consistent blobs have valid sizes and dropout and agreeing section
     # shapes, so some of them load
     consistent = draw(st.booleans())
@@ -410,7 +423,7 @@ def checkpoint_blobs(draw):
     size = st.integers(1, 3) if consistent else SMALL
 
     def floats(count):
-        return float_payload(draw, count, width, finite)
+        return float_payload(draw, count, finite)
 
     raw_dim, dim = draw(size), draw(st.integers(2, 3) if consistent else SMALL)
     body = file_header(data_io.KIND_CHECKPOINT, width, 3)
@@ -479,31 +492,40 @@ class TestBinaryRoundTrips:
         save_checkpoint(state, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_float32_round_trip(self, tmp_path):
+    def test_width_4_files_rejected(self, tmp_path, capsys):
+        # float32 payloads are not part of the format: width 4 fails at the header
         gen = np.random.default_rng(7)
-        ds = TokenDataset(gen.normal(size=(3, 2, 2)).astype(np.float32).astype(np.float64),
-                          np.array([0, 1, 0]))
-        path = tmp_path / "data32.gcmr"
-        save_dataset(ds, path, precision=4)
-        loaded = load_dataset(path)
-        assert loaded.features.tobytes() == ds.features.tobytes()
+        features = gen.normal(size=(3, 2, 2))
+        dataset = with_crc(dataset_body(4, 2, 2, [0, 1], [0, 1, 0], features.ravel()))
+        checkpoint = with_crc(checkpoint_body(4, small_state()))
+        for blob, load in ((dataset, load_dataset), (checkpoint, load_checkpoint)):
+            with pytest.raises(FormatError, match="float width 4") as excinfo:
+                load(write_blob(tmp_path, blob))
+            assert excinfo.value.offset == 7
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"version": 1, "protocol": {
+            "total_classes": 2, "base_classes": 2, "n_way": 1, "k_shot": 1,
+            "test_per_class": 1}}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--data",
+                     str(write_blob(tmp_path, dataset)), "--out", str(out)]) == EXIT_DATA
+        assert "float width 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dataset_file_matches_reference_layout(self, tmp_path):
         # the streamed writer produces the documented layout byte for byte
         gen = np.random.default_rng(14)
         features = gen.normal(size=(3, 2, 2))
         path = tmp_path / "data.gcmr"
-        for width in (4, 8):
-            save_dataset(TokenDataset(features, np.array([7, -2, 7])), path, precision=width)
-            expected = with_crc(dataset_body(width, 2, 2, [-2, 7], [1, 0, 1], features.ravel()))
-            assert path.read_bytes() == expected
+        save_dataset(TokenDataset(features, np.array([7, -2, 7])), path)
+        expected = with_crc(dataset_body(8, 2, 2, [-2, 7], [1, 0, 1], features.ravel()))
+        assert path.read_bytes() == expected
 
-    @pytest.mark.parametrize("width", [4, 8])
-    def test_checkpoint_file_matches_reference_layout(self, tmp_path, width):
+    def test_checkpoint_file_matches_reference_layout(self, tmp_path):
         state = small_state()
         path = tmp_path / "state.gcmr"
-        save_checkpoint(state, path, precision=width)
-        assert path.read_bytes() == with_crc(checkpoint_body(width, state))
+        save_checkpoint(state, path)
+        assert path.read_bytes() == with_crc(checkpoint_body(8, state))
 
     def test_reloaded_weight_memory_is_the_saved_snapshot(self, tmp_path):
         # the trainer's snapshot invariant survives a checkpoint round trip
@@ -519,30 +541,26 @@ class TestBinaryRoundTrips:
         for name, arr in loaded.classifier.arrays().items():
             assert not np.shares_memory(arr, snapshot.arrays()[name])
 
-    @pytest.mark.parametrize("width", [4, 8])
-    def test_checkpoint_resaves_byte_identical(self, tmp_path, width):
+    def test_checkpoint_resaves_byte_identical(self, tmp_path):
         state = small_state()
         a, b = tmp_path / "a.gcmr", tmp_path / "b.gcmr"
-        save_checkpoint(state, a, precision=width)
+        save_checkpoint(state, a)
         loaded = load_checkpoint(a)
-        save_checkpoint(loaded, b, precision=width)
+        save_checkpoint(loaded, b)
         assert a.read_bytes() == b.read_bytes()
-        assert loaded.mem.rows.tobytes() == \
-            state.mem.rows.astype(WIDTH_DTYPES[width]).astype(np.float64).tobytes()
+        assert loaded.mem.rows.tobytes() == state.mem.rows.tobytes()
 
 
 class TestZeroCopyLoad:
     @pytest.mark.parametrize("n", [4, 5])  # the payload offset is unaligned for odd n
-    @pytest.mark.parametrize("width", [4, 8])
-    def test_features_are_contiguous_aligned_writable_float64(self, tmp_path, n, width):
+    def test_features_are_contiguous_aligned_writable_float64(self, tmp_path, n):
         features = np.random.default_rng(15).normal(size=(n, 3, 2))
         path = tmp_path / "data.gcmr"
-        save_dataset(TokenDataset(features, np.arange(n) % 2), path, precision=width)
+        save_dataset(TokenDataset(features, np.arange(n) % 2), path)
         loaded = load_dataset(path).features
         assert loaded.dtype == np.float64
         assert loaded.flags.c_contiguous and loaded.flags.aligned and loaded.flags.writeable
-        stored = features.astype(WIDTH_DTYPES[width]).astype(np.float64)
-        assert loaded.tobytes() == stored.tobytes()
+        assert loaded.tobytes() == features.tobytes()
         loaded[0, 0, 0] = 1.0  # writable in place
 
     def test_load_allocates_little_beyond_the_file(self, tmp_path, traced_peak):
@@ -726,7 +744,7 @@ class TestFormatErrors:
 
     def test_non_finite_payload_reports_payload_end(self, tmp_path):
         for bad in (np.nan, np.inf):
-            blob = with_crc(dataset_body(4, 1, 2, [1], [0], [0.0, bad]))
+            blob = with_crc(dataset_body(8, 1, 2, [1], [0], [0.0, bad]))
             with pytest.raises(FormatError, match="non-finite") as excinfo:
                 load_dataset(write_blob(tmp_path, blob))
             assert excinfo.value.offset == len(blob) - 4
@@ -779,8 +797,10 @@ class TestFormatErrors:
     def test_fuzz_structured_datasets(self, tmp_path, blob):
         try:
             ds = load_dataset(write_blob(tmp_path, blob))
-        except FormatError:
+        except FormatError as exc:
+            assert exc.offset == 7 or not declares_other_width(blob)
             return
+        assert not declares_other_width(blob)
         assert ds.features.dtype == np.float64 and np.isfinite(ds.features).all()
         assert ds.labels.shape == (ds.features.shape[0],)
 
@@ -789,8 +809,10 @@ class TestFormatErrors:
     def test_fuzz_structured_checkpoints(self, tmp_path, blob):
         try:
             state = load_checkpoint(write_blob(tmp_path, blob))
-        except FormatError:
+        except FormatError as exc:
+            assert exc.offset == 7 or not declares_other_width(blob)
             return
+        assert not declares_other_width(blob)
         assert state.encoder.dim == state.classifier.dim == state.mem.dim
         assert state.classifier.n_classes == state.mem.n_classes
         arrays = [state.encoder.w, state.encoder.b, state.mem.rows,

@@ -1,15 +1,17 @@
 """README stays in step with the package: its layout table names every
-module once, every `gcmr.<module>.<name>` it cites exists, and the format
-versions it states are the ones data_io writes."""
+module once, every `gcmr.<module>.<name>` it cites exists, the format
+versions it states are the ones data_io writes, and every command of its
+CLI block parses."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import gcmr
-from gcmr import data_io
+from gcmr import cli, data_io
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 PACKAGE_DIR = Path(gcmr.__file__).resolve().parent
@@ -38,3 +40,21 @@ def test_stated_format_versions_match_data_io():
     stated = re.findall(r"datasets are version (\d+),\s+checkpoints\s+version (\d+)", README)
     assert stated == [(str(data_io.FORMAT_VERSION[data_io.KIND_DATASET]),
                        str(data_io.FORMAT_VERSION[data_io.KIND_CHECKPOINT]))]
+
+
+def cli_commands():
+    block = README.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("gcmr ")]
+
+
+def test_cli_block_has_every_subcommand():
+    assert {line.split()[1] for line in cli_commands()} == {"synth", "run", "gradcheck",
+                                                           "report"}
+
+
+@pytest.mark.parametrize("line", cli_commands(),
+                         ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(cli_commands())])
+def test_cli_command_parses(line):
+    # argparse exits 2 on a removed or renamed flag
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == line.split()[1]

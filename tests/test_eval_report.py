@@ -10,7 +10,8 @@ from gcmr import trainer
 from gcmr.classifier import ClassifierParams, eval_logits_batch
 from gcmr.encoder import init_encoder, normalized_features
 from gcmr.eval_report import (EVAL_CHUNK_ROWS, SessionReport, aggregate,
-                              evaluate_session, read_report, write_report)
+                              evaluate_session, read_report, report_table,
+                              write_report)
 from gcmr.memory import (RepresentationMemory, build_weight_memory,
                          init_representation_memory)
 
@@ -229,27 +230,45 @@ class TestAggregate:
             aggregate([])
 
 
+REPORT_FILES = ["report.csv", "report.json"]
+
+
+def report_bytes(run_dir):
+    return {name: (run_dir / name).read_bytes() for name in REPORT_FILES}
+
+
 class TestWriteReport:
     def test_json_round_trip(self, tmp_path):
         reports = [make_report(0, 0.9), make_report(1, 0.8)]
         summary = aggregate(reports)
-        path = tmp_path / "report.json"
-        write_report(reports, summary, path, "json", label="demo")
-        loaded = read_report(path)
+        run_dir = tmp_path / "demo"
+        run_dir.mkdir()
+        write_report(reports, summary, run_dir)
+        loaded = read_report(run_dir / "report.json")
         assert loaded["label"] == "demo"
         assert loaded["summary"] == summary
         assert [s["acc_all"] for s in loaded["sessions"]] == [0.9, 0.8]
         # a second write is byte-identical
-        blob = path.read_bytes()
-        write_report(reports, summary, path, "json", label="demo")
-        assert path.read_bytes() == blob
+        before = report_bytes(run_dir)
+        write_report(reports, summary, run_dir)
+        assert report_bytes(run_dir) == before
+
+    def test_one_call_writes_both_files(self, tmp_path):
+        reports = [make_report(0, 0.9), make_report(1, 0.8)]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        write_report(reports, aggregate(reports), f"{run_dir}{os.sep}")
+        assert sorted(p.name for p in run_dir.iterdir()) == REPORT_FILES
+        report = read_report(run_dir / "report.json")
+        assert report["label"] == "run"  # the directory's name, trailing separator or not
+        with (run_dir / "report.csv").open(newline="") as fh:
+            assert list(csv.reader(fh)) == report_table([report])
 
     def test_csv_has_one_column_per_session_plus_average(self, tmp_path):
         reports = [make_report(t, 0.9 - 0.05 * t) for t in range(9)]
         summary = aggregate(reports)
-        path = tmp_path / "report.csv"
-        write_report(reports, summary, path, "csv")
-        with path.open() as fh:
+        write_report(reports, summary, tmp_path)
+        with (tmp_path / "report.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == (["run"] + [f"session_{t}" for t in range(9)]
                            + ["avg_acc", "memory_bytes"])
@@ -257,31 +276,30 @@ class TestWriteReport:
 
     def test_json_write_that_raises_midway_keeps_previous_report(self, tmp_path):
         reports = [make_report(0, 0.9), make_report(1, 0.8)]
-        path = tmp_path / "report.json"
-        write_report(reports, aggregate(reports), path, "json")
-        before = path.read_bytes()
+        write_report(reports, aggregate(reports), tmp_path)
+        before = report_bytes(tmp_path)
         # json.dump has streamed the sessions out when it reaches the summary
         with pytest.raises(TypeError):
-            write_report(reports, {"avg_acc": object()}, path, "json")
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+            write_report(reports, {"avg_acc": object()}, tmp_path)
+        assert report_bytes(tmp_path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == REPORT_FILES
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failed_overwrite_keeps_previous_report(self, tmp_path, monkeypatch, fmt):
-        reports = [make_report(0, 0.9), make_report(1, 0.8)]
-        path = tmp_path / f"report.{fmt}"
-        write_report(reports, aggregate(reports), path, fmt, label="old")
-        before = path.read_bytes()
+        # the os.replace of report.<fmt> fails; that file keeps its bytes
+        old = [make_report(0, 0.9), make_report(1, 0.8)]
+        write_report(old, aggregate(old), tmp_path)
+        before = report_bytes(tmp_path)
+        replace = os.replace
 
         def fail(src, dst):
-            raise OSError("disk full")
+            if os.path.basename(dst) == f"report.{fmt}":
+                raise OSError("disk full")
+            replace(src, dst)
 
         monkeypatch.setattr(os, "replace", fail)
+        new = [make_report(0, 0.5), make_report(1, 0.4)]
         with pytest.raises(OSError, match="disk full"):
-            write_report(reports, aggregate(reports), path, fmt, label="new")
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_report([make_report(0, 0.5)], {"avg_acc": 0.5}, tmp_path / "x", "xml")
+            write_report(new, aggregate(new), tmp_path)
+        assert (tmp_path / f"report.{fmt}").read_bytes() == before[f"report.{fmt}"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == REPORT_FILES
