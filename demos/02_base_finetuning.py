@@ -19,8 +19,9 @@ protocol = ProtocolSpec(total_classes=12, base_classes=12, n_way=1, k_shot=1,
                         seed=1, test_per_class=15)
 sessions = materialize_sessions(dataset, fscil_split(protocol, dataset.labels))
 base = sessions[0]
-print(f"base session: {len(base.class_ids)} classes, "
-      f"{len(base.train)} train / {len(base.test)} test examples")
+print(f"base session: {len(base.assignment.class_ids)} classes, "
+      f"{len(base.assignment.train_indices)} train / "
+      f"{len(base.assignment.test_indices)} test examples")
 
 cfg = TrainConfig(base_epochs=15, base_lr=0.05, batch_size=32, seed=2,
                   hidden_dim=16, loss=LossConfig(c=0.3, beta=0.7))

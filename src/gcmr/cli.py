@@ -100,7 +100,7 @@ def load_run_config(path) -> dict:
         raise ConfigError("loss settings belong in the top-level 'loss' section")
     train_cfg = _build_section(trainer.TrainConfig, train_section, "train", loss=loss_cfg)
 
-    out = {"train": train_cfg, "loss": loss_cfg, "protocol": None, "synthetic": None}
+    out = {"train": train_cfg, "protocol": None, "synthetic": None}
     if "protocol" in raw:
         out["protocol"] = _build_section(data_io.ProtocolSpec, raw["protocol"], "protocol")
     if "synthetic" in raw:

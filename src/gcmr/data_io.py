@@ -142,6 +142,9 @@ class SyntheticSpec:
             raise ValueError("synthetic dimensions and counts must be positive")
         if self.g < 2:
             raise ValueError("g must be at least 2 tokens")
+        if self.d < 2:
+            raise ValueError("d must be at least 2: the base encoder's layer norm "
+                             "needs two features per token")
         if not 0.0 < self.within_class_sigma < math.inf:
             raise ValueError("within_class_sigma must be positive and finite")
         if not 0.0 < self.class_mean_norm < math.inf:
@@ -173,9 +176,9 @@ class TokenDataset:
 
     @classmethod
     def from_finite(cls, features, labels) -> "TokenDataset":
-        """A dataset over features already known to be finite (rows of a
-        validated dataset, a payload the binary reader scanned, CSV values
-        checked per line): the shape checks run, the finiteness scan does not."""
+        """A dataset over features already known to be finite (a payload the
+        binary reader scanned, CSV values checked per line): the shape checks
+        run, the finiteness scan does not."""
         out = object.__new__(cls)
         out.features, out.labels = features, labels
         out._coerce()
@@ -183,10 +186,6 @@ class TokenDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def subset(self, indices) -> "TokenDataset":
-        """The examples at `indices`, without a second finiteness scan."""
-        return TokenDataset.from_finite(self.features[indices], self.labels[indices])
 
 
 @dataclass(frozen=True)
@@ -202,39 +201,11 @@ class SessionAssignment:
 @dataclass(frozen=True)
 class SessionData:
     """One session: the dataset its rows live in and the assignment that
-    picks them. It holds no rows of its own; `train` and `test` slice a new
-    TokenDataset out of the dataset on every access, and the trainer reads
-    rows through the assignment's indices instead."""
+    picks them. It holds no rows of its own; every reader gathers them
+    through the assignment's train_indices and test_indices."""
 
     dataset: TokenDataset
     assignment: SessionAssignment
-
-    @classmethod
-    def from_datasets(cls, session: int, class_ids, train: TokenDataset,
-                      test: TokenDataset) -> "SessionData":
-        """A session over its own train and test sets, stacked into one
-        dataset: train rows first, then test rows."""
-        dataset = TokenDataset.from_finite(np.concatenate([train.features, test.features]),
-                                           np.concatenate([train.labels, test.labels]))
-        n = len(train)
-        return cls(dataset, SessionAssignment(session, tuple(class_ids), np.arange(n),
-                                              np.arange(n, len(dataset))))
-
-    @property
-    def session(self) -> int:
-        return self.assignment.session
-
-    @property
-    def class_ids(self) -> tuple[int, ...]:
-        return self.assignment.class_ids
-
-    @property
-    def train(self) -> TokenDataset:
-        return self.dataset.subset(self.assignment.train_indices)
-
-    @property
-    def test(self) -> TokenDataset:
-        return self.dataset.subset(self.assignment.test_indices)
 
 
 def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
@@ -292,9 +263,8 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
 
 def materialize_sessions(dataset: TokenDataset,
                          split: Sequence[SessionAssignment]) -> list[SessionData]:
-    """The sessions of a split, as views: each session is the dataset plus
-    its assignment, so no session's rows are ever copied until a caller
-    reads its `train` or `test`."""
+    """The sessions of a split: each is the dataset plus its assignment, so
+    no session's rows are copied."""
     return [SessionData(dataset, part) for part in split]
 
 

@@ -129,15 +129,16 @@ def _rows_by_column(rows: np.ndarray, y: np.ndarray, counts: np.ndarray) -> list
 def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) -> SessionState:
     """Joint finetuning on the base classes, then memory initialization.
 
-    Each batch is gathered from the session's dataset through its train
-    indices, and the final train features come from encoder.encode_rows,
-    so the train rows are never copied whole. With base_epochs 0 (what
+    base_session is a data_io.SessionData. Its classes come from its
+    assignment, each batch is gathered through the train indices, and the
+    final train features come from encoder.encode_rows, so the train rows
+    are never copied whole. With base_epochs 0 (what
     `gcmr run --no-base-finetune` sets) the optimization loop is skipped
     and memories are built from the freshly initialized model.
     """
     features = base_session.dataset.features
     indices = base_session.assignment.train_indices
-    class_ids = list(base_session.class_ids)
+    class_ids = list(base_session.assignment.class_ids)
     with _session_errors(0):
         if indices.shape[0] == 0:
             raise ValueError("base session has no training examples")
@@ -181,7 +182,7 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     The encoder stays frozen throughout."""
     t = state.session + 1
     indices = session.assignment.train_indices
-    new_ids = list(session.class_ids)
+    new_ids = list(session.assignment.class_ids)
     n_old = state.mem.n_classes
     with _session_errors(t):
         if n_old == 0:
@@ -234,10 +235,10 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     on_session(state, report). Returns (reports, final_state).
 
     stream is any iterable of data_io.SessionData, read once and in order.
-    Rows are read through each session's indices: training gathers its
-    batches, and every encode goes through encoder.encode_rows, so no copy
-    of a session's train or test rows exists and the encode working set
-    does not grow with the row width. The encoder is frozen
+    Rows are read only through each session's assignment indices: training
+    gathers its batches, and every encode goes through encoder.encode_rows,
+    so no copy of a session's train or test rows exists and the encode
+    working set does not grow with the row width. The encoder is frozen
     once the base session ends, so each session's test rows are encoded
     once, right after that session's training, and every evaluation scores
     the cached features of all sessions seen so far."""

@@ -191,8 +191,9 @@ def reencoded_reports(stream, cfg):
             state = trainer.train_base(session, cfg)
         else:
             state = trainer.train_incremental(state, session, cfg)
-        raws.append(np.asarray(session.test.features, dtype=np.float64))
-        labels.append(np.asarray(session.test.labels))
+        test = session.assignment.test_indices
+        raws.append(session.dataset.features[test])
+        labels.append(session.dataset.labels[test])
         features = normalized_features(np.concatenate(raws), state.encoder)
         reports.append(evaluate_session(state, features, np.concatenate(labels),
                                         [r.acc_all for r in reports]))

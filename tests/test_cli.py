@@ -9,9 +9,10 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gcmr import cli
+from gcmr import cli, data_io
 from gcmr.classifier import incremental_terms
 from gcmr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError,
                       load_run_config, main)
@@ -55,7 +56,8 @@ class TestConfigParsing:
     def test_valid_config_loads(self, config_file):
         config = load_run_config(config_file)
         assert config["train"].batch_size == 16
-        assert config["loss"].beta == 0.7
+        assert config["train"].loss.beta == 0.7
+        assert set(config) == {"train", "protocol", "synthetic"}
         assert config["protocol"].n_way == 2
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -108,7 +110,8 @@ class TestConfigParsing:
     def test_value_of_the_field_type_accepted(self, tmp_path, key, value, expected):
         config = load_run_config(write_config(tmp_path / "c.json", **{key: value}))
         section, field = key.split(".")
-        assert getattr(config[section], field) == expected
+        holder = config["train"].loss if section == "loss" else config[section]
+        assert getattr(holder, field) == expected
 
 
 class TestSynth:
@@ -136,6 +139,14 @@ class TestSynth:
         path = write_config(tmp_path / "c.json", **{"synthetic.within_class_sigma": -1.0})
         assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "d")]) == EXIT_CONFIG
         assert "within_class_sigma" in capsys.readouterr().err
+
+    def test_one_feature_tokens_exit_2_without_output(self, tmp_path, capsys):
+        # a run could not use it: the base encoder's layer norm needs two features
+        path = write_config(tmp_path / "c.json", **{"synthetic.d": 1})
+        out = tmp_path / "d"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "d must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_byte_identical_outputs(self, tmp_path, config_file):
         a, b = tmp_path / "a.gcmr", tmp_path / "b.gcmr"
@@ -255,11 +266,12 @@ class TestRun:
 
     def test_config_is_frozen(self, config_file):
         config = load_run_config(config_file)
-        assert config["train"].loss is config["loss"]
         with pytest.raises(AttributeError):
             config["train"].base_epochs = 0
         with pytest.raises(AttributeError):
-            config["loss"].beta = 0.0
+            config["train"].loss = config["train"].loss
+        with pytest.raises(AttributeError):
+            config["train"].loss.beta = 0.0
 
     def test_no_base_finetune_override(self, tmp_path, config_file,
                                        dataset_file, capsys):
@@ -315,11 +327,13 @@ class TestRun:
                                                       capsys, layout):
         # the base encoder's layer norm needs two features per token
         data = tmp_path / "data"
+        # 8 classes of 12 examples: flat lines, or groups of two tokens
         if layout == "binary":
-            spec = write_config(tmp_path / "d1.json", **{"synthetic.d": 1})
-            assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+            labels = np.repeat(np.arange(8), 12)
+            values = labels + 0.1 * np.tile(np.arange(12), 8)
+            features = np.repeat(values[:, None, None], 2, axis=1)
+            data_io.save_dataset(data_io.TokenDataset(features, labels), data)
         else:
-            # 8 classes of 12 examples: flat lines, or groups of two tokens
             grouped = layout == "token csv"
             tokens = ["0,", "1,"] if grouped else [""]
             lines = ["label,token,f0" if grouped else "label,f0"]

@@ -1,7 +1,7 @@
 """README stays in step with the package: its layout table names every
-module once, every `gcmr.<module>.<name>` it cites exists, the format
-versions it states are the ones data_io writes, and every command of its
-CLI block parses."""
+module once, every `gcmr.<module>.<name>` it cites exists (at any depth,
+e.g. `gcmr.<module>.<class>.<method>`), the format versions it states are
+the ones data_io writes, and every command of its CLI block parses."""
 
 import importlib
 import re
@@ -30,10 +30,12 @@ def test_layout_table_lists_exactly_the_package_modules():
 
 
 @pytest.mark.parametrize("module, name",
-                         sorted(set(re.findall(r"`gcmr\.(\w+)\.(\w+)`", README))))
+                         sorted(set(re.findall(r"`gcmr\.(\w+)\.(\w+(?:\.\w+)*)`", README))))
 def test_cited_name_resolves(module, name):
     owner = importlib.import_module(f"gcmr.{module}")
-    assert hasattr(owner, name), f"gcmr.{module}.{name}"
+    for part in name.split("."):
+        assert hasattr(owner, part), f"gcmr.{module}.{name}"
+        owner = getattr(owner, part)
 
 
 def test_stated_format_versions_match_data_io():

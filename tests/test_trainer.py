@@ -85,26 +85,24 @@ class TestTrainBase:
         # shuffled rows: each class's rows are averaged in their order in the
         # session, as a per-class boolean mask selects them
         base = small_stream()[0]
-        order = np.random.default_rng(7).permutation(len(base.train))
-        shuffled = data_io.SessionData.from_datasets(0, base.class_ids,
-                                                     base.train.subset(order), base.test)
+        ds, part = base.dataset, base.assignment
+        train = part.train_indices[np.random.default_rng(7).permutation(len(part.train_indices))]
+        shuffled = data_io.SessionData(ds, dataclasses.replace(part, train_indices=train))
         state = trainer.train_base(shuffled, small_config(base_epochs=2))
-        fbar = normalized_features(shuffled.train.features, state.encoder)
-        y = column_labels(shuffled.train.labels, base.class_ids)
+        fbar = normalized_features(ds.features[train], state.encoder)
+        y = column_labels(ds.labels[train], part.class_ids)
         expected = init_representation_memory(
-            {cid: fbar[y == col] for col, cid in enumerate(base.class_ids)})
+            {cid: fbar[y == col] for col, cid in enumerate(part.class_ids)})
         assert state.mem.class_ids == expected.class_ids
         assert state.mem.rows.tobytes() == expected.rows.tobytes()
 
     def test_class_without_examples_rejected(self):
-        sessions = small_stream()
-        base = sessions[0]
-        keep = base.train.labels != base.class_ids[0]
-        broken = data_io.SessionData.from_datasets(
-            0, base.class_ids,
-            data_io.TokenDataset(base.train.features[keep], base.train.labels[keep]),
-            base.test)
-        with pytest.raises(ValueError):
+        base = small_stream()[0]
+        part = base.assignment
+        keep = base.dataset.labels[part.train_indices] != part.class_ids[0]
+        broken = data_io.SessionData(base.dataset, dataclasses.replace(
+            part, train_indices=part.train_indices[keep]))
+        with pytest.raises(ValueError, match=rf"without examples: \[{part.class_ids[0]}\]"):
             trainer.train_base(broken, small_config())
 
     def test_rejection_names_the_session(self):
@@ -116,11 +114,10 @@ class TestTrainBase:
 
     def test_unknown_label_is_named(self):
         base = small_stream()[0]
-        labels = base.train.labels.copy()
-        labels[3] = 999
-        broken = data_io.SessionData.from_datasets(
-            0, base.class_ids, data_io.TokenDataset(base.train.features, labels),
-            base.test)
+        labels = base.dataset.labels.copy()
+        labels[base.assignment.train_indices[3]] = 999
+        broken = data_io.SessionData(data_io.TokenDataset(base.dataset.features, labels),
+                                     base.assignment)
         with pytest.raises(ValueError, match=r"unknown classes: \[999\]"):
             trainer.train_base(broken, small_config())
 
@@ -131,10 +128,10 @@ class TestTrainIncremental:
         cfg = small_config(incr_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
         nxt = trainer.train_incremental(state, sessions[1], cfg)
-        fbar = normalized_features(
-            np.asarray(sessions[1].train.features, dtype=np.float64), state.encoder)
-        labels = sessions[1].train.labels
-        means = [fbar[labels == cid].mean(axis=0) for cid in sessions[1].class_ids]
+        ds, part = sessions[1].dataset, sessions[1].assignment
+        fbar = normalized_features(ds.features[part.train_indices], state.encoder)
+        labels = ds.labels[part.train_indices]
+        means = [fbar[labels == cid].mean(axis=0) for cid in part.class_ids]
         expected = expand_with_imprinting(state.wmem.classifier_snapshot, means)
         assert nxt.classifier.state_bytes() == expected.state_bytes()
         assert nxt.mem.n_classes == state.mem.n_classes + 2
@@ -155,11 +152,10 @@ class TestTrainIncremental:
         cfg = small_config(base_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
         session = sessions[1]
-        labels = session.train.labels.copy()
-        labels[0] = -7
-        broken = data_io.SessionData.from_datasets(
-            1, session.class_ids, data_io.TokenDataset(session.train.features, labels),
-            session.test)
+        labels = session.dataset.labels.copy()
+        labels[session.assignment.train_indices[0]] = -7
+        broken = data_io.SessionData(data_io.TokenDataset(session.dataset.features, labels),
+                                     session.assignment)
         with pytest.raises(ValueError, match=r"unknown classes: \[-7\]"):
             trainer.train_incremental(state, broken, cfg)
 
@@ -170,14 +166,13 @@ class TestTrainIncremental:
         sessions = small_stream()
         cfg = small_config(base_epochs=1, incr_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
-        part = sessions[1].assignment
-        order = np.random.default_rng(3).permutation(len(part.train_indices))
-        shuffled = data_io.SessionData(sessions[1].dataset, dataclasses.replace(
-            part, train_indices=part.train_indices[order]))
+        ds, part = sessions[1].dataset, sessions[1].assignment
+        train = part.train_indices[np.random.default_rng(3).permutation(len(part.train_indices))]
+        shuffled = data_io.SessionData(ds, dataclasses.replace(part, train_indices=train))
         nxt = trainer.train_incremental(state, shuffled, cfg)
-        fbar = normalized_features(shuffled.train.features, state.encoder)
-        labels = shuffled.train.labels
-        new_features = {cid: fbar[labels == cid] for cid in shuffled.class_ids}
+        fbar = normalized_features(ds.features[train], state.encoder)
+        labels = ds.labels[train]
+        new_features = {cid: fbar[labels == cid] for cid in part.class_ids}
         means = [rows.mean(axis=0) for rows in new_features.values()]
         imprinted = expand_with_imprinting(state.wmem.classifier_snapshot, means)
         expected = update_representation_memory(state.mem, new_features, 1)
@@ -190,12 +185,11 @@ class TestTrainIncremental:
         cfg = small_config(base_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
         session = sessions[1]
-        keep = session.train.labels != session.class_ids[1]
-        broken = data_io.SessionData.from_datasets(
-            1, session.class_ids,
-            data_io.TokenDataset(session.train.features[keep], session.train.labels[keep]),
-            session.test)
-        with pytest.raises(ValueError, match=rf"without support examples: \[{session.class_ids[1]}\]"):
+        part = session.assignment
+        keep = session.dataset.labels[part.train_indices] != part.class_ids[1]
+        broken = data_io.SessionData(session.dataset, dataclasses.replace(
+            part, train_indices=part.train_indices[keep]))
+        with pytest.raises(ValueError, match=rf"without support examples: \[{part.class_ids[1]}\]"):
             trainer.train_incremental(state, broken, cfg)
 
     def test_label_collision_rejected(self):
@@ -237,14 +231,12 @@ class TestTrainIncremental:
             cfg_off = dataclasses.replace(
                 cfg, memory_regularization=False, loss=LossConfig(c=0.3, beta=0.7))
             off = trainer.train_incremental(base, sessions[1], cfg_off)
-            base_test = sessions[0].test
-            raw = np.asarray(base_test.features, dtype=np.float64)
-            from gcmr.encoder import normalized_features
+            ds, test = sessions[0].dataset, sessions[0].assignment.test_indices
             from gcmr.eval_report import evaluate_session
-            acc_on = evaluate_session(on, normalized_features(raw, on.encoder),
-                                      base_test.labels).acc_base
-            acc_off = evaluate_session(off, normalized_features(raw, off.encoder),
-                                       base_test.labels).acc_base
+            acc_on = evaluate_session(on, normalized_features(ds.features[test], on.encoder),
+                                      ds.labels[test]).acc_base
+            acc_off = evaluate_session(off, normalized_features(ds.features[test], off.encoder),
+                                       ds.labels[test]).acc_base
             wins += acc_on > acc_off
         assert wins >= 8
 
@@ -348,8 +340,8 @@ class TestRunProtocol:
 
         monkeypatch.setattr(encoder, "normalized_features", counting)
         trainer.run_protocol(sessions, small_config(base_epochs=1, incr_epochs=1))
-        n_train = sum(len(s.train) for s in sessions)
-        n_test = sum(len(s.test) for s in sessions)
+        n_train = sum(len(s.assignment.train_indices) for s in sessions)
+        n_test = sum(len(s.assignment.test_indices) for s in sessions)
         assert sum(encoded) - n_train == n_test
 
     def test_no_copy_of_a_session_is_made(self, traced_peak):
@@ -382,9 +374,17 @@ class TestRunProtocol:
         assert peak < 3 * encoder.ENCODE_CHUNK_BYTES
 
     def test_eager_sessions_run_like_views(self):
+        # each eager session's dataset holds only that session's rows
         sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
-        eager = [data_io.SessionData.from_datasets(s.session, s.class_ids, s.train, s.test)
-                 for s in sessions]
+        eager = []
+        for s in sessions:
+            part = s.assignment
+            rows = np.concatenate([part.train_indices, part.test_indices])
+            n = len(part.train_indices)
+            eager.append(data_io.SessionData(
+                data_io.TokenDataset(s.dataset.features[rows], s.dataset.labels[rows]),
+                data_io.SessionAssignment(part.session, part.class_ids, np.arange(n),
+                                          np.arange(n, len(rows)))))
         cfg = small_config(base_epochs=2, incr_epochs=3)
         runs = []
         for stream in (sessions, eager):
