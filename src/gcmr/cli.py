@@ -91,7 +91,7 @@ def load_run_config(path) -> dict:
     unknown = sorted(set(raw) - known_sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {unknown}")
-    if raw.get("version") != CONFIG_VERSION:
+    if raw.get("version") != CONFIG_VERSION or type(raw["version"]) is not int:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
 
     loss_cfg = _build_section(LossConfig, raw.get("loss", {}), "loss")
@@ -224,7 +224,7 @@ def _cmd_run(args) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, data_io.FormatError) as exc:
+    except ValueError as exc:
         # dataset loadable but incompatible with the configured protocol
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -264,7 +264,8 @@ def run_gradcheck(seed: int, dim: int, hidden: int, n_classes: int):
     objectives on one random instance. Returns rows of
     (objective, parameter, max relative error)."""
     gen = rng.generator(seed, 9999)
-    n_batch, n_memory, n_tokens = 3, 3, 4
+    # incremental_terms takes no more memory rows than classifier columns
+    n_batch, n_memory, n_tokens = 3, min(3, n_classes), 4
     cfg = LossConfig(c=0.4, beta=0.7, mask_ratio=0.5)
 
     rows = []
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--dims", default="8,4,5", help="D,H,C")
+    p_grad.add_argument("--dims", default="8,4,5",
+                        help="D,H,C: D >= 2, H and C >= 1, D*H*C <= 10000")
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_rep = sub.add_parser("report", help="merge run reports into one table")

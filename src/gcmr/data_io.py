@@ -10,10 +10,10 @@ Binary format (all integers little-endian):
                float64 payloads)
     trailer    u32    CRC32 of every preceding byte
 
-Every load failure is a distinct FormatError subclass carrying the byte
-offset where the problem was detected; a width other than 8 fails at offset
-7. Every float payload must be finite. Round trips are bit-exact for all
-finite float64 values, signed zeros included.
+Every load failure is a FormatError carrying the byte offset where the
+problem was detected; a width other than 8 fails at offset 7. Every float
+payload must be finite. Round trips are bit-exact for all finite float64
+values, signed zeros included.
 
 A checkpoint holds the session index, the encoder, the classifier head and
 the representation memory. The weight memory is not stored: it is a snapshot
@@ -65,38 +65,15 @@ SYNTH_TAG = 202
 
 
 class FormatError(Exception):
-    """Base class for malformed or mismatched data files."""
+    """A malformed or mismatched data file, checksum-valid ones included
+    whose fields the model rejects, e.g. duplicate memory class ids, a
+    dropout rate outside [0, 1) or a non-finite float."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class BadMagicError(FormatError):
-    pass
-
-
-class VersionError(FormatError):
-    pass
-
-
-class TruncatedFileError(FormatError):
-    pass
-
-
-class ChecksumError(FormatError):
-    pass
-
-
-class DimensionError(FormatError):
-    pass
-
-
-class ContentError(FormatError):
-    """A checksum-valid file whose fields the model rejects, e.g. duplicate
-    memory class ids, a dropout rate outside [0, 1) or a non-finite float."""
 
 
 @dataclass(frozen=True)
@@ -294,15 +271,6 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 
 # --- binary reader/writer helpers -----------------------------------------
 
-def _read_file(path) -> memoryview:
-    """The whole file, read with one readinto into a writable buffer that
-    is left uninitialized, since the read overwrites what it keeps."""
-    with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        size = fh.readinto(buf)
-    return memoryview(buf)[:size]
-
-
 class _Reader:
     """Sequential reads over a memoryview; every slice it hands out is a view."""
 
@@ -312,7 +280,7 @@ class _Reader:
 
     def take(self, count: int, what: str) -> memoryview:
         if self.pos + count > len(self.blob):
-            raise TruncatedFileError(f"file ends inside {what}", self.pos)
+            raise FormatError(f"file ends inside {what}", self.pos)
         chunk = self.blob[self.pos:self.pos + count]
         self.pos += count
         return chunk
@@ -323,7 +291,7 @@ class _Reader:
 
     def floats(self, count: int, what: str) -> np.ndarray:
         """count float64 values: a view of the buffer when the offset is
-        8-byte aligned, otherwise one copy. ContentError at the end of the
+        8-byte aligned, otherwise one copy. FormatError at the end of the
         section when one of them is not finite."""
         values = np.frombuffer(self.take(count * 8, what), dtype="<f8")
         if not values.flags.aligned:
@@ -337,7 +305,7 @@ class _Reader:
         # BLAS thread: 1,564 minor faults and 0.446 s median CPU with this
         # scan, 23,955 faults and 0.516 s with a 64 Ki-element blockwise one.
         if not np.isfinite(values).all():
-            raise ContentError(f"non-finite values in {what}", self.pos)
+            raise FormatError(f"non-finite values in {what}", self.pos)
         return values
 
     def ints(self, count: int, fmt_char: str, what: str) -> np.ndarray:
@@ -345,42 +313,53 @@ class _Reader:
         raw = self.take(count * width, what)
         return np.frombuffer(raw, dtype="<" + {"q": "i8", "I": "u4"}[fmt_char]).astype(np.int64)
 
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise FormatError("trailing bytes after payload", self.pos)
+
 
 def _float_buffer(arr: np.ndarray) -> np.ndarray:
     """arr as C-contiguous little-endian float64; no copy when it already is."""
     return np.ascontiguousarray(arr, dtype="<f8")
 
 
-def _open_blob(blob: memoryview, expected_kind: int):
+def _open(path, kind: int) -> _Reader:
+    """A reader over the body of path once its magic, checksum and header
+    check out for kind. One readinto fills a buffer left uninitialized, since
+    the read overwrites what it keeps."""
+    with open(path, "rb") as fh:
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        blob = memoryview(buf)[:fh.readinto(buf)]
     reader = _Reader(blob)
     magic = bytes(reader.take(4, "magic"))
     if magic != FORMAT_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {FORMAT_MAGIC!r}", 0)
+        raise FormatError(f"bad magic {magic!r}, expected {FORMAT_MAGIC!r}", 0)
     if len(blob) < 8 + 4:
-        raise TruncatedFileError("file too short for header and checksum", len(blob))
+        raise FormatError("file too short for header and checksum", len(blob))
     stored_crc, = struct.unpack("<I", blob[-4:])
     actual_crc = zlib.crc32(blob[:-4])
     if stored_crc != actual_crc:
-        raise ChecksumError(
+        raise FormatError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
             len(blob) - 4)
-    version, kind, width = reader.unpack("<HBB", "header")
-    if kind != expected_kind:
-        raise FormatError(f"wrong file kind {kind}, expected {expected_kind}", 6)
+    version, found, width = reader.unpack("<HBB", "header")
+    if found != kind:
+        raise FormatError(f"wrong file kind {found}, expected {kind}", 6)
     if version != FORMAT_VERSION[kind]:
-        raise VersionError(f"unsupported format version {version}", 4)
+        raise FormatError(f"unsupported format version {version}", 4)
     if width != 8:
         raise FormatError(f"unsupported float width {width}, expected 8", 7)
     reader.blob = blob[:-4]  # stop body reads before the checksum
     return reader
 
 
-def _write_blob(path, parts) -> None:
-    """Write the parts (bytes or C-contiguous arrays) and then the CRC32 of
-    all of them to path, through atomic_open."""
+def _write_blob(path, kind: int, parts) -> None:
+    """Write the magic, the header of kind, the parts (bytes or C-contiguous
+    arrays) and then the CRC32 of all of them to path, through atomic_open."""
     crc = 0
+    header = struct.pack("<4sHBB", FORMAT_MAGIC, FORMAT_VERSION[kind], kind, 8)
     with atomic_open(path) as fh:
-        for part in parts:
+        for part in (header, *parts):
             fh.write(part)
             crc = zlib.crc32(part, crc)
         fh.write(struct.pack("<I", crc))
@@ -412,9 +391,7 @@ def save_dataset(dataset: TokenDataset, path) -> None:
     n, g, d = dataset.features.shape
     # class table in ascending id order; each label stored as its table index
     class_ids, label_index = np.unique(dataset.labels, return_inverse=True)
-    _write_blob(path, [
-        FORMAT_MAGIC,
-        struct.pack("<HBB", FORMAT_VERSION[KIND_DATASET], KIND_DATASET, 8),
+    _write_blob(path, KIND_DATASET, [
         struct.pack("<IIII", n, g, d, len(class_ids)),
         np.asarray(class_ids, dtype="<i8"),
         np.asarray(label_index, dtype="<u4"),
@@ -423,28 +400,27 @@ def save_dataset(dataset: TokenDataset, path) -> None:
 
 
 def load_dataset(path) -> TokenDataset:
-    reader = _open_blob(_read_file(path), KIND_DATASET)
+    reader = _open(path, KIND_DATASET)
     n, g, d, n_classes = reader.unpack("<IIII", "dataset shape")
     if g < 1 or d < 1:
-        raise DimensionError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
+        raise FormatError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
     class_ids = reader.ints(n_classes, "q", "class table")
     label_idx = reader.ints(n, "I", "labels")
     if n and label_idx.max() >= n_classes:
-        raise DimensionError(f"label index {label_idx.max()} outside the class table "
-                             f"of {n_classes} classes", reader.pos)
+        raise FormatError(f"label index {label_idx.max()} outside the class table "
+                          f"of {n_classes} classes", reader.pos)
     values = reader.floats(n * g * d, "feature payload")
-    if reader.pos != len(reader.blob):
-        raise FormatError("trailing bytes after payload", reader.pos)
+    reader.end()
     return TokenDataset.from_finite(values.reshape(n, g, d), class_ids[label_idx])
 
 
 def _construct(reader: _Reader, what: str, make, *args):
-    """make(*args), with the model's ValueError turned into a ContentError at
+    """make(*args), with the model's ValueError turned into a FormatError at
     the reader's position."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ContentError(f"invalid {what}: {exc}", reader.pos) from None
+        raise FormatError(f"invalid {what}: {exc}", reader.pos) from None
 
 
 def _classifier_parts(params: ClassifierParams) -> list:
@@ -457,7 +433,7 @@ def _unpack_classifier(reader: _Reader) -> ClassifierParams:
     dim, hidden, n_classes = reader.unpack("<III", "classifier shape")
     dropout, = reader.unpack("<d", "dropout rate")
     if min(dim, hidden, n_classes) < 1:
-        raise DimensionError("degenerate classifier shape", reader.pos)
+        raise FormatError("degenerate classifier shape", reader.pos)
     w1 = reader.floats(dim * hidden, "w1").reshape(dim, hidden)
     b1 = reader.floats(hidden, "b1")
     w2 = reader.floats(hidden * n_classes, "w2").reshape(hidden, n_classes)
@@ -470,9 +446,7 @@ def save_checkpoint(state: SessionState, path) -> None:
     representation memory. The weight memory is not written;
     load_checkpoint rebuilds it."""
     enc, mem = state.encoder, state.mem
-    _write_blob(path, [
-        FORMAT_MAGIC,
-        struct.pack("<HBB", FORMAT_VERSION[KIND_CHECKPOINT], KIND_CHECKPOINT, 8),
+    _write_blob(path, KIND_CHECKPOINT, [
         struct.pack("<I", state.session),
         struct.pack("<BII", int(enc.frozen), enc.raw_dim, enc.dim),
         _float_buffer(enc.w),
@@ -488,11 +462,11 @@ def save_checkpoint(state: SessionState, path) -> None:
 def load_checkpoint(path) -> SessionState:
     """The session state save_checkpoint wrote, with the weight memory
     rebuilt from the head."""
-    reader = _open_blob(_read_file(path), KIND_CHECKPOINT)
+    reader = _open(path, KIND_CHECKPOINT)
     session, = reader.unpack("<I", "session index")
     frozen, raw_dim, dim = reader.unpack("<BII", "encoder header")
     if min(raw_dim, dim) < 1:
-        raise DimensionError("degenerate encoder shape", reader.pos)
+        raise FormatError("degenerate encoder shape", reader.pos)
     enc_w = reader.floats(raw_dim * dim, "encoder weights").reshape(raw_dim, dim)
     enc_b = reader.floats(dim, "encoder bias")
     enc = _construct(reader, "encoder", EncoderParams, enc_w, enc_b)
@@ -500,22 +474,21 @@ def load_checkpoint(path) -> SessionState:
         enc.freeze()
     head = _unpack_classifier(reader)
     if head.dim != enc.dim:
-        raise DimensionError(f"classifier dim {head.dim} does not match encoder dim {enc.dim}",
-                             reader.pos)
+        raise FormatError(f"classifier dim {head.dim} does not match encoder dim {enc.dim}",
+                          reader.pos)
     m_classes, m_dim = reader.unpack("<II", "memory shape")
     class_ids = tuple(int(v) for v in reader.ints(m_classes, "q", "memory class ids"))
     session_of = tuple(int(v) for v in reader.ints(m_classes, "I", "memory sessions"))
     rows = reader.floats(m_classes * m_dim, "memory rows").reshape(m_classes, m_dim)
     if m_dim != head.dim:
-        raise DimensionError(f"memory dim {m_dim} does not match classifier dim {head.dim}",
-                             reader.pos)
+        raise FormatError(f"memory dim {m_dim} does not match classifier dim {head.dim}",
+                          reader.pos)
     if m_classes != head.n_classes:
-        raise DimensionError(f"memory holds {m_classes} classes but the classifier has "
-                             f"{head.n_classes} columns", reader.pos)
+        raise FormatError(f"memory holds {m_classes} classes but the classifier has "
+                          f"{head.n_classes} columns", reader.pos)
     mem = _construct(reader, "representation memory", RepresentationMemory,
                      rows, class_ids, session_of)
-    if reader.pos != len(reader.blob):
-        raise FormatError("trailing bytes after payload", reader.pos)
+    reader.end()
     return SessionState(session, enc, head, mem, build_weight_memory(head, mem, session))
 
 
@@ -545,13 +518,13 @@ def load_features_csv(path) -> TokenDataset:
     """Parse either CSV layout (flat features or token groups)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"not a readable CSV file: {exc}") from None
-    rows = [r for r in rows if r]
     if not rows:
         raise FormatError("empty CSV file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if header[:1] != ["label"]:
         raise FormatError("CSV header must start with 'label'")
     grouped = len(header) > 1 and header[1] == "token"
@@ -562,10 +535,10 @@ def load_features_csv(path) -> TokenDataset:
     # a flat line is token 0 of a single-token example
     examples: list[list[list[float]]] = []
     labels = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != len(header):
-            raise DimensionError(f"line {line_no} has {len(row)} fields, "
-                                 f"expected {len(header)}")
+            raise FormatError(f"line {line_no} has {len(row)} fields, "
+                              f"expected {len(header)}")
         label = _parse_int(row[0], "label", line_no)
         token = _parse_int(row[1], "token index", line_no) if grouped else 0
         values = _parse_floats(row[first:], line_no)
@@ -574,7 +547,7 @@ def load_features_csv(path) -> TokenDataset:
             labels.append(label)
         else:
             if not examples or token != len(examples[-1]):
-                raise DimensionError(f"token index {token} out of order on line {line_no}")
+                raise FormatError(f"token index {token} out of order on line {line_no}")
             if label != labels[-1]:
                 raise FormatError(f"label changes within an example on line {line_no}")
             examples[-1].append(values)
@@ -582,7 +555,7 @@ def load_features_csv(path) -> TokenDataset:
         raise FormatError("CSV contains a header but no examples")
     sizes = {len(e) for e in examples}
     if len(sizes) != 1:
-        raise DimensionError(f"examples have differing token counts {sorted(sizes)}")
+        raise FormatError(f"examples have differing token counts {sorted(sizes)}")
     return TokenDataset.from_finite(np.asarray(examples), labels)
 
 

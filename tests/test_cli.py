@@ -378,6 +378,16 @@ class TestRun:
         assert f"config error: {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_version_that_is_not_an_int_exits_2_before_output(self, tmp_path, dataset_file,
+                                                               capsys, version):
+        config = write_config(tmp_path / "c.json", version=version)
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: config version must be 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["train.base_lr", "train.incr_lr", "train.min_lr",
                                      "synthetic.class_mean_norm",
                                      "synthetic.within_class_sigma", "train.momentum",
@@ -543,6 +553,13 @@ class TestGradcheck:
 
     def test_oversized_dims_rejected(self, capsys):
         assert main(["gradcheck", "--dims", "100,100,10"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("dims", ["2,1,1", "8,4,2"])
+    def test_fewer_than_three_classes_pass(self, capsys, dims):
+        # the memory rows used to stay at 3 and exceed the classifier columns
+        assert main(["gradcheck", "--seed", "0", "--dims", dims]) == 0
+        out = capsys.readouterr().out
+        assert "pass" in out and "FAIL" not in out
 
 
 class TestReport:

@@ -9,9 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcmr import data_io, trainer
 from gcmr.cli import EXIT_DATA, main
-from gcmr.data_io import (BadMagicError, ChecksumError, ContentError, DimensionError,
-                          FormatError, ProtocolSpec, SyntheticSpec,
-                          TokenDataset, TruncatedFileError, VersionError,
+from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
                           atomic_open, fscil_split, generate_synthetic, load_checkpoint,
                           load_dataset, load_features, materialize_sessions,
                           save_checkpoint, save_dataset)
@@ -648,7 +646,7 @@ class TestFormatErrors:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"NOPE"
         path.write_bytes(blob)
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FormatError, match="bad magic"):
             load_dataset(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -657,20 +655,20 @@ class TestFormatErrors:
         blob[4:6] = struct.pack("<H", 99)
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        with pytest.raises(VersionError):
+        with pytest.raises(FormatError, match="unsupported format version"):
             load_dataset(path)
 
     def test_versions_are_per_kind(self, tmp_path):
         state = small_state()
         for version in (1, 2):
             old_checkpoint = with_crc(checkpoint_body(8, state, version=version))
-            with pytest.raises(VersionError) as excinfo:
+            with pytest.raises(FormatError, match="unsupported format version") as excinfo:
                 load_checkpoint(write_blob(tmp_path, old_checkpoint))
             assert excinfo.value.offset == 4
         v1_dataset = dataset_body(8, 1, 2, [3], [0], [1.0, -2.0])
         assert load_dataset(write_blob(tmp_path, with_crc(v1_dataset))).labels.tolist() == [3]
         v2_dataset = v1_dataset[:4] + struct.pack("<H", 2) + v1_dataset[6:]
-        with pytest.raises(VersionError) as excinfo:
+        with pytest.raises(FormatError, match="unsupported format version") as excinfo:
             load_dataset(write_blob(tmp_path, with_crc(v2_dataset)))
         assert excinfo.value.offset == 4
 
@@ -680,7 +678,7 @@ class TestFormatErrors:
         truncated = blob[:len(blob) // 2]
         body = truncated[:-4]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-        with pytest.raises(TruncatedFileError) as excinfo:
+        with pytest.raises(FormatError, match="file ends inside") as excinfo:
             load_dataset(path)
         assert excinfo.value.offset is not None
 
@@ -689,7 +687,7 @@ class TestFormatErrors:
         blob = bytearray(path.read_bytes())
         blob[10] ^= 0xFF
         path.write_bytes(blob)
-        with pytest.raises(ChecksumError):
+        with pytest.raises(FormatError, match="checksum mismatch"):
             load_dataset(path)
 
     def test_kind_mismatch(self, tmp_path):
@@ -718,13 +716,13 @@ class TestFormatErrors:
 
     def test_empty_class_table_with_examples(self, tmp_path):
         blob = with_crc(dataset_body(8, 1, 2, [], [0, 0], np.zeros(4)))
-        with pytest.raises(DimensionError, match="class table") as excinfo:
+        with pytest.raises(FormatError, match="class table") as excinfo:
             load_dataset(write_blob(tmp_path, blob))
         assert excinfo.value.offset == 24 + 4 * 2  # after the labels
 
     def test_label_index_past_the_table(self, tmp_path):
         blob = with_crc(dataset_body(8, 1, 2, [5, 6], [0, 2], np.zeros(4)))
-        with pytest.raises(DimensionError) as excinfo:
+        with pytest.raises(FormatError, match="class table") as excinfo:
             load_dataset(write_blob(tmp_path, blob))
         assert excinfo.value.offset == 24 + 8 * 2 + 4 * 2
 
@@ -746,7 +744,12 @@ class TestFormatErrors:
     def test_checkpoint_fields_the_model_rejects(self, tmp_path, corrupt):
         # checksum-valid files whose sections fail the model's own checks
         state = small_state()
-        error = ContentError
+        cause = {"duplicate ids": "invalid representation memory",
+                 "dropout": "invalid classifier", "nan dropout": "invalid classifier",
+                 "encoder dim": "invalid encoder",
+                 "encoder wider than head": "classifier dim 8 does not match encoder dim 11",
+                 "head narrower than memory": "memory holds 4 classes but the classifier "
+                                              "has 2 columns"}.get(corrupt, "non-finite")
         if corrupt == "duplicate ids":
             ids = state.mem.class_ids
             object.__setattr__(state.mem, "class_ids", (ids[0],) * len(ids))
@@ -761,7 +764,6 @@ class TestFormatErrors:
             gen, wide = np.random.default_rng(17), state.encoder.dim + 3
             state.encoder.w = gen.normal(size=(state.encoder.raw_dim, wide))
             state.encoder.b = gen.normal(size=wide)
-            error = DimensionError
         elif corrupt == "nan encoder bias":
             state.encoder.b = np.where(np.arange(state.encoder.dim) == 1, np.nan,
                                        state.encoder.b)
@@ -771,14 +773,13 @@ class TestFormatErrors:
         elif corrupt == "head narrower than memory":
             state.classifier.w2 = state.classifier.w2[:, :2]
             state.classifier.b2 = state.classifier.b2[:2]
-            error = DimensionError
         else:
             rows = state.mem.rows.copy()
             rows[0, 0] = np.inf
             object.__setattr__(state.mem, "rows", rows)
         path = tmp_path / "state.gcmr"
         save_checkpoint(state, path)
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(FormatError, match=cause) as excinfo:
             load_checkpoint(path)
         assert 0 < excinfo.value.offset < path.stat().st_size
 
@@ -839,7 +840,17 @@ class TestCsv:
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f0,f1\n1,0.5\n")
-        with pytest.raises(DimensionError):
+        with pytest.raises(FormatError, match="line 2 has 2 fields, expected 3"):
+            load_features(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("label,f0,f1\n\n1,0.5,0.25\n\n2,abc,1\n", "non-numeric feature value on line 5$"),
+        ("label,f0,f1\n\n1,0.5,0.25\n\n\n2,0.5\n", "^line 6 has 2 fields"),
+    ], ids=["non-numeric", "ragged"])
+    def test_error_names_its_file_line_after_blank_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=message):
             load_features(path)
 
     def test_non_numeric_value_rejected(self, tmp_path):
@@ -851,7 +862,7 @@ class TestCsv:
     def test_inconsistent_token_counts_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,token,f0\n1,0,0.5\n1,1,0.5\n2,0,0.5\n")
-        with pytest.raises(DimensionError):
+        with pytest.raises(FormatError, match="differing token counts"):
             load_features(path)
 
     def test_oversized_label_rejected(self, tmp_path):

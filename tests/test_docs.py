@@ -1,7 +1,8 @@
 """README stays in step with the package: its layout table names every
 module once, every `gcmr.<module>.<name>` it cites exists (at any depth,
-e.g. `gcmr.<module>.<class>.<method>`), the format versions it states are
-the ones data_io writes, and every command of its CLI block parses."""
+e.g. `gcmr.<module>.<class>.<method>`), every exception it names is defined
+in some gcmr module, the format versions it states are the ones data_io
+writes, and every command of its CLI block parses."""
 
 import importlib
 import re
@@ -14,7 +15,8 @@ import gcmr
 from gcmr import cli, data_io
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-PACKAGE_DIR = Path(gcmr.__file__).resolve().parent
+MODULES = sorted(p.stem for p in Path(gcmr.__file__).resolve().parent.glob("*.py")
+                 if p.stem != "__init__")
 
 
 def layout_modules():
@@ -25,8 +27,7 @@ def layout_modules():
 def test_layout_table_lists_exactly_the_package_modules():
     listed = layout_modules()
     assert len(listed) == len(set(listed)), f"listed twice: {listed}"
-    modules = {p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__"}
-    assert set(listed) == modules
+    assert set(listed) == set(MODULES)
 
 
 @pytest.mark.parametrize("module, name",
@@ -36,6 +37,11 @@ def test_cited_name_resolves(module, name):
     for part in name.split("."):
         assert hasattr(owner, part), f"gcmr.{module}.{name}"
         owner = getattr(owner, part)
+
+
+@pytest.mark.parametrize("name", sorted(set(re.findall(r"`(\w+Error)`", README))))
+def test_named_exception_exists(name):
+    assert any(hasattr(importlib.import_module(f"gcmr.{m}"), name) for m in MODULES), name
 
 
 def test_stated_format_versions_match_data_io():
