@@ -2,6 +2,11 @@
 logits, analytic gradients of the memory-regularized incremental objective,
 and imprinting-based expansion for novel classes.
 
+The train-mode cross-entropy term, which classifies the batch and every
+stored class mean, walks its rows in blocks of HEAD_BLOCK_ROWS, so its
+largest array is one block's (rows, classes) logits however many memory
+rows there are; a term of one block computes exactly what one pass would.
+
 Head layout: hidden = ReLU(W1^T f + b1) with inverted dropout in train mode,
 logits = W2^T hidden + b2. The hidden map doubles as the projection applied
 to memory rows when building distance dictionaries, so examples and stored
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .nn_core import check_labels, cross_entropy_overwrite
+from .nn_core import check_labels, cross_entropy_sum_overwrite
 
 # Sub-stream tags keeping the dropout noise of the loss terms that share one
 # optimization step independent of each other.
@@ -25,6 +30,9 @@ DROPOUT_STREAM = 0x64726F70
 CLASSIFICATION_TAG = 1
 MEMORY_TAG = 2
 INIT_STREAM = 0x696E6974
+# Rows per block of the head's train-mode term (_mean_ce_with_grads): the
+# largest (rows, classes) array it builds has this many rows.
+HEAD_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -85,12 +93,16 @@ def init_classifier(dim: int, hidden: int, n_classes: int, seed: int,
     return ClassifierParams(w1, np.zeros(hidden), w2, np.zeros(n_classes), dropout_rate)
 
 
-def dropout_scale(n_rows: int, n_units: int, rate: float, seed: int) -> np.ndarray:
-    """(n_rows, n_units) inverted-dropout multipliers from one draw: 0 for
-    dropped units, 1/(1-rate) otherwise."""
+def dropout_scale(gen: np.random.Generator, n_rows: int, n_units: int,
+                  rate: float) -> np.ndarray:
+    """(n_rows, n_units) inverted-dropout multipliers: 0 for dropped units,
+    1/(1-rate) otherwise. They are the next n_rows x n_units uniforms of
+    gen, a dropout stream (rng.stream(seed, DROPOUT_STREAM)), so rows drawn
+    in consecutive blocks equal the rows of one draw. With rate 0 gen is
+    not read."""
     if rate == 0.0:
         return np.ones((n_rows, n_units))
-    keep = rng.stream(seed, DROPOUT_STREAM).random((n_rows, n_units)) >= rate
+    keep = gen.random((n_rows, n_units)) >= rate
     return keep / (1.0 - rate)
 
 
@@ -112,38 +124,71 @@ def eval_logits_batch(features: np.ndarray, params: ClassifierParams) -> np.ndar
     return logits
 
 
-def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads):
+def _mean_ce_with_grads(inputs, targets, params, dropout_seed, compute_grads,
+                        keep_dz1=False):
     """Train-mode cross-entropy mean over rows of `inputs`, plus head grads.
 
     inputs: (n, dim); targets: (n,) column indices; the dropout masks of all
-    rows come from one draw of the dropout_seed stream. Returns (value,
-    grads, dz1): gradients are already divided by n (they are gradients of
-    the mean), and dz1 is the gradient of the first-layer pre-activation,
-    from which the base objective reaches its features. Both are None
-    without compute_grads.
+    rows come from one rng.stream call on the dropout_seed stream, drawn
+    block by block in row order, so they equal one draw of n rows. Returns
+    (value, grads, dz1): gradients are already divided by n (they are
+    gradients of the mean), and dz1 (n, hidden) is the gradient of the
+    first-layer pre-activation, which the base objective asks for with
+    keep_dz1 to reach its features. grads is None without compute_grads,
+    and dz1 is None unless both are set.
+
+    The rows are walked in blocks of HEAD_BLOCK_ROWS, so no logits larger
+    than (HEAD_BLOCK_ROWS, classes) are built. The value and each gradient
+    are sums of the blocks' shares in row order, starting from the first
+    block's own arrays, so a call of one block is the plain one-pass
+    computation, signed zeros included.
     """
     n = inputs.shape[0]
+    gen = rng.stream(dropout_seed, DROPOUT_STREAM)
+    dz1 = np.empty((n, params.hidden)) if compute_grads and keep_dz1 else None
+    total = grads = None
+    for start in range(0, n, HEAD_BLOCK_ROWS):
+        rows = slice(start, start + HEAD_BLOCK_ROWS)
+        part, shares = _ce_block(inputs[rows], targets[rows], gen, params, n, compute_grads,
+                                 None if dz1 is None else dz1[rows])
+        total = part if total is None else total + part
+        if grads is None:
+            grads = shares
+        elif shares is not None:
+            for name, share in shares.items():
+                grads[name] += share
+        del shares      # summed in: free the block's arrays before the next block
+    return total / n, grads, dz1
+
+
+def _ce_block(inputs, targets, gen, params, n, compute_grads, dz1_out):
+    """One row block of _mean_ce_with_grads, drawing its dropout rows from
+    gen: the block's cross-entropy sum and, with compute_grads, its shares
+    of the gradients of the mean over all n rows. dz1_out, if given,
+    receives the block's dz1. The block's arrays die on return, before the
+    next block allocates its own.
+    """
     z1 = inputs @ params.w1
     z1 += params.b1
+    scales = dropout_scale(gen, inputs.shape[0], params.hidden, params.dropout_rate)
     # Elementwise steps overwrite arrays this call allocated: the ReLU mask
     # is folded into the fresh dropout block (which then also masks dz1), z1
     # becomes the hidden activations and the softmax replaces the logits.
-    scales = dropout_scale(n, params.hidden, params.dropout_rate, dropout_seed)
     scales *= z1 > 0
     hidden = np.maximum(z1, 0.0, out=z1)
     hidden *= scales
     logits = hidden @ params.w2
     logits += params.b2
-    value, probs = cross_entropy_overwrite(logits, targets)
+    part, probs = cross_entropy_sum_overwrite(logits, targets)
     if not compute_grads:
-        return value, None, None
+        return part, None
     dlogits = probs
-    dlogits[np.arange(n), targets] -= 1.0
+    dlogits[np.arange(dlogits.shape[0]), targets] -= 1.0
     dlogits /= n
-    dz1 = dlogits @ params.w2.T
+    dz1 = np.matmul(dlogits, params.w2.T, out=dz1_out)
     dz1 *= scales
-    return value, {"w1": inputs.T @ dz1, "b1": dz1.sum(axis=0),
-                   "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}, dz1
+    return part, {"w1": inputs.T @ dz1, "b1": dz1.sum(axis=0),
+                  "w2": hidden.T @ dlogits, "b2": dlogits.sum(axis=0)}
 
 
 def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads):
@@ -160,7 +205,8 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
     # Gram form |p|^2 + |r|^2 - 2 p.r, without an (n, rows, width) tensor
     d2 = ((points * points).sum(axis=1)[:, None] + dictionary.sq_norms
           - 2.0 * (points @ rows.T))
-    value, probs = cross_entropy_overwrite(-d2, targets)
+    total, probs = cross_entropy_sum_overwrite(-d2, targets)
+    value = total / n
     if not compute_grads:
         return value, None
     coeff = probs
@@ -172,18 +218,20 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
 
 def _blend(weighted) -> dict[str, np.ndarray]:
     """sum_k weight_k * grads_k per head array, accumulated in the given
-    order; arrays missing from a term count as zero. Each sum starts from
-    the first term that has the array, not from zeros, so a -0.0 entry
-    keeps its sign where a sum from zeros would make it +0.0. The optimizer
-    only adds a gradient to a velocity, which erases that sign unless the
-    velocity entry is itself -0.0."""
+    order; arrays missing from a term count as zero. Each term's arrays are
+    fresh, so they are scaled in place, and each sum starts from the first
+    term that has the array, not from zeros, so a -0.0 entry keeps its sign
+    where a sum from zeros would make it +0.0. The optimizer only adds a
+    gradient to a velocity, which erases that sign unless the velocity entry
+    is itself -0.0."""
     out = {}
     for weight, grads in weighted:
         for name, grad in grads.items():
+            grad *= weight
             if name in out:
-                out[name] += weight * grad
+                out[name] += grad
             else:
-                out[name] = weight * grad
+                out[name] = grad
     return out
 
 
@@ -211,11 +259,11 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     # the one label check of the call: memory targets are 0..m-1 with
     # m <= columns, and the dictionary has one row per column
     check_labels(y, params.n_classes)
-
-    cls_value, cls_grads, _ = _mean_ce_with_grads(
-        features, y, params, rng.stream_id(seed, CLASSIFICATION_TAG), compute_grads)
+    cls_seed = rng.stream_id(seed, CLASSIFICATION_TAG)
 
     if not memory_regularization:
+        cls_value, cls_grads, _ = _mean_ce_with_grads(features, y, params, cls_seed,
+                                                      compute_grads)
         return cls_value, {"classification": cls_value}, cls_grads
 
     if memory_rows.ndim != 2 or memory_rows.shape[0] == 0:
@@ -226,8 +274,12 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     if dictionary.projected_rows.shape[0] != params.n_classes:
         raise ValueError(f"distance dictionary has {dictionary.projected_rows.shape[0]} "
                          f"rows for {params.n_classes} classifier columns")
+    # the memory term, the largest, runs first, while no other term's
+    # gradients are alive; each term has its own stream, so order is free
     mem_value, mem_grads, _ = _mean_ce_with_grads(
         memory_rows, np.arange(m), params, rng.stream_id(seed, MEMORY_TAG), compute_grads)
+    cls_value, cls_grads, _ = _mean_ce_with_grads(features, y, params, cls_seed,
+                                                  compute_grads)
     dist_value, dist_grads = _distance_ce_with_grads(
         features, y, dictionary, params, compute_grads)
 

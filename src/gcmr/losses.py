@@ -161,7 +161,7 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     fbar = encoder.normalize_rows(pooled)
     ce_term, head_grads, dz1 = classifier._mean_ce_with_grads(
         fbar, y, params, rng.stream_id(seed, classifier.CLASSIFICATION_TAG),
-        compute_grads)
+        compute_grads, keep_dz1=True)
 
     total = alpha * recon_term + (1.0 - alpha) * ce_term
     breakdown = {"reconstruction": recon_term, "classification": ce_term}

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Probability floor inside log() so cross-entropy stays finite.
+# Smallest target probability whose cross-entropy is taken as -log(p). A row
+# below it takes the exact log-sum-exp value from its logits instead, which
+# stays finite and smooth where p underflows to 0.
 PROB_FLOOR = 1e-12
 # Variance floor used by layer normalization.
 LAYER_NORM_EPS = 1e-5
@@ -28,16 +30,19 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     1e4 in magnitude neither overflow nor change the argmax. logits is not
     modified.
     """
-    return _softmax_overwrite(np.array(logits, dtype=np.float64))
+    return _softmax_overwrite(np.array(logits, dtype=np.float64))[0]
 
 
-def _softmax_overwrite(buf: np.ndarray) -> np.ndarray:
-    """softmax_rows written over buf, a float64 array the caller owns;
-    returns buf."""
-    buf -= buf.max(axis=1, keepdims=True)
+def _softmax_overwrite(buf: np.ndarray):
+    """softmax_rows written over buf, a float64 array the caller owns.
+    Returns buf with the (n, 1) row maxes and exp-sums it was normalized
+    by."""
+    maxes = buf.max(axis=1, keepdims=True)
+    buf -= maxes
     np.exp(buf, out=buf)
-    buf /= buf.sum(axis=1, keepdims=True)
-    return buf
+    sums = buf.sum(axis=1, keepdims=True)
+    buf /= sums
+    return buf, maxes, sums
 
 
 def check_labels(labels: np.ndarray, n_classes: int) -> None:
@@ -47,25 +52,34 @@ def check_labels(labels: np.ndarray, n_classes: int) -> None:
 
 
 def cross_entropy_rows(logits: np.ndarray, targets: np.ndarray):
-    """Mean over rows of -log softmax(logits)[j, targets[j]], each
-    probability clamped at the 1e-12 floor. Returns (value, probs); probs
-    is a new array and logits is not modified. A target outside the
-    columns raises ValueError."""
+    """Mean over rows of -log softmax(logits)[j, targets[j]]. A row whose
+    target probability is below PROB_FLOOR takes the exact value
+    log(sum exp(logits[j] - max)) - (logits[j, t] - max) instead, so the
+    value stays finite and its slope is probs - onehot on every row.
+    Returns (value, probs); probs is a new array and logits is not
+    modified. A target outside the columns raises ValueError."""
     logits = np.array(logits, dtype=np.float64)
     check_labels(targets, logits.shape[1])
-    return cross_entropy_overwrite(logits, targets)
+    total, probs = cross_entropy_sum_overwrite(logits, targets)
+    return total / logits.shape[0], probs
 
 
-def cross_entropy_overwrite(logits: np.ndarray, targets: np.ndarray):
-    """cross_entropy_rows for logits the caller owns and no longer needs:
-    the softmax overwrites them, and the returned probs is that array.
-    targets are not checked here: each objective checks its labels once per
-    call, with check_labels."""
-    n = logits.shape[0]
-    probs = _softmax_overwrite(logits)
-    picked = np.maximum(probs[np.arange(n), targets], PROB_FLOOR)
-    # sum / n is numpy's own mean, without the dispatch of .mean()
-    return float(-np.log(picked).sum() / n), probs
+def cross_entropy_sum_overwrite(logits: np.ndarray, targets: np.ndarray):
+    """The sum over rows that cross_entropy_rows averages, for logits the
+    caller owns and no longer needs: the softmax overwrites them, and the
+    returned probs is that array. Callers divide by their total row count.
+    targets are not checked here: each objective checks its labels
+    once per call, with check_labels."""
+    rows = np.arange(logits.shape[0])
+    target_logits = logits[rows, targets]
+    probs, maxes, sums = _softmax_overwrite(logits)
+    picked = probs[rows, targets]
+    if picked.min() >= PROB_FLOOR:
+        return float(-np.log(picked).sum()), probs
+    losses = -np.log(np.maximum(picked, PROB_FLOOR))
+    low = picked < PROB_FLOOR
+    losses[low] = np.log(sums[low, 0]) - (target_logits[low] - maxes[low, 0])
+    return float(losses.sum()), probs
 
 
 def cosine_lr(epoch: int, base_lr: float, min_lr: float, total_epochs: int) -> float:

@@ -25,8 +25,8 @@ from gcmr.eval_report import evaluate_session
 
 def dropout_rows(n_rows, params, seed, tag):
     """The dropout multipliers of one loss term of one step, as nested lists."""
-    return dropout_scale(n_rows, params.hidden, params.dropout_rate,
-                         rng.stream_id(seed, tag)).tolist()
+    gen = rng.stream(rng.stream_id(seed, tag), classifier.DROPOUT_STREAM)
+    return dropout_scale(gen, n_rows, params.hidden, params.dropout_rate).tolist()
 
 
 def softmax_scalar(logits):
@@ -38,7 +38,11 @@ def softmax_scalar(logits):
 
 def cross_entropy_scalar(logits, label):
     probs = softmax_scalar(list(logits))
-    return -math.log(max(probs[label], 1e-12))
+    if probs[label] >= 1e-12:
+        return -math.log(probs[label])
+    # below the floor: log of the exp-sum minus the max-shifted target logit
+    m = max(logits)
+    return math.log(sum(math.exp(v - m) for v in logits)) - (logits[label] - m)
 
 
 def layer_normalize_scalar(vector):
@@ -274,7 +278,7 @@ def base_core_reference(raw_tokens, labels, enc, dec, params, cfg, epoch, seed,
     fbar = encoder.normalize_rows(pooled)
     ce_term, head_grads, dz1 = classifier._mean_ce_with_grads(
         fbar, y, params, rng.stream_id(seed, classifier.CLASSIFICATION_TAG),
-        compute_grads)
+        compute_grads, keep_dz1=True)
 
     total = alpha * recon_term + (1.0 - alpha) * ce_term
     breakdown = {"reconstruction": recon_term, "classification": ce_term}

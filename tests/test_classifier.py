@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcmr import classifier, rng
 from gcmr.classifier import (ClassifierParams, _mean_ce_with_grads, dropout_scale,
                              eval_logits_batch, expand_with_imprinting,
                              incremental_terms, init_classifier, project_batch)
@@ -32,6 +33,11 @@ def train_ce(fbar, label, params, seed):
                                         params, LossConfig(), seed,
                                         memory_regularization=False, compute_grads=False)
     return breakdown["classification"]
+
+
+def stream(seed):
+    """The dropout stream of seed, as the head's terms draw it."""
+    return rng.stream(seed, classifier.DROPOUT_STREAM)
 
 
 def random_instance(seed, dim=8, hidden=4, n_classes=5, n_batch=3, n_memory=3,
@@ -238,7 +244,32 @@ class TestBackward:
             incremental_terms(features, labels, memory_rows, dictionary, params, cfg, 9)
             counts.add(len(rng_calls.stream))
             assert rng_calls.generator == []     # a step builds no generator
-        assert counts == {2}   # one dropout block per head term
+        assert counts == {2}   # one dropout stream per head term
+
+    def test_memory_term_builds_no_rows_by_classes_array(self, traced_peak):
+        # one (1000, 1000) float64 block is 8 MB; row blocks keep the call
+        # under half of that
+        params, features, labels, memory_rows, dictionary, cfg = random_instance(
+            5, n_classes=1000, hidden=8, n_batch=4, n_memory=1000)
+        _, peak = traced_peak(incremental_terms, features, labels, memory_rows,
+                              dictionary, params, cfg, 3)
+        assert peak < 4 * 2**20
+
+    def test_gradients_across_block_boundaries(self, monkeypatch):
+        monkeypatch.setattr(classifier, "HEAD_BLOCK_ROWS", 2)
+        params, features, labels, memory_rows, dictionary, cfg = random_instance(
+            8, n_batch=5, n_memory=5)
+        _, _, grads = incremental_terms(features, labels, memory_rows, dictionary,
+                                        params, cfg, 8)
+
+        def value():
+            total, _ = incremental_loss(features, labels, memory_rows, dictionary,
+                                        params, cfg, 8)
+            return total
+
+        for name, arr in params.arrays().items():
+            numeric = finite_difference(value, arr)
+            assert max_rel_err(grads[name], numeric) < 1e-4, name
 
 
 def out_of_place_mean_ce(inputs, targets, params, dropout_seed):
@@ -248,7 +279,7 @@ def out_of_place_mean_ce(inputs, targets, params, dropout_seed):
     n = inputs.shape[0]
     z1 = inputs @ params.w1 + params.b1
     relu = np.maximum(z1, 0.0)
-    scales = dropout_scale(n, params.hidden, params.dropout_rate, dropout_seed)
+    scales = dropout_scale(stream(dropout_seed), n, params.hidden, params.dropout_rate)
     hidden = relu * scales
     logits = hidden @ params.w2 + params.b2
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -270,7 +301,8 @@ class TestInPlaceBuffers:
 
     @pytest.mark.parametrize("rate, n, b1", [(0.0, 6, None), (0.5, 6, None),
                                              (0.0, 1, None), (0.5, 1, None),
-                                             (0.0, 5, -10.0), (0.5, 5, -10.0)])
+                                             (0.0, 5, -10.0), (0.5, 5, -10.0),
+                                             (0.5, 256, None)])
     def test_train_term_matches_out_of_place_bytes(self, rate, n, b1):
         gen = np.random.default_rng(n)
         params = init_classifier(7, 9, 11, seed=n, dropout_rate=rate)
@@ -280,7 +312,8 @@ class TestInPlaceBuffers:
         inputs = gen.normal(size=(n, 7))
         targets = gen.integers(0, 11, size=n)
         before = inputs.tobytes(), targets.tobytes(), params.state_bytes()
-        value, grads, dz1 = _mean_ce_with_grads(inputs, targets, params, 99, True)
+        value, grads, dz1 = _mean_ce_with_grads(inputs, targets, params, 99, True,
+                                                keep_dz1=True)
         ref_value, ref_grads, ref_dz1 = out_of_place_mean_ce(inputs, targets, params, 99)
         assert (inputs.tobytes(), targets.tobytes(), params.state_bytes()) == before
         assert value == ref_value
@@ -292,6 +325,28 @@ class TestInPlaceBuffers:
             # the byte comparison above covered negative zeros
             assert np.signbit(ref_dz1[ref_dz1 == 0.0]).any()
         assert _mean_ce_with_grads(inputs, targets, params, 99, False) == (value, None, None)
+        # without keep_dz1 each block's dz1 is its own array: same bytes
+        _, fresh, none = _mean_ce_with_grads(inputs, targets, params, 99, True)
+        assert none is None
+        assert all(fresh[name].tobytes() == grad.tobytes() for name, grad in grads.items())
+
+    @pytest.mark.parametrize("n", [257, 600])
+    def test_row_blocks_match_the_one_pass_reference(self, n):
+        # more rows than one block: sums over blocks move the last bits only,
+        # and the dropout rows are the ones a single draw gives
+        gen = np.random.default_rng(n)
+        params = init_classifier(7, 9, 11, seed=n, dropout_rate=0.5)
+        params.b2 = gen.normal(size=11)
+        inputs = gen.normal(size=(n, 7))
+        targets = gen.integers(0, 11, size=n)
+        value, grads, dz1 = _mean_ce_with_grads(inputs, targets, params, 99, True,
+                                                keep_dz1=True)
+        ref_value, ref_grads, ref_dz1 = out_of_place_mean_ce(inputs, targets, params, 99)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_array_equal(dz1 == 0.0, ref_dz1 == 0.0)
+        for name, ref in [("dz1", ref_dz1), *ref_grads.items()]:
+            got = dz1 if name == "dz1" else grads[name]
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
 
     @pytest.mark.parametrize("n, b1", [(1, None), (40, None), (40, -10.0)])
     def test_eval_logits_match_out_of_place_bytes(self, n, b1):
@@ -368,20 +423,24 @@ class TestImprinting:
 
 class TestDropoutScale:
     def test_rate_zero_is_all_ones(self):
-        scale = dropout_scale(3, 8, 0.0, 123)
+        scale = dropout_scale(None, 3, 8, 0.0)
         assert scale.shape == (3, 8)
         np.testing.assert_array_equal(scale, 1.0)
 
     def test_inverted_scaling(self):
-        scale = dropout_scale(4, 1000, 0.25, 7)
+        scale = dropout_scale(stream(7), 4, 1000, 0.25)
         kept = scale > 0
         np.testing.assert_allclose(scale[kept], 1 / 0.75, rtol=1e-12)
         # keep frequency near 75%
         assert abs(kept.mean() - 0.75) < 0.05
 
     def test_one_block_per_seed(self):
-        a = dropout_scale(6, 50, 0.5, 11)
-        np.testing.assert_array_equal(a, dropout_scale(6, 50, 0.5, 11))
-        assert not np.array_equal(a, dropout_scale(6, 50, 0.5, 12))
+        a = dropout_scale(stream(11), 6, 50, 0.5)
+        np.testing.assert_array_equal(a, dropout_scale(stream(11), 6, 50, 0.5))
+        assert not np.array_equal(a, dropout_scale(stream(12), 6, 50, 0.5))
         # rows of one block are distinct masks
         assert len({row.tobytes() for row in a}) == 6
+        # consecutive draws from one stream are the rows of one draw
+        gen = stream(11)
+        parts = [dropout_scale(gen, rows, 50, 0.5) for rows in (2, 1, 3)]
+        assert np.concatenate(parts).tobytes() == a.tobytes()

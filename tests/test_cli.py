@@ -561,6 +561,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("seed", ["0", "2"])
+    def test_fifty_ten_ten_pass(self, capsys, seed):
+        # seed 0: decoder entries whose 1e-5 differences were all rounding;
+        # seed 2: a distance row whose target probability is below PROB_FLOOR
+        assert main(["gradcheck", "--dims", "50,10,10", "--seed", seed]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
 
 class TestReport:
     def run_once(self, tmp_path, config_file, dataset_file, name, *flags):

@@ -10,7 +10,7 @@ from gcmr.nn_core import (cosine_lr, cross_entropy_rows, sgd_momentum_step,
                           softmax_rows)
 from gcmr.trainer import TrainConfig
 
-from oracles import (cross_entropy_scalar, layer_normalize_scalar,
+from oracles import (cross_entropy_scalar, finite_difference, layer_normalize_scalar,
                      softmax_scalar)
 
 
@@ -118,6 +118,18 @@ class TestCrossEntropy:
         for _ in range(200):
             logits = gen.normal(size=6) * 3
             assert cross_entropy(logits, int(gen.integers(6))) >= 0.0
+
+    @pytest.mark.parametrize("gap", [-math.log(1e-20), 800.0])
+    def test_value_below_the_floor_is_exact(self, gap):
+        # target probability 1e-20, then one that underflows to 0: the value
+        # is the exact -log p, and its slope over the logits is probs - onehot
+        logits = np.array([[0.0, -gap], [0.3, -0.2]])
+        targets = np.array([1, 0])
+        value, probs = cross_entropy_rows(logits, targets)
+        assert cross_entropy([0.0, -gap], 1) == pytest.approx(gap, rel=1e-12)
+        assert value == pytest.approx((gap + cross_entropy([0.3, -0.2], 0)) / 2, rel=1e-12)
+        numeric = finite_difference(lambda: cross_entropy_rows(logits, targets)[0], logits)
+        np.testing.assert_allclose(numeric, (probs - np.eye(2)[targets]) / 2, atol=1e-7)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):

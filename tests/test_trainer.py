@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gcmr import data_io, encoder, rng, trainer
+from gcmr import classifier, data_io, encoder, rng, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
 from gcmr.losses import LossConfig
@@ -315,6 +315,22 @@ class TestRunProtocol:
         assert [r.per_class_acc for r in r1] == [r.per_class_acc for r in r2]
         assert s1.classifier.state_bytes() == s2.classifier.state_bytes()
         assert s1.mem.rows.tobytes() == s2.mem.rows.tobytes()
+
+    def test_memory_wider_than_one_head_block_is_bit_reproducible(self):
+        # 300 base classes: the memory term runs in two row blocks
+        spec = data_io.SyntheticSpec(d=4, g=4, n_classes=302, class_mean_norm=2.0,
+                                     within_class_sigma=1.0, examples_per_class=3,
+                                     seed=4)
+        ds = data_io.generate_synthetic(spec)
+        proto = data_io.ProtocolSpec(total_classes=302, base_classes=300, n_way=2,
+                                     k_shot=1, seed=4, test_per_class=1)
+        sessions = data_io.materialize_sessions(ds, data_io.fscil_split(proto, ds.labels))
+        cfg = small_config(base_epochs=1, incr_epochs=2, hidden_dim=4)
+        r1, s1 = trainer.run_protocol(sessions, cfg)
+        r2, s2 = trainer.run_protocol(sessions, cfg)
+        assert s1.mem.n_classes == 302 > classifier.HEAD_BLOCK_ROWS
+        assert [r.to_json_dict() for r in r1] == [r.to_json_dict() for r in r2]
+        assert s1.classifier.state_bytes() == s2.classifier.state_bytes()
 
     @pytest.mark.parametrize("memory_regularization", [True, False])
     def test_cached_test_features_match_reencoding(self, memory_regularization):
