@@ -2,17 +2,19 @@
 logits, analytic gradients of the memory-regularized incremental objective,
 and imprinting-based expansion for novel classes.
 
-The train-mode cross-entropy term, which classifies the batch and every
-stored class mean, walks its rows in blocks of HEAD_BLOCK_ROWS, so its
-largest array is one block's (rows, classes) logits however many memory
-rows there are; a term of one block computes exactly what one pass would.
-
 Head layout: hidden = ReLU(W1^T f + b1) with inverted dropout in train mode,
-logits = W2^T hidden + b2. The hidden map doubles as the projection applied
-to memory rows when building distance dictionaries, so examples and stored
-class means are always compared in the same activation space. A label is a
-classifier column, and it is also the index of its memory row and of its
-distance-dictionary row.
+logits = W2^T hidden + b2. The hidden map is project_batch and nothing
+else: both loss terms, eval logits, imprinting and the distance
+dictionaries take their hidden rows from it, so examples and stored class
+means are always compared in the same activation space, and the terms read
+the ReLU mask as hidden > 0. A label is a classifier column, and it is also
+the index of its memory row and of its distance-dictionary row.
+
+Rows are walked in blocks of HEAD_BLOCK_ROWS by the train-mode term, which
+classifies the batch and every stored class mean, and by evaluation
+(eval_report.evaluate_session), so neither builds logits of more than one
+block's rows however many rows there are; a term of one block computes
+exactly what one pass would.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ DROPOUT_STREAM = 0x64726F70
 CLASSIFICATION_TAG = 1
 MEMORY_TAG = 2
 INIT_STREAM = 0x696E6974
-# Rows per block of the head's train-mode term (_mean_ce_with_grads): the
-# largest (rows, classes) array it builds has this many rows.
+# Rows per block of the head's train-mode term (_mean_ce_with_grads) and of
+# evaluation: the largest (rows, classes) array either builds has this many rows.
 HEAD_BLOCK_ROWS = 256
 
 
@@ -168,14 +170,12 @@ def _ce_block(inputs, targets, gen, params, n, compute_grads, dz1_out):
     receives the block's dz1. The block's arrays die on return, before the
     next block allocates its own.
     """
-    z1 = inputs @ params.w1
-    z1 += params.b1
+    hidden = project_batch(inputs, params)
     scales = dropout_scale(gen, inputs.shape[0], params.hidden, params.dropout_rate)
     # Elementwise steps overwrite arrays this call allocated: the ReLU mask
-    # is folded into the fresh dropout block (which then also masks dz1), z1
-    # becomes the hidden activations and the softmax replaces the logits.
-    scales *= z1 > 0
-    hidden = np.maximum(z1, 0.0, out=z1)
+    # is folded into the fresh dropout block (which then also masks dz1),
+    # the hidden rows take their dropout and the softmax replaces the logits.
+    scales *= hidden > 0
     hidden *= scales
     logits = hidden @ params.w2
     logits += params.b2
@@ -200,8 +200,7 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
     """
     n = features.shape[0]
     rows = dictionary.projected_rows
-    z1 = features @ params.w1 + params.b1
-    points = np.maximum(z1, 0.0)
+    points = project_batch(features, params)
     # Gram form |p|^2 + |r|^2 - 2 p.r, without an (n, rows, width) tensor
     d2 = ((points * points).sum(axis=1)[:, None] + dictionary.sq_norms
           - 2.0 * (points @ rows.T))
@@ -211,8 +210,8 @@ def _distance_ce_with_grads(features, targets, dictionary, params, compute_grads
         return value, None
     coeff = probs
     coeff[np.arange(n), targets] -= 1.0                # q - t
-    dpoints = 2.0 * (coeff @ rows) / n
-    dz1 = dpoints * (z1 > 0)
+    dz1 = 2.0 * (coeff @ rows) / n
+    dz1 *= points > 0
     return value, {"w1": features.T @ dz1, "b1": dz1.sum(axis=0)}
 
 
@@ -259,27 +258,23 @@ def incremental_terms(features, labels, memory_rows, dictionary, params, cfg, se
     # the one label check of the call: memory targets are 0..m-1 with
     # m <= columns, and the dictionary has one row per column
     check_labels(y, params.n_classes)
-    cls_seed = rng.stream_id(seed, CLASSIFICATION_TAG)
-
+    if memory_regularization:
+        if memory_rows.ndim != 2 or memory_rows.shape[0] == 0:
+            raise ValueError("memory rows must be a non-empty (m, dim) matrix")
+        m = memory_rows.shape[0]
+        if m > params.n_classes:
+            raise ValueError("more memory rows than classifier columns")
+        if dictionary.projected_rows.shape[0] != params.n_classes:
+            raise ValueError(f"distance dictionary has {dictionary.projected_rows.shape[0]} "
+                             f"rows for {params.n_classes} classifier columns")
+        # the memory term, the largest, runs first, while no other term's
+        # gradients are alive; each term has its own stream, so order is free
+        mem_value, mem_grads, _ = _mean_ce_with_grads(
+            memory_rows, np.arange(m), params, rng.stream_id(seed, MEMORY_TAG), compute_grads)
+    cls_value, cls_grads, _ = _mean_ce_with_grads(
+        features, y, params, rng.stream_id(seed, CLASSIFICATION_TAG), compute_grads)
     if not memory_regularization:
-        cls_value, cls_grads, _ = _mean_ce_with_grads(features, y, params, cls_seed,
-                                                      compute_grads)
         return cls_value, {"classification": cls_value}, cls_grads
-
-    if memory_rows.ndim != 2 or memory_rows.shape[0] == 0:
-        raise ValueError("memory rows must be a non-empty (m, dim) matrix")
-    m = memory_rows.shape[0]
-    if m > params.n_classes:
-        raise ValueError("more memory rows than classifier columns")
-    if dictionary.projected_rows.shape[0] != params.n_classes:
-        raise ValueError(f"distance dictionary has {dictionary.projected_rows.shape[0]} "
-                         f"rows for {params.n_classes} classifier columns")
-    # the memory term, the largest, runs first, while no other term's
-    # gradients are alive; each term has its own stream, so order is free
-    mem_value, mem_grads, _ = _mean_ce_with_grads(
-        memory_rows, np.arange(m), params, rng.stream_id(seed, MEMORY_TAG), compute_grads)
-    cls_value, cls_grads, _ = _mean_ce_with_grads(features, y, params, cls_seed,
-                                                  compute_grads)
     dist_value, dist_grads = _distance_ce_with_grads(
         features, y, dictionary, params, compute_grads)
 

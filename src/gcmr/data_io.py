@@ -258,11 +258,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
     labels = np.repeat(np.arange(spec.n_classes), spec.examples_per_class)
     for c in range(spec.n_classes):
         direction = gen.standard_normal(spec.d)
-        norm = np.linalg.norm(direction)
-        while norm == 0.0:  # astronomically unlikely, but keep the draw well defined
-            direction = gen.standard_normal(spec.d)
-            norm = np.linalg.norm(direction)
-        mean = spec.class_mean_norm * direction / norm
+        mean = spec.class_mean_norm * direction / np.linalg.norm(direction)
         noise = gen.standard_normal((spec.examples_per_class, spec.g, spec.d))
         start = c * spec.examples_per_class
         features[start:start + spec.examples_per_class] = mean + spec.within_class_sigma * noise

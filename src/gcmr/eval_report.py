@@ -5,8 +5,9 @@ session's test slice once (encoder.encode_rows) and keeps the pooled,
 normalized features; evaluate_session scores the cumulative feature set with the
 session's classifier and never calls the encoder. Predictions are the argmax
 of eval-mode logits; argmax ties break toward the lowest class column, so
-evaluation is deterministic. Rows are scored in fixed-size chunks, so no
-(n, classes) logits array is ever held whole.
+evaluation is deterministic. Rows are scored in blocks of
+classifier.HEAD_BLOCK_ROWS, so no (n, classes) logits array is ever held
+whole.
 
 One write_report call writes a run's two report files into its directory:
 report.json and report.csv, the report_table of the JSON document.
@@ -22,15 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import eval_logits_batch
+from .classifier import HEAD_BLOCK_ROWS, eval_logits_batch
 from .data_io import atomic_open
 from .memory import column_labels, memory_budget_bytes
 
 # Reports account memory at float32 width, the storage-budget convention.
 BUDGET_PRECISION = 4
-# Test rows scored per eval_logits_batch call: bounds the logits buffer at
-# EVAL_CHUNK_ROWS x classes instead of the whole cumulative test set.
-EVAL_CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -70,8 +68,8 @@ def evaluate_session(state, features, test_labels,
     class_ids = state.mem.class_ids
     y = column_labels(labels, class_ids)
     predicted = np.empty(feats.shape[0], dtype=np.intp)
-    for start in range(0, feats.shape[0], EVAL_CHUNK_ROWS):
-        stop = start + EVAL_CHUNK_ROWS
+    for start in range(0, feats.shape[0], HEAD_BLOCK_ROWS):
+        stop = start + HEAD_BLOCK_ROWS
         predicted[start:stop] = np.argmax(
             eval_logits_batch(feats[start:stop], state.classifier), axis=1)
     correct = predicted == y

@@ -3,12 +3,15 @@ training, and the full class-incremental protocol loop.
 
 The base session jointly trains encoder, decoder and head on the blended
 reconstruction/classification objective, then freezes the encoder and
-initializes both memories. Every later session restores the head from
-weight memory, expands it by imprinting the novel support means, trains it
-on the incremental objective against a per-epoch refreshed distance
-dictionary, and appends the novel class means to memory afterwards.
-All randomness is derived from the run seed, so repeated runs are
-bit-identical.
+initializes both memories. Every later session builds its representation
+memory before training, the novel class means appended to the old rows,
+restores the head from weight memory, expands it by imprinting those novel
+rows, and trains it on the incremental objective against a per-epoch
+refreshed distance dictionary (both projected by the one hidden map,
+classifier.project_batch); the memory term classifies the old rows only.
+After each session the protocol scores the cumulative test set in blocks
+of classifier.HEAD_BLOCK_ROWS. All randomness is derived from the run
+seed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -177,8 +180,9 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
 
 def train_incremental(state: SessionState, session, cfg: TrainConfig,
                       log_sink: LogSink | None = None) -> SessionState:
-    """One N-way K-shot session: restore head from weight memory, imprint
-    novel columns, train on the incremental objective, update both memories.
+    """One N-way K-shot session: append the novel class means to memory,
+    restore the head from weight memory, imprint novel columns from the new
+    memory rows, train on the incremental objective, snapshot the head.
     The encoder stays frozen throughout."""
     t = state.session + 1
     indices = session.assignment.train_indices
@@ -199,11 +203,10 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
             missing = [new_ids[i] for i in np.flatnonzero(counts[n_old:] == 0)]
             raise ValueError(f"novel classes without support examples: {missing}")
         fbar = encoder.encode_rows(session.dataset.features, indices, state.encoder)
-        new_features = dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:]))
-        support_means = [rows.mean(axis=0) for rows in new_features.values()]
-
+        mem = update_representation_memory(
+            state.mem, dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:])), t)
         head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
-                                                 support_means)
+                                                 mem.rows[n_old:])
     beta = cfg.loss.beta
     weights = None
     if cfg.memory_regularization:
@@ -212,7 +215,7 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     def begin_epoch(epoch):
         dictionary = None
         if cfg.memory_regularization:
-            dictionary = losses.build_distance_dictionary(state.mem, head, support_means)
+            dictionary = losses.build_distance_dictionary(state.mem, head, mem.rows[n_old:])
 
         def step(batch, step_seed):
             return classifier.incremental_terms(
@@ -223,7 +226,6 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     _train_session(head.arrays(), indices.shape[0], cfg.incr_epochs, cfg.incr_lr, t, cfg,
                    log_sink, begin_epoch)
 
-    mem = update_representation_memory(state.mem, new_features, t)
     wmem = build_weight_memory(head, mem, t)
     return SessionState(t, state.encoder, head, mem, wmem)
 

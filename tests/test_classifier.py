@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from gcmr import classifier, rng
-from gcmr.classifier import (ClassifierParams, _mean_ce_with_grads, dropout_scale,
-                             eval_logits_batch, expand_with_imprinting,
+from gcmr.classifier import (ClassifierParams, _distance_ce_with_grads, _mean_ce_with_grads,
+                             dropout_scale, eval_logits_batch, expand_with_imprinting,
                              incremental_terms, init_classifier, project_batch)
 from gcmr.losses import DistanceDictionary, LossConfig, incremental_loss
-from gcmr.nn_core import PROB_FLOOR
+from gcmr.nn_core import PROB_FLOOR, cross_entropy_sum_overwrite
 
 from oracles import (cross_entropy_scalar, finite_difference, head_forward_scalar,
                      max_rel_err, project_scalar)
@@ -294,6 +294,24 @@ def out_of_place_mean_ce(inputs, targets, params, dropout_seed):
     return value, grads, dz1
 
 
+def explicit_distance_ce(features, targets, dictionary, params):
+    """The distance term with its pre-activation written out,
+    z1 = features @ w1 + b1, and the ReLU mask read from z1: (value, grads)
+    as _distance_ce_with_grads returns them."""
+    n = features.shape[0]
+    rows = dictionary.projected_rows
+    z1 = features @ params.w1 + params.b1
+    points = np.maximum(z1, 0.0)
+    d2 = ((points * points).sum(axis=1)[:, None] + dictionary.sq_norms
+          - 2.0 * (points @ rows.T))
+    total, probs = cross_entropy_sum_overwrite(-d2, targets)
+    coeff = probs
+    coeff[np.arange(n), targets] -= 1.0
+    dpoints = 2.0 * (coeff @ rows) / n
+    dz1 = dpoints * (z1 > 0)
+    return total / n, {"w1": features.T @ dz1, "b1": dz1.sum(axis=0)}
+
+
 class TestInPlaceBuffers:
     """The head's forward and backward overwrite their own buffers; every
     result must equal the out-of-place expressions byte for byte, signed
@@ -347,6 +365,27 @@ class TestInPlaceBuffers:
         for name, ref in [("dz1", ref_dz1), *ref_grads.items()]:
             got = dz1 if name == "dz1" else grads[name]
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+    @pytest.mark.parametrize("n", [3, 256, 600])
+    @pytest.mark.parametrize("random_b1", [False, True])
+    def test_distance_term_matches_explicit_pre_activation_bytes(self, n, random_b1):
+        gen = np.random.default_rng(n + random_b1)
+        params = init_classifier(7, 9, 11, seed=n, dropout_rate=0.5)
+        if random_b1:
+            params.b1 = gen.normal(size=9)
+        features = gen.normal(size=(n, 7))
+        targets = gen.integers(0, 11, size=n)
+        dictionary = DistanceDictionary(np.abs(gen.normal(size=(11, 9))))
+        before = features.tobytes(), targets.tobytes(), params.state_bytes()
+        value, grads = _distance_ce_with_grads(features, targets, dictionary, params, True)
+        ref_value, ref_grads = explicit_distance_ce(features, targets, dictionary, params)
+        assert (features.tobytes(), targets.tobytes(), params.state_bytes()) == before
+        assert value == ref_value
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+        assert _distance_ce_with_grads(features, targets, dictionary, params,
+                                       False) == (value, None)
 
     @pytest.mark.parametrize("n, b1", [(1, None), (40, None), (40, -10.0)])
     def test_eval_logits_match_out_of_place_bytes(self, n, b1):

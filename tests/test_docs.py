@@ -1,8 +1,9 @@
 """README stays in step with the package: its layout table names every
 module once, every `gcmr.<module>.<name>` it cites exists (at any depth,
-e.g. `gcmr.<module>.<class>.<method>`), every exception it names is defined
-in some gcmr module, the format versions it states are the ones data_io
-writes, and every command of its CLI block parses."""
+e.g. `gcmr.<module>.<class>.<method>`), every exception and every bare
+`UPPER_SNAKE` constant it names is defined in some gcmr module, the format
+versions it states are the ones data_io writes, and every command of its
+CLI block parses."""
 
 import importlib
 import re
@@ -42,6 +43,15 @@ def test_cited_name_resolves(module, name):
 @pytest.mark.parametrize("name", sorted(set(re.findall(r"`(\w+Error)`", README))))
 def test_named_exception_exists(name):
     assert any(hasattr(importlib.import_module(f"gcmr.{m}"), name) for m in MODULES), name
+
+
+def test_bare_constant_exists():
+    # a bare `UPPER_SNAKE` name escapes test_cited_name_resolves, so a
+    # deleted constant the README still names would go unnoticed
+    names = sorted(set(re.findall(r"`([A-Z][A-Z0-9]*_[A-Z0-9_]*)`", README)))
+    missing = [name for name in names
+               if not any(hasattr(importlib.import_module(f"gcmr.{m}"), name) for m in MODULES)]
+    assert not missing
 
 
 def test_stated_format_versions_match_data_io():

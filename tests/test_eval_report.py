@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from gcmr import trainer
-from gcmr.classifier import ClassifierParams, eval_logits_batch
+from gcmr.classifier import HEAD_BLOCK_ROWS, ClassifierParams, eval_logits_batch
 from gcmr.encoder import init_encoder, normalized_features
-from gcmr.eval_report import (EVAL_CHUNK_ROWS, SessionReport, aggregate,
-                              evaluate_session, read_report, report_table,
-                              write_report)
+from gcmr.eval_report import (SessionReport, aggregate, evaluate_session, read_report,
+                              report_table, write_report)
 from gcmr.memory import (RepresentationMemory, build_weight_memory,
                          init_representation_memory)
 
@@ -132,8 +131,8 @@ class TestEvaluateSession:
 
 
 class TestChunkedScoring:
-    @pytest.mark.parametrize("n", [EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS,
-                                   EVAL_CHUNK_ROWS + 1, 2 * EVAL_CHUNK_ROWS + 3])
+    @pytest.mark.parametrize("n", [HEAD_BLOCK_ROWS - 1, HEAD_BLOCK_ROWS,
+                                   HEAD_BLOCK_ROWS + 1, 2 * HEAD_BLOCK_ROWS + 3])
     def test_matches_whole_batch_argmax(self, n):
         state = random_head_state(7, seed=n)
         features = np.random.default_rng(n).normal(size=(n, 4))
@@ -150,22 +149,22 @@ class TestChunkedScoring:
         state = random_head_state(5)
         state.classifier.w2 = np.zeros_like(state.classifier.w2)
         state.classifier.b2 = np.zeros_like(state.classifier.b2)
-        n = 2 * EVAL_CHUNK_ROWS + 3
+        n = 2 * HEAD_BLOCK_ROWS + 3
         labels = np.arange(n) % 2
         features = np.random.default_rng(1).normal(size=(n, 4))
         report = evaluate_session(state, features, labels)
         assert report.per_class_acc == {0: 1.0, 1: 0.0}
 
     def test_peak_memory_is_bounded_by_the_chunk(self, traced_peak):
-        n_classes, n = 512, 8 * EVAL_CHUNK_ROWS
+        n_classes, n = 512, 8 * HEAD_BLOCK_ROWS
         state = random_head_state(n_classes)
         gen = np.random.default_rng(2)
         features = gen.normal(size=(n, 4))
         labels = gen.integers(0, n_classes, size=n)
-        chunk_logits = EVAL_CHUNK_ROWS * n_classes * 8
+        block_logits = HEAD_BLOCK_ROWS * n_classes * 8
         _, peak = traced_peak(evaluate_session, state, features, labels)
-        # the whole batch's logits would be 8 chunks, twice over with the bias
-        assert peak < 2 * chunk_logits
+        # the whole batch's logits would be 8 blocks, twice over with the bias
+        assert peak < 2 * block_logits
 
 
 def make_report(session, acc_all, acc_base=0.9):
