@@ -78,12 +78,11 @@ class ClassifierParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def copy(self) -> "ClassifierParams":
-        return ClassifierParams(self.w1.copy(), self.b1.copy(),
-                                self.w2.copy(), self.b2.copy(), self.dropout_rate)
+        return ClassifierParams(*(arr.copy() for arr in self.arrays().values()),
+                                self.dropout_rate)
 
     def state_bytes(self) -> bytes:
-        return b"|".join([self.w1.tobytes(), self.b1.tobytes(),
-                          self.w2.tobytes(), self.b2.tobytes()])
+        return b"|".join(arr.tobytes() for arr in self.arrays().values())
 
 
 def init_classifier(dim: int, hidden: int, n_classes: int, seed: int,

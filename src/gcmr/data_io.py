@@ -422,7 +422,7 @@ def _construct(reader: _Reader, what: str, make, *args):
 def _classifier_parts(params: ClassifierParams) -> list:
     return [struct.pack("<IIId", params.dim, params.hidden, params.n_classes,
                         params.dropout_rate),
-            *(_float_buffer(arr) for arr in (params.w1, params.b1, params.w2, params.b2))]
+            *(_float_buffer(arr) for arr in params.arrays().values())]
 
 
 def _unpack_classifier(reader: _Reader) -> ClassifierParams:

@@ -190,5 +190,5 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
         (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
         (alpha / n) * delta.sum(axis=(0, 1)),
         (alpha / n) * dfilled[masked].sum(axis=0),
-        {name: (1.0 - alpha) * grad for name, grad in head_grads.items()})
+        classifier._blend([(1.0 - alpha, head_grads)]))
     return total, breakdown, grads

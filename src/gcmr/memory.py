@@ -125,8 +125,7 @@ def memory_budget_bytes(mem: RepresentationMemory, wmem: WeightMemory,
     """Storage footprint of both memories at 4- or 8-byte float precision."""
     if precision not in (4, 8):
         raise ValueError("precision must be 4 or 8 bytes")
-    snap = wmem.classifier_snapshot
-    n_params = snap.w1.size + snap.b1.size + snap.w2.size + snap.b2.size
+    n_params = sum(arr.size for arr in wmem.classifier_snapshot.arrays().values())
     breakdown = {
         "representation": mem.n_classes * mem.dim * precision,
         "classifier": n_params * precision,

@@ -27,7 +27,7 @@ from . import classifier, encoder, losses, rng
 from .memory import (RepresentationMemory, WeightMemory, build_weight_memory,
                      column_labels, init_representation_memory,
                      update_representation_memory)
-from .nn_core import cosine_lr, sgd_momentum_step
+from .nn_core import NumericalError, cosine_lr, sgd_momentum_step
 
 # Sub-stream tags for trainer-owned randomness.
 INIT_TAG = 101
@@ -88,7 +88,8 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
 
     begin_epoch(epoch) returns the step function
     (batch, step_seed) -> (total, breakdown, grads), the extra log fields and
-    the term weights (None when the epoch's log has no weighted terms)."""
+    the term weights (None when the epoch's log has no weighted terms). A
+    step's NumericalError is raised again with its session, epoch and step."""
     velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
     batches = range(0, n, cfg.batch_size)
     for epoch in range(epochs):
@@ -99,8 +100,10 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
         for step, start in enumerate(batches):
             step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
             total, breakdown, grads = step_fn(order[start:start + cfg.batch_size], step_seed)
-            sgd_momentum_step(params, grads, velocities, cfg.momentum, lr,
-                              where=f"session {t}, epoch {epoch}, step {step}")
+            try:
+                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at session {t}, epoch {epoch}, step {step}") from None
             epoch_total += total
             for key, value in breakdown.items():
                 epoch_terms[key] = epoch_terms.get(key, 0.0) + value
@@ -197,16 +200,17 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
         if collisions:
             raise ValueError(f"session classes already seen: {sorted(collisions)}")
 
-        y = column_labels(session.dataset.labels[indices], list(state.mem.class_ids) + new_ids)
-        counts = np.bincount(y, minlength=n_old + len(new_ids))
-        if np.any(counts[n_old:] == 0):
-            missing = [new_ids[i] for i in np.flatnonzero(counts[n_old:] == 0)]
+        y = column_labels(session.dataset.labels[indices], new_ids)
+        counts = np.bincount(y, minlength=len(new_ids))
+        if np.any(counts == 0):
+            missing = [new_ids[i] for i in np.flatnonzero(counts == 0)]
             raise ValueError(f"novel classes without support examples: {missing}")
         fbar = encoder.encode_rows(session.dataset.features, indices, state.encoder)
         mem = update_representation_memory(
-            state.mem, dict(zip(new_ids, _rows_by_column(fbar, y, counts)[n_old:])), t)
+            state.mem, dict(zip(new_ids, _rows_by_column(fbar, y, counts))), t)
         head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
                                                  mem.rows[n_old:])
+    y += n_old  # the novel classes' columns follow the old ones
     beta = cfg.loss.beta
     weights = None
     if cfg.memory_regularization:
@@ -247,7 +251,6 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     from .eval_report import evaluate_session
 
     reports = []
-    acc_history: list[float] = []
     features: list[np.ndarray] = []
     labels: list[np.ndarray] = []
     state = None
@@ -259,9 +262,8 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
         test = session.assignment.test_indices
         features.append(encoder.encode_rows(session.dataset.features, test, state.encoder))
         labels.append(session.dataset.labels[test])
-        report = evaluate_session(state, np.concatenate(features),
-                                  np.concatenate(labels), prior_acc_all=acc_history)
-        acc_history.append(report.acc_all)
+        report = evaluate_session(state, np.concatenate(features), np.concatenate(labels),
+                                  prior_acc_all=[r.acc_all for r in reports])
         reports.append(report)
         if on_session is not None:
             on_session(state, report)

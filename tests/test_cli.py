@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -499,6 +500,32 @@ class TestFreshOut:
         assert afile.read_text() == "a regular file"
 
 
+class TestOneFailurePath:
+    """Commands raise; main alone prints a failure and picks its exit code."""
+
+    TREE = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+
+    def test_stderr_is_written_only_in_main(self):
+        def stderr_uses(tree):
+            return [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "stderr"]
+        main_def = next(node for node in ast.walk(self.TREE)
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+        assert stderr_uses(main_def)
+        assert len(stderr_uses(main_def)) == len(stderr_uses(self.TREE))
+
+    def test_no_command_returns_a_failure_code(self):
+        failures = {"EXIT_CONFIG", "EXIT_DATA", "EXIT_NUMERIC"}
+        commands = [func for func in ast.walk(self.TREE)
+                    if isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")]
+        assert len(commands) == 4
+        returned = {(func.name, name.id) for func in commands for node in ast.walk(func)
+                    if isinstance(node, ast.Return) and node.value is not None
+                    for name in ast.walk(node.value)
+                    if isinstance(name, ast.Name) and name.id in failures}
+        assert not returned
+
+
 class TestModuleEntryPoint:
     def test_run_does_not_import_numpy_ma(self, tmp_path, config_file, dataset_file):
         # `python -m gcmr run` in a fresh interpreter; numpy loads numpy.ma
@@ -566,6 +593,12 @@ class TestGradcheck:
         # seed 0: decoder entries whose 1e-5 differences were all rounding;
         # seed 2: a distance row whose target probability is below PROB_FLOOR
         assert main(["gradcheck", "--dims", "50,10,10", "--seed", seed]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["7"])
+    def test_hundred_ten_ten_pass(self, capsys, seed):
+        # seed 7: an enc_w entry of 5.9e-8 whose 1e-5 difference was rounding
+        assert main(["gradcheck", "--dims", "100,10,10", "--seed", seed]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
 

@@ -159,6 +159,22 @@ class TestTrainIncremental:
         with pytest.raises(ValueError, match=r"unknown classes: \[-7\]"):
             trainer.train_incremental(state, broken, cfg)
 
+    def test_row_of_an_earlier_class_is_rejected(self):
+        # a base-class row among the support rows is no novel class's row:
+        # the session must refuse it, as the base session refuses a row
+        # outside its classes, not train on it under its old column
+        sessions = small_stream()
+        cfg = small_config(base_epochs=0)
+        state = trainer.train_base(sessions[0], cfg)
+        base_row = sessions[0].assignment.train_indices[0]
+        base_class = int(sessions[0].dataset.labels[base_row])
+        part = sessions[1].assignment
+        broken = data_io.SessionData(sessions[1].dataset, dataclasses.replace(
+            part, train_indices=np.append(part.train_indices, base_row)))
+        with pytest.raises(ValueError,
+                           match=rf"^session 1: labels of unknown classes: \[{base_class}\]$"):
+            trainer.train_incremental(state, broken, cfg)
+
     def test_support_rows_are_grouped_in_row_order(self):
         # shuffled support rows: each novel class's mean and memory row
         # average its rows in their order in the session, as a per-class
