@@ -202,7 +202,6 @@ def _cmd_run(args) -> int:
                               f"loss.mask_ratio {cfg.loss.mask_ratio}): {exc}; lower "
                               "loss.mask_ratio or rerun with --no-base-finetune") from None
 
-    os.makedirs(args.out, exist_ok=True)
     ckpt_dir = os.path.join(args.out, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
     log_path = os.path.join(args.out, "run_log.jsonl")

@@ -1,4 +1,4 @@
-"""Protocol construction, synthetic data, and file formats.
+"""Session types, protocol construction, synthetic data, and file formats.
 
 Binary format (all integers little-endian):
 
@@ -15,9 +15,9 @@ problem was detected; a width other than 8 fails at offset 7. Every float
 payload must be finite. Round trips are bit-exact for all finite float64
 values, signed zeros included.
 
-A checkpoint holds the session index, the encoder, the classifier head and
-the representation memory. The weight memory is not stored: it is a snapshot
-of the head, and load_checkpoint rebuilds it with build_weight_memory as the
+A checkpoint holds a SessionState (session index, encoder, classifier head,
+representation memory) but not its weight memory: that is a snapshot of the
+head, and load_checkpoint rebuilds it with build_weight_memory as the
 trainer does.
 
 A load reads the file once into a writable buffer, runs the CRC once over a
@@ -51,8 +51,7 @@ import numpy as np
 from . import rng
 from .classifier import ClassifierParams
 from .encoder import EncoderParams
-from .memory import RepresentationMemory, build_weight_memory
-from .trainer import SessionState
+from .memory import RepresentationMemory, WeightMemory, build_weight_memory
 
 FORMAT_MAGIC = b"GCMR"
 KIND_DATASET = 1
@@ -185,6 +184,17 @@ class SessionData:
     assignment: SessionAssignment
 
 
+@dataclass
+class SessionState:
+    """A session's encoder, classifier head and both memories."""
+
+    session: int
+    encoder: EncoderParams
+    classifier: ClassifierParams
+    mem: RepresentationMemory
+    wmem: WeightMemory
+
+
 def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     """Assign classes and examples to the base plus incremental sessions.
 
@@ -297,9 +307,9 @@ class _Reader:
         # dynamic mmap threshold above the MB-sized temporaries of the
         # protocol that follows, so those come from the heap and not from
         # fresh mmaps. Measured on cli-stream shapes (seed 4321), first
-        # run_protocol in a fresh process, 4 processes each, 2-vCPU VM, one
-        # BLAS thread: 1,564 minor faults and 0.446 s median CPU with this
-        # scan, 23,955 faults and 0.516 s with a 64 Ki-element blockwise one.
+        # run_protocol in a fresh process, 12 processes each, 2-vCPU VM, one
+        # BLAS thread: 1,385-1,389 minor faults and 0.27 s median CPU with this
+        # scan, 11,366-11,369 faults and 0.31 s with a 64 Ki-element blockwise one.
         if not np.isfinite(values).all():
             raise FormatError(f"non-finite values in {what}", self.pos)
         return values

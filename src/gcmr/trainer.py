@@ -9,9 +9,9 @@ restores the head from weight memory, expands it by imprinting those novel
 rows, and trains it on the incremental objective against a per-epoch
 refreshed distance dictionary (both projected by the one hidden map,
 classifier.project_batch); the memory term classifies the old rows only.
-After each session the protocol scores the cumulative test set in blocks
-of classifier.HEAD_BLOCK_ROWS. All randomness is derived from the run
-seed, so repeated runs are bit-identical.
+Each session ends in a data_io.SessionState, with which
+eval_report.evaluate_session scores the cumulative test set. All
+randomness is derived from the run seed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import classifier, encoder, losses, rng
-from .memory import (RepresentationMemory, WeightMemory, build_weight_memory,
-                     column_labels, init_representation_memory,
+from . import classifier, encoder, eval_report, losses, rng
+from .data_io import SessionState
+from .memory import (build_weight_memory, column_labels, init_representation_memory,
                      update_representation_memory)
 from .nn_core import NumericalError, cosine_lr, sgd_momentum_step
 
@@ -69,17 +69,6 @@ class TrainConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
 
-@dataclass
-class SessionState:
-    """Model and memories at the end of one session."""
-
-    session: int
-    encoder: encoder.EncoderParams
-    classifier: classifier.ClassifierParams
-    mem: RepresentationMemory
-    wmem: WeightMemory
-
-
 def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: TrainConfig,
                    log_sink: LogSink | None, begin_epoch) -> None:
     """The optimizer loop of every session: `epochs` epochs of momentum SGD on
@@ -89,31 +78,34 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
     begin_epoch(epoch) returns the step function
     (batch, step_seed) -> (total, breakdown, grads), the extra log fields and
     the term weights (None when the epoch's log has no weighted terms). A
-    step's NumericalError is raised again with its session, epoch and step."""
+    step's NumericalError is raised again with its session, epoch and step;
+    every non-finite value ends there, so numpy's float warnings are off."""
     velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
     batches = range(0, n, cfg.batch_size)
-    for epoch in range(epochs):
-        lr = cosine_lr(epoch, base_lr, cfg.min_lr, epochs)
-        step_fn, fields, weights = begin_epoch(epoch)
-        order = rng.stream(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
-        epoch_total, epoch_terms = 0.0, {}
-        for step, start in enumerate(batches):
-            step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
-            total, breakdown, grads = step_fn(order[start:start + cfg.batch_size], step_seed)
-            try:
-                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} at session {t}, epoch {epoch}, step {step}") from None
-            epoch_total += total
-            for key, value in breakdown.items():
-                epoch_terms[key] = epoch_terms.get(key, 0.0) + value
-        if log_sink is not None:
-            out = {"total": epoch_total / len(batches),
-                   **{key: value / len(batches) for key, value in epoch_terms.items()}}
-            if weights is not None:
-                out["weighted"] = {key: w * out[key] for key, w in weights.items()}
-            log_sink({"session": t, "epoch": epoch, "lr": lr, **fields,
-                      "loss_breakdown": out})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(epochs):
+            lr = cosine_lr(epoch, base_lr, cfg.min_lr, epochs)
+            step_fn, fields, weights = begin_epoch(epoch)
+            order = rng.stream(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
+            epoch_total, epoch_terms = 0.0, {}
+            for step, start in enumerate(batches):
+                step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
+                total, breakdown, grads = step_fn(order[start:start + cfg.batch_size], step_seed)
+                try:
+                    sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"{exc} at session {t}, epoch {epoch}, step {step}") from None
+                epoch_total += total
+                for key, value in breakdown.items():
+                    epoch_terms[key] = epoch_terms.get(key, 0.0) + value
+            if log_sink is not None:
+                out = {"total": epoch_total / len(batches),
+                       **{key: value / len(batches) for key, value in epoch_terms.items()}}
+                if weights is not None:
+                    out["weighted"] = {key: w * out[key] for key, w in weights.items()}
+                log_sink({"session": t, "epoch": epoch, "lr": lr, **fields,
+                          "loss_breakdown": out})
 
 
 @contextmanager
@@ -248,8 +240,6 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     once the base session ends, so each session's test rows are encoded
     once, right after that session's training, and every evaluation scores
     the cached features of all sessions seen so far."""
-    from .eval_report import evaluate_session
-
     reports = []
     features: list[np.ndarray] = []
     labels: list[np.ndarray] = []
@@ -262,8 +252,9 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
         test = session.assignment.test_indices
         features.append(encoder.encode_rows(session.dataset.features, test, state.encoder))
         labels.append(session.dataset.labels[test])
-        report = evaluate_session(state, np.concatenate(features), np.concatenate(labels),
-                                  prior_acc_all=[r.acc_all for r in reports])
+        report = eval_report.evaluate_session(
+            state, np.concatenate(features), np.concatenate(labels),
+            prior_acc_all=[r.acc_all for r in reports])
         reports.append(report)
         if on_session is not None:
             on_session(state, report)

@@ -22,9 +22,11 @@ def _env():
 @pytest.mark.parametrize("name", ["01_masked_reconstruction.py", "02_base_finetuning.py",
                                   "03_incremental_protocol.py", "05_gradient_check.py"])
 def test_demo_runs(name):
-    proc = subprocess.run([sys.executable, os.path.join(DEMOS, name)], env=_env(),
-                          capture_output=True, text=True, timeout=120)
+    # -W error: a warning the demo would print fails it, as in-process tests do
+    proc = subprocess.run([sys.executable, "-W", "error", os.path.join(DEMOS, name)],
+                          env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_memory_ablation_demo_imports_resolve():

@@ -479,7 +479,6 @@ class TestRunProtocol:
                          state.encoder.state_bytes()))
         assert runs[0] == runs[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_base_session_names_the_parameter(self):
         names = "enc_w|enc_b|dec_w|dec_b|mask_token|head_w1|head_b1|head_w2|head_b2"
         where = r"at session 0, epoch \d+, step \d+$"
