@@ -184,11 +184,23 @@ def _cmd_run(args) -> int:
         print("override: base_epochs=0")
     _check_fresh_out(args.out)
 
+    split: list | ValueError = []
+
+    def protocol_rows(labels):
+        # the split of the whole label column; the dataset keeps only its rows
+        nonlocal split
+        try:
+            rows, split = data_io.compact_split(data_io.fscil_split(protocol, labels))
+        except ValueError as exc:  # raised once the whole file has validated
+            split, rows = exc, np.empty(0, dtype=np.int64)
+        return rows
+
     try:
-        dataset = data_io.load_features(args.data)
+        dataset = data_io.load_features(args.data, protocol_rows)
         dim = dataset.features.shape[2]
         init_encoder(dim, dim)  # the base session's encoder: tokens need >= 2 features
-        split = data_io.fscil_split(protocol, dataset.labels)
+        if isinstance(split, ValueError):
+            raise split
         sessions = data_io.materialize_sessions(dataset, split)
     except (data_io.FormatError, OSError, ValueError) as exc:
         raise DataError(str(exc)) from None

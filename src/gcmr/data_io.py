@@ -20,10 +20,16 @@ representation memory) but not its weight memory: that is a snapshot of the
 head, and load_checkpoint rebuilds it with build_weight_memory as the
 trainer does.
 
-A load reads the file once into a writable buffer, runs the CRC once over a
-view of it and hands out views of that buffer: a payload at an 8-byte
-aligned offset is used in place, any other is copied once. Writers stream
-the header parts and payload arrays into the file with a running CRC,
+A load is one sequential pass over an open file, read from the handle that
+read its magic: a running CRC covers every byte, every float section is
+scanned for non-finite values as it is read into a new writable array, and
+nothing is allocated for a size the rest of the file cannot hold. A
+structural error met on the way is raised only after the checksum matched,
+so a corrupt file reports its checksum first. A dataset load may take a row
+selection: once the labels are read, select(labels) names the rows to keep;
+those land in one compact array, and every other row streams through one
+buffer of CHUNK_BYTES and is dropped, still checksummed and scanned. Writers
+stream the header parts and payload arrays into the file with a running CRC,
 without assembling the file in memory.
 
 CSV ingestion accepts two layouts: flat features with header
@@ -39,12 +45,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +145,9 @@ class TokenDataset:
         self._coerce()
         # One whole-array scan, on purpose (see _Reader.floats): freeing its
         # large boolean temporary raises glibc's mmap threshold above the
-        # protocol's MB-sized temporaries, which run_protocol's CPU relies on.
+        # protocol's MB-sized temporaries, which run_protocol's CPU relies on
+        # for a generated dataset. After a selecting load, as in `gcmr run`,
+        # the freed CHUNK_BYTES buffer raises it instead.
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite entries")
 
@@ -248,6 +257,19 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     return sessions
 
 
+def compact_split(split: Sequence[SessionAssignment]
+                  ) -> tuple[np.ndarray, list[SessionAssignment]]:
+    """The ascending dataset rows a split reads (its train and test indices,
+    which are disjoint) and the split re-indexed into a dataset of only those
+    rows, in that order; every session then reads the same rows in the same
+    order as before."""
+    rows = np.sort(np.concatenate([idx for part in split
+                                   for idx in (part.train_indices, part.test_indices)]))
+    return rows, [replace(part, train_indices=np.searchsorted(rows, part.train_indices),
+                          test_indices=np.searchsorted(rows, part.test_indices))
+                  for part in split]
+
+
 def materialize_sessions(dataset: TokenDataset,
                          split: Sequence[SessionAssignment]) -> list[SessionData]:
     """The sessions of a split: each is the dataset plus its assignment, so
@@ -277,51 +299,95 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 
 # --- binary reader/writer helpers -----------------------------------------
 
+# Bytes of the one buffer a selecting dataset load streams the payload
+# through (each chunk checksummed, scanned, and its kept rows gathered from
+# it), and through which a failed parse drains the rest of a file into the
+# checksum. Freeing it at the end of the load raises glibc's dynamic mmap
+# threshold to its size, so the MB-sized temporaries of the protocol that
+# follows come from the heap, not from fresh mmaps. Measured with `gcmr run`
+# on cli-stream shapes (seed 4321, fresh processes, one BLAS thread): 2 MiB
+# and 4 MiB both peak at 80.8-81.0 MB RSS, in the protocol (the load's own
+# peak is 75.8 and 78.1 MB), against 90.2 MB after a whole-file load; 8 MiB
+# moves the peak into the load (82.6 MB). run_protocol then takes 1,373-1,377
+# minor faults (2 MiB), 1,335-1,337 (4 MiB) or 1,394-1,400 (whole file).
+# 2 MiB keeps the load furthest below the protocol's peak.
+CHUNK_BYTES = 2 << 20
+
+
 class _Reader:
-    """Sequential reads over a memoryview; every slice it hands out is a view."""
+    """One sequential pass over an open binary file, its magic already read:
+    every byte read goes into a running CRC, and no read allocates more
+    bytes than the file still holds before its checksum."""
 
-    def __init__(self, blob: memoryview):
-        self.blob = blob
-        self.pos = 0
+    def __init__(self, fh, size: int, magic: bytes):
+        self.fh = fh
+        self.body_end = size - 4
+        self.pos = len(magic)
+        self.crc = zlib.crc32(magic)
 
-    def take(self, count: int, what: str) -> memoryview:
-        if self.pos + count > len(self.blob):
+    def need(self, count: int, what: str) -> None:
+        if self.pos + count > self.body_end:
             raise FormatError(f"file ends inside {what}", self.pos)
-        chunk = self.blob[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
+
+    def read_into(self, buf) -> None:
+        """Fill buf (any C-contiguous buffer) from the file and the CRC."""
+        view = memoryview(buf).cast("B")
+        if self.fh.readinto(view) != len(view):
+            raise FormatError("file changed size while being read", self.pos)
+        self.crc = zlib.crc32(view, self.crc)
+        self.pos += len(view)
 
     def unpack(self, fmt: str, what: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size, what))
+        buf = bytearray(struct.calcsize(fmt))
+        self.need(len(buf), what)
+        self.read_into(buf)
+        return struct.unpack(fmt, buf)
+
+    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
+        """count values of the little-endian dtype, read into a new array."""
+        self.need(count * np.dtype(dtype).itemsize, what)
+        out = np.empty(count, dtype=dtype)
+        self.read_into(out)
+        return out
 
     def floats(self, count: int, what: str) -> np.ndarray:
-        """count float64 values: a view of the buffer when the offset is
-        8-byte aligned, otherwise one copy. FormatError at the end of the
-        section when one of them is not finite."""
-        values = np.frombuffer(self.take(count * 8, what), dtype="<f8")
-        if not values.flags.aligned:
-            values = values.astype(np.float64)
+        """count float64 values in a new writable array; FormatError at the
+        end of the section when one of them is not finite."""
+        values = self.array(count, "<f8", what)
         # Keep this scan whole-array rather than blockwise. Freeing its
-        # boolean temporary (6 MB for a cli-stream dataset) raises glibc's
-        # dynamic mmap threshold above the MB-sized temporaries of the
-        # protocol that follows, so those come from the heap and not from
-        # fresh mmaps. Measured on cli-stream shapes (seed 4321), first
-        # run_protocol in a fresh process, 12 processes each, 2-vCPU VM, one
-        # BLAS thread: 1,385-1,389 minor faults and 0.27 s median CPU with this
-        # scan, 11,366-11,369 faults and 0.31 s with a 64 Ki-element blockwise one.
+        # boolean temporary (1/8 of the section) raises glibc's dynamic mmap
+        # threshold above the MB-sized temporaries of a protocol that runs on
+        # a dataset loaded whole, so those come from the heap and not from
+        # fresh mmaps: on cli-stream shapes (seed 4321, one BLAS thread) the
+        # first run_protocol took 1,385-1,389 minor faults and 0.27 s median
+        # CPU with this scan, 11,366-11,369 faults and 0.31 s with a 64
+        # Ki-element blockwise one. A selecting load scans per chunk, and
+        # there the freed CHUNK_BYTES buffer raises the threshold instead.
         if not np.isfinite(values).all():
             raise FormatError(f"non-finite values in {what}", self.pos)
         return values
 
-    def ints(self, count: int, fmt_char: str, what: str) -> np.ndarray:
-        width = struct.calcsize("<" + fmt_char)
-        raw = self.take(count * width, what)
-        return np.frombuffer(raw, dtype="<" + {"q": "i8", "I": "u4"}[fmt_char]).astype(np.int64)
-
     def end(self) -> None:
-        if self.pos != len(self.blob):
+        if self.pos != self.body_end:
             raise FormatError("trailing bytes after payload", self.pos)
+
+    def finish(self) -> None:
+        """Read what is left of the body into the CRC through one bounded
+        buffer, then FormatError unless the stored checksum matches."""
+        left = self.body_end - self.pos
+        buf = np.empty(min(left, CHUNK_BYTES), dtype=np.uint8)
+        while left:
+            step = min(left, buf.size)
+            self.read_into(buf[:step])
+            left -= step
+        trailer = self.fh.read(4)
+        if len(trailer) != 4:
+            raise FormatError("file changed size while being read", self.pos)
+        stored, = struct.unpack("<I", trailer)
+        if stored != self.crc:
+            raise FormatError(
+                f"checksum mismatch: stored {stored:#010x}, computed {self.crc:#010x}",
+                self.body_end)
 
 
 def _float_buffer(arr: np.ndarray) -> np.ndarray:
@@ -329,34 +395,42 @@ def _float_buffer(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype="<f8")
 
 
-def _open(path, kind: int) -> _Reader:
-    """A reader over the body of path once its magic, checksum and header
-    check out for kind. One readinto fills a buffer left uninitialized, since
-    the read overwrites what it keeps."""
-    with open(path, "rb") as fh:
-        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        blob = memoryview(buf)[:fh.readinto(buf)]
-    reader = _Reader(blob)
-    magic = bytes(reader.take(4, "magic"))
+def _load(fh, magic: bytes, kind: int, parse):
+    """parse(reader) over the open file fh of kind, whose first bytes, magic,
+    the caller has read. A bad magic or a file too short for a header and a
+    checksum fails at once; otherwise the whole file is read, and a
+    structural error met on the way is raised only after the checksum
+    matched, so a corrupt file reports its checksum first."""
+    if len(magic) < 4:
+        raise FormatError("file ends inside magic", 0)
     if magic != FORMAT_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {FORMAT_MAGIC!r}", 0)
-    if len(blob) < 8 + 4:
-        raise FormatError("file too short for header and checksum", len(blob))
-    stored_crc, = struct.unpack("<I", blob[-4:])
-    actual_crc = zlib.crc32(blob[:-4])
-    if stored_crc != actual_crc:
-        raise FormatError(
-            f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
-            len(blob) - 4)
-    version, found, width = reader.unpack("<HBB", "header")
-    if found != kind:
-        raise FormatError(f"wrong file kind {found}, expected {kind}", 6)
-    if version != FORMAT_VERSION[kind]:
-        raise FormatError(f"unsupported format version {version}", 4)
-    if width != 8:
-        raise FormatError(f"unsupported float width {width}, expected 8", 7)
-    reader.blob = blob[:-4]  # stop body reads before the checksum
-    return reader
+    size = os.fstat(fh.fileno()).st_size
+    if size < 8 + 4:
+        raise FormatError("file too short for header and checksum", size)
+    reader = _Reader(fh, size, magic)
+    error = None
+    try:
+        version, found, width = reader.unpack("<HBB", "header")
+        if found != kind:
+            raise FormatError(f"wrong file kind {found}, expected {kind}", 6)
+        if version != FORMAT_VERSION[kind]:
+            raise FormatError(f"unsupported format version {version}", 4)
+        if width != 8:
+            raise FormatError(f"unsupported float width {width}, expected 8", 7)
+        value = parse(reader)
+        reader.end()
+    except FormatError as exc:
+        error = exc
+    reader.finish()
+    if error is not None:
+        raise error
+    return value
+
+
+def _load_path(path, kind: int, parse):
+    with open(path, "rb") as fh:
+        return _load(fh, fh.read(4), kind, parse)
 
 
 def _write_blob(path, kind: int, parts) -> None:
@@ -405,19 +479,65 @@ def save_dataset(dataset: TokenDataset, path) -> None:
     ])
 
 
-def load_dataset(path) -> TokenDataset:
-    reader = _open(path, KIND_DATASET)
+def load_dataset(path, select=None) -> TokenDataset:
+    """The token dataset in the binary file at path, read in one pass.
+
+    select, when given, is called once with the label column (class ids,
+    one per row) as soon as the labels have been read, and returns the
+    ascending, distinct row indices to keep; the result then holds only
+    those rows, in that order, while every payload row is still checksummed
+    and scanned for non-finite values."""
+    return _load_path(path, KIND_DATASET, lambda reader: _read_dataset(reader, select))
+
+
+def _read_dataset(reader: _Reader, select) -> TokenDataset:
     n, g, d, n_classes = reader.unpack("<IIII", "dataset shape")
     if g < 1 or d < 1:
         raise FormatError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
-    class_ids = reader.ints(n_classes, "q", "class table")
-    label_idx = reader.ints(n, "I", "labels")
+    class_ids = reader.array(n_classes, "<i8", "class table")
+    label_idx = reader.array(n, "<u4", "labels")
     if n and label_idx.max() >= n_classes:
         raise FormatError(f"label index {label_idx.max()} outside the class table "
                           f"of {n_classes} classes", reader.pos)
-    values = reader.floats(n * g * d, "feature payload")
-    reader.end()
-    return TokenDataset.from_finite(values.reshape(n, g, d), class_ids[label_idx])
+    reader.need(n * g * d * 8, "feature payload")
+    labels = class_ids[label_idx]
+    keep = None if select is None else _kept_rows(select, labels)
+    if keep is None or keep.size == n:
+        features = reader.floats(n * g * d, "feature payload").reshape(n, g, d)
+        return TokenDataset.from_finite(features, labels)
+    return TokenDataset.from_finite(_selected_rows(reader, n, (g, d), keep), labels[keep])
+
+
+def _kept_rows(select, labels: np.ndarray) -> np.ndarray:
+    keep = np.asarray(select(labels), dtype=np.int64)
+    if keep.ndim != 1 or (keep.size and (keep[0] < 0 or keep[-1] >= labels.size
+                                         or (keep[1:] <= keep[:-1]).any())):
+        raise ValueError("select must return ascending, distinct row indices")
+    return keep
+
+
+def _selected_rows(reader: _Reader, n: int, shape: tuple, keep: np.ndarray) -> np.ndarray:
+    """The payload rows keep names, in one compact array. The payload
+    streams through one buffer of CHUNK_BYTES (or one row, when a row is
+    larger), each chunk checksummed and scanned, and its kept rows gathered
+    from it; FormatError at the end of the payload when a value of any row
+    is not finite."""
+    per_chunk = max(1, CHUNK_BYTES // (8 * math.prod(shape)))
+    out = np.empty((keep.size, *shape))
+    chunk = np.empty((min(n, per_chunk), *shape))
+    starts = range(0, n, per_chunk)
+    stops = np.searchsorted(keep, [start + per_chunk for start in starts]).tolist()
+    finite, lo = True, 0
+    for start, hi in zip(starts, stops):
+        rows = chunk[:min(per_chunk, n - start)]
+        reader.read_into(rows)
+        finite = finite and bool(np.isfinite(rows).all())
+        # mode="clip" writes straight into out; the default "raise" buffers it
+        np.take(rows, keep[lo:hi] - start, axis=0, out=out[lo:hi], mode="clip")
+        lo = hi
+    if not finite:
+        raise FormatError("non-finite values in feature payload", reader.pos)
+    return out
 
 
 def _construct(reader: _Reader, what: str, make, *args):
@@ -468,7 +588,10 @@ def save_checkpoint(state: SessionState, path) -> None:
 def load_checkpoint(path) -> SessionState:
     """The session state save_checkpoint wrote, with the weight memory
     rebuilt from the head."""
-    reader = _open(path, KIND_CHECKPOINT)
+    return _load_path(path, KIND_CHECKPOINT, _read_checkpoint)
+
+
+def _read_checkpoint(reader: _Reader) -> SessionState:
     session, = reader.unpack("<I", "session index")
     frozen, raw_dim, dim = reader.unpack("<BII", "encoder header")
     if min(raw_dim, dim) < 1:
@@ -483,8 +606,8 @@ def load_checkpoint(path) -> SessionState:
         raise FormatError(f"classifier dim {head.dim} does not match encoder dim {enc.dim}",
                           reader.pos)
     m_classes, m_dim = reader.unpack("<II", "memory shape")
-    class_ids = tuple(int(v) for v in reader.ints(m_classes, "q", "memory class ids"))
-    session_of = tuple(int(v) for v in reader.ints(m_classes, "I", "memory sessions"))
+    class_ids = tuple(int(v) for v in reader.array(m_classes, "<i8", "memory class ids"))
+    session_of = tuple(int(v) for v in reader.array(m_classes, "<u4", "memory sessions"))
     rows = reader.floats(m_classes * m_dim, "memory rows").reshape(m_classes, m_dim)
     if m_dim != head.dim:
         raise FormatError(f"memory dim {m_dim} does not match classifier dim {head.dim}",
@@ -494,7 +617,6 @@ def load_checkpoint(path) -> SessionState:
                           f"{head.n_classes} columns", reader.pos)
     mem = _construct(reader, "representation memory", RepresentationMemory,
                      rows, class_ids, session_of)
-    reader.end()
     return SessionState(session, enc, head, mem, build_weight_memory(head, mem, session))
 
 
@@ -522,9 +644,16 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
 
 def load_features_csv(path) -> TokenDataset:
     """Parse either CSV layout (flat features or token groups)."""
+    with open(path, "rb") as fh:
+        return _read_csv(fh)
+
+
+def _read_csv(fh) -> TokenDataset:
+    """The CSV dataset in the open binary file fh, read from where it stands
+    to its end; closes fh."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            reader = csv.reader(text)
             rows = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"not a readable CSV file: {exc}") from None
@@ -565,10 +694,17 @@ def load_features_csv(path) -> TokenDataset:
     return TokenDataset.from_finite(np.asarray(examples), labels)
 
 
-def load_features(path) -> TokenDataset:
-    """Load a dataset from the binary format or from CSV (by content)."""
+def load_features(path, select=None) -> TokenDataset:
+    """Load a dataset from the binary format or from CSV, told apart by the
+    first bytes of the one handle that is then read. select is that of
+    load_dataset; a CSV file is parsed whole and then cut to its rows."""
     with open(path, "rb") as fh:
         head = fh.read(4)
-    if head == FORMAT_MAGIC:
-        return load_dataset(path)
-    return load_features_csv(path)
+        if head == FORMAT_MAGIC:
+            return _load(fh, head, KIND_DATASET, lambda reader: _read_dataset(reader, select))
+        fh.seek(0)
+        dataset = _read_csv(fh)
+    if select is None:
+        return dataset
+    keep = _kept_rows(select, dataset.labels)
+    return TokenDataset.from_finite(dataset.features[keep], dataset.labels[keep])

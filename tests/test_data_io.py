@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 import zlib
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcmr import data_io, trainer
-from gcmr.cli import EXIT_DATA, main
+from gcmr.cli import EXIT_DATA, load_run_config, main
 from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
                           atomic_open, fscil_split, generate_synthetic, load_checkpoint,
                           load_dataset, load_features, materialize_sessions,
@@ -904,3 +905,288 @@ class TestCsv:
             path.write_text(f"label,token,f0\n1,0,0.5\n1,1,{bad}\n")
             with pytest.raises(FormatError, match="non-finite"):
                 load_features(path)
+
+
+# --- gcmr run reads only the protocol's rows -------------------------------
+
+def run_config(tmp_path, **protocol):
+    """A run config of 6 classes of 10 examples: the two base classes read all
+    their rows, the four incremental ones 2 + 3 of 10."""
+    proto = {"total_classes": 6, "base_classes": 2, "n_way": 2, "k_shot": 2,
+             "seed": 4, "test_per_class": 3, **protocol}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "version": 1, "protocol": proto, "loss": {"mask_ratio": 0.5},
+        "train": {"base_epochs": 1, "incr_epochs": 1, "batch_size": 8, "hidden_dim": 4}}))
+    return path
+
+
+def unread_row(labels, protocol: ProtocolSpec) -> int:
+    """The first row no session of the protocol trains or tests on."""
+    read = {int(i) for part in fscil_split(protocol, labels)
+            for i in (*part.train_indices, *part.test_indices)}
+    return min(set(range(len(labels))) - read)
+
+
+# n = 60 rows of 2 x 3 features: shape at 8, class table at 24, labels at
+# 72, payload at 312, checksum at 3192
+RUN_LABELS = np.repeat(np.arange(6), 10)
+RUN_BODY = dataset_body(8, 2, 3, range(6), RUN_LABELS,
+                        np.random.default_rng(18).normal(size=60 * 2 * 3))
+UNREAD = unread_row(RUN_LABELS, ProtocolSpec(6, 2, 2, 2, seed=4, test_per_class=3))
+
+
+def flipped(blob: bytes, at: int) -> bytes:
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
+def nan_in_row(body: bytes, row: int) -> bytes:
+    at = 312 + row * 2 * 3 * 8
+    return body[:at] + struct.pack("<d", math.nan) + body[at + 8:]
+
+
+def past_the_table(body: bytes) -> bytes:
+    return body[:72 + 4 * 7] + struct.pack("<I", 6) + body[72 + 4 * 8:]
+
+
+SEALED = with_crc(RUN_BODY)
+
+
+def stale(body: bytes) -> bytes:
+    """body followed by the checksum of the uncorrupted file."""
+    return body + SEALED[-4:]
+
+
+def checksum_line(blob: bytes) -> str:
+    stored, = struct.unpack("<I", blob[-4:])
+    return (f"checksum mismatch: stored {stored:#010x}, computed {zlib.crc32(blob[:-4]):#010x} "
+            f"(at byte offset {len(blob) - 4})")
+
+
+def run_corruptions() -> dict:
+    """Every corruption TestFormatErrors applies to load_dataset, for gcmr
+    run: name -> (file, the error it must report)."""
+    cases = {
+        # gcmr run reads a file without the magic as CSV
+        "bad magic": (b"NOPE" + SEALED[4:], "not a readable CSV file: 'utf-8' codec can't "
+                                            "decode byte 0xa9 in position 312: invalid start byte"),
+        "under 4 bytes": (SEALED[:3], "CSV header must start with 'label'"),
+        "under 12 bytes": (SEALED[:10],
+                           "file too short for header and checksum (at byte offset 10)"),
+        "wrong version": (with_crc(RUN_BODY[:4] + struct.pack("<H", 99) + RUN_BODY[6:]),
+                          "unsupported format version 99 (at byte offset 4)"),
+        "truncated shape": (with_crc(RUN_BODY[:16]),
+                            "file ends inside dataset shape (at byte offset 8)"),
+        "truncated class table": (with_crc(RUN_BODY[:40]),
+                                  "file ends inside class table (at byte offset 24)"),
+        "truncated labels": (with_crc(RUN_BODY[:200]),
+                             "file ends inside labels (at byte offset 72)"),
+        "truncated payload": (with_crc(RUN_BODY[:1000]),
+                              "file ends inside feature payload (at byte offset 312)"),
+        "trailing bytes": (with_crc(RUN_BODY + bytes(5)),
+                           "trailing bytes after payload (at byte offset 3192)"),
+        "label past the table": (with_crc(past_the_table(RUN_BODY)),
+                                 "label index 6 outside the class table of 6 classes "
+                                 "(at byte offset 312)"),
+        "nan in an unread row": (with_crc(nan_in_row(RUN_BODY, UNREAD)),
+                                 "non-finite values in feature payload (at byte offset 3192)"),
+    }
+    # the checksum is judged before any of the structure
+    bad_checksums = {f"flipped {name} byte": flipped(SEALED, at)
+                     for name, at in (("header", 5), ("class table", 30), ("labels", 100),
+                                      ("payload", 2000), ("trailer", 3194))}
+    for name, body in (("truncated payload", RUN_BODY[:1000]),
+                       ("label past the table", past_the_table(RUN_BODY)),
+                       ("nan in an unread row", nan_in_row(RUN_BODY, UNREAD))):
+        bad_checksums[f"{name}, stale checksum"] = stale(body)
+    cases.update((name, (blob, checksum_line(blob))) for name, blob in bad_checksums.items())
+    return cases
+
+
+RUN_CORRUPTIONS = run_corruptions()
+
+
+class TestRunReadsOnlyTheProtocolRows:
+    @staticmethod
+    def run(tmp_path, data, *flags, **protocol):
+        out = tmp_path / "run"
+        code = main(["run", "--config", str(run_config(tmp_path, **protocol)),
+                     "--data", str(data), "--out", str(out), *flags])
+        return code, out
+
+    def assert_data_error(self, tmp_path, capsys, blob, line, **protocol):
+        code, out = self.run(tmp_path, write_blob(tmp_path, blob), **protocol)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {line}\n"
+        assert not out.exists()  # no checkpoint, nor anything else
+
+    @pytest.mark.parametrize("corrupt", sorted(RUN_CORRUPTIONS))
+    def test_corrupt_file_exits_3_with_the_whole_load_error(self, tmp_path, capsys, corrupt):
+        blob, line = RUN_CORRUPTIONS[corrupt]
+        self.assert_data_error(tmp_path, capsys, blob, line)
+
+    def test_the_sealed_file_runs(self, tmp_path, capsys):
+        assert self.run(tmp_path, write_blob(tmp_path, SEALED))[0] == 0
+
+    def test_class_count_the_protocol_disagrees_with_exits_3(self, tmp_path, capsys):
+        wider = {"total_classes": 8, "base_classes": 4}
+        self.assert_data_error(tmp_path, capsys, SEALED,
+                               "dataset has 6 classes, spec expects 8", **wider)
+        # the split is judged only once the whole file has validated
+        self.assert_data_error(tmp_path, capsys, with_crc(nan_in_row(RUN_BODY, UNREAD)),
+                               "non-finite values in feature payload (at byte offset 3192)",
+                               **wider)
+        blob = stale(nan_in_row(RUN_BODY, UNREAD))
+        self.assert_data_error(tmp_path, capsys, blob, checksum_line(blob), **wider)
+
+    def test_run_is_byte_equal_to_a_run_over_the_whole_dataset(self, tmp_path):
+        # 8 classes of 40: the 2 base classes read all their rows, the 6
+        # incremental ones 2 + 8 of 40, so the run keeps 140 of 320 rows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "version": 1,
+            "train": {"base_epochs": 2, "incr_epochs": 3, "batch_size": 16, "seed": 3,
+                      "hidden_dim": 8},
+            "protocol": {"total_classes": 8, "base_classes": 2, "n_way": 2, "k_shot": 2,
+                         "seed": 3, "test_per_class": 8},
+            "synthetic": {"d": 6, "g": 4, "n_classes": 8, "class_mean_norm": 3.0,
+                          "within_class_sigma": 1.5, "examples_per_class": 40, "seed": 3}}))
+        data, out = tmp_path / "data.gcmr", tmp_path / "run"
+        assert main(["synth", "--spec", str(config), "--out", str(data)]) == 0
+        assert main(["run", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+
+        parsed = load_run_config(config)
+        dataset = load_features(data)
+        split = fscil_split(parsed["protocol"], dataset.labels)
+        assert len(data_io.compact_split(split)[0]) == 140 < len(dataset) // 2
+        whole = tmp_path / "whole"
+        whole.mkdir()
+        records = []
+
+        def save(state, report):
+            save_checkpoint(state, whole / f"session_{state.session:02d}.gcmr")
+
+        reports, _ = trainer.run_protocol(materialize_sessions(dataset, split),
+                                          parsed["train"], records.append, on_session=save)
+        report = json.loads((out / "report.json").read_text())
+        assert report["sessions"] == json.loads(json.dumps([r.to_json_dict() for r in reports]))
+        assert (out / "run_log.jsonl").read_text().splitlines() == [json.dumps(r)
+                                                                    for r in records]
+        saved = sorted(p.name for p in whole.iterdir())
+        assert saved == sorted(p.name for p in (out / "checkpoints").iterdir())
+        assert len(saved) == 4
+        for name in saved:
+            assert (out / "checkpoints" / name).read_bytes() == (whole / name).read_bytes()
+
+    def test_compact_split_reads_the_same_rows_in_the_same_order(self):
+        labels = np.random.default_rng(19).permutation(np.repeat(np.arange(6), 10))
+        split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=5, test_per_class=3), labels)
+        rows, compact = data_io.compact_split(split)
+        assert rows.tolist() == sorted(i for part in split for i in
+                                       (*part.train_indices, *part.test_indices))
+        for part, small in zip(split, compact):
+            assert (small.session, small.class_ids) == (part.session, part.class_ids)
+            for whole_idx, small_idx in ((part.train_indices, small.train_indices),
+                                         (part.test_indices, small.test_indices)):
+                assert small_idx.dtype == whole_idx.dtype
+                assert rows[small_idx].tolist() == whole_idx.tolist()
+
+
+def every_fourth_row(labels):
+    return np.arange(0, len(labels), 4)
+
+
+class TestSelectingLoad:
+    def test_keeps_the_selected_rows_of_a_full_load(self, tmp_path):
+        features = np.random.default_rng(20).normal(size=(9, 2, 3))
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(features, np.arange(9) % 4 - 2), path)
+        seen = []
+
+        def select(labels):
+            seen.append(labels.tolist())
+            return [1, 2, 7]
+
+        for load in (load_dataset, load_features):
+            seen.clear()
+            ds = load(path, select)
+            assert seen == [(np.arange(9) % 4 - 2).tolist()]  # the whole label column
+            assert ds.features.tobytes() == features[[1, 2, 7]].tobytes()
+            assert ds.features.flags.c_contiguous and ds.features.flags.writeable
+            assert ds.labels.tolist() == [-1, 0, 1]
+        everything = load_dataset(path, lambda labels: np.arange(len(labels)))
+        assert everything.features.tobytes() == features.tobytes()
+        assert len(load_dataset(path, lambda labels: [])) == 0
+
+    def test_csv_keeps_the_selected_rows(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("label,token,f0\n3,0,1.0\n3,1,2.0\n4,0,3.0\n4,1,4.0\n")
+        ds = load_features(path, lambda labels: [1])
+        assert ds.labels.tolist() == [4] and ds.features.tolist() == [[[3.0], [4.0]]]
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [-1], [9], [[0]]])
+    def test_a_selection_that_is_not_ascending_rows_is_refused(self, tmp_path, rows):
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(np.ones((9, 1, 2)), np.arange(9)), path)
+        with pytest.raises(ValueError, match="ascending, distinct row indices"):
+            load_dataset(path, lambda labels: rows)
+
+    def test_chunks_cover_every_row(self, tmp_path, monkeypatch):
+        # a chunk of 3 rows (and of one row, when a row is larger) over 10
+        features = np.random.default_rng(21).normal(size=(10, 2, 3))
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(features, np.arange(10) % 3), path)
+        for chunk in (3 * 48, 40):
+            monkeypatch.setattr(data_io, "CHUNK_BYTES", chunk)
+            for keep in ([0], [2, 3, 5, 9], list(range(9))):
+                ds = load_dataset(path, lambda labels: keep)
+                assert ds.features.tobytes() == features[keep].tobytes()
+
+    def test_allocates_the_kept_rows_and_one_chunk(self, tmp_path, traced_peak):
+        # 8 chunks of 4 KiB rows, of which every fourth is kept
+        n = 8 * data_io.CHUNK_BYTES // 4096
+        features = np.random.default_rng(22).normal(size=(n, 8, 64))
+        path = tmp_path / "big.gcmr"
+        save_dataset(TokenDataset(features, np.arange(n) % 10), path)
+        loaded, peak = traced_peak(load_dataset, path, every_fourth_row)
+        assert loaded.features.tobytes() == features[::4].tobytes()
+        kept = loaded.features.nbytes
+        # the chunk, its finiteness mask (1/8) and the label column as table
+        # indices, their intp cast and class ids, and the kept labels
+        allowed = kept + data_io.CHUNK_BYTES * 9 // 8 + n * (4 + 8 + 8) + n // 4 * 8
+        assert peak <= allowed + 64 * 1024
+        assert allowed < path.stat().st_size // 2
+
+    def test_opens_the_file_once(self, tmp_path, monkeypatch):
+        # the format is sniffed from the handle that is then read, so a file
+        # swapped in between cannot be read under the other format
+        binary, flat = tmp_path / "data.gcmr", tmp_path / "flat.csv"
+        save_dataset(TokenDataset(np.ones((2, 2, 2)), np.array([0, 1])), binary)
+        flat.write_text("label,f0,f1\n1,0.5,2.0\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+        for path in (binary, flat):
+            opened.clear()
+            load_features(path)
+            assert opened == [path]
+
+    @FUZZ
+    @given(blob=dataset_blobs())
+    def test_fuzz_selecting_load_matches_a_full_load(self, tmp_path, blob):
+        path = write_blob(tmp_path, blob)
+        try:
+            whole = load_dataset(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as excinfo:
+                load_dataset(path, every_fourth_row)
+            assert (str(excinfo.value), excinfo.value.offset) == (str(exc), exc.offset)
+            return
+        ds = load_dataset(path, every_fourth_row)
+        assert ds.features.tobytes() == whole.features[::4].tobytes()
+        assert ds.labels.tolist() == whole.labels[::4].tolist()
