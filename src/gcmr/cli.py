@@ -184,53 +184,46 @@ def _cmd_run(args) -> int:
         print("override: base_epochs=0")
     _check_fresh_out(args.out)
 
-    split: list | ValueError = []
-
-    def protocol_rows(labels):
-        # the split of the whole label column; the dataset keeps only its rows
-        nonlocal split
-        try:
-            rows, split = data_io.compact_split(data_io.fscil_split(protocol, labels))
-        except ValueError as exc:  # raised once the whole file has validated
-            split, rows = exc, np.empty(0, dtype=np.int64)
-        return rows
-
     try:
-        dataset = data_io.load_features(args.data, protocol_rows)
-        dim = dataset.features.shape[2]
-        init_encoder(dim, dim)  # the base session's encoder: tokens need >= 2 features
-        if isinstance(split, ValueError):
-            raise split
-        sessions = data_io.materialize_sessions(dataset, split)
+        source = data_io.load_features(args.data, lazy=True)
     except (data_io.FormatError, OSError, ValueError) as exc:
         raise DataError(str(exc)) from None
-    if cfg.base_epochs > 0:
-        n_tokens = dataset.features.shape[1]
+    with source:  # a binary dataset's handle stays open until the run ends
+        n_tokens, dim = source.row_shape
         try:
-            mask_count(n_tokens, cfg.loss.mask_ratio)
+            init_encoder(dim, dim)  # the base session's encoder: tokens need >= 2 features
+            split = data_io.fscil_split(protocol, source.labels)
         except ValueError as exc:
-            raise ConfigError(f"base finetuning masks and reconstructs token groups "
-                              f"({n_tokens} per example in this dataset, 1 in a flat CSV; "
-                              f"loss.mask_ratio {cfg.loss.mask_ratio}): {exc}; lower "
-                              "loss.mask_ratio or rerun with --no-base-finetune") from None
+            raise DataError(str(exc)) from None
+        if cfg.base_epochs > 0:
+            try:
+                mask_count(n_tokens, cfg.loss.mask_ratio)
+            except ValueError as exc:
+                raise ConfigError(f"base finetuning masks and reconstructs token groups "
+                                  f"({n_tokens} per example in this dataset, 1 in a flat "
+                                  f"CSV; loss.mask_ratio {cfg.loss.mask_ratio}): {exc}; "
+                                  "lower loss.mask_ratio or rerun with --no-base-finetune"
+                                  ) from None
 
-    ckpt_dir = os.path.join(args.out, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    log_path = os.path.join(args.out, "run_log.jsonl")
+        ckpt_dir = os.path.join(args.out, "checkpoints")
+        os.makedirs(ckpt_dir, exist_ok=True)
+        log_path = os.path.join(args.out, "run_log.jsonl")
 
-    def save(state, report) -> None:
-        data_io.save_checkpoint(
-            state, os.path.join(ckpt_dir, f"session_{state.session:02d}.gcmr"))
+        def save(state, report) -> None:
+            data_io.save_checkpoint(
+                state, os.path.join(ckpt_dir, f"session_{state.session:02d}.gcmr"))
 
-    try:
-        with open(log_path, "w", encoding="utf-8") as log_file:
-            def log_sink(record: dict) -> None:
-                log_file.write(json.dumps(record) + "\n")
+        try:
+            with open(log_path, "w", encoding="utf-8") as log_file:
+                def log_sink(record: dict) -> None:
+                    log_file.write(json.dumps(record) + "\n")
 
-            reports, _ = trainer.run_protocol(sessions, cfg, log_sink, on_session=save)
-    except ValueError as exc:
-        # dataset loadable but incompatible with the configured protocol
-        raise DataError(str(exc)) from None
+                reports, _ = trainer.run_protocol(source.sessions(split), cfg, log_sink,
+                                                  on_session=save)
+        except (data_io.FormatError, ValueError) as exc:
+            # a session's rows changed on disk since validation, or a dataset
+            # loadable but incompatible with the configured protocol
+            raise DataError(str(exc)) from None
 
     summary = eval_report.aggregate(reports)
     eval_report.write_report(reports, summary, args.out)

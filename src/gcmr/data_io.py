@@ -25,12 +25,14 @@ read its magic: a running CRC covers every byte, every float section is
 scanned for non-finite values as it is read into a new writable array, and
 nothing is allocated for a size the rest of the file cannot hold. A
 structural error met on the way is raised only after the checksum matched,
-so a corrupt file reports its checksum first. A dataset load may take a row
-selection: once the labels are read, select(labels) names the rows to keep;
-those land in one compact array, and every other row streams through one
-buffer of CHUNK_BYTES and is dropped, still checksummed and scanned. Writers
-stream the header parts and payload arrays into the file with a running CRC,
-without assembling the file in memory.
+so a corrupt file reports its checksum first. A lazy dataset load
+(load_features(path, lazy=True), what `gcmr run` does) streams the payload
+through one buffer of CHUNK_BYTES, checksummed and scanned, and keeps only
+the labels; its RowSource then reads each session's rows from the handle
+that validated the file when a loop reaches that session, after checking
+that the file's inode, size and modification time are unchanged, and scans
+them again. Writers stream the header parts and payload arrays into the
+file with a running CRC, without assembling the file in memory.
 
 CSV ingestion accepts two layouts: flat features with header
 ``label,f0,...,f{D-1}`` (one single-token example per line) and token groups
@@ -50,7 +52,7 @@ import math
 import os
 import struct
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,8 +148,8 @@ class TokenDataset:
         # One whole-array scan, on purpose (see _Reader.floats): freeing its
         # large boolean temporary raises glibc's mmap threshold above the
         # protocol's MB-sized temporaries, which run_protocol's CPU relies on
-        # for a generated dataset. After a selecting load, as in `gcmr run`,
-        # the freed CHUNK_BYTES buffer raises it instead.
+        # for a generated dataset. In `gcmr run`, whose lazy load scans per
+        # chunk, the freed CHUNK_BYTES buffer raises it instead.
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite entries")
 
@@ -257,24 +259,83 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
     return sessions
 
 
-def compact_split(split: Sequence[SessionAssignment]
-                  ) -> tuple[np.ndarray, list[SessionAssignment]]:
-    """The ascending dataset rows a split reads (its train and test indices,
-    which are disjoint) and the split re-indexed into a dataset of only those
-    rows, in that order; every session then reads the same rows in the same
-    order as before."""
-    rows = np.sort(np.concatenate([idx for part in split
-                                   for idx in (part.train_indices, part.test_indices)]))
-    return rows, [replace(part, train_indices=np.searchsorted(rows, part.train_indices),
-                          test_indices=np.searchsorted(rows, part.test_indices))
-                  for part in split]
-
-
 def materialize_sessions(dataset: TokenDataset,
                          split: Sequence[SessionAssignment]) -> list[SessionData]:
     """The sessions of a split: each is the dataset plus its assignment, so
     no session's rows are copied."""
     return [SessionData(dataset, part) for part in split]
+
+
+class RowSource:
+    """A validated dataset whose rows are read only when a session needs
+    them, what load_features(path, lazy=True) returns: the label column,
+    the row shape (tokens, dim) and sessions(split). A binary file's rows
+    are read from the handle that validated it, which stays open until
+    close() or the end of a with block, so replacing the file's path cannot
+    reach them; a CSV file's rows come from its parsed array."""
+
+    def __init__(self, labels: np.ndarray, row_shape: tuple[int, int],
+                 features: np.ndarray | None = None, fh=None, payload_offset: int = 0,
+                 identity: tuple | None = None):
+        self.labels = labels
+        self.row_shape = row_shape
+        self._features = features
+        self._fh = fh
+        self._offset = payload_offset
+        self._identity = identity
+
+    def __enter__(self) -> "RowSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+    def sessions(self, split: Sequence[SessionAssignment]) -> Iterator[SessionData]:
+        """The sessions of split, each read when the loop asks for it: its
+        train and test rows, ascending, in an array of its own, and its
+        assignment re-indexed into them, so it reads the same rows in the
+        same order as over the whole dataset. The stream keeps no session
+        once it has handed it out."""
+        for part in split:
+            yield self._session(part)
+
+    def _session(self, part: SessionAssignment) -> SessionData:
+        rows = np.sort(np.concatenate([part.train_indices, part.test_indices]))
+        features = self._features[rows] if self._fh is None else self._read(rows, part.session)
+        return SessionData(TokenDataset.from_finite(features, self.labels[rows]),
+                           replace(part, train_indices=np.searchsorted(rows, part.train_indices),
+                                   test_indices=np.searchsorted(rows, part.test_indices)))
+
+    def _read(self, rows: np.ndarray, session: int) -> np.ndarray:
+        """The payload rows named by the ascending rows, one positioned read
+        per run of consecutive rows, in a new array. FormatError naming the
+        session when the file is no longer the one validated: its inode,
+        size or modification time changed, it ends early, or a value read
+        is not finite."""
+        changed = f"session {session}: the dataset file changed after it was validated"
+        if _identity(self._fh) != self._identity:
+            raise FormatError(changed)
+        out = np.empty((rows.size, *self.row_shape))
+        row_bytes = 8 * math.prod(self.row_shape)
+        view = out.reshape(-1).view(np.uint8)
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), rows.size]):
+            self._fh.seek(self._offset + int(rows[lo]) * row_bytes)
+            if self._fh.readinto(view[lo * row_bytes:hi * row_bytes]) != (hi - lo) * row_bytes:
+                raise FormatError(f"{changed}: it ends inside row {int(rows[hi - 1])}")
+        if not np.isfinite(out).all():
+            raise FormatError(f"{changed}: non-finite values in its rows")
+        return out
+
+
+def _identity(fh) -> tuple[int, int, int]:
+    """(inode, size, modification time in ns) of the open file fh."""
+    st = os.fstat(fh.fileno())
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
@@ -299,18 +360,16 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 
 # --- binary reader/writer helpers -----------------------------------------
 
-# Bytes of the one buffer a selecting dataset load streams the payload
-# through (each chunk checksummed, scanned, and its kept rows gathered from
-# it), and through which a failed parse drains the rest of a file into the
-# checksum. Freeing it at the end of the load raises glibc's dynamic mmap
-# threshold to its size, so the MB-sized temporaries of the protocol that
-# follows come from the heap, not from fresh mmaps. Measured with `gcmr run`
-# on cli-stream shapes (seed 4321, fresh processes, one BLAS thread): 2 MiB
-# and 4 MiB both peak at 80.8-81.0 MB RSS, in the protocol (the load's own
-# peak is 75.8 and 78.1 MB), against 90.2 MB after a whole-file load; 8 MiB
-# moves the peak into the load (82.6 MB). run_protocol then takes 1,373-1,377
-# minor faults (2 MiB), 1,335-1,337 (4 MiB) or 1,394-1,400 (whole file).
-# 2 MiB keeps the load furthest below the protocol's peak.
+# Bytes of the one buffer through which a lazy dataset load streams the
+# payload (each chunk checksummed and scanned, then dropped), and through
+# which a failed parse drains the rest of a file into the checksum. Freeing
+# it at the end of the load raises glibc's dynamic mmap threshold to its
+# size, so the MB-sized temporaries of the protocol that follows come from
+# the heap, not from fresh mmaps. Measured with `gcmr run` on cli-stream
+# shapes (seed 4321, fresh processes, one BLAS thread): 1, 2 and 4 MiB all
+# peak at 51.3-51.5 MB RSS, in the protocol, while the load's own peak is
+# 36.8-37.3 MB; 8 MiB raises the load's peak to 39.8-40.0 MB. 2 MiB keeps
+# the load well below the protocol's peak.
 CHUNK_BYTES = 2 << 20
 
 
@@ -359,13 +418,26 @@ class _Reader:
         # threshold above the MB-sized temporaries of a protocol that runs on
         # a dataset loaded whole, so those come from the heap and not from
         # fresh mmaps: on cli-stream shapes (seed 4321, one BLAS thread) the
-        # first run_protocol took 1,385-1,389 minor faults and 0.27 s median
-        # CPU with this scan, 11,366-11,369 faults and 0.31 s with a 64
-        # Ki-element blockwise one. A selecting load scans per chunk, and
-        # there the freed CHUNK_BYTES buffer raises the threshold instead.
+        # first run_protocol took 1,670-1,672 minor faults with this scan and
+        # 7,900-7,903 with a 64 Ki-element blockwise one. A lazy load scans
+        # per chunk, and there the freed CHUNK_BYTES buffer raises the
+        # threshold instead.
         if not np.isfinite(values).all():
             raise FormatError(f"non-finite values in {what}", self.pos)
         return values
+
+    def skip_floats(self, count: int, what: str) -> None:
+        """Read count float64 values through one buffer of CHUNK_BYTES into
+        the CRC, scanning each chunk, and keep none; FormatError at the end
+        of the section when one of them is not finite."""
+        buf = np.empty(max(1, min(count, CHUNK_BYTES // 8)))
+        finite = True
+        for start in range(0, count, buf.size):
+            chunk = buf[:min(buf.size, count - start)]
+            self.read_into(chunk)
+            finite = finite and bool(np.isfinite(chunk).all())
+        if not finite:
+            raise FormatError(f"non-finite values in {what}", self.pos)
 
     def end(self) -> None:
         if self.pos != self.body_end:
@@ -479,18 +551,15 @@ def save_dataset(dataset: TokenDataset, path) -> None:
     ])
 
 
-def load_dataset(path, select=None) -> TokenDataset:
-    """The token dataset in the binary file at path, read in one pass.
-
-    select, when given, is called once with the label column (class ids,
-    one per row) as soon as the labels have been read, and returns the
-    ascending, distinct row indices to keep; the result then holds only
-    those rows, in that order, while every payload row is still checksummed
-    and scanned for non-finite values."""
-    return _load_path(path, KIND_DATASET, lambda reader: _read_dataset(reader, select))
+def load_dataset(path) -> TokenDataset:
+    """The token dataset in the binary file at path, read in one pass."""
+    return _load_path(path, KIND_DATASET, _read_dataset)
 
 
-def _read_dataset(reader: _Reader, select) -> TokenDataset:
+def _read_dataset(reader: _Reader, lazy: bool = False):
+    """The dataset section: a TokenDataset, or with lazy its labels, row
+    shape (tokens, dim) and payload offset, the payload checksummed and
+    scanned through one buffer and dropped."""
     n, g, d, n_classes = reader.unpack("<IIII", "dataset shape")
     if g < 1 or d < 1:
         raise FormatError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
@@ -501,43 +570,12 @@ def _read_dataset(reader: _Reader, select) -> TokenDataset:
                           f"of {n_classes} classes", reader.pos)
     reader.need(n * g * d * 8, "feature payload")
     labels = class_ids[label_idx]
-    keep = None if select is None else _kept_rows(select, labels)
-    if keep is None or keep.size == n:
-        features = reader.floats(n * g * d, "feature payload").reshape(n, g, d)
-        return TokenDataset.from_finite(features, labels)
-    return TokenDataset.from_finite(_selected_rows(reader, n, (g, d), keep), labels[keep])
-
-
-def _kept_rows(select, labels: np.ndarray) -> np.ndarray:
-    keep = np.asarray(select(labels), dtype=np.int64)
-    if keep.ndim != 1 or (keep.size and (keep[0] < 0 or keep[-1] >= labels.size
-                                         or (keep[1:] <= keep[:-1]).any())):
-        raise ValueError("select must return ascending, distinct row indices")
-    return keep
-
-
-def _selected_rows(reader: _Reader, n: int, shape: tuple, keep: np.ndarray) -> np.ndarray:
-    """The payload rows keep names, in one compact array. The payload
-    streams through one buffer of CHUNK_BYTES (or one row, when a row is
-    larger), each chunk checksummed and scanned, and its kept rows gathered
-    from it; FormatError at the end of the payload when a value of any row
-    is not finite."""
-    per_chunk = max(1, CHUNK_BYTES // (8 * math.prod(shape)))
-    out = np.empty((keep.size, *shape))
-    chunk = np.empty((min(n, per_chunk), *shape))
-    starts = range(0, n, per_chunk)
-    stops = np.searchsorted(keep, [start + per_chunk for start in starts]).tolist()
-    finite, lo = True, 0
-    for start, hi in zip(starts, stops):
-        rows = chunk[:min(per_chunk, n - start)]
-        reader.read_into(rows)
-        finite = finite and bool(np.isfinite(rows).all())
-        # mode="clip" writes straight into out; the default "raise" buffers it
-        np.take(rows, keep[lo:hi] - start, axis=0, out=out[lo:hi], mode="clip")
-        lo = hi
-    if not finite:
-        raise FormatError("non-finite values in feature payload", reader.pos)
-    return out
+    if lazy:
+        offset = reader.pos
+        reader.skip_floats(n * g * d, "feature payload")
+        return labels, (g, d), offset
+    features = reader.floats(n * g * d, "feature payload").reshape(n, g, d)
+    return TokenDataset.from_finite(features, labels)
 
 
 def _construct(reader: _Reader, what: str, make, *args):
@@ -648,20 +686,22 @@ def load_features_csv(path) -> TokenDataset:
         return _read_csv(fh)
 
 
-def _read_csv(fh) -> TokenDataset:
+def _read_csv(fh, not_binary: str = "") -> TokenDataset:
     """The CSV dataset in the open binary file fh, read from where it stands
-    to its end; closes fh."""
+    to its end; closes fh. not_binary is appended to the error of a file
+    that is no CSV at all (unreadable, empty, or without the label header):
+    why it is no binary dataset either."""
     try:
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
             reader = csv.reader(text)
             rows = [(reader.line_num, row) for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"not a readable CSV file: {exc}") from None
+        raise FormatError(f"not a readable CSV file: {exc}{not_binary}") from None
     if not rows:
-        raise FormatError("empty CSV file")
+        raise FormatError(f"empty CSV file{not_binary}")
     header = [h.strip() for h in rows[0][1]]
     if header[:1] != ["label"]:
-        raise FormatError("CSV header must start with 'label'")
+        raise FormatError(f"CSV header must start with 'label'{not_binary}")
     grouped = len(header) > 1 and header[1] == "token"
     first = 2 if grouped else 1     # column of the first feature
     if len(header) - first < 1:
@@ -694,17 +734,34 @@ def _read_csv(fh) -> TokenDataset:
     return TokenDataset.from_finite(np.asarray(examples), labels)
 
 
-def load_features(path, select=None) -> TokenDataset:
+def load_features(path, lazy: bool = False):
     """Load a dataset from the binary format or from CSV, told apart by the
-    first bytes of the one handle that is then read. select is that of
-    load_dataset; a CSV file is parsed whole and then cut to its rows."""
-    with open(path, "rb") as fh:
+    first bytes of the one handle that is then read. A file without the
+    binary magic is read as CSV; when it is no CSV at all, the error also
+    says why it is not a binary file.
+
+    With lazy, the result is a RowSource rather than a TokenDataset. A
+    binary file is validated in full as always (checksum, structure, every
+    value finite) but only its labels are kept, and its handle stays open
+    in the source, which reads each session's rows when a loop reaches
+    that session. A CSV file is parsed whole, and the source reads from
+    that array."""
+    with contextlib.ExitStack() as cleanup:
+        fh = cleanup.enter_context(open(path, "rb"))
         head = fh.read(4)
+        if head == FORMAT_MAGIC and lazy:
+            identity = _identity(fh)
+            labels, row_shape, offset = _load(fh, head, KIND_DATASET,
+                                              lambda reader: _read_dataset(reader, lazy=True))
+            cleanup.pop_all()  # the source closes the handle
+            return RowSource(labels, row_shape, fh=fh, payload_offset=offset,
+                             identity=identity)
         if head == FORMAT_MAGIC:
-            return _load(fh, head, KIND_DATASET, lambda reader: _read_dataset(reader, select))
+            return _load(fh, head, KIND_DATASET, _read_dataset)
         fh.seek(0)
-        dataset = _read_csv(fh)
-    if select is None:
-        return dataset
-    keep = _kept_rows(select, dataset.labels)
-    return TokenDataset.from_finite(dataset.features[keep], dataset.labels[keep])
+        why = (f"bad magic {head!r}, expected {FORMAT_MAGIC!r}" if len(head) == 4
+               else f"it ends inside the magic, after {len(head)} bytes")
+        dataset = _read_csv(fh, f"; nor is it a GCMR binary file: {why}")
+    if lazy:
+        return RowSource(dataset.labels, dataset.features.shape[1:], features=dataset.features)
+    return dataset

@@ -232,17 +232,18 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     the cumulative test set after each and then calling
     on_session(state, report). Returns (reports, final_state).
 
-    stream is any iterable of data_io.SessionData, read once and in order.
-    Rows are read only through each session's assignment indices: training
-    gathers its batches, and every encode goes through encoder.encode_rows,
-    so no copy of a session's train or test rows exists and the encode
-    working set does not grow with the row width. The encoder is frozen
-    once the base session ends, so each session's test rows are encoded
-    once, right after that session's training, and every evaluation scores
-    the cached features of all sessions seen so far."""
+    stream is any iterable of data_io.SessionData, read once and in order;
+    a session is let go before the next one is asked for, so a stream that
+    reads each session's rows holds one session's rows at a time. Rows are
+    read only through each session's assignment indices: training gathers
+    its batches, and every encode goes through encoder.encode_rows, so no
+    copy of a session's train or test rows exists and the encode working
+    set does not grow with the row width. The encoder is frozen once the
+    base session ends, so each session's test rows are encoded once, right
+    after that session's training, into one buffer whose room past the base
+    session's rows doubles when full, and every evaluation scores the
+    filled prefix of it: the features of all sessions seen so far."""
     reports = []
-    features: list[np.ndarray] = []
-    labels: list[np.ndarray] = []
     state = None
     for t, session in enumerate(stream):
         if t == 0:
@@ -250,14 +251,33 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
         else:
             state = train_incremental(state, session, cfg, log_sink)
         test = session.assignment.test_indices
-        features.append(encoder.encode_rows(session.dataset.features, test, state.encoder))
-        labels.append(session.dataset.labels[test])
+        encoded = encoder.encode_rows(session.dataset.features, test, state.encoder)
+        if t == 0:
+            features, labels = encoded, session.dataset.labels[test]
+            n = n_base = test.shape[0]
+        else:
+            stop = n + test.shape[0]
+            if stop > features.shape[0]:
+                # the room past the base session's rows, which usually
+                # outnumber any later session's, doubles
+                features = _grown(features, max(stop, 2 * features.shape[0] - n_base))
+                labels = _grown(labels, features.shape[0])
+            features[n:stop] = encoded
+            labels[n:stop] = session.dataset.labels[test]
+            n = stop
+        del session
         report = eval_report.evaluate_session(
-            state, np.concatenate(features), np.concatenate(labels),
-            prior_acc_all=[r.acc_all for r in reports])
+            state, features[:n], labels[:n], prior_acc_all=[r.acc_all for r in reports])
         reports.append(report)
         if on_session is not None:
             on_session(state, report)
     if state is None:
         raise ValueError("protocol stream is empty")
     return reports, state
+
+
+def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
+    """A new buffer of rows rows that starts with buffer's rows."""
+    out = np.empty((rows, *buffer.shape[1:]), dtype=buffer.dtype)
+    out[:buffer.shape[0]] = buffer
+    return out

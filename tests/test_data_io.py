@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import struct
+import time
 import zlib
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcmr import data_io, trainer
-from gcmr.cli import EXIT_DATA, load_run_config, main
+from gcmr.cli import EXIT_DATA, EXIT_NUMERIC, load_run_config, main
 from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
                           atomic_open, fscil_split, generate_synthetic, load_checkpoint,
                           load_dataset, load_features, materialize_sessions,
@@ -967,10 +970,15 @@ def run_corruptions() -> dict:
     """Every corruption TestFormatErrors applies to load_dataset, for gcmr
     run: name -> (file, the error it must report)."""
     cases = {
-        # gcmr run reads a file without the magic as CSV
-        "bad magic": (b"NOPE" + SEALED[4:], "not a readable CSV file: 'utf-8' codec can't "
-                                            "decode byte 0xa9 in position 312: invalid start byte"),
-        "under 4 bytes": (SEALED[:3], "CSV header must start with 'label'"),
+        # gcmr run reads a file without the magic as CSV, and says why it
+        # is not a binary file either
+        "bad magic": (b"NOPE" + SEALED[4:],
+                      "not a readable CSV file: 'utf-8' codec can't decode byte 0xa9 in "
+                      "position 312: invalid start byte; nor is it a GCMR binary file: "
+                      "bad magic b'NOPE', expected b'GCMR'"),
+        "under 4 bytes": (SEALED[:3], "CSV header must start with 'label'; nor is it a "
+                                      "GCMR binary file: it ends inside the magic, after "
+                                      "3 bytes"),
         "under 12 bytes": (SEALED[:10],
                            "file too short for header and checksum (at byte offset 10)"),
         "wrong version": (with_crc(RUN_BODY[:4] + struct.pack("<H", 99) + RUN_BODY[6:]),
@@ -1014,52 +1022,65 @@ class TestRunReadsOnlyTheProtocolRows:
                      "--data", str(data), "--out", str(out), *flags])
         return code, out
 
-    def assert_data_error(self, tmp_path, capsys, blob, line, **protocol):
+    def assert_data_error(self, tmp_path, capsys, monkeypatch, blob, line, **protocol):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a dataset that does not validate")
+
+        monkeypatch.setattr(trainer, "train_base", no_training)
         code, out = self.run(tmp_path, write_blob(tmp_path, blob), **protocol)
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"data error: {line}\n"
         assert not out.exists()  # no checkpoint, nor anything else
 
     @pytest.mark.parametrize("corrupt", sorted(RUN_CORRUPTIONS))
-    def test_corrupt_file_exits_3_with_the_whole_load_error(self, tmp_path, capsys, corrupt):
+    def test_corrupt_file_exits_3_with_the_whole_load_error(self, tmp_path, capsys,
+                                                            monkeypatch, corrupt):
         blob, line = RUN_CORRUPTIONS[corrupt]
-        self.assert_data_error(tmp_path, capsys, blob, line)
+        self.assert_data_error(tmp_path, capsys, monkeypatch, blob, line)
 
     def test_the_sealed_file_runs(self, tmp_path, capsys):
         assert self.run(tmp_path, write_blob(tmp_path, SEALED))[0] == 0
 
-    def test_class_count_the_protocol_disagrees_with_exits_3(self, tmp_path, capsys):
+    def test_class_count_the_protocol_disagrees_with_exits_3(self, tmp_path, capsys,
+                                                             monkeypatch):
         wider = {"total_classes": 8, "base_classes": 4}
-        self.assert_data_error(tmp_path, capsys, SEALED,
+        self.assert_data_error(tmp_path, capsys, monkeypatch, SEALED,
                                "dataset has 6 classes, spec expects 8", **wider)
         # the split is judged only once the whole file has validated
-        self.assert_data_error(tmp_path, capsys, with_crc(nan_in_row(RUN_BODY, UNREAD)),
+        self.assert_data_error(tmp_path, capsys, monkeypatch,
+                               with_crc(nan_in_row(RUN_BODY, UNREAD)),
                                "non-finite values in feature payload (at byte offset 3192)",
                                **wider)
         blob = stale(nan_in_row(RUN_BODY, UNREAD))
-        self.assert_data_error(tmp_path, capsys, blob, checksum_line(blob), **wider)
+        self.assert_data_error(tmp_path, capsys, monkeypatch, blob, checksum_line(blob),
+                               **wider)
 
     def test_run_is_byte_equal_to_a_run_over_the_whole_dataset(self, tmp_path):
         # 8 classes of 40: the 2 base classes read all their rows, the 6
-        # incremental ones 2 + 8 of 40, so the run keeps 140 of 320 rows
+        # incremental ones 2 + 8 of 40, so the run reads 140 of 320 rows, the
+        # payload's first and last among them; the same values written as
+        # CSV run through the same stream
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "version": 1,
             "train": {"base_epochs": 2, "incr_epochs": 3, "batch_size": 16, "seed": 3,
                       "hidden_dim": 8},
             "protocol": {"total_classes": 8, "base_classes": 2, "n_way": 2, "k_shot": 2,
-                         "seed": 3, "test_per_class": 8},
+                         "seed": 4, "test_per_class": 8},
             "synthetic": {"d": 6, "g": 4, "n_classes": 8, "class_mean_norm": 3.0,
                           "within_class_sigma": 1.5, "examples_per_class": 40, "seed": 3}}))
-        data, out = tmp_path / "data.gcmr", tmp_path / "run"
+        data = tmp_path / "data.gcmr"
         assert main(["synth", "--spec", str(config), "--out", str(data)]) == 0
-        assert main(["run", "--config", str(config), "--data", str(data),
-                     "--out", str(out)]) == 0
-
         parsed = load_run_config(config)
         dataset = load_features(data)
+        write_token_csv(tmp_path / "data.csv", dataset)
         split = fscil_split(parsed["protocol"], dataset.labels)
-        assert len(data_io.compact_split(split)[0]) == 140 < len(dataset) // 2
+        rows = [np.sort(np.concatenate([part.train_indices, part.test_indices]))
+                for part in split]
+        read = np.concatenate(rows)
+        assert len(read) == 140 < len(dataset) // 2
+        assert {0, len(dataset) - 1} <= set(read.tolist())
+        assert any(1 in run_lengths(r) for r in rows)
         whole = tmp_path / "whole"
         whole.mkdir()
         records = []
@@ -1069,94 +1090,230 @@ class TestRunReadsOnlyTheProtocolRows:
 
         reports, _ = trainer.run_protocol(materialize_sessions(dataset, split),
                                           parsed["train"], records.append, on_session=save)
-        report = json.loads((out / "report.json").read_text())
-        assert report["sessions"] == json.loads(json.dumps([r.to_json_dict() for r in reports]))
-        assert (out / "run_log.jsonl").read_text().splitlines() == [json.dumps(r)
-                                                                    for r in records]
         saved = sorted(p.name for p in whole.iterdir())
-        assert saved == sorted(p.name for p in (out / "checkpoints").iterdir())
         assert len(saved) == 4
-        for name in saved:
-            assert (out / "checkpoints" / name).read_bytes() == (whole / name).read_bytes()
+        for data in (tmp_path / "data.gcmr", tmp_path / "data.csv"):
+            out = tmp_path / f"run-{data.suffix[1:]}"
+            assert main(["run", "--config", str(config), "--data", str(data),
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["sessions"] == json.loads(json.dumps([r.to_json_dict()
+                                                                for r in reports]))
+            assert (out / "run_log.jsonl").read_text().splitlines() == [json.dumps(r)
+                                                                        for r in records]
+            assert saved == sorted(p.name for p in (out / "checkpoints").iterdir())
+            for name in saved:
+                assert (out / "checkpoints" / name).read_bytes() == (whole / name).read_bytes()
 
-    def test_compact_split_reads_the_same_rows_in_the_same_order(self):
-        labels = np.random.default_rng(19).permutation(np.repeat(np.arange(6), 10))
+    def test_stream_reads_the_same_rows_in_the_same_order(self, tmp_path):
+        gen = np.random.default_rng(19)
+        labels = gen.permutation(np.repeat(np.arange(6), 10))
+        dataset = TokenDataset(gen.normal(size=(60, 2, 3)), labels)
         split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=5, test_per_class=3), labels)
-        rows, compact = data_io.compact_split(split)
-        assert rows.tolist() == sorted(i for part in split for i in
-                                       (*part.train_indices, *part.test_indices))
-        for part, small in zip(split, compact):
-            assert (small.session, small.class_ids) == (part.session, part.class_ids)
-            for whole_idx, small_idx in ((part.train_indices, small.train_indices),
-                                         (part.test_indices, small.test_indices)):
-                assert small_idx.dtype == whole_idx.dtype
-                assert rows[small_idx].tolist() == whole_idx.tolist()
+        save_dataset(dataset, tmp_path / "data.gcmr")
+        write_token_csv(tmp_path / "data.csv", dataset)
+        for path in (tmp_path / "data.gcmr", tmp_path / "data.csv"):
+            with load_features(path, lazy=True) as source:
+                assert source.labels.tolist() == labels.tolist()
+                assert source.row_shape == (2, 3)
+                for session, part in zip(source.sessions(split), split, strict=True):
+                    small = session.assignment
+                    assert (small.session, small.class_ids) == (part.session, part.class_ids)
+                    assert len(session.dataset) == len(part.train_indices) + len(
+                        part.test_indices)
+                    for whole_idx, small_idx in ((part.train_indices, small.train_indices),
+                                                 (part.test_indices, small.test_indices)):
+                        assert small_idx.dtype == whole_idx.dtype
+                        assert (session.dataset.features[small_idx].tobytes()
+                                == dataset.features[whole_idx].tobytes())
+                        assert (session.dataset.labels[small_idx].tolist()
+                                == labels[whole_idx].tolist())
+
+    def test_peak_holds_one_incremental_session_at_a_time(self, tmp_path, traced_peak):
+        # the base session fixed, 2 or 8 incremental sessions of 2 classes:
+        # the longer run holds 6 more sessions' cached test features and
+        # label column, but never more than one session's rows
+        g, d, k_shot, test, examples = 8, 64, 2, 4, 100
+        peaks = []
+        for n_sessions in (2, 8):
+            n_classes = 4 + 2 * n_sessions
+            config = tmp_path / f"config{n_sessions}.json"
+            config.write_text(json.dumps({
+                "version": 1,
+                "train": {"base_epochs": 1, "incr_epochs": 1, "batch_size": 64,
+                          "hidden_dim": 8},
+                "protocol": {"total_classes": n_classes, "base_classes": 4, "n_way": 2,
+                             "k_shot": k_shot, "test_per_class": test},
+                "synthetic": {"d": d, "g": g, "n_classes": n_classes, "class_mean_norm": 8.0,
+                              "within_class_sigma": 1.0, "examples_per_class": examples}}))
+            data, out = tmp_path / f"data{n_sessions}.gcmr", tmp_path / f"run{n_sessions}"
+            assert main(["synth", "--spec", str(config), "--out", str(data)]) == 0
+            code, peak = traced_peak(main, ["run", "--config", str(config), "--data",
+                                            str(data), "--out", str(out)])
+            assert code == 0
+            peaks.append(peak)
+        session_rows = 2 * (k_shot + test) * g * d * 8
+        extra_sessions = 8 - 2
+        extra_features = extra_sessions * 2 * test * d * 8
+        # int64 labels of the source, class-table indices and their cast
+        extra_labels = extra_sessions * 2 * examples * (8 + 4 + 8)
+        assert peaks[1] - peaks[0] < session_rows + extra_features + extra_labels
+
+    def write_row(self, path, row: int, value: float) -> None:
+        """Overwrite the first value of payload row `row` of a RUN_BODY file
+        in place."""
+        with open(path, "r+b") as fh:
+            fh.seek(312 + row * 2 * 3 * 8)
+            fh.write(struct.pack("<d", value))
+
+    def run_changing_the_file(self, tmp_path, monkeypatch, change):
+        """gcmr run on SEALED that calls change(path, split) once the base
+        session has trained, after the whole file validated."""
+        data = write_blob(tmp_path, SEALED)
+        split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=4, test_per_class=3), RUN_LABELS)
+        original = trainer.train_base
+
+        def train_then_change(*args, **kwargs):
+            state = original(*args, **kwargs)
+            change(data, split)
+            return state
+
+        monkeypatch.setattr(trainer, "train_base", train_then_change)
+        return self.run(tmp_path, data)
+
+    @pytest.mark.parametrize("keep_mtime", [False, True], ids=["new mtime", "mtime restored"])
+    def test_a_row_rewritten_after_validation_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                       keep_mtime):
+        def rewrite(path, split):
+            before = os.stat(path)
+            time.sleep(0.02)  # a file timestamp may be as coarse as a clock tick
+            self.write_row(path, int(split[1].train_indices[0]),
+                           math.nan if keep_mtime else 1e3)
+            if keep_mtime:  # a writer that restores the timestamp, e.g. a copy tool
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert os.stat(path).st_size == before.st_size
+
+        code, out = self.run_changing_the_file(tmp_path, monkeypatch, rewrite)
+        assert code == EXIT_DATA
+        reason = ": non-finite values in its rows" if keep_mtime else ""
+        assert capsys.readouterr().err == (
+            f"data error: session 1: the dataset file changed after it was validated{reason}\n")
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["session_00.gcmr"]
+
+    def test_a_truncated_file_exits_3(self, tmp_path, capsys, monkeypatch):
+        code, out = self.run_changing_the_file(
+            tmp_path, monkeypatch, lambda path, split: os.truncate(path, 1000))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: session 1: the dataset file changed after it was validated\n")
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["session_00.gcmr"]
+
+    def test_a_failed_or_interrupted_run_closes_the_dataset(self, tmp_path, capsys,
+                                                            monkeypatch):
+        data = write_blob(tmp_path, SEALED)
+        opened = []
+
+        def recording_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if path == str(data):
+                opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(data_io, "open", recording_open, raising=False)
+        config = run_config(tmp_path)
+        diverging = json.loads(config.read_text())
+        diverging["train"].update(incr_lr=1e200, momentum=0.9, incr_epochs=3)
+        config.write_text(json.dumps(diverging))
+        assert main(["run", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "diverged")]) == EXIT_NUMERIC
+        assert "at session 1" in capsys.readouterr().err
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(trainer, "train_incremental", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(tmp_path, data)
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
-def every_fourth_row(labels):
-    return np.arange(0, len(labels), 4)
+def run_lengths(rows: np.ndarray) -> list[int]:
+    """Lengths of the runs of consecutive values in the ascending rows."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+    return np.diff(np.append(starts, rows.size)).tolist()
 
 
-class TestSelectingLoad:
-    def test_keeps_the_selected_rows_of_a_full_load(self, tmp_path):
+def write_token_csv(path, dataset: TokenDataset) -> None:
+    """dataset in the token-group CSV layout, each value written exactly."""
+    d = dataset.features.shape[2]
+    lines = ["label,token," + ",".join(f"f{i}" for i in range(d))]
+    for label, example in zip(dataset.labels.tolist(), dataset.features.tolist()):
+        lines += [f"{label},{t}," + ",".join(map(repr, token))
+                  for t, token in enumerate(example)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestLazyLoad:
+    def test_reads_the_rows_of_a_full_load(self, tmp_path):
+        # rows 0 1 5 8 of 9: the payload's first and last row, runs of one
+        assert run_lengths(np.array([0, 1, 5, 8])) == [2, 1, 1]
         features = np.random.default_rng(20).normal(size=(9, 2, 3))
-        path = tmp_path / "data.gcmr"
-        save_dataset(TokenDataset(features, np.arange(9) % 4 - 2), path)
-        seen = []
+        dataset = TokenDataset(features, np.arange(9) % 4 - 2)
+        save_dataset(dataset, tmp_path / "data.gcmr")
+        write_token_csv(tmp_path / "data.csv", dataset)
+        part = data_io.SessionAssignment(3, (-2, 1), np.array([8, 0, 1]), np.array([5]))
+        for path in (tmp_path / "data.gcmr", tmp_path / "data.csv"):
+            with load_features(path, lazy=True) as source:
+                assert source.labels.tolist() == (np.arange(9) % 4 - 2).tolist()
+                (session,) = source.sessions([part])
+                ds = session.dataset
+                assert ds.features.tobytes() == features[[0, 1, 5, 8]].tobytes()
+                assert ds.features.flags.c_contiguous and ds.features.flags.writeable
+                assert ds.labels.tolist() == [-2, -1, -1, -2]
+                assert session.assignment.train_indices.tolist() == [3, 0, 1]
+                assert session.assignment.test_indices.tolist() == [2]
 
-        def select(labels):
-            seen.append(labels.tolist())
-            return [1, 2, 7]
-
-        for load in (load_dataset, load_features):
-            seen.clear()
-            ds = load(path, select)
-            assert seen == [(np.arange(9) % 4 - 2).tolist()]  # the whole label column
-            assert ds.features.tobytes() == features[[1, 2, 7]].tobytes()
-            assert ds.features.flags.c_contiguous and ds.features.flags.writeable
-            assert ds.labels.tolist() == [-1, 0, 1]
-        everything = load_dataset(path, lambda labels: np.arange(len(labels)))
-        assert everything.features.tobytes() == features.tobytes()
-        assert len(load_dataset(path, lambda labels: [])) == 0
-
-    def test_csv_keeps_the_selected_rows(self, tmp_path):
-        path = tmp_path / "groups.csv"
-        path.write_text("label,token,f0\n3,0,1.0\n3,1,2.0\n4,0,3.0\n4,1,4.0\n")
-        ds = load_features(path, lambda labels: [1])
-        assert ds.labels.tolist() == [4] and ds.features.tolist() == [[[3.0], [4.0]]]
-
-    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [-1], [9], [[0]]])
-    def test_a_selection_that_is_not_ascending_rows_is_refused(self, tmp_path, rows):
-        path = tmp_path / "data.gcmr"
-        save_dataset(TokenDataset(np.ones((9, 1, 2)), np.arange(9)), path)
-        with pytest.raises(ValueError, match="ascending, distinct row indices"):
-            load_dataset(path, lambda labels: rows)
-
-    def test_chunks_cover_every_row(self, tmp_path, monkeypatch):
-        # a chunk of 3 rows (and of one row, when a row is larger) over 10
+    def test_validation_chunks_cover_every_row(self, tmp_path, monkeypatch):
+        # a chunk of 3 rows, and of less than one row, over 10
         features = np.random.default_rng(21).normal(size=(10, 2, 3))
         path = tmp_path / "data.gcmr"
-        save_dataset(TokenDataset(features, np.arange(10) % 3), path)
         for chunk in (3 * 48, 40):
             monkeypatch.setattr(data_io, "CHUNK_BYTES", chunk)
-            for keep in ([0], [2, 3, 5, 9], list(range(9))):
-                ds = load_dataset(path, lambda labels: keep)
-                assert ds.features.tobytes() == features[keep].tobytes()
+            for row in range(10):
+                bad = features.copy()
+                bad[row, 1, 2] = math.inf
+                save_dataset(TokenDataset.from_finite(bad, np.arange(10) % 3), path)
+                with pytest.raises(FormatError, match="non-finite values in feature payload"):
+                    load_features(path, lazy=True)
+            save_dataset(TokenDataset(features, np.arange(10) % 3), path)
+            with load_features(path, lazy=True) as source:
+                assert source.labels.tolist() == (np.arange(10) % 3).tolist()
 
-    def test_allocates_the_kept_rows_and_one_chunk(self, tmp_path, traced_peak):
-        # 8 chunks of 4 KiB rows, of which every fourth is kept
-        n = 8 * data_io.CHUNK_BYTES // 4096
-        features = np.random.default_rng(22).normal(size=(n, 8, 64))
+    def test_validation_allocates_one_chunk_and_the_labels(self, tmp_path, traced_peak):
+        n = 8 * data_io.CHUNK_BYTES // 4096  # 8 chunks of 4 KiB rows
         path = tmp_path / "big.gcmr"
-        save_dataset(TokenDataset(features, np.arange(n) % 10), path)
-        loaded, peak = traced_peak(load_dataset, path, every_fourth_row)
-        assert loaded.features.tobytes() == features[::4].tobytes()
-        kept = loaded.features.nbytes
-        # the chunk, its finiteness mask (1/8) and the label column as table
-        # indices, their intp cast and class ids, and the kept labels
-        allowed = kept + data_io.CHUNK_BYTES * 9 // 8 + n * (4 + 8 + 8) + n // 4 * 8
+        save_dataset(TokenDataset(np.random.default_rng(22).normal(size=(n, 8, 64)),
+                                  np.arange(n) % 10), path)
+        source, peak = traced_peak(load_features, path, True)
+        source.close()
+        # the chunk, its finiteness mask (1/8), and the label column as table
+        # indices, their intp cast and class ids
+        allowed = data_io.CHUNK_BYTES * 9 // 8 + n * (4 + 8 + 8)
         assert peak <= allowed + 64 * 1024
-        assert allowed < path.stat().st_size // 2
+        assert allowed < path.stat().st_size // 4
+
+    def test_a_file_cut_short_under_a_read_is_refused(self, tmp_path):
+        # the file shrinks between the identity check and the read
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(np.ones((9, 2, 3)), np.arange(9)), path)
+        part = data_io.SessionAssignment(4, (7, 8), np.array([7]), np.array([8]))
+        with load_features(path, lazy=True) as source:
+            os.truncate(path, path.stat().st_size - 100)
+            source._identity = data_io._identity(source._fh)
+            with pytest.raises(FormatError, match="^session 4: the dataset file changed "
+                                                  "after it was validated: it ends inside "
+                                                  "row 8$"):
+                list(source.sessions([part]))
 
     def test_opens_the_file_once(self, tmp_path, monkeypatch):
         # the format is sniffed from the handle that is then read, so a file
@@ -1166,27 +1323,49 @@ class TestSelectingLoad:
         flat.write_text("label,f0,f1\n1,0.5,2.0\n")
         opened = []
 
-        def counting_open(*args, **kwargs):
-            opened.append(args[0])
-            return open(*args, **kwargs)
+        def recording_open(*args, **kwargs):
+            opened.append((args[0], open(*args, **kwargs)))
+            return opened[-1][1]
 
-        monkeypatch.setattr(data_io, "open", counting_open, raising=False)
+        monkeypatch.setattr(data_io, "open", recording_open, raising=False)
         for path in (binary, flat):
-            opened.clear()
-            load_features(path)
-            assert opened == [path]
+            for lazy in (False, True):
+                opened.clear()
+                with contextlib.ExitStack() as stack:
+                    if lazy:
+                        stack.enter_context(load_features(path, lazy))
+                    else:
+                        load_features(path)
+                    assert [name for name, _ in opened] == [path]
+                    # only a lazy binary load keeps its handle, until the source closes
+                    assert opened[0][1].closed != (lazy and path == binary)
+                assert opened[0][1].closed
+
+    def test_a_replaced_path_does_not_reach_the_source(self, tmp_path):
+        features = np.random.default_rng(23).normal(size=(4, 2, 2))
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(features, np.arange(4)), path)
+        part = data_io.SessionAssignment(0, (0, 1, 2, 3), np.arange(4), np.arange(0))
+        with load_features(path, lazy=True) as source:
+            save_dataset(TokenDataset(np.zeros((4, 2, 2)), np.arange(4)), path)  # atomic
+            (session,) = source.sessions([part])
+            assert session.dataset.features.tobytes() == features.tobytes()
 
     @FUZZ
     @given(blob=dataset_blobs())
-    def test_fuzz_selecting_load_matches_a_full_load(self, tmp_path, blob):
+    def test_fuzz_lazy_load_matches_a_full_load(self, tmp_path, blob):
         path = write_blob(tmp_path, blob)
         try:
-            whole = load_dataset(path)
+            whole = load_features(path)
         except FormatError as exc:
             with pytest.raises(FormatError) as excinfo:
-                load_dataset(path, every_fourth_row)
+                load_features(path, lazy=True)
             assert (str(excinfo.value), excinfo.value.offset) == (str(exc), exc.offset)
             return
-        ds = load_dataset(path, every_fourth_row)
-        assert ds.features.tobytes() == whole.features[::4].tobytes()
-        assert ds.labels.tolist() == whole.labels[::4].tolist()
+        part = data_io.SessionAssignment(0, (), np.arange(0, len(whole), 2),
+                                         np.arange(1, len(whole), 2))
+        with load_features(path, lazy=True) as source:
+            assert source.labels.tolist() == whole.labels.tolist()
+            assert source.row_shape == whole.features.shape[1:]
+            (session,) = source.sessions([part])
+        assert session.dataset.features.tobytes() == whole.features.tobytes()
