@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a gradcheck row over tolerance, 2
 configuration/validation error, 3 data error, 4 numerical failure
-(non-finite loss or gradient). Commands raise ConfigError, DataError or
-NumericalError; main alone prints the failure to stderr and returns its
-code.
+(a parameter diverged in training, or a winning logit in evaluation is not
+finite). Commands raise ConfigError, DataError or NumericalError; main
+alone prints the failure to stderr and returns its code.
 
 Run configuration files are strict JSON: a top-level "version" plus
 optional "train", "loss", "protocol" and "synthetic" sections whose keys

@@ -28,10 +28,13 @@ structural error met on the way is raised only after the checksum matched,
 so a corrupt file reports its checksum first. A lazy dataset load
 (load_features(path, lazy=True), what `gcmr run` does) streams the payload
 through one buffer of CHUNK_BYTES, checksummed and scanned, and keeps only
-the labels; its RowSource then reads each session's rows from the handle
-that validated the file when a loop reaches that session, after checking
-that the file's inode, size and modification time are unchanged, and scans
-them again. Writers stream the header parts and payload arrays into the
+the labels. Its RowSource reads a session's train rows from the handle
+that validated the file when a loop reaches that session, and every other
+row of the session (its test rows) each time a reader indexes it, so those
+are read chunk by chunk when they are encoded. Every read first checks that
+the file's inode, size and modification time are unchanged, merges runs of
+rows separated by small gaps into one os.preadv, and scans the rows it read
+again. Writers stream the header parts and payload arrays into the
 file with a running CRC, without assembling the file in memory.
 
 CSV ingestion accepts two layouts: flat features with header
@@ -189,7 +192,9 @@ class SessionAssignment:
 class SessionData:
     """One session: the dataset its rows live in and the assignment that
     picks them. It holds no rows of its own; every reader gathers them
-    through the assignment's train_indices and test_indices."""
+    through the assignment's train_indices and test_indices, as
+    dataset.features[indices]. In a session of a binary file's RowSource,
+    dataset.features is a SessionRows."""
 
     dataset: TokenDataset
     assignment: SessionAssignment
@@ -267,19 +272,22 @@ def materialize_sessions(dataset: TokenDataset,
 
 
 class RowSource:
-    """A validated dataset whose rows are read only when a session needs
-    them, what load_features(path, lazy=True) returns: the label column,
-    the row shape (tokens, dim) and sessions(split). A binary file's rows
-    are read from the handle that validated it, which stays open until
-    close() or the end of a with block, so replacing the file's path cannot
-    reach them; a CSV file's rows come from its parsed array."""
+    """A validated dataset read session by session, what load_features(path,
+    lazy=True) returns: the label column, the row shape (tokens, dim) and
+    sessions(split). A binary file's session holds only its train rows,
+    read when the loop reaches it; every other row it names is read each
+    time a reader indexes it (SessionRows). Both come from the handle that
+    validated the file, which stays open until close() or the end of a with
+    block, so replacing the file's path cannot reach them. A CSV file is
+    parsed whole, and its sessions index that array as materialize_sessions'
+    do."""
 
     def __init__(self, labels: np.ndarray, row_shape: tuple[int, int],
-                 features: np.ndarray | None = None, fh=None, payload_offset: int = 0,
+                 dataset: TokenDataset | None = None, fh=None, payload_offset: int = 0,
                  identity: tuple | None = None):
         self.labels = labels
         self.row_shape = row_shape
-        self._features = features
+        self._dataset = dataset
         self._fh = fh
         self._offset = payload_offset
         self._identity = identity
@@ -295,40 +303,89 @@ class RowSource:
             self._fh.close()
 
     def sessions(self, split: Sequence[SessionAssignment]) -> Iterator[SessionData]:
-        """The sessions of split, each read when the loop asks for it: its
-        train and test rows, ascending, in an array of its own, and its
-        assignment re-indexed into them, so it reads the same rows in the
-        same order as over the whole dataset. The stream keeps no session
-        once it has handed it out."""
-        for part in split:
-            yield self._session(part)
+        """The sessions of split. A binary file's session is made when the
+        loop asks for it, over its train rows, ascending, then its test
+        rows, ascending, with its assignment re-indexed into them, so it
+        reads the same rows in the same order as over the whole dataset; the
+        stream keeps no session once it has handed it out. A CSV file's are
+        materialize_sessions(dataset, split)."""
+        if self._fh is None:
+            return iter(materialize_sessions(self._dataset, split))
+        return (self._session(part) for part in split)
 
     def _session(self, part: SessionAssignment) -> SessionData:
-        rows = np.sort(np.concatenate([part.train_indices, part.test_indices]))
-        features = self._features[rows] if self._fh is None else self._read(rows, part.session)
-        return SessionData(TokenDataset.from_finite(features, self.labels[rows]),
-                           replace(part, train_indices=np.searchsorted(rows, part.train_indices),
-                                   test_indices=np.searchsorted(rows, part.test_indices)))
+        train, test = np.sort(part.train_indices), np.sort(part.test_indices)
+        rows = np.concatenate([train, test])
+        dataset = object.__new__(TokenDataset)  # features read on demand, not an array
+        dataset.features = SessionRows(self, rows, self._read(train, part.session),
+                                       part.session)
+        dataset.labels = self.labels[rows]
+        return SessionData(dataset, replace(
+            part, train_indices=np.searchsorted(train, part.train_indices),
+            test_indices=train.size + np.searchsorted(test, part.test_indices)))
 
     def _read(self, rows: np.ndarray, session: int) -> np.ndarray:
-        """The payload rows named by the ascending rows, one positioned read
-        per run of consecutive rows, in a new array. FormatError naming the
-        session when the file is no longer the one validated: its inode,
-        size or modification time changed, it ends early, or a value read
-        is not finite."""
+        """The payload rows named by the ascending rows, in a new array. Runs
+        of consecutive rows at most MERGE_GAP_ROWS rows apart are read with
+        one os.preadv, the rows between them going to one scratch buffer.
+        FormatError naming the session when the file is no longer the one
+        validated: its inode, size or modification time changed, it ends
+        early, or a value read is not finite."""
         changed = f"session {session}: the dataset file changed after it was validated"
         if _identity(self._fh) != self._identity:
             raise FormatError(changed)
         out = np.empty((rows.size, *self.row_shape))
         row_bytes = 8 * math.prod(self.row_shape)
-        view = out.reshape(-1).view(np.uint8)
-        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
-        for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), rows.size]):
-            self._fh.seek(self._offset + int(rows[lo]) * row_bytes)
-            if self._fh.readinto(view[lo * row_bytes:hi * row_bytes]) != (hi - lo) * row_bytes:
-                raise FormatError(f"{changed}: it ends inside row {int(rows[hi - 1])}")
+        view = memoryview(out.reshape(-1).view(np.uint8))
+        gap = memoryview(bytearray(MERGE_GAP_ROWS * row_bytes))
+        starts = np.ones(rows.size, dtype=bool)  # where a run of consecutive rows starts
+        np.not_equal(rows[1:], rows[:-1] + 1, out=starts[1:])
+        starts = np.flatnonzero(starts)
+        reads = []  # (file offset, buffers) of each os.preadv
+        follows = 0  # the row after the last one read
+        for lo, hi, first in zip(starts.tolist(), [*starts[1:].tolist(), rows.size],
+                                 rows[starts].tolist()):
+            skip = first - follows
+            if reads and 0 < skip <= MERGE_GAP_ROWS and len(reads[-1][1]) < READ_IOVECS - 1:
+                reads[-1][1].append(gap[:skip * row_bytes])
+            else:
+                reads.append((self._offset + first * row_bytes, []))
+            reads[-1][1].append(view[lo * row_bytes:hi * row_bytes])
+            follows = first + hi - lo
+        fd = self._fh.fileno()
+        for offset, buffers in reads:
+            want = sum(map(len, buffers))
+            if os.preadv(fd, buffers, offset) != want:
+                last = (offset - self._offset + want) // row_bytes - 1
+                raise FormatError(f"{changed}: it ends inside row {last}")
         if not np.isfinite(out).all():
             raise FormatError(f"{changed}: non-finite values in its rows")
+        return out
+
+
+class SessionRows:
+    """The rows of one session of a binary file's RowSource, indexed like an
+    (n, tokens, dim) array by a 1-D array of row positions (shape and
+    features[index] are all it offers). Its train rows come first and are
+    held; an index that names any other row is read from the file each time,
+    with every check of the session's first read, so a session's test rows
+    are never held whole."""
+
+    def __init__(self, source: RowSource, rows: np.ndarray, held: np.ndarray, session: int):
+        self._source = source
+        self._rows = rows  # the dataset row at each position
+        self._held = held
+        self._session = session
+        self.shape = (rows.size, *held.shape[1:])
+
+    def __getitem__(self, index) -> np.ndarray:
+        index = np.asarray(index)
+        if index.size == 0 or (index.min() >= 0 and index.max() < self._held.shape[0]):
+            return self._held[index]
+        wanted = self._rows[index]
+        order = np.argsort(wanted)
+        out = np.empty((index.size, *self.shape[1:]))
+        out[order] = self._source._read(wanted[order], self._session)
         return out
 
 
@@ -364,13 +421,26 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 # payload (each chunk checksummed and scanned, then dropped), and through
 # which a failed parse drains the rest of a file into the checksum. Freeing
 # it at the end of the load raises glibc's dynamic mmap threshold to its
-# size, so the MB-sized temporaries of the protocol that follows come from
-# the heap, not from fresh mmaps. Measured with `gcmr run` on cli-stream
-# shapes (seed 4321, fresh processes, one BLAS thread): 1, 2 and 4 MiB all
-# peak at 51.3-51.5 MB RSS, in the protocol, while the load's own peak is
-# 36.8-37.3 MB; 8 MiB raises the load's peak to 39.8-40.0 MB. 2 MiB keeps
-# the load well below the protocol's peak.
+# size, so the MB-sized temporaries of the protocol that follows (a 1 MiB
+# encode chunk among them) come from the heap, not from fresh mmaps.
+# Measured on the cli-stream dataset at seed 4321 (fresh processes, one BLAS
+# thread, ru_maxrss): `gcmr run` peaks at 45.1, 45.2, 45.6 and 45.6 MB with
+# 1, 2, 4 and 8 MiB, and a process that only loads at 30.8, 32.0, 34.3 and
+# 38.8 MB. 2 MiB stays above the encode chunk and keeps the load well below
+# the protocol's peak.
 CHUNK_BYTES = 2 << 20
+
+# A session read merges two runs of wanted rows into one os.preadv when at
+# most this many unwanted rows lie between them; their bytes are read into
+# one scratch buffer and dropped. Measured on the cli-stream dataset at seed
+# 4321 (every session's reads of one run, in isolation, 2-vCPU VM): gaps of
+# 0, 1, 2, 4 and 8 rows take 2,108, 1,095, 710, 482 and 350 reads and move
+# 39, 48, 54, 60 and 67 MB, all in 6.9-8.5 ms, copying cost here rivalling
+# the per-call cost; 4 makes under half the 982 reads of one read per run
+# of a session's train and test rows together.
+MERGE_GAP_ROWS = 4
+# The most buffers one os.preadv takes (IOV_MAX on Linux).
+READ_IOVECS = 1024
 
 
 class _Reader:
@@ -680,12 +750,6 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
     return value
 
 
-def load_features_csv(path) -> TokenDataset:
-    """Parse either CSV layout (flat features or token groups)."""
-    with open(path, "rb") as fh:
-        return _read_csv(fh)
-
-
 def _read_csv(fh, not_binary: str = "") -> TokenDataset:
     """The CSV dataset in the open binary file fh, read from where it stands
     to its end; closes fh. not_binary is appended to the error of a file
@@ -743,9 +807,9 @@ def load_features(path, lazy: bool = False):
     With lazy, the result is a RowSource rather than a TokenDataset. A
     binary file is validated in full as always (checksum, structure, every
     value finite) but only its labels are kept, and its handle stays open
-    in the source, which reads each session's rows when a loop reaches
-    that session. A CSV file is parsed whole, and the source reads from
-    that array."""
+    in the source, which reads a session's train rows when a loop reaches
+    that session and its other rows when they are indexed. A CSV file is
+    parsed whole, and the source's sessions index that array."""
     with contextlib.ExitStack() as cleanup:
         fh = cleanup.enter_context(open(path, "rb"))
         head = fh.read(4)
@@ -763,5 +827,5 @@ def load_features(path, lazy: bool = False):
                else f"it ends inside the magic, after {len(head)} bytes")
         dataset = _read_csv(fh, f"; nor is it a GCMR binary file: {why}")
     if lazy:
-        return RowSource(dataset.labels, dataset.features.shape[1:], features=dataset.features)
+        return RowSource(dataset.labels, dataset.features.shape[1:], dataset=dataset)
     return dataset

@@ -26,6 +26,7 @@ import numpy as np
 from .classifier import HEAD_BLOCK_ROWS, eval_logits_batch
 from .data_io import atomic_open
 from .memory import column_labels, memory_budget_bytes
+from .nn_core import NumericalError
 
 # Reports account memory at float32 width, the storage-budget convention.
 BUDGET_PRECISION = 4
@@ -57,7 +58,8 @@ def evaluate_session(state, features, test_labels,
                      prior_acc_all: Sequence[float] = ()) -> SessionReport:
     """Score the model on the cumulative test set of all classes seen so far,
     given as pooled, normalized features (n, dim) from
-    encoder.encode_rows."""
+    encoder.encode_rows. NumericalError naming the session when a row's
+    winning logit is not finite."""
     feats = np.asarray(features, dtype=np.float64)
     labels = np.asarray(test_labels)
     dim = state.classifier.dim
@@ -68,10 +70,18 @@ def evaluate_session(state, features, test_labels,
     class_ids = state.mem.class_ids
     y = column_labels(labels, class_ids)
     predicted = np.empty(feats.shape[0], dtype=np.intp)
+    winners = np.empty(feats.shape[0])
+    row_starts = np.arange(HEAD_BLOCK_ROWS) * state.classifier.n_classes  # in flat logits
     for start in range(0, feats.shape[0], HEAD_BLOCK_ROWS):
         stop = start + HEAD_BLOCK_ROWS
-        predicted[start:stop] = np.argmax(
-            eval_logits_batch(feats[start:stop], state.classifier), axis=1)
+        logits = eval_logits_batch(feats[start:stop], state.classifier)
+        picked = np.argmax(logits, axis=1, out=predicted[start:stop])
+        np.take(logits, row_starts[:picked.shape[0]] + picked, out=winners[start:stop])
+        del logits  # one block's logits at a time
+    # argmax picks a row's NaN or +inf, so its winner shows one
+    if not np.isfinite(winners).all():
+        raise NumericalError("evaluation logits diverged to non-finite values "
+                             f"at session {state.session}")
     correct = predicted == y
 
     counts = np.bincount(y, minlength=len(class_ids))

@@ -78,34 +78,32 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
     begin_epoch(epoch) returns the step function
     (batch, step_seed) -> (total, breakdown, grads), the extra log fields and
     the term weights (None when the epoch's log has no weighted terms). A
-    step's NumericalError is raised again with its session, epoch and step;
-    every non-finite value ends there, so numpy's float warnings are off."""
+    step's NumericalError is raised again with its session, epoch and step."""
     velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
     batches = range(0, n, cfg.batch_size)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(epochs):
-            lr = cosine_lr(epoch, base_lr, cfg.min_lr, epochs)
-            step_fn, fields, weights = begin_epoch(epoch)
-            order = rng.stream(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
-            epoch_total, epoch_terms = 0.0, {}
-            for step, start in enumerate(batches):
-                step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
-                total, breakdown, grads = step_fn(order[start:start + cfg.batch_size], step_seed)
-                try:
-                    sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
-                except NumericalError as exc:
-                    raise NumericalError(
-                        f"{exc} at session {t}, epoch {epoch}, step {step}") from None
-                epoch_total += total
-                for key, value in breakdown.items():
-                    epoch_terms[key] = epoch_terms.get(key, 0.0) + value
-            if log_sink is not None:
-                out = {"total": epoch_total / len(batches),
-                       **{key: value / len(batches) for key, value in epoch_terms.items()}}
-                if weights is not None:
-                    out["weighted"] = {key: w * out[key] for key, w in weights.items()}
-                log_sink({"session": t, "epoch": epoch, "lr": lr, **fields,
-                          "loss_breakdown": out})
+    for epoch in range(epochs):
+        lr = cosine_lr(epoch, base_lr, cfg.min_lr, epochs)
+        step_fn, fields, weights = begin_epoch(epoch)
+        order = rng.stream(cfg.seed, SHUFFLE_TAG, t, epoch).permutation(n)
+        epoch_total, epoch_terms = 0.0, {}
+        for step, start in enumerate(batches):
+            step_seed = rng.stream_id(cfg.seed, STEP_TAG, t, epoch, step)
+            total, breakdown, grads = step_fn(order[start:start + cfg.batch_size], step_seed)
+            try:
+                sgd_momentum_step(params, grads, velocities, cfg.momentum, lr)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"{exc} at session {t}, epoch {epoch}, step {step}") from None
+            epoch_total += total
+            for key, value in breakdown.items():
+                epoch_terms[key] = epoch_terms.get(key, 0.0) + value
+        if log_sink is not None:
+            out = {"total": epoch_total / len(batches),
+                   **{key: value / len(batches) for key, value in epoch_terms.items()}}
+            if weights is not None:
+                out["weighted"] = {key: w * out[key] for key, w in weights.items()}
+            log_sink({"session": t, "epoch": epoch, "lr": lr, **fields,
+                      "loss_breakdown": out})
 
 
 @contextmanager
@@ -242,35 +240,41 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     base session ends, so each session's test rows are encoded once, right
     after that session's training, into one buffer whose room past the base
     session's rows doubles when full, and every evaluation scores the
-    filled prefix of it: the features of all sessions seen so far."""
+    filled prefix of it: the features of all sessions seen so far.
+
+    Each session runs under one np.errstate that turns numpy's float
+    warnings off: a training step's non-finite parameter and an evaluation's
+    non-finite winning logit each end in a NumericalError naming the session,
+    before on_session sees it."""
     reports = []
     state = None
-    for t, session in enumerate(stream):
-        if t == 0:
-            state = train_base(session, cfg, log_sink)
-        else:
-            state = train_incremental(state, session, cfg, log_sink)
-        test = session.assignment.test_indices
-        encoded = encoder.encode_rows(session.dataset.features, test, state.encoder)
-        if t == 0:
-            features, labels = encoded, session.dataset.labels[test]
-            n = n_base = test.shape[0]
-        else:
-            stop = n + test.shape[0]
-            if stop > features.shape[0]:
-                # the room past the base session's rows, which usually
-                # outnumber any later session's, doubles
-                features = _grown(features, max(stop, 2 * features.shape[0] - n_base))
-                labels = _grown(labels, features.shape[0])
-            features[n:stop] = encoded
-            labels[n:stop] = session.dataset.labels[test]
-            n = stop
-        del session
-        report = eval_report.evaluate_session(
-            state, features[:n], labels[:n], prior_acc_all=[r.acc_all for r in reports])
-        reports.append(report)
-        if on_session is not None:
-            on_session(state, report)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t, session in enumerate(stream):
+            if t == 0:
+                state = train_base(session, cfg, log_sink)
+            else:
+                state = train_incremental(state, session, cfg, log_sink)
+            test = session.assignment.test_indices
+            encoded = encoder.encode_rows(session.dataset.features, test, state.encoder)
+            if t == 0:
+                features, labels = encoded, session.dataset.labels[test]
+                n = n_base = test.shape[0]
+            else:
+                stop = n + test.shape[0]
+                if stop > features.shape[0]:
+                    # the room past the base session's rows, which usually
+                    # outnumber any later session's, doubles
+                    features = _grown(features, max(stop, 2 * features.shape[0] - n_base))
+                    labels = _grown(labels, features.shape[0])
+                features[n:stop] = encoded
+                labels[n:stop] = session.dataset.labels[test]
+                n = stop
+            del session
+            report = eval_report.evaluate_session(
+                state, features[:n], labels[:n], prior_acc_all=[r.acc_all for r in reports])
+            reports.append(report)
+            if on_session is not None:
+                on_session(state, report)
     if state is None:
         raise ValueError("protocol stream is empty")
     return reports, state

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import time
 import zlib
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gcmr import data_io, trainer
+from gcmr import data_io, encoder, trainer
 from gcmr.cli import EXIT_DATA, EXIT_NUMERIC, load_run_config, main
 from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
                           atomic_open, fscil_split, generate_synthetic, load_checkpoint,
@@ -1116,11 +1118,18 @@ class TestRunReadsOnlyTheProtocolRows:
             with load_features(path, lazy=True) as source:
                 assert source.labels.tolist() == labels.tolist()
                 assert source.row_shape == (2, 3)
+                datasets = []  # kept, so no two share an id
                 for session, part in zip(source.sessions(split), split, strict=True):
                     small = session.assignment
                     assert (small.session, small.class_ids) == (part.session, part.class_ids)
-                    assert len(session.dataset) == len(part.train_indices) + len(
-                        part.test_indices)
+                    datasets.append(session.dataset)
+                    if path.suffix == ".csv":
+                        # every session indexes the one parsed array, as
+                        # materialize_sessions' do: no rows are copied
+                        assert small is part and len(session.dataset) == len(dataset)
+                    else:
+                        assert len(session.dataset) == len(part.train_indices) + len(
+                            part.test_indices)
                     for whole_idx, small_idx in ((part.train_indices, small.train_indices),
                                                  (part.test_indices, small.test_indices)):
                         assert small_idx.dtype == whole_idx.dtype
@@ -1128,6 +1137,8 @@ class TestRunReadsOnlyTheProtocolRows:
                                 == dataset.features[whole_idx].tobytes())
                         assert (session.dataset.labels[small_idx].tolist()
                                 == labels[whole_idx].tolist())
+                assert len({id(d) for d in datasets}) == (1 if path.suffix == ".csv"
+                                                          else len(split))
 
     def test_peak_holds_one_incremental_session_at_a_time(self, tmp_path, traced_peak):
         # the base session fixed, 2 or 8 incremental sessions of 2 classes:
@@ -1159,6 +1170,51 @@ class TestRunReadsOnlyTheProtocolRows:
         extra_labels = extra_sessions * 2 * examples * (8 + 4 + 8)
         assert peaks[1] - peaks[0] < session_rows + extra_features + extra_labels
 
+    def test_peak_never_holds_a_sessions_test_rows_whole(self, tmp_path, traced_peak):
+        # 2 base classes of 25 train and 250 test rows of 32 x 64 tokens
+        # (16 KiB a row): the base session's test rows are 8 MB, ten times
+        # its train rows, and are read one encode chunk at a time
+        g, d, k_shot, test, examples = 32, 64, 2, 250, 275
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "version": 1,
+            "train": {"base_epochs": 1, "incr_epochs": 1, "batch_size": 8, "hidden_dim": 8},
+            "protocol": {"total_classes": 4, "base_classes": 2, "n_way": 2,
+                         "k_shot": k_shot, "test_per_class": test},
+            "synthetic": {"d": d, "g": g, "n_classes": 4, "class_mean_norm": 8.0,
+                          "within_class_sigma": 1.0, "examples_per_class": examples}}))
+        data, out = tmp_path / "data.gcmr", tmp_path / "run"
+        assert main(["synth", "--spec", str(config), "--out", str(data)]) == 0
+        code, peak = traced_peak(main, ["run", "--config", str(config), "--data", str(data),
+                                        "--out", str(out)])
+        assert code == 0
+        row_bytes = g * d * 8
+        train_rows = 2 * (examples - test) * row_bytes
+        test_rows = 2 * test * row_bytes
+        # the cached encoded test features, grown once, and the label column
+        encoded = 3 * 4 * test * d * 8 + 4 * examples * (8 + 4 + 8)
+        bound = train_rows + encoded + 4 * encoder.ENCODE_CHUNK_BYTES
+        assert peak < bound < test_rows
+
+    def test_reads_no_more_often_than_one_read_per_run_of_rows(self, tmp_path, monkeypatch):
+        # one positioned read per run of consecutive rows of a session's
+        # train and test rows was the bound before test rows were read
+        # apart; merging runs a few rows apart keeps the run under it
+        split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=4, test_per_class=3), RUN_LABELS)
+        runs = sum(len(run_lengths(np.sort(np.concatenate([part.train_indices,
+                                                           part.test_indices]))))
+                   for part in split)
+        calls = []
+        preadv = os.preadv
+
+        def counting(fd, buffers, offset):
+            calls.append(offset)
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counting)
+        assert self.run(tmp_path, write_blob(tmp_path, SEALED))[0] == 0
+        assert 0 < len(calls) <= runs
+
     def write_row(self, path, row: int, value: float) -> None:
         """Overwrite the first value of payload row `row` of a RUN_BODY file
         in place."""
@@ -1166,32 +1222,43 @@ class TestRunReadsOnlyTheProtocolRows:
             fh.seek(312 + row * 2 * 3 * 8)
             fh.write(struct.pack("<d", value))
 
-    def run_changing_the_file(self, tmp_path, monkeypatch, change):
-        """gcmr run on SEALED that calls change(path, split) once the base
-        session has trained, after the whole file validated."""
+    def run_changing_the_file(self, tmp_path, monkeypatch, change, owner=data_io,
+                              after="save_checkpoint"):
+        """gcmr run on SEALED that calls change(path, split) once, right
+        after the first call of owner.after returned: by default once
+        session 0's checkpoint is saved and before session 1 reads a row;
+        trainer.train_base or trainer.train_incremental change it between a
+        session's train read and its test read."""
         data = write_blob(tmp_path, SEALED)
         split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=4, test_per_class=3), RUN_LABELS)
-        original = trainer.train_base
+        original, changed = getattr(owner, after), []
 
-        def train_then_change(*args, **kwargs):
-            state = original(*args, **kwargs)
-            change(data, split)
-            return state
+        def call_then_change(*args, **kwargs):
+            result = original(*args, **kwargs)
+            if not changed:
+                changed.append(after)
+                change(data, split)
+            return result
 
-        monkeypatch.setattr(trainer, "train_base", train_then_change)
+        monkeypatch.setattr(owner, after, call_then_change)
         return self.run(tmp_path, data)
+
+    def rewrite(self, path, row: int, keep_mtime: bool) -> None:
+        """Overwrite payload row `row` in place: with 1e3 under a new
+        modification time, or with a NaN and the old time restored, as a
+        copy tool that keeps timestamps would."""
+        before = os.stat(path)
+        time.sleep(0.02)  # a file timestamp may be as coarse as a clock tick
+        self.write_row(path, row, math.nan if keep_mtime else 1e3)
+        if keep_mtime:
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
 
     @pytest.mark.parametrize("keep_mtime", [False, True], ids=["new mtime", "mtime restored"])
     def test_a_row_rewritten_after_validation_exits_3(self, tmp_path, capsys, monkeypatch,
                                                        keep_mtime):
         def rewrite(path, split):
-            before = os.stat(path)
-            time.sleep(0.02)  # a file timestamp may be as coarse as a clock tick
-            self.write_row(path, int(split[1].train_indices[0]),
-                           math.nan if keep_mtime else 1e3)
-            if keep_mtime:  # a writer that restores the timestamp, e.g. a copy tool
-                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-            assert os.stat(path).st_size == before.st_size
+            self.rewrite(path, int(split[1].train_indices[0]), keep_mtime)
 
         code, out = self.run_changing_the_file(tmp_path, monkeypatch, rewrite)
         assert code == EXIT_DATA
@@ -1199,6 +1266,24 @@ class TestRunReadsOnlyTheProtocolRows:
         assert capsys.readouterr().err == (
             f"data error: session 1: the dataset file changed after it was validated{reason}\n")
         assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["session_00.gcmr"]
+
+    @pytest.mark.parametrize("keep_mtime", [False, True], ids=["new mtime", "mtime restored"])
+    @pytest.mark.parametrize("after, session", [("train_base", 0), ("train_incremental", 1)])
+    def test_a_test_row_rewritten_after_the_train_read_exits_3(self, tmp_path, capsys,
+                                                                monkeypatch, keep_mtime,
+                                                                after, session):
+        # the session trained on rows that were sound; its test rows are
+        # read, and checked, only when they are encoded
+        def rewrite(path, split):
+            self.rewrite(path, int(split[session].test_indices[-1]), keep_mtime)
+
+        code, out = self.run_changing_the_file(tmp_path, monkeypatch, rewrite, trainer, after)
+        assert code == EXIT_DATA
+        reason = ": non-finite values in its rows" if keep_mtime else ""
+        assert capsys.readouterr().err == (f"data error: session {session}: the dataset file "
+                                           f"changed after it was validated{reason}\n")
+        saved = sorted(p.name for p in (out / "checkpoints").iterdir())
+        assert saved == [f"session_{t:02d}.gcmr" for t in range(session)]
 
     def test_a_truncated_file_exits_3(self, tmp_path, capsys, monkeypatch):
         code, out = self.run_changing_the_file(
@@ -1236,6 +1321,28 @@ class TestRunReadsOnlyTheProtocolRows:
             self.run(tmp_path, data)
         assert len(opened) == 2 and all(fh.closed for fh in opened)
 
+    def test_scores_that_overflow_end_the_run_with_one_line(self, tmp_path):
+        # with incr_lr 1e200 session 1's head stays finite but its logits
+        # overflow: evaluation raises before the session's checkpoint, and in
+        # a fresh interpreter (where numpy's warnings would reach stderr)
+        # that failure is the one line written
+        data = write_blob(tmp_path, SEALED)
+        config = run_config(tmp_path)
+        diverging = json.loads(config.read_text())
+        diverging["train"]["incr_lr"] = 1e200
+        config.write_text(json.dumps(diverging))
+        out = tmp_path / "run"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(data_io.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "gcmr", "run", "--config", str(config),
+                               "--data", str(data), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_NUMERIC, done.stderr
+        assert done.stderr == ("numerical failure: evaluation logits diverged to non-finite "
+                               "values at session 1\n")
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == ["session_00.gcmr"]
+
 
 def run_lengths(rows: np.ndarray) -> list[int]:
     """Lengths of the runs of consecutive values in the ascending rows."""
@@ -1255,23 +1362,33 @@ def write_token_csv(path, dataset: TokenDataset) -> None:
 
 class TestLazyLoad:
     def test_reads_the_rows_of_a_full_load(self, tmp_path):
-        # rows 0 1 5 8 of 9: the payload's first and last row, runs of one
+        # train rows 0 1 8, test row 5 of 9: the payload's first and last
+        # row, runs of one
         assert run_lengths(np.array([0, 1, 5, 8])) == [2, 1, 1]
         features = np.random.default_rng(20).normal(size=(9, 2, 3))
         dataset = TokenDataset(features, np.arange(9) % 4 - 2)
         save_dataset(dataset, tmp_path / "data.gcmr")
         write_token_csv(tmp_path / "data.csv", dataset)
         part = data_io.SessionAssignment(3, (-2, 1), np.array([8, 0, 1]), np.array([5]))
-        for path in (tmp_path / "data.gcmr", tmp_path / "data.csv"):
-            with load_features(path, lazy=True) as source:
-                assert source.labels.tolist() == (np.arange(9) % 4 - 2).tolist()
-                (session,) = source.sessions([part])
-                ds = session.dataset
-                assert ds.features.tobytes() == features[[0, 1, 5, 8]].tobytes()
-                assert ds.features.flags.c_contiguous and ds.features.flags.writeable
-                assert ds.labels.tolist() == [-2, -1, -1, -2]
-                assert session.assignment.train_indices.tolist() == [3, 0, 1]
-                assert session.assignment.test_indices.tolist() == [2]
+        with load_features(tmp_path / "data.gcmr", lazy=True) as source:
+            assert source.labels.tolist() == (np.arange(9) % 4 - 2).tolist()
+            (session,) = source.sessions([part])
+            ds = session.dataset
+            # the train rows first, then the test row
+            assert ds.features.shape == (4, 2, 3) and len(ds) == 4
+            assert ds.labels.tolist() == [-2, -1, -2, -1]
+            assert session.assignment.train_indices.tolist() == [2, 0, 1]
+            assert session.assignment.test_indices.tolist() == [3]
+            for index, rows in (([2, 0, 1], [8, 0, 1]), ([3], [5]), ([3, 0, 3], [5, 0, 5]),
+                                ([], [])):
+                got = ds.features[np.array(index, dtype=np.intp)]
+                assert got.tobytes() == features[rows].tobytes()
+                assert got.shape == (len(rows), 2, 3)
+                assert got.flags.c_contiguous and got.flags.writeable
+        with load_features(tmp_path / "data.csv", lazy=True) as source:
+            (session,) = source.sessions([part])
+            assert session.assignment is part
+            assert session.dataset.features.tobytes() == features.tobytes()
 
     def test_validation_chunks_cover_every_row(self, tmp_path, monkeypatch):
         # a chunk of 3 rows, and of less than one row, over 10
@@ -1302,18 +1419,34 @@ class TestLazyLoad:
         assert peak <= allowed + 64 * 1024
         assert allowed < path.stat().st_size // 4
 
-    def test_a_file_cut_short_under_a_read_is_refused(self, tmp_path):
-        # the file shrinks between the identity check and the read
+    def cut_short(self, tmp_path, train: int):
+        """A session of row `train` and test row 8 of 9, and its source's
+        stream, the file then cut 100 bytes short (the checksum and rows 7
+        and 8) under an identity the source takes for its own."""
         path = tmp_path / "data.gcmr"
         save_dataset(TokenDataset(np.ones((9, 2, 3)), np.arange(9)), path)
-        part = data_io.SessionAssignment(4, (7, 8), np.array([7]), np.array([8]))
-        with load_features(path, lazy=True) as source:
-            os.truncate(path, path.stat().st_size - 100)
-            source._identity = data_io._identity(source._fh)
-            with pytest.raises(FormatError, match="^session 4: the dataset file changed "
-                                                  "after it was validated: it ends inside "
-                                                  "row 8$"):
-                list(source.sessions([part]))
+        part = data_io.SessionAssignment(4, (7, 8), np.array([train]), np.array([8]))
+        source = load_features(path, lazy=True)
+        os.truncate(path, path.stat().st_size - 100)
+        source._identity = data_io._identity(source._fh)
+        return source, source.sessions([part])
+
+    @staticmethod
+    def refused(row: int):
+        return pytest.raises(FormatError, match="^session 4: the dataset file changed after it "
+                                                f"was validated: it ends inside row {row}$")
+
+    def test_a_file_cut_short_under_a_read_is_refused(self, tmp_path):
+        source, sessions = self.cut_short(tmp_path, 7)
+        with source, self.refused(7):
+            next(sessions)
+
+    def test_a_file_cut_short_under_a_test_read_is_refused(self, tmp_path):
+        source, sessions = self.cut_short(tmp_path, 0)
+        with source:
+            session = next(sessions)  # its train row is whole
+            with self.refused(8):
+                session.dataset.features[session.assignment.test_indices]
 
     def test_opens_the_file_once(self, tmp_path, monkeypatch):
         # the format is sniffed from the handle that is then read, so a file
@@ -1345,11 +1478,11 @@ class TestLazyLoad:
         features = np.random.default_rng(23).normal(size=(4, 2, 2))
         path = tmp_path / "data.gcmr"
         save_dataset(TokenDataset(features, np.arange(4)), path)
-        part = data_io.SessionAssignment(0, (0, 1, 2, 3), np.arange(4), np.arange(0))
+        part = data_io.SessionAssignment(0, (0, 1, 2, 3), np.arange(2), np.arange(2, 4))
         with load_features(path, lazy=True) as source:
             save_dataset(TokenDataset(np.zeros((4, 2, 2)), np.arange(4)), path)  # atomic
             (session,) = source.sessions([part])
-            assert session.dataset.features.tobytes() == features.tobytes()
+            assert session.dataset.features[np.arange(4)].tobytes() == features.tobytes()
 
     @FUZZ
     @given(blob=dataset_blobs())
@@ -1368,4 +1501,7 @@ class TestLazyLoad:
             assert source.labels.tolist() == whole.labels.tolist()
             assert source.row_shape == whole.features.shape[1:]
             (session,) = source.sessions([part])
-        assert session.dataset.features.tobytes() == whole.features.tobytes()
+            for small, rows in ((session.assignment.train_indices, part.train_indices),
+                                (session.assignment.test_indices, part.test_indices)):
+                assert (session.dataset.features[small].tobytes()
+                        == whole.features[rows].tobytes())

@@ -13,6 +13,7 @@ from gcmr.eval_report import (SessionReport, aggregate, evaluate_session, read_r
                               report_table, write_report)
 from gcmr.memory import (RepresentationMemory, build_weight_memory,
                          init_representation_memory)
+from gcmr.nn_core import NumericalError
 
 
 def oracle_state(n_classes, class_ids=None, session_of=None):
@@ -165,6 +166,23 @@ class TestChunkedScoring:
         _, peak = traced_peak(evaluate_session, state, features, labels)
         # the whole batch's logits would be 8 blocks, twice over with the bias
         assert peak < 2 * block_logits
+
+    def test_a_non_finite_winning_logit_names_the_session(self):
+        n = 2 * HEAD_BLOCK_ROWS + 3
+        gen = np.random.default_rng(3)
+        features, labels = gen.normal(size=(n, 4)), gen.integers(0, 5, size=n)
+        state = random_head_state(5)
+        state.session = 3
+        # run_protocol scores under np.errstate; so does this test
+        with np.errstate(over="ignore", invalid="ignore"):
+            state.classifier.b2[1] = -np.inf  # a logit that never wins is no failure
+            assert evaluate_session(state, features, labels).per_class_acc[1] == 0.0
+            for value in (np.nan, np.inf):
+                bad = features.copy()
+                bad[n - 1, 0] = value  # the last block's last row
+                with pytest.raises(NumericalError, match="^evaluation logits diverged to "
+                                                         "non-finite values at session 3$"):
+                    evaluate_session(state, bad, labels)
 
 
 def make_report(session, acc_all, acc_base=0.9):
