@@ -202,7 +202,11 @@ class SessionData:
 
 @dataclass
 class SessionState:
-    """A session's encoder, classifier head and both memories."""
+    """A session's encoder, classifier head and both memories.
+
+    In a state the trainer returns, classifier is wmem.classifier_snapshot,
+    one read-only object, so the head is held once; load_checkpoint gives
+    the head writable arrays of its own beside the snapshot."""
 
     session: int
     encoder: EncoderParams

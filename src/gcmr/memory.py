@@ -3,7 +3,9 @@
 Representation memory is append-only: each row is the mean normalized
 feature of one class, computed once when the class is introduced and never
 refreshed. Weight memory is a bit-exact snapshot of the classifier at the
-end of a session.
+end of a session: a copy whose arrays are read-only, so nothing can write
+into it, and the trainer hands that snapshot on as the session state's
+head rather than keeping a second, writable copy of it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def column_labels(labels, class_ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightMemory:
-    """Bit-exact snapshot of the classifier at the end of a session."""
+    """Bit-exact snapshot of the classifier at the end of a session. Its
+    arrays are read-only, as RepresentationMemory.rows are."""
 
     classifier_snapshot: ClassifierParams
     session: int
@@ -114,10 +117,15 @@ def update_representation_memory(mem: RepresentationMemory,
 
 def build_weight_memory(params: ClassifierParams, mem: RepresentationMemory,
                         session: int) -> WeightMemory:
-    """Snapshot the classifier that was trained on the memory's classes."""
+    """Snapshot the classifier that was trained on the memory's classes: a
+    copy of params whose arrays are made read-only, so it stays bit-exact
+    whoever holds it, and params itself is left writable."""
     if params.dim != mem.dim:
         raise ValueError("classifier dim does not match memory dim")
-    return WeightMemory(params.copy(), int(session))
+    snapshot = params.copy()
+    for arr in snapshot.arrays().values():
+        arr.setflags(write=False)
+    return WeightMemory(snapshot, int(session))
 
 
 def memory_budget_bytes(mem: RepresentationMemory, wmem: WeightMemory,

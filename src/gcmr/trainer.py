@@ -9,9 +9,11 @@ restores the head from weight memory, expands it by imprinting those novel
 rows, and trains it on the incremental objective against a per-epoch
 refreshed distance dictionary (both projected by the one hidden map,
 classifier.project_batch); the memory term classifies the old rows only.
-Each session ends in a data_io.SessionState, with which
-eval_report.evaluate_session scores the cumulative test set. All
-randomness is derived from the run seed, so repeated runs are bit-identical.
+Each session ends in a data_io.SessionState whose head is its read-only
+weight-memory snapshot, so the trained head exists once after the session;
+with that state eval_report.evaluate_session scores the cumulative test
+set. All randomness is derived from the run seed, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
     begin_epoch(epoch) returns the step function
     (batch, step_seed) -> (total, breakdown, grads), the extra log fields and
     the term weights (None when the epoch's log has no weighted terms). A
-    step's NumericalError is raised again with its session, epoch and step."""
+    step's gradients live until its update has been applied, so the next
+    step's terms run with no other step's gradients alive. A step's
+    NumericalError is raised again with its session, epoch and step."""
     velocities = {name: np.zeros_like(arr) for name, arr in params.items()}
     batches = range(0, n, cfg.batch_size)
     for epoch in range(epochs):
@@ -94,6 +98,7 @@ def _train_session(params, n: int, epochs: int, base_lr: float, t: int, cfg: Tra
             except NumericalError as exc:
                 raise NumericalError(
                     f"{exc} at session {t}, epoch {epoch}, step {step}") from None
+            del grads
             epoch_total += total
             for key, value in breakdown.items():
                 epoch_terms[key] = epoch_terms.get(key, 0.0) + value
@@ -168,7 +173,7 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     fbar = encoder.encode_rows(features, indices, enc)
     mem = init_representation_memory(dict(zip(class_ids, _rows_by_column(fbar, y, counts))))
     wmem = build_weight_memory(head, mem, 0)
-    return SessionState(0, enc, head, mem, wmem)
+    return SessionState(0, enc, wmem.classifier_snapshot, mem, wmem)
 
 
 def train_incremental(state: SessionState, session, cfg: TrainConfig,
@@ -176,7 +181,8 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     """One N-way K-shot session: append the novel class means to memory,
     restore the head from weight memory, imprint novel columns from the new
     memory rows, train on the incremental objective, snapshot the head.
-    The encoder stays frozen throughout."""
+    The encoder stays frozen throughout. The returned state's head is the
+    read-only snapshot; the trained head is dropped on return."""
     t = state.session + 1
     indices = session.assignment.train_indices
     new_ids = list(session.assignment.class_ids)
@@ -221,7 +227,7 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
                    log_sink, begin_epoch)
 
     wmem = build_weight_memory(head, mem, t)
-    return SessionState(t, state.encoder, head, mem, wmem)
+    return SessionState(t, state.encoder, wmem.classifier_snapshot, mem, wmem)
 
 
 def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,

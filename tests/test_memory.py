@@ -93,6 +93,15 @@ class TestWeightMemory:
         params.w1 += 1.0
         assert wmem.classifier_snapshot.state_bytes() != params.state_bytes()
 
+    def test_snapshot_arrays_are_read_only(self):
+        mem = init_representation_memory({0: [np.zeros(4)]})
+        params = init_classifier(4, 3, 1, seed=3)
+        snap = build_weight_memory(params, mem, 0).classifier_snapshot
+        for name, arr in snap.arrays().items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+            assert params.arrays()[name].flags.writeable
+
     def test_dimension_mismatch(self):
         mem = init_representation_memory({0: [np.zeros(5)]})
         params = init_classifier(4, 3, 1, seed=5)

@@ -147,6 +147,30 @@ class TestTrainIncremental:
             assert state.wmem.classifier_snapshot.state_bytes() == \
                 state.classifier.state_bytes()
 
+    def test_state_head_is_its_read_only_snapshot(self, monkeypatch):
+        # each session's state holds its head once, as the snapshot, and the
+        # next session trains a writable head imprinted from it
+        imprinted = []
+        expand = classifier.expand_with_imprinting
+
+        def recording(params, means):
+            imprinted.append(expand(params, means))
+            return imprinted[-1]
+
+        monkeypatch.setattr(classifier, "expand_with_imprinting", recording)
+        sessions = small_stream()
+        cfg = small_config(base_epochs=1, incr_epochs=1)
+        state = trainer.train_base(sessions[0], cfg)
+        for session in [None, *sessions[1:]]:
+            if session is not None:
+                state = trainer.train_incremental(state, session, cfg)
+                assert all(arr.flags.writeable for arr in imprinted[-1].arrays().values())
+            assert state.classifier is state.wmem.classifier_snapshot
+            for arr in state.classifier.arrays().values():
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0.0
+        assert len(imprinted) == len(sessions) - 1
+
     def test_unknown_label_is_named(self):
         sessions = small_stream()
         cfg = small_config(base_epochs=0)
@@ -394,6 +418,29 @@ class TestRunProtocol:
         (reports, _), peak = traced_peak(trainer.run_protocol, sessions, cfg)
         assert len(reports) == 1
         assert peak < test_bytes / 4
+
+    def test_an_incremental_session_holds_each_head_sized_array_once(self, traced_peak):
+        # 1,500 memory rows (five full head blocks) and a 256-wide hidden
+        # layer over 4-wide features: the head terms dominate. In the memory
+        # term's last block of the second step, seven (hidden x columns)
+        # arrays are alive: the previous head (its state's read-only
+        # snapshot), the new head, its velocity, the distance dictionary,
+        # the term's summed w2 gradient, the block's logits (head-sized,
+        # since hidden == HEAD_BLOCK_ROWS) and the block's w2 share. All
+        # else fits in an eighth; a second copy of the previous head or the
+        # first step's gradients would exceed it.
+        base, ways, hidden = 1500, 2, classifier.HEAD_BLOCK_ROWS
+        spec = data_io.SyntheticSpec(d=4, g=2, n_classes=base + ways, class_mean_norm=2.0,
+                                     within_class_sigma=1.0, examples_per_class=3, seed=4)
+        ds = data_io.generate_synthetic(spec)
+        proto = data_io.ProtocolSpec(total_classes=base + ways, base_classes=base,
+                                     n_way=ways, k_shot=2, seed=4, test_per_class=1)
+        sessions = data_io.materialize_sessions(ds, data_io.fscil_split(proto, ds.labels))
+        cfg = small_config(base_epochs=0, incr_epochs=1, batch_size=2, hidden_dim=hidden)
+        (reports, _), peak = traced_peak(trainer.run_protocol, sessions, cfg)
+        assert len(reports) == 2
+        head = hidden * (base + ways) * 8
+        assert peak < 8 * head
 
     def test_wide_rows_encode_within_the_chunk_budget(self, traced_peak):
         # 1,024 indices into rows of 64 x 64 tokens (32 KiB each): gathering
