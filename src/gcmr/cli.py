@@ -129,7 +129,11 @@ def _cmd_synth(args) -> int:
     if spec is None:
         raise ConfigError("synth requires a 'synthetic' section")
     _check_out_file(args.out)
-    dataset = data_io.generate_synthetic(spec)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as the error below
+            dataset = data_io.generate_synthetic(spec)
+    except (ValueError, MemoryError) as exc:  # non-finite values, or too large to hold
+        raise ConfigError(f"synthetic dataset cannot be generated: {exc}") from None
     data_io.save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} examples "
           f"({spec.n_classes} classes, {spec.g}x{spec.d} tokens) to {args.out}")
@@ -195,6 +199,11 @@ def _cmd_run(args) -> int:
             split = data_io.fscil_split(protocol, source.labels)
         except ValueError as exc:
             raise DataError(str(exc)) from None
+        try:  # the base session's head, from its own generator
+            init_classifier(dim, cfg.hidden_dim, len(split[0].class_ids), 0, cfg.dropout_rate)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"train.hidden_dim {cfg.hidden_dim}: the base session's head "
+                              f"cannot be built: {exc}") from None
         if cfg.base_epochs > 0:
             try:
                 mask_count(n_tokens, cfg.loss.mask_ratio)

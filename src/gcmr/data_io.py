@@ -32,10 +32,11 @@ the labels. Its RowSource reads a session's train rows from the handle
 that validated the file when a loop reaches that session, and every other
 row of the session (its test rows) each time a reader indexes it, so those
 are read chunk by chunk when they are encoded. Every read first checks that
-the file's inode, size and modification time are unchanged, merges runs of
-rows separated by small gaps into one os.preadv, and scans the rows it read
-again. Writers stream the header parts and payload arrays into the
-file with a running CRC, without assembling the file in memory.
+the file's inode, size and modification time are unchanged, reads the rows
+in the order asked with one os.preadv per run of consecutive rows, and
+scans the rows it read again. Writers stream the header parts and payload
+arrays into the file with a running CRC, without assembling the file in
+memory.
 
 CSV ingestion accepts two layouts: flat features with header
 ``label,f0,...,f{D-1}`` (one single-token example per line) and token groups
@@ -280,11 +281,12 @@ class RowSource:
     lazy=True) returns: the label column, the row shape (tokens, dim) and
     sessions(split). A binary file's session holds only its train rows,
     read when the loop reaches it; every other row it names is read each
-    time a reader indexes it (SessionRows). Both come from the handle that
-    validated the file, which stays open until close() or the end of a with
-    block, so replacing the file's path cannot reach them. A CSV file is
-    parsed whole, and its sessions index that array as materialize_sessions'
-    do."""
+    time a reader indexes it (SessionRows). Both are read in the order they
+    are asked for, one os.preadv per run of consecutive rows, from the
+    handle that validated the file, which stays open until close() or the
+    end of a with block, so replacing the file's path cannot reach them. A
+    CSV file is parsed whole, and its sessions index that array as
+    materialize_sessions' do."""
 
     def __init__(self, labels: np.ndarray, row_shape: tuple[int, int],
                  dataset: TokenDataset | None = None, fh=None, payload_offset: int = 0,
@@ -308,60 +310,48 @@ class RowSource:
 
     def sessions(self, split: Sequence[SessionAssignment]) -> Iterator[SessionData]:
         """The sessions of split. A binary file's session is made when the
-        loop asks for it, over its train rows, ascending, then its test
-        rows, ascending, with its assignment re-indexed into them, so it
-        reads the same rows in the same order as over the whole dataset; the
-        stream keeps no session once it has handed it out. A CSV file's are
-        materialize_sessions(dataset, split)."""
+        loop asks for it (_session); the stream keeps no session once it has
+        handed it out. A CSV file's are materialize_sessions(dataset,
+        split)."""
         if self._fh is None:
             return iter(materialize_sessions(self._dataset, split))
         return (self._session(part) for part in split)
 
     def _session(self, part: SessionAssignment) -> SessionData:
-        train, test = np.sort(part.train_indices), np.sort(part.test_indices)
-        rows = np.concatenate([train, test])
+        """The session of part over its train rows, then its test rows, each
+        in the assignment's order, with the assignment re-indexed to those
+        positions, so a reader gathers the same rows in the same order as
+        over the whole dataset. Its train rows are read now."""
+        rows = np.concatenate([part.train_indices, part.test_indices])
+        n_train = part.train_indices.size
         dataset = object.__new__(TokenDataset)  # features read on demand, not an array
-        dataset.features = SessionRows(self, rows, self._read(train, part.session),
+        dataset.features = SessionRows(self, rows, self._read(part.train_indices, part.session),
                                        part.session)
         dataset.labels = self.labels[rows]
-        return SessionData(dataset, replace(
-            part, train_indices=np.searchsorted(train, part.train_indices),
-            test_indices=train.size + np.searchsorted(test, part.test_indices)))
+        positions = np.arange(rows.size)
+        return SessionData(dataset, replace(part, train_indices=positions[:n_train],
+                                            test_indices=positions[n_train:]))
 
     def _read(self, rows: np.ndarray, session: int) -> np.ndarray:
-        """The payload rows named by the ascending rows, in a new array. Runs
-        of consecutive rows at most MERGE_GAP_ROWS rows apart are read with
-        one os.preadv, the rows between them going to one scratch buffer.
-        FormatError naming the session when the file is no longer the one
-        validated: its inode, size or modification time changed, it ends
-        early, or a value read is not finite."""
+        """The payload rows named by rows, in that order, in a new array,
+        each run of consecutive rows read with one os.preadv. FormatError
+        naming the session when the file is no longer the one validated: its
+        inode, size or modification time changed, it ends early (the message
+        names the last row of the run cut short), or a value read is not
+        finite."""
         changed = f"session {session}: the dataset file changed after it was validated"
         if _identity(self._fh) != self._identity:
             raise FormatError(changed)
         out = np.empty((rows.size, *self.row_shape))
         row_bytes = 8 * math.prod(self.row_shape)
         view = memoryview(out.reshape(-1).view(np.uint8))
-        gap = memoryview(bytearray(MERGE_GAP_ROWS * row_bytes))
-        starts = np.ones(rows.size, dtype=bool)  # where a run of consecutive rows starts
-        np.not_equal(rows[1:], rows[:-1] + 1, out=starts[1:])
-        starts = np.flatnonzero(starts)
-        reads = []  # (file offset, buffers) of each os.preadv
-        follows = 0  # the row after the last one read
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)  # where each run starts
+        fd = self._fh.fileno()
         for lo, hi, first in zip(starts.tolist(), [*starts[1:].tolist(), rows.size],
                                  rows[starts].tolist()):
-            skip = first - follows
-            if reads and 0 < skip <= MERGE_GAP_ROWS and len(reads[-1][1]) < READ_IOVECS - 1:
-                reads[-1][1].append(gap[:skip * row_bytes])
-            else:
-                reads.append((self._offset + first * row_bytes, []))
-            reads[-1][1].append(view[lo * row_bytes:hi * row_bytes])
-            follows = first + hi - lo
-        fd = self._fh.fileno()
-        for offset, buffers in reads:
-            want = sum(map(len, buffers))
-            if os.preadv(fd, buffers, offset) != want:
-                last = (offset - self._offset + want) // row_bytes - 1
-                raise FormatError(f"{changed}: it ends inside row {last}")
+            run = view[lo * row_bytes:hi * row_bytes]
+            if os.preadv(fd, [run], self._offset + first * row_bytes) != len(run):
+                raise FormatError(f"{changed}: it ends inside row {first + hi - lo - 1}")
         if not np.isfinite(out).all():
             raise FormatError(f"{changed}: non-finite values in its rows")
         return out
@@ -370,10 +360,11 @@ class RowSource:
 class SessionRows:
     """The rows of one session of a binary file's RowSource, indexed like an
     (n, tokens, dim) array by a 1-D array of row positions (shape and
-    features[index] are all it offers). Its train rows come first and are
-    held; an index that names any other row is read from the file each time,
-    with every check of the session's first read, so a session's test rows
-    are never held whole."""
+    features[index] are all it offers). Its train rows come first, in the
+    assignment's order, and are held; an index that names any other row is
+    read from the file each time, in the order it names them, with every
+    check of the session's first read, so a session's test rows are never
+    held whole."""
 
     def __init__(self, source: RowSource, rows: np.ndarray, held: np.ndarray, session: int):
         self._source = source
@@ -386,11 +377,7 @@ class SessionRows:
         index = np.asarray(index)
         if index.size == 0 or (index.min() >= 0 and index.max() < self._held.shape[0]):
             return self._held[index]
-        wanted = self._rows[index]
-        order = np.argsort(wanted)
-        out = np.empty((index.size, *self.shape[1:]))
-        out[order] = self._source._read(wanted[order], self._session)
-        return out
+        return self._source._read(self._rows[index], self._session)
 
 
 def _identity(fh) -> tuple[int, int, int]:
@@ -433,18 +420,6 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 # 38.8 MB. 2 MiB stays above the encode chunk and keeps the load well below
 # the protocol's peak.
 CHUNK_BYTES = 2 << 20
-
-# A session read merges two runs of wanted rows into one os.preadv when at
-# most this many unwanted rows lie between them; their bytes are read into
-# one scratch buffer and dropped. Measured on the cli-stream dataset at seed
-# 4321 (every session's reads of one run, in isolation, 2-vCPU VM): gaps of
-# 0, 1, 2, 4 and 8 rows take 2,108, 1,095, 710, 482 and 350 reads and move
-# 39, 48, 54, 60 and 67 MB, all in 6.9-8.5 ms, copying cost here rivalling
-# the per-call cost; 4 makes under half the 982 reads of one read per run
-# of a session's train and test rows together.
-MERGE_GAP_ROWS = 4
-# The most buffers one os.preadv takes (IOV_MAX on Linux).
-READ_IOVECS = 1024
 
 
 class _Reader:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcmr import cli, data_io
+from gcmr import cli, data_io, trainer
 from gcmr.classifier import incremental_terms
 from gcmr.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, ConfigError,
                       load_run_config, main)
@@ -148,6 +148,29 @@ class TestSynth:
         assert main(["synth", "--spec", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert "d must be at least 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("synthetic, reason", [
+        ({"class_mean_norm": 1e308}, "features contain non-finite entries"),
+        ({"within_class_sigma": 1e308}, "features contain non-finite entries"),
+        ({"n_classes": 100000, "examples_per_class": 1000, "g": 4096, "d": 4096},
+         "Unable to allocate 11.9 PiB"),
+        ({"n_classes": 10 ** 22}, "Maximum allowed dimension exceeded"),
+    ], ids=["huge mean", "huge sigma", "11.9 PiB", "1e22 classes"])
+    def test_spec_that_cannot_be_generated_exits_2_with_one_line(self, tmp_path, synthetic,
+                                                                 reason):
+        # each spec passes SyntheticSpec; a fresh process shows what a user
+        # sees (numpy's overflow warnings, a traceback). Both sizes lie past
+        # any user address space, so numpy refuses them without allocating.
+        spec = {"d": 8, "g": 2, "n_classes": 3, "class_mean_norm": 1.0,
+                "within_class_sigma": 1.0, "examples_per_class": 4, **synthetic}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"version": 1, "synthetic": spec}))
+        out = tmp_path / "d.gcmr"
+        done = _fresh_python("-m", "gcmr", "synth", "--spec", str(config), "--out", str(out))
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert re.fullmatch(f"config error: synthetic dataset cannot be generated: "
+                            f".*{re.escape(reason)}.*\n", done.stderr), done.stderr
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_same_seed_byte_identical_outputs(self, tmp_path, config_file):
         a, b = tmp_path / "a.gcmr", tmp_path / "b.gcmr"
@@ -416,6 +439,23 @@ class TestRun:
         assert "config is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_head_exits_2_before_output(self, tmp_path, dataset_file, capsys,
+                                                      monkeypatch):
+        # 12 x 10**13 float64 weights (873 TiB) lie past any user address
+        # space, so numpy refuses the base head without allocating it
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with a head that cannot be built")
+
+        monkeypatch.setattr(trainer, "train_base", no_training)
+        config = write_config(tmp_path / "c.json", **{"train.hidden_dim": 10 ** 13})
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert re.fullmatch(r"config error: train.hidden_dim 10000000000000: the base "
+                            r"session's head cannot be built: Unable to allocate .*\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_mask_ratio_hiding_every_token_exits_2_before_output(self, tmp_path,
                                                                  dataset_file, capsys):
         # 4-token groups: round(0.9 * 4) = 4 would hide them all
@@ -583,6 +623,24 @@ class TestGradcheck:
         monkeypatch.setattr(cli, "incremental_terms", corrupted)
         assert main(["gradcheck", "--seed", "3"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("objective, analytic, name", [
+        ("incremental", "incremental_terms", "w2"), ("base", "base_loss_backward", "enc_w")])
+    def test_a_gradient_scaled_by_a_tenth_of_a_percent_fails_its_row_alone(
+            self, monkeypatch, objective, analytic, name):
+        # the finite-difference steps, widened against rounding, still see
+        # one whole gradient array off by 0.1 %, and only that array
+        unscaled = getattr(cli, analytic)
+
+        def scaled(*args, **kwargs):
+            total, breakdown, grads = unscaled(*args, **kwargs)
+            return total, breakdown, {**grads, name: grads[name] * (1 + 1e-3)}
+
+        monkeypatch.setattr(cli, analytic, scaled)
+        for seed in range(3):
+            failing = [(row_objective, row_name) for row_objective, row_name, err
+                       in cli.run_gradcheck(seed, 8, 4, 5) if err >= cli.GRADCHECK_TOLERANCE]
+            assert failing == [(objective, name)], seed
 
     def test_corrupt_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

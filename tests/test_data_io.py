@@ -1196,24 +1196,39 @@ class TestRunReadsOnlyTheProtocolRows:
         bound = train_rows + encoded + 4 * encoder.ENCODE_CHUNK_BYTES
         assert peak < bound < test_rows
 
-    def test_reads_no_more_often_than_one_read_per_run_of_rows(self, tmp_path, monkeypatch):
-        # one positioned read per run of consecutive rows of a session's
-        # train and test rows was the bound before test rows were read
-        # apart; merging runs a few rows apart keeps the run under it
+    def test_reads_each_run_of_rows_with_one_call_in_the_order_asked(self, tmp_path,
+                                                                      monkeypatch):
+        # a session's train rows are read when the loop reaches it and its
+        # test rows when they are encoded, each in the assignment's order;
+        # every read makes one positioned read per run of consecutive rows,
+        # at that run's offset, in the order the rows were asked for
         split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=4, test_per_class=3), RUN_LABELS)
-        runs = sum(len(run_lengths(np.sort(np.concatenate([part.train_indices,
-                                                           part.test_indices]))))
-                   for part in split)
-        calls = []
-        preadv = os.preadv
+        asked, calls = [], []
+        read, preadv = data_io.RowSource._read, os.preadv
 
-        def counting(fd, buffers, offset):
-            calls.append(offset)
+        def recording_read(source, rows, session):
+            asked.append((session, rows.tolist()))
+            return read(source, rows, session)
+
+        def recording_preadv(fd, buffers, offset):
+            calls.append((offset, [len(b) for b in buffers]))
             return preadv(fd, buffers, offset)
 
-        monkeypatch.setattr(os, "preadv", counting)
+        monkeypatch.setattr(data_io.RowSource, "_read", recording_read)
+        monkeypatch.setattr(os, "preadv", recording_preadv)
         assert self.run(tmp_path, write_blob(tmp_path, SEALED))[0] == 0
-        assert 0 < len(calls) <= runs
+        for part in split:
+            reads = [rows for session, rows in asked if session == part.session]
+            assert reads[0] == part.train_indices.tolist()
+            assert sum(reads[1:], []) == part.test_indices.tolist()
+        expected = []
+        for _, rows in asked:
+            at = 0
+            for length in run_lengths(np.array(rows)):
+                expected.append((312 + rows[at] * 48, [length * 48]))
+                at += length
+        assert calls == expected
+        assert any(sizes != [48] for _, sizes in calls)  # some run is longer than a row
 
     def write_row(self, path, row: int, value: float) -> None:
         """Overwrite the first value of payload row `row` of a RUN_BODY file
@@ -1345,7 +1360,8 @@ class TestRunReadsOnlyTheProtocolRows:
 
 
 def run_lengths(rows: np.ndarray) -> list[int]:
-    """Lengths of the runs of consecutive values in the ascending rows."""
+    """Lengths of the runs of consecutive ascending values in rows, in
+    order."""
     starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
     return np.diff(np.append(starts, rows.size)).tolist()
 
@@ -1362,9 +1378,9 @@ def write_token_csv(path, dataset: TokenDataset) -> None:
 
 class TestLazyLoad:
     def test_reads_the_rows_of_a_full_load(self, tmp_path):
-        # train rows 0 1 8, test row 5 of 9: the payload's first and last
-        # row, runs of one
-        assert run_lengths(np.array([0, 1, 5, 8])) == [2, 1, 1]
+        # train rows 8 0 1, test row 5 of 9: the payload's last and first
+        # rows, a run of two and runs of one
+        assert run_lengths(np.array([8, 0, 1, 5])) == [1, 2, 1]
         features = np.random.default_rng(20).normal(size=(9, 2, 3))
         dataset = TokenDataset(features, np.arange(9) % 4 - 2)
         save_dataset(dataset, tmp_path / "data.gcmr")
@@ -1374,13 +1390,13 @@ class TestLazyLoad:
             assert source.labels.tolist() == (np.arange(9) % 4 - 2).tolist()
             (session,) = source.sessions([part])
             ds = session.dataset
-            # the train rows first, then the test row
+            # the train rows first, then the test row, in assignment order
             assert ds.features.shape == (4, 2, 3) and len(ds) == 4
-            assert ds.labels.tolist() == [-2, -1, -2, -1]
-            assert session.assignment.train_indices.tolist() == [2, 0, 1]
+            assert ds.labels.tolist() == [-2, -2, -1, -1]
+            assert session.assignment.train_indices.tolist() == [0, 1, 2]
             assert session.assignment.test_indices.tolist() == [3]
-            for index, rows in (([2, 0, 1], [8, 0, 1]), ([3], [5]), ([3, 0, 3], [5, 0, 5]),
-                                ([], [])):
+            for index, rows in (([0, 1, 2], [8, 0, 1]), ([3], [5]), ([3, 0, 3], [5, 8, 5]),
+                                ([2, 1, 3], [1, 0, 5]), ([], [])):
                 got = ds.features[np.array(index, dtype=np.intp)]
                 assert got.tobytes() == features[rows].tobytes()
                 assert got.shape == (len(rows), 2, 3)
