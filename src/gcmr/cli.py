@@ -189,7 +189,7 @@ def _cmd_run(args) -> int:
     _check_fresh_out(args.out)
 
     try:
-        source = data_io.load_features(args.data, lazy=True)
+        source = data_io.load_features(args.data)
     except (data_io.FormatError, OSError, ValueError) as exc:
         raise DataError(str(exc)) from None
     with source:  # a binary dataset's handle stays open until the run ends

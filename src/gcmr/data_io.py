@@ -22,16 +22,15 @@ trainer does.
 
 A load is one sequential pass over an open file, read from the handle that
 read its magic: a running CRC covers every byte, every float section is
-scanned for non-finite values as it is read into a new writable array, and
-nothing is allocated for a size the rest of the file cannot hold. A
-structural error met on the way is raised only after the checksum matched,
-so a corrupt file reports its checksum first. A lazy dataset load
-(load_features(path, lazy=True), what `gcmr run` does) streams the payload
-through one buffer of CHUNK_BYTES, checksummed and scanned, and keeps only
-the labels. Its RowSource reads a session's train rows from the handle
-that validated the file when a loop reaches that session, and every other
-row of the session (its test rows) each time a reader indexes it, so those
-are read chunk by chunk when they are encoded. Every read first checks that
+scanned for non-finite values as it is read, and nothing is allocated for
+a size the rest of the file cannot hold. A structural error met on the way
+is raised only after the checksum matched, so a corrupt file reports its
+checksum first. A dataset load (load_features) streams the payload through
+one buffer of CHUNK_BYTES, checksummed and scanned, and keeps only the
+labels. Its RowSource reads a session's train rows from the handle that
+validated the file when a loop reaches that session, and every other row
+of the session (its test rows) each time a reader indexes it, so those are
+read chunk by chunk when they are encoded. Every read first checks that
 the file's inode, size and modification time are unchanged, reads the rows
 in the order asked with one os.preadv per run of consecutive rows, and
 scans the rows it read again. Writers stream the header parts and payload
@@ -148,32 +147,19 @@ class TokenDataset:
     labels: np.ndarray    # (n,)
 
     def __post_init__(self):
-        self._coerce()
-        # One whole-array scan, on purpose (see _Reader.floats): freeing its
-        # large boolean temporary raises glibc's mmap threshold above the
-        # protocol's MB-sized temporaries, which run_protocol's CPU relies on
-        # for a generated dataset. In `gcmr run`, whose lazy load scans per
-        # chunk, the freed CHUNK_BYTES buffer raises it instead.
-        if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite entries")
-
-    def _coerce(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 3:
             raise ValueError("features must have shape (n, tokens, dim)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with features")
-
-    @classmethod
-    def from_finite(cls, features, labels) -> "TokenDataset":
-        """A dataset over features already known to be finite (a payload the
-        binary reader scanned, CSV values checked per line): the shape checks
-        run, the finiteness scan does not."""
-        out = object.__new__(cls)
-        out.features, out.labels = features, labels
-        out._coerce()
-        return out
+        # One whole-array scan, on purpose: freeing its large boolean
+        # temporary raises glibc's mmap threshold above the protocol's
+        # MB-sized temporaries, which run_protocol's CPU relies on for a
+        # generated dataset. In `gcmr run`, whose load scans per chunk, the
+        # freed CHUNK_BYTES buffer raises it instead.
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain non-finite entries")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -191,13 +177,14 @@ class SessionAssignment:
 
 @dataclass(frozen=True)
 class SessionData:
-    """One session: the dataset its rows live in and the assignment that
-    picks them. It holds no rows of its own; every reader gathers them
-    through the assignment's train_indices and test_indices, as
-    dataset.features[indices]. In a session of a binary file's RowSource,
-    dataset.features is a SessionRows."""
+    """One session: the features and labels its rows live in and the
+    assignment that picks them. Every reader gathers its rows through the
+    assignment's train_indices and test_indices, as features[indices] and
+    labels[indices]. features is an (n, tokens, dim) array, or in a session
+    of a binary file's RowSource a SessionRows."""
 
-    dataset: TokenDataset
+    features: np.ndarray | SessionRows
+    labels: np.ndarray
     assignment: SessionAssignment
 
 
@@ -271,29 +258,30 @@ def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
 
 def materialize_sessions(dataset: TokenDataset,
                          split: Sequence[SessionAssignment]) -> list[SessionData]:
-    """The sessions of a split: each is the dataset plus its assignment, so
-    no session's rows are copied."""
-    return [SessionData(dataset, part) for part in split]
+    """The sessions of a split: each shares the dataset's features and
+    labels and adds its assignment, so no session's rows are copied."""
+    return [SessionData(dataset.features, dataset.labels, part) for part in split]
 
 
 class RowSource:
-    """A validated dataset read session by session, what load_features(path,
-    lazy=True) returns: the label column, the row shape (tokens, dim) and
-    sessions(split). A binary file's session holds only its train rows,
-    read when the loop reaches it; every other row it names is read each
-    time a reader indexes it (SessionRows). Both are read in the order they
-    are asked for, one os.preadv per run of consecutive rows, from the
-    handle that validated the file, which stays open until close() or the
-    end of a with block, so replacing the file's path cannot reach them. A
-    CSV file is parsed whole, and its sessions index that array as
-    materialize_sessions' do."""
+    """A validated dataset read session by session, what load_features
+    returns: the label column, the row shape (tokens, dim) and
+    sessions(split), whose sessions are each its features, labels and
+    assignment. A binary file's session holds only its train rows, read
+    when the loop reaches it; every other row it names is read each time a
+    reader indexes it (SessionRows). Both are read in the order they are
+    asked for, one os.preadv per run of consecutive rows, from the handle
+    that validated the file, which stays open until close() or the end of a
+    with block, so replacing the file's path cannot reach them. A CSV file
+    is parsed whole into features, and its sessions index that array and
+    the label column as materialize_sessions' do."""
 
     def __init__(self, labels: np.ndarray, row_shape: tuple[int, int],
-                 dataset: TokenDataset | None = None, fh=None, payload_offset: int = 0,
+                 features: np.ndarray | None = None, fh=None, payload_offset: int = 0,
                  identity: tuple | None = None):
         self.labels = labels
         self.row_shape = row_shape
-        self._dataset = dataset
+        self._features = features
         self._fh = fh
         self._offset = payload_offset
         self._identity = identity
@@ -311,10 +299,10 @@ class RowSource:
     def sessions(self, split: Sequence[SessionAssignment]) -> Iterator[SessionData]:
         """The sessions of split. A binary file's session is made when the
         loop asks for it (_session); the stream keeps no session once it has
-        handed it out. A CSV file's are materialize_sessions(dataset,
-        split)."""
+        handed it out. A CSV file's share its features and labels, as
+        materialize_sessions' do."""
         if self._fh is None:
-            return iter(materialize_sessions(self._dataset, split))
+            return (SessionData(self._features, self.labels, part) for part in split)
         return (self._session(part) for part in split)
 
     def _session(self, part: SessionAssignment) -> SessionData:
@@ -324,13 +312,12 @@ class RowSource:
         over the whole dataset. Its train rows are read now."""
         rows = np.concatenate([part.train_indices, part.test_indices])
         n_train = part.train_indices.size
-        dataset = object.__new__(TokenDataset)  # features read on demand, not an array
-        dataset.features = SessionRows(self, rows, self._read(part.train_indices, part.session),
-                                       part.session)
-        dataset.labels = self.labels[rows]
+        features = SessionRows(self, rows, self._read(part.train_indices, part.session),
+                               part.session)
         positions = np.arange(rows.size)
-        return SessionData(dataset, replace(part, train_indices=positions[:n_train],
-                                            test_indices=positions[n_train:]))
+        return SessionData(features, self.labels[rows],
+                           replace(part, train_indices=positions[:n_train],
+                                   test_indices=positions[n_train:]))
 
     def _read(self, rows: np.ndarray, session: int) -> np.ndarray:
         """The payload rows named by rows, in that order, in a new array,
@@ -358,9 +345,9 @@ class RowSource:
 
 
 class SessionRows:
-    """The rows of one session of a binary file's RowSource, indexed like an
-    (n, tokens, dim) array by a 1-D array of row positions (shape and
-    features[index] are all it offers). Its train rows come first, in the
+    """The features of one session of a binary file's RowSource, indexed
+    like an (n, tokens, dim) array by a 1-D array of row positions (shape
+    and features[index] are all it offers). Its train rows come first, in the
     assignment's order, and are held; an index that names any other row is
     read from the file each time, in the order it names them, with every
     check of the session's first read, so a session's test rows are never
@@ -408,7 +395,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 
 # --- binary reader/writer helpers -----------------------------------------
 
-# Bytes of the one buffer through which a lazy dataset load streams the
+# Bytes of the one buffer through which a dataset load streams the
 # payload (each chunk checksummed and scanned, then dropped), and through
 # which a failed parse drains the rest of a file into the checksum. Freeing
 # it at the end of the load raises glibc's dynamic mmap threshold to its
@@ -462,15 +449,9 @@ class _Reader:
         """count float64 values in a new writable array; FormatError at the
         end of the section when one of them is not finite."""
         values = self.array(count, "<f8", what)
-        # Keep this scan whole-array rather than blockwise. Freeing its
-        # boolean temporary (1/8 of the section) raises glibc's dynamic mmap
-        # threshold above the MB-sized temporaries of a protocol that runs on
-        # a dataset loaded whole, so those come from the heap and not from
-        # fresh mmaps: on cli-stream shapes (seed 4321, one BLAS thread) the
-        # first run_protocol took 1,670-1,672 minor faults with this scan and
-        # 7,900-7,903 with a 64 Ki-element blockwise one. A lazy load scans
-        # per chunk, and there the freed CHUNK_BYTES buffer raises the
-        # threshold instead.
+        # Only checkpoint sections come through here, each a model array
+        # that is kept whole, so one whole-array scan costs a boolean
+        # temporary of an eighth of it.
         if not np.isfinite(values).all():
             raise FormatError(f"non-finite values in {what}", self.pos)
         return values
@@ -549,11 +530,6 @@ def _load(fh, magic: bytes, kind: int, parse):
     return value
 
 
-def _load_path(path, kind: int, parse):
-    with open(path, "rb") as fh:
-        return _load(fh, fh.read(4), kind, parse)
-
-
 def _write_blob(path, kind: int, parts) -> None:
     """Write the magic, the header of kind, the parts (bytes or C-contiguous
     arrays) and then the CRC32 of all of them to path, through atomic_open."""
@@ -600,15 +576,10 @@ def save_dataset(dataset: TokenDataset, path) -> None:
     ])
 
 
-def load_dataset(path) -> TokenDataset:
-    """The token dataset in the binary file at path, read in one pass."""
-    return _load_path(path, KIND_DATASET, _read_dataset)
-
-
-def _read_dataset(reader: _Reader, lazy: bool = False):
-    """The dataset section: a TokenDataset, or with lazy its labels, row
-    shape (tokens, dim) and payload offset, the payload checksummed and
-    scanned through one buffer and dropped."""
+def _read_dataset(reader: _Reader):
+    """The dataset section's labels, row shape (tokens, dim) and payload
+    offset, the payload checksummed and scanned through one buffer and
+    dropped."""
     n, g, d, n_classes = reader.unpack("<IIII", "dataset shape")
     if g < 1 or d < 1:
         raise FormatError(f"degenerate dataset shape ({n}, {g}, {d})", reader.pos - 16)
@@ -618,13 +589,9 @@ def _read_dataset(reader: _Reader, lazy: bool = False):
         raise FormatError(f"label index {label_idx.max()} outside the class table "
                           f"of {n_classes} classes", reader.pos)
     reader.need(n * g * d * 8, "feature payload")
-    labels = class_ids[label_idx]
-    if lazy:
-        offset = reader.pos
-        reader.skip_floats(n * g * d, "feature payload")
-        return labels, (g, d), offset
-    features = reader.floats(n * g * d, "feature payload").reshape(n, g, d)
-    return TokenDataset.from_finite(features, labels)
+    offset = reader.pos
+    reader.skip_floats(n * g * d, "feature payload")
+    return class_ids[label_idx], (g, d), offset
 
 
 def _construct(reader: _Reader, what: str, make, *args):
@@ -675,7 +642,8 @@ def save_checkpoint(state: SessionState, path) -> None:
 def load_checkpoint(path) -> SessionState:
     """The session state save_checkpoint wrote, with the weight memory
     rebuilt from the head."""
-    return _load_path(path, KIND_CHECKPOINT, _read_checkpoint)
+    with open(path, "rb") as fh:
+        return _load(fh, fh.read(4), KIND_CHECKPOINT, _read_checkpoint)
 
 
 def _read_checkpoint(reader: _Reader) -> SessionState:
@@ -729,11 +697,12 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
     return value
 
 
-def _read_csv(fh, not_binary: str = "") -> TokenDataset:
+def _read_csv(fh, not_binary: str = "") -> RowSource:
     """The CSV dataset in the open binary file fh, read from where it stands
-    to its end; closes fh. not_binary is appended to the error of a file
-    that is no CSV at all (unreadable, empty, or without the label header):
-    why it is no binary dataset either."""
+    to its end, as a RowSource over its parsed features, each value checked
+    finite on its line; closes fh. not_binary is appended to the error of a
+    file that is no CSV at all (unreadable, empty, or without the label
+    header): why it is no binary dataset either."""
     try:
         with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
             reader = csv.reader(text)
@@ -774,37 +743,31 @@ def _read_csv(fh, not_binary: str = "") -> TokenDataset:
     sizes = {len(e) for e in examples}
     if len(sizes) != 1:
         raise FormatError(f"examples have differing token counts {sorted(sizes)}")
-    return TokenDataset.from_finite(np.asarray(examples), labels)
+    features = np.asarray(examples, dtype=np.float64)
+    return RowSource(np.asarray(labels, dtype=np.int64), features.shape[1:], features=features)
 
 
-def load_features(path, lazy: bool = False):
-    """Load a dataset from the binary format or from CSV, told apart by the
+def load_features(path) -> RowSource:
+    """The dataset at path, in the binary format or CSV, told apart by the
     first bytes of the one handle that is then read. A file without the
     binary magic is read as CSV; when it is no CSV at all, the error also
     says why it is not a binary file.
 
-    With lazy, the result is a RowSource rather than a TokenDataset. A
-    binary file is validated in full as always (checksum, structure, every
-    value finite) but only its labels are kept, and its handle stays open
-    in the source, which reads a session's train rows when a loop reaches
-    that session and its other rows when they are indexed. A CSV file is
-    parsed whole, and the source's sessions index that array."""
+    A binary file is validated in full (checksum, structure, every value
+    finite) but only its labels are kept, and its handle stays open in the
+    source, which reads a session's train rows when a loop reaches that
+    session and its other rows when they are indexed. A CSV file is parsed
+    whole, and the source's sessions index that array."""
     with contextlib.ExitStack() as cleanup:
         fh = cleanup.enter_context(open(path, "rb"))
         head = fh.read(4)
-        if head == FORMAT_MAGIC and lazy:
+        if head == FORMAT_MAGIC:
             identity = _identity(fh)
-            labels, row_shape, offset = _load(fh, head, KIND_DATASET,
-                                              lambda reader: _read_dataset(reader, lazy=True))
+            labels, row_shape, offset = _load(fh, head, KIND_DATASET, _read_dataset)
             cleanup.pop_all()  # the source closes the handle
             return RowSource(labels, row_shape, fh=fh, payload_offset=offset,
                              identity=identity)
-        if head == FORMAT_MAGIC:
-            return _load(fh, head, KIND_DATASET, _read_dataset)
         fh.seek(0)
         why = (f"bad magic {head!r}, expected {FORMAT_MAGIC!r}" if len(head) == 4
                else f"it ends inside the magic, after {len(head)} bytes")
-        dataset = _read_csv(fh, f"; nor is it a GCMR binary file: {why}")
-    if lazy:
-        return RowSource(dataset.labels, dataset.features.shape[1:], dataset=dataset)
-    return dataset
+        return _read_csv(fh, f"; nor is it a GCMR binary file: {why}")

@@ -137,13 +137,13 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     `gcmr run --no-base-finetune` sets) the optimization loop is skipped
     and memories are built from the freshly initialized model.
     """
-    features = base_session.dataset.features
+    features = base_session.features
     indices = base_session.assignment.train_indices
     class_ids = list(base_session.assignment.class_ids)
     with _session_errors(0):
         if indices.shape[0] == 0:
             raise ValueError("base session has no training examples")
-        y = column_labels(base_session.dataset.labels[indices], class_ids)
+        y = column_labels(base_session.labels[indices], class_ids)
         counts = np.bincount(y, minlength=len(class_ids))
         if np.any(counts == 0):
             missing = [class_ids[i] for i in np.flatnonzero(counts == 0)]
@@ -196,12 +196,12 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
         if collisions:
             raise ValueError(f"session classes already seen: {sorted(collisions)}")
 
-        y = column_labels(session.dataset.labels[indices], new_ids)
+        y = column_labels(session.labels[indices], new_ids)
         counts = np.bincount(y, minlength=len(new_ids))
         if np.any(counts == 0):
             missing = [new_ids[i] for i in np.flatnonzero(counts == 0)]
             raise ValueError(f"novel classes without support examples: {missing}")
-        fbar = encoder.encode_rows(session.dataset.features, indices, state.encoder)
+        fbar = encoder.encode_rows(session.features, indices, state.encoder)
         mem = update_representation_memory(
             state.mem, dict(zip(new_ids, _rows_by_column(fbar, y, counts))), t)
         head = classifier.expand_with_imprinting(state.wmem.classifier_snapshot,
@@ -261,9 +261,9 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
             else:
                 state = train_incremental(state, session, cfg, log_sink)
             test = session.assignment.test_indices
-            encoded = encoder.encode_rows(session.dataset.features, test, state.encoder)
+            encoded = encoder.encode_rows(session.features, test, state.encoder)
             if t == 0:
-                features, labels = encoded, session.dataset.labels[test]
+                features, labels = encoded, session.labels[test]
                 n = n_base = test.shape[0]
             else:
                 stop = n + test.shape[0]
@@ -273,7 +273,7 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
                     features = _grown(features, max(stop, 2 * features.shape[0] - n_base))
                     labels = _grown(labels, features.shape[0])
                 features[n:stop] = encoded
-                labels[n:stop] = session.dataset.labels[test]
+                labels[n:stop] = session.labels[test]
                 n = stop
             del session
             report = eval_report.evaluate_session(

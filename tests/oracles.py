@@ -196,8 +196,8 @@ def reencoded_reports(stream, cfg):
         else:
             state = trainer.train_incremental(state, session, cfg)
         test = session.assignment.test_indices
-        raws.append(session.dataset.features[test])
-        labels.append(session.dataset.labels[test])
+        raws.append(session.features[test])
+        labels.append(session.labels[test])
         features = normalized_features(np.concatenate(raws), state.encoder)
         reports.append(evaluate_session(state, features, np.concatenate(labels),
                                         [r.acc_all for r in reports]))

@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import math
@@ -16,8 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gcmr import data_io, encoder, trainer
 from gcmr.cli import EXIT_DATA, EXIT_NUMERIC, load_run_config, main
 from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
-                          atomic_open, fscil_split, generate_synthetic, load_checkpoint,
-                          load_dataset, load_features, materialize_sessions,
+                          SessionAssignment, atomic_open, fscil_split, generate_synthetic,
+                          load_checkpoint, load_features, materialize_sessions,
                           save_checkpoint, save_dataset)
 from oracles import fscil_split_per_class
 
@@ -179,10 +178,11 @@ class TestSessionSequence:
 
     @staticmethod
     def assert_session_is_the_split_part(session, ds, part):
-        assert session.dataset is ds and session.assignment is part
+        assert session.features is ds.features and session.labels is ds.labels
+        assert session.assignment is part
         # the rows its indices pick are those of its classes
         for indices in (session.assignment.train_indices, session.assignment.test_indices):
-            assert set(session.dataset.labels[indices].tolist()) == set(part.class_ids)
+            assert set(session.labels[indices].tolist()) == set(part.class_ids)
 
     def test_indices_and_slices_behave_as_on_a_list(self):
         ds, split = self.dataset_and_split()
@@ -211,9 +211,9 @@ class TestSessionSequence:
             for session, part in zip(seen, split):
                 self.assert_session_is_the_split_part(session, ds, part)
 
-    def test_a_session_is_its_dataset_and_assignment(self, traced_peak):
+    def test_a_session_is_its_features_labels_and_assignment(self, traced_peak):
         assert [f.name for f in dataclasses.fields(data_io.SessionData)] == [
-            "dataset", "assignment"]
+            "features", "labels", "assignment"]
         for name in ("train", "test", "session", "class_ids", "from_datasets"):
             assert not hasattr(data_io.SessionData, name)
         assert not hasattr(TokenDataset, "subset")
@@ -223,7 +223,7 @@ class TestSessionSequence:
         # indexing copies no rows
         assert peak < 0.01 * ds.features.nbytes
         for session, part in zip(held, split + split):
-            assert session.dataset is ds and session.assignment is part
+            self.assert_session_is_the_split_part(session, ds, part)
 
     def test_sessions_are_not_sliced_up_front(self, traced_peak):
         ds, split = self.dataset_and_split()
@@ -364,6 +364,14 @@ def write_blob(tmp_path, blob: bytes):
     return path
 
 
+def read_rows(source) -> np.ndarray:
+    """Every row of the RowSource source, in file order, read through one
+    session that trains on all of them."""
+    n = source.labels.shape[0]
+    (session,) = source.sessions([SessionAssignment(0, (), np.arange(n), np.arange(0))])
+    return session.features[np.arange(n)]
+
+
 def seal(draw, body: bytes) -> bytes:
     """body whole, cut at a drawn point or followed by drawn bytes; then its CRC."""
     mode = draw(st.sampled_from(("whole", "cut", "extra")))
@@ -453,12 +461,13 @@ class TestBinaryRoundTrips:
         ds = TokenDataset(features, np.array([3, 1, 4, 1, 5]))
         path = tmp_path / "data.gcmr"
         save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.features.tobytes() == ds.features.tobytes()
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
+        with load_features(path) as source:
+            loaded = read_rows(source)
+            np.testing.assert_array_equal(source.labels, ds.labels)
+        assert loaded.tobytes() == ds.features.tobytes()
         # signed zero preserved
-        assert np.signbit(loaded.features[0, 0, 1])
-        assert not np.signbit(loaded.features[0, 0, 0])
+        assert np.signbit(loaded[0, 0, 1])
+        assert not np.signbit(loaded[0, 0, 0])
 
     def test_checkpoint_round_trip_deep_equal(self, tmp_path):
         state = small_state()
@@ -492,7 +501,7 @@ class TestBinaryRoundTrips:
         features = gen.normal(size=(3, 2, 2))
         dataset = with_crc(dataset_body(4, 2, 2, [0, 1], [0, 1, 0], features.ravel()))
         checkpoint = with_crc(checkpoint_body(4, small_state()))
-        for blob, load in ((dataset, load_dataset), (checkpoint, load_checkpoint)):
+        for blob, load in ((dataset, load_features), (checkpoint, load_checkpoint)):
             with pytest.raises(FormatError, match="float width 4") as excinfo:
                 load(write_blob(tmp_path, blob))
             assert excinfo.value.offset == 7
@@ -545,30 +554,10 @@ class TestBinaryRoundTrips:
         assert loaded.mem.rows.tobytes() == state.mem.rows.tobytes()
 
 
-class TestZeroCopyLoad:
-    @pytest.mark.parametrize("n", [4, 5])  # the payload offset is unaligned for odd n
-    def test_features_are_contiguous_aligned_writable_float64(self, tmp_path, n):
-        features = np.random.default_rng(15).normal(size=(n, 3, 2))
-        path = tmp_path / "data.gcmr"
-        save_dataset(TokenDataset(features, np.arange(n) % 2), path)
-        loaded = load_dataset(path).features
-        assert loaded.dtype == np.float64
-        assert loaded.flags.c_contiguous and loaded.flags.aligned and loaded.flags.writeable
-        assert loaded.tobytes() == features.tobytes()
-        loaded[0, 0, 0] = 1.0  # writable in place
-
-    def test_load_allocates_little_beyond_the_file(self, tmp_path, traced_peak):
-        features = np.random.default_rng(16).normal(size=(1024, 8, 64))  # 4 MB
-        path = tmp_path / "big.gcmr"
-        save_dataset(TokenDataset(features, np.arange(1024) % 10), path)
-        size = path.stat().st_size
-        loaded, peak = traced_peak(load_dataset, path)
-        assert loaded.features.tobytes() == features.tobytes()
-        # one buffer of the file plus the finiteness mask (1/8) and labels
-        assert peak <= 1.25 * size
-
-    def test_loaders_build_through_the_scan_free_constructor(self, tmp_path, monkeypatch):
-        # the binary reader scans once itself; CSV values are checked per line
+class TestFiniteness:
+    def test_loaders_scan_each_value_once(self, tmp_path, monkeypatch):
+        # the binary reader scans once itself; CSV values are checked per
+        # line; neither builds a TokenDataset, whose constructor scans again
         path = tmp_path / "data.gcmr"
         save_dataset(TokenDataset(np.ones((2, 2, 2)), np.array([0, 1])), path)
         flat = tmp_path / "flat.csv"
@@ -580,19 +569,22 @@ class TestZeroCopyLoad:
             raise AssertionError("second finiteness scan")
 
         monkeypatch.setattr(TokenDataset, "__post_init__", fail)
-        assert len(load_dataset(path)) == 2
+        with load_features(path) as source:
+            assert len(source.labels) == 2
         monkeypatch.setattr(np, "isfinite", fail)
-        assert load_features(flat).features.shape == (1, 1, 2)
-        assert load_features(groups).features.shape == (1, 2, 1)
+        for csv_path, row_shape in ((flat, (1, 2)), (groups, (2, 1))):
+            with load_features(csv_path) as source:
+                assert source.row_shape == row_shape
+                assert read_rows(source).shape == (1, *row_shape)
 
-    def test_plain_constructor_still_rejects_non_finite(self):
+    def test_constructor_rejects_non_finite_and_misaligned_rows(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 TokenDataset(np.array([[[1.0, bad]]]), np.array([0]))
-        ds = TokenDataset.from_finite(np.ones((2, 1, 2)), [4, 5])
+        ds = TokenDataset(np.ones((2, 1, 2)), [4, 5])
         assert ds.labels.dtype == np.int64
         with pytest.raises(ValueError, match="align"):
-            TokenDataset.from_finite(np.ones((2, 1, 2)), [4])
+            TokenDataset(np.ones((2, 1, 2)), [4])
 
 
 class TestAtomicWrites:
@@ -629,7 +621,8 @@ class TestAtomicWrites:
         path.write_bytes(b"old")
         ds = TokenDataset(np.ones((2, 2, 2)), np.array([0, 1]))
         save_dataset(ds, path)
-        assert load_dataset(path).features.tobytes() == ds.features.tobytes()
+        with load_features(path) as source:
+            assert read_rows(source).tobytes() == ds.features.tobytes()
         assert [p.name for p in tmp_path.iterdir()] == ["data.gcmr"]
 
     def test_only_whole_file_modes(self, tmp_path):
@@ -653,7 +646,7 @@ class TestFormatErrors:
         blob[:4] = b"NOPE"
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="bad magic"):
-            load_dataset(path)
+            load_features(path)
 
     def test_version_mismatch(self, tmp_path):
         path = self.make_dataset_file(tmp_path)
@@ -662,7 +655,7 @@ class TestFormatErrors:
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(FormatError, match="unsupported format version"):
-            load_dataset(path)
+            load_features(path)
 
     def test_versions_are_per_kind(self, tmp_path):
         state = small_state()
@@ -672,10 +665,11 @@ class TestFormatErrors:
                 load_checkpoint(write_blob(tmp_path, old_checkpoint))
             assert excinfo.value.offset == 4
         v1_dataset = dataset_body(8, 1, 2, [3], [0], [1.0, -2.0])
-        assert load_dataset(write_blob(tmp_path, with_crc(v1_dataset))).labels.tolist() == [3]
+        with load_features(write_blob(tmp_path, with_crc(v1_dataset))) as source:
+            assert source.labels.tolist() == [3]
         v2_dataset = v1_dataset[:4] + struct.pack("<H", 2) + v1_dataset[6:]
         with pytest.raises(FormatError, match="unsupported format version") as excinfo:
-            load_dataset(write_blob(tmp_path, with_crc(v2_dataset)))
+            load_features(write_blob(tmp_path, with_crc(v2_dataset)))
         assert excinfo.value.offset == 4
 
     def test_truncation_reports_offset(self, tmp_path):
@@ -685,7 +679,7 @@ class TestFormatErrors:
         body = truncated[:-4]
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(FormatError, match="file ends inside") as excinfo:
-            load_dataset(path)
+            load_features(path)
         assert excinfo.value.offset is not None
 
     def test_checksum_mismatch(self, tmp_path):
@@ -694,7 +688,7 @@ class TestFormatErrors:
         blob[10] ^= 0xFF
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="checksum mismatch"):
-            load_dataset(path)
+            load_features(path)
 
     def test_kind_mismatch(self, tmp_path):
         path = self.make_dataset_file(tmp_path)
@@ -702,14 +696,16 @@ class TestFormatErrors:
             load_checkpoint(path)
 
     def test_fuzz_random_bytes_raise_format_errors_only(self, tmp_path):
-        # 10,000 random byte strings must never crash the loader
+        # 10,000 random byte strings must never crash the loader: nearly all
+        # lack the magic and reach the CSV reader; the next test's keep the
+        # magic and reach the binary reader
         gen = np.random.default_rng(9)
         path = tmp_path / "fuzz.bin"
         for _ in range(10_000):
             length = int(gen.integers(0, 120))
             path.write_bytes(gen.bytes(length))
             with pytest.raises(FormatError):
-                load_dataset(path)
+                load_features(path)
 
     def test_fuzz_with_valid_magic_prefix(self, tmp_path):
         gen = np.random.default_rng(10)
@@ -718,29 +714,31 @@ class TestFormatErrors:
             blob = b"GCMR" + gen.bytes(int(gen.integers(0, 80)))
             path.write_bytes(blob)
             with pytest.raises(FormatError):
-                load_dataset(path)
+                load_features(path)
 
     def test_empty_class_table_with_examples(self, tmp_path):
         blob = with_crc(dataset_body(8, 1, 2, [], [0, 0], np.zeros(4)))
         with pytest.raises(FormatError, match="class table") as excinfo:
-            load_dataset(write_blob(tmp_path, blob))
+            load_features(write_blob(tmp_path, blob))
         assert excinfo.value.offset == 24 + 4 * 2  # after the labels
 
     def test_label_index_past_the_table(self, tmp_path):
         blob = with_crc(dataset_body(8, 1, 2, [5, 6], [0, 2], np.zeros(4)))
         with pytest.raises(FormatError, match="class table") as excinfo:
-            load_dataset(write_blob(tmp_path, blob))
+            load_features(write_blob(tmp_path, blob))
         assert excinfo.value.offset == 24 + 8 * 2 + 4 * 2
 
     def test_empty_dataset_loads(self, tmp_path):
-        ds = load_dataset(write_blob(tmp_path, with_crc(dataset_body(8, 2, 3, [], [], []))))
-        assert ds.features.shape == (0, 2, 3) and ds.labels.shape == (0,)
+        with load_features(write_blob(tmp_path,
+                                      with_crc(dataset_body(8, 2, 3, [], [], [])))) as source:
+            assert source.row_shape == (2, 3) and source.labels.shape == (0,)
+            assert read_rows(source).shape == (0, 2, 3)
 
     def test_non_finite_payload_reports_payload_end(self, tmp_path):
         for bad in (np.nan, np.inf):
             blob = with_crc(dataset_body(8, 1, 2, [1], [0], [0.0, bad]))
             with pytest.raises(FormatError, match="non-finite") as excinfo:
-                load_dataset(write_blob(tmp_path, blob))
+                load_features(write_blob(tmp_path, blob))
             assert excinfo.value.offset == len(blob) - 4
 
     @pytest.mark.parametrize("corrupt", ["duplicate ids", "dropout", "nan dropout",
@@ -793,13 +791,15 @@ class TestFormatErrors:
     @given(blob=dataset_blobs())
     def test_fuzz_structured_datasets(self, tmp_path, blob):
         try:
-            ds = load_dataset(write_blob(tmp_path, blob))
+            source = load_features(write_blob(tmp_path, blob))
         except FormatError as exc:
             assert exc.offset == 7 or not declares_other_width(blob)
             return
         assert not declares_other_width(blob)
-        assert ds.features.dtype == np.float64 and np.isfinite(ds.features).all()
-        assert ds.labels.shape == (ds.features.shape[0],)
+        with source:
+            rows = read_rows(source)
+        assert rows.dtype == np.float64 and np.isfinite(rows).all()
+        assert rows.shape == (source.labels.shape[0], *source.row_shape)
 
     @FUZZ
     @given(blob=checkpoint_blobs())
@@ -826,10 +826,11 @@ class TestCsv:
                         "1,0.5,-1.0,2.0\n"
                         "0,1.5,0.25,-0.125\n"
                         "1,0.0,3.5,1.0\n")
-        ds = load_features(path)
-        assert ds.features.shape == (3, 1, 3)
-        np.testing.assert_array_equal(ds.labels, [1, 0, 1])
-        assert ds.features[1, 0, 2] == -0.125
+        with load_features(path) as source:
+            features = read_rows(source)
+            np.testing.assert_array_equal(source.labels, [1, 0, 1])
+        assert features.shape == (3, 1, 3)
+        assert features[1, 0, 2] == -0.125
 
     def test_token_group_fixture(self, tmp_path):
         path = tmp_path / "groups.csv"
@@ -838,10 +839,11 @@ class TestCsv:
                         "2,1,3.0,4.0\n"
                         "5,0,5.0,6.0\n"
                         "5,1,7.0,8.0\n")
-        ds = load_features(path)
-        assert ds.features.shape == (2, 2, 2)
-        np.testing.assert_array_equal(ds.labels, [2, 5])
-        np.testing.assert_array_equal(ds.features[1], [[5.0, 6.0], [7.0, 8.0]])
+        with load_features(path) as source:
+            features = read_rows(source)
+            np.testing.assert_array_equal(source.labels, [2, 5])
+        assert features.shape == (2, 2, 2)
+        np.testing.assert_array_equal(features[1], [[5.0, 6.0], [7.0, 8.0]])
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -885,7 +887,7 @@ class TestCsv:
             text = "".join(gen.choice(alphabet, size=int(gen.integers(0, 60))))
             path.write_text(text)
             try:
-                load_features(path)
+                load_features(path).close()
             except FormatError:
                 pass  # the only acceptable failure mode
 
@@ -894,8 +896,8 @@ class TestCsv:
         ds = TokenDataset(gen.normal(size=(2, 2, 2)), np.array([0, 1]))
         path = tmp_path / "data.gcmr"
         save_dataset(ds, path)
-        loaded = load_features(path)
-        assert loaded.features.tobytes() == ds.features.tobytes()
+        with load_features(path) as source:
+            assert read_rows(source).tobytes() == ds.features.tobytes()
 
     def test_header_without_examples_rejected(self, tmp_path):
         for header in ("label,f0,f1\n", "label,token,f0\n"):
@@ -969,7 +971,7 @@ def checksum_line(blob: bytes) -> str:
 
 
 def run_corruptions() -> dict:
-    """Every corruption TestFormatErrors applies to load_dataset, for gcmr
+    """Every corruption TestFormatErrors applies to load_features, for gcmr
     run: name -> (file, the error it must report)."""
     cases = {
         # gcmr run reads a file without the magic as CSV, and says why it
@@ -1074,7 +1076,7 @@ class TestRunReadsOnlyTheProtocolRows:
         data = tmp_path / "data.gcmr"
         assert main(["synth", "--spec", str(config), "--out", str(data)]) == 0
         parsed = load_run_config(config)
-        dataset = load_features(data)
+        dataset = generate_synthetic(parsed["synthetic"])  # the spec the file was written from
         write_token_csv(tmp_path / "data.csv", dataset)
         split = fscil_split(parsed["protocol"], dataset.labels)
         rows = [np.sort(np.concatenate([part.train_indices, part.test_indices]))
@@ -1115,29 +1117,31 @@ class TestRunReadsOnlyTheProtocolRows:
         save_dataset(dataset, tmp_path / "data.gcmr")
         write_token_csv(tmp_path / "data.csv", dataset)
         for path in (tmp_path / "data.gcmr", tmp_path / "data.csv"):
-            with load_features(path, lazy=True) as source:
+            with load_features(path) as source:
                 assert source.labels.tolist() == labels.tolist()
                 assert source.row_shape == (2, 3)
-                datasets = []  # kept, so no two share an id
+                features = []  # kept, so no two share an id
                 for session, part in zip(source.sessions(split), split, strict=True):
                     small = session.assignment
                     assert (small.session, small.class_ids) == (part.session, part.class_ids)
-                    datasets.append(session.dataset)
+                    features.append(session.features)
                     if path.suffix == ".csv":
-                        # every session indexes the one parsed array, as
-                        # materialize_sessions' do: no rows are copied
-                        assert small is part and len(session.dataset) == len(dataset)
+                        # every session indexes the one parsed array and the
+                        # label column, as materialize_sessions' do: no rows
+                        # are copied
+                        assert small is part and session.labels is source.labels
+                        assert session.features.shape[0] == len(dataset)
                     else:
-                        assert len(session.dataset) == len(part.train_indices) + len(
-                            part.test_indices)
+                        assert session.features.shape[0] == len(session.labels) == len(
+                            part.train_indices) + len(part.test_indices)
                     for whole_idx, small_idx in ((part.train_indices, small.train_indices),
                                                  (part.test_indices, small.test_indices)):
                         assert small_idx.dtype == whole_idx.dtype
-                        assert (session.dataset.features[small_idx].tobytes()
+                        assert (session.features[small_idx].tobytes()
                                 == dataset.features[whole_idx].tobytes())
-                        assert (session.dataset.labels[small_idx].tolist()
+                        assert (session.labels[small_idx].tolist()
                                 == labels[whole_idx].tolist())
-                assert len({id(d) for d in datasets}) == (1 if path.suffix == ".csv"
+                assert len({id(f) for f in features}) == (1 if path.suffix == ".csv"
                                                           else len(split))
 
     def test_peak_holds_one_incremental_session_at_a_time(self, tmp_path, traced_peak):
@@ -1379,32 +1383,33 @@ def write_token_csv(path, dataset: TokenDataset) -> None:
 class TestLazyLoad:
     def test_reads_the_rows_of_a_full_load(self, tmp_path):
         # train rows 8 0 1, test row 5 of 9: the payload's last and first
-        # rows, a run of two and runs of one
+        # rows, a run of two and runs of one; the payload starts at byte 92,
+        # off the 8-byte grid, and every read is an aligned float64 array
         assert run_lengths(np.array([8, 0, 1, 5])) == [1, 2, 1]
         features = np.random.default_rng(20).normal(size=(9, 2, 3))
         dataset = TokenDataset(features, np.arange(9) % 4 - 2)
         save_dataset(dataset, tmp_path / "data.gcmr")
         write_token_csv(tmp_path / "data.csv", dataset)
         part = data_io.SessionAssignment(3, (-2, 1), np.array([8, 0, 1]), np.array([5]))
-        with load_features(tmp_path / "data.gcmr", lazy=True) as source:
+        with load_features(tmp_path / "data.gcmr") as source:
             assert source.labels.tolist() == (np.arange(9) % 4 - 2).tolist()
             (session,) = source.sessions([part])
-            ds = session.dataset
             # the train rows first, then the test row, in assignment order
-            assert ds.features.shape == (4, 2, 3) and len(ds) == 4
-            assert ds.labels.tolist() == [-2, -2, -1, -1]
+            assert session.features.shape == (4, 2, 3)
+            assert session.labels.tolist() == [-2, -2, -1, -1]
             assert session.assignment.train_indices.tolist() == [0, 1, 2]
             assert session.assignment.test_indices.tolist() == [3]
             for index, rows in (([0, 1, 2], [8, 0, 1]), ([3], [5]), ([3, 0, 3], [5, 8, 5]),
                                 ([2, 1, 3], [1, 0, 5]), ([], [])):
-                got = ds.features[np.array(index, dtype=np.intp)]
+                got = session.features[np.array(index, dtype=np.intp)]
                 assert got.tobytes() == features[rows].tobytes()
-                assert got.shape == (len(rows), 2, 3)
-                assert got.flags.c_contiguous and got.flags.writeable
-        with load_features(tmp_path / "data.csv", lazy=True) as source:
+                assert got.shape == (len(rows), 2, 3) and got.dtype == np.float64
+                assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
+                got[...] = 1.0  # writable in place
+        with load_features(tmp_path / "data.csv") as source:
             (session,) = source.sessions([part])
             assert session.assignment is part
-            assert session.dataset.features.tobytes() == features.tobytes()
+            assert session.features.tobytes() == features.tobytes()
 
     def test_validation_chunks_cover_every_row(self, tmp_path, monkeypatch):
         # a chunk of 3 rows, and of less than one row, over 10
@@ -1415,11 +1420,12 @@ class TestLazyLoad:
             for row in range(10):
                 bad = features.copy()
                 bad[row, 1, 2] = math.inf
-                save_dataset(TokenDataset.from_finite(bad, np.arange(10) % 3), path)
+                path.write_bytes(with_crc(dataset_body(8, 2, 3, range(3), np.arange(10) % 3,
+                                                       bad.ravel())))
                 with pytest.raises(FormatError, match="non-finite values in feature payload"):
-                    load_features(path, lazy=True)
+                    load_features(path)
             save_dataset(TokenDataset(features, np.arange(10) % 3), path)
-            with load_features(path, lazy=True) as source:
+            with load_features(path) as source:
                 assert source.labels.tolist() == (np.arange(10) % 3).tolist()
 
     def test_validation_allocates_one_chunk_and_the_labels(self, tmp_path, traced_peak):
@@ -1427,7 +1433,7 @@ class TestLazyLoad:
         path = tmp_path / "big.gcmr"
         save_dataset(TokenDataset(np.random.default_rng(22).normal(size=(n, 8, 64)),
                                   np.arange(n) % 10), path)
-        source, peak = traced_peak(load_features, path, True)
+        source, peak = traced_peak(load_features, path)
         source.close()
         # the chunk, its finiteness mask (1/8), and the label column as table
         # indices, their intp cast and class ids
@@ -1442,7 +1448,7 @@ class TestLazyLoad:
         path = tmp_path / "data.gcmr"
         save_dataset(TokenDataset(np.ones((9, 2, 3)), np.arange(9)), path)
         part = data_io.SessionAssignment(4, (7, 8), np.array([train]), np.array([8]))
-        source = load_features(path, lazy=True)
+        source = load_features(path)
         os.truncate(path, path.stat().st_size - 100)
         source._identity = data_io._identity(source._fh)
         return source, source.sessions([part])
@@ -1462,7 +1468,7 @@ class TestLazyLoad:
         with source:
             session = next(sessions)  # its train row is whole
             with self.refused(8):
-                session.dataset.features[session.assignment.test_indices]
+                session.features[session.assignment.test_indices]
 
     def test_opens_the_file_once(self, tmp_path, monkeypatch):
         # the format is sniffed from the handle that is then read, so a file
@@ -1478,46 +1484,97 @@ class TestLazyLoad:
 
         monkeypatch.setattr(data_io, "open", recording_open, raising=False)
         for path in (binary, flat):
-            for lazy in (False, True):
-                opened.clear()
-                with contextlib.ExitStack() as stack:
-                    if lazy:
-                        stack.enter_context(load_features(path, lazy))
-                    else:
-                        load_features(path)
-                    assert [name for name, _ in opened] == [path]
-                    # only a lazy binary load keeps its handle, until the source closes
-                    assert opened[0][1].closed != (lazy and path == binary)
-                assert opened[0][1].closed
+            opened.clear()
+            with load_features(path):
+                assert [name for name, _ in opened] == [path]
+                # only a binary load keeps its handle, until the source closes
+                assert opened[0][1].closed != (path == binary)
+            assert opened[0][1].closed
 
     def test_a_replaced_path_does_not_reach_the_source(self, tmp_path):
         features = np.random.default_rng(23).normal(size=(4, 2, 2))
         path = tmp_path / "data.gcmr"
         save_dataset(TokenDataset(features, np.arange(4)), path)
         part = data_io.SessionAssignment(0, (0, 1, 2, 3), np.arange(2), np.arange(2, 4))
-        with load_features(path, lazy=True) as source:
+        with load_features(path) as source:
             save_dataset(TokenDataset(np.zeros((4, 2, 2)), np.arange(4)), path)  # atomic
             (session,) = source.sessions([part])
-            assert session.dataset.features[np.arange(4)].tobytes() == features.tobytes()
+            assert session.features[np.arange(4)].tobytes() == features.tobytes()
 
     @FUZZ
     @given(blob=dataset_blobs())
     def test_fuzz_lazy_load_matches_a_full_load(self, tmp_path, blob):
-        path = write_blob(tmp_path, blob)
+        # the rows read match the drawn blob's payload, decoded directly;
+        # test_fuzz_structured_datasets judges the blobs that fail to load
         try:
-            whole = load_features(path)
-        except FormatError as exc:
-            with pytest.raises(FormatError) as excinfo:
-                load_features(path, lazy=True)
-            assert (str(excinfo.value), excinfo.value.offset) == (str(exc), exc.offset)
+            source = load_features(write_blob(tmp_path, blob))
+        except FormatError:
             return
-        part = data_io.SessionAssignment(0, (), np.arange(0, len(whole), 2),
-                                         np.arange(1, len(whole), 2))
-        with load_features(path, lazy=True) as source:
-            assert source.labels.tolist() == whole.labels.tolist()
-            assert source.row_shape == whole.features.shape[1:]
+        n, g, d, n_classes = struct.unpack_from("<IIII", blob, 8)
+        labels_at = 24 + 8 * n_classes
+        class_ids = np.frombuffer(blob, "<i8", n_classes, 24)
+        label_idx = np.frombuffer(blob, "<u4", n, labels_at)
+        payload = np.frombuffer(blob, "<f8", n * g * d, labels_at + 4 * n).reshape(n, g, d)
+        part = data_io.SessionAssignment(0, (), np.arange(0, n, 2), np.arange(1, n, 2))
+        with source:
+            assert source.labels.tolist() == class_ids[label_idx].tolist()
+            assert source.row_shape == (g, d)
             (session,) = source.sessions([part])
             for small, rows in ((session.assignment.train_indices, part.train_indices),
                                 (session.assignment.test_indices, part.test_indices)):
-                assert (session.dataset.features[small].tobytes()
-                        == whole.features[rows].tobytes())
+                assert session.features[small].tobytes() == payload[rows].tobytes()
+
+
+def rank_in_class(labels: np.ndarray) -> np.ndarray:
+    """Each row's position among the rows of its class, in row order."""
+    by_class = np.argsort(labels, kind="stable")
+    grouped = labels[by_class]
+    rank = np.empty(labels.size, dtype=np.int64)
+    rank[by_class] = np.arange(labels.size) - np.searchsorted(grouped, grouped)
+    return rank
+
+
+def output_files(out) -> dict:
+    """Every file under the run directory out, by relative path: its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file()}
+
+
+class TestInterleavedRows:
+    def test_interleaving_the_classes_rows_leaves_every_output_unchanged(self, tmp_path,
+                                                                         capsys):
+        # a metamorphic relation: a dataset whose rows are reordered so that
+        # each class keeps its rows' relative order is, to the protocol, the
+        # same dataset. Interleaved, every run of consecutive rows a session
+        # reads has length 1; the run log, every checkpoint and the reports
+        # must not change, for the binary file and the token-group CSV alike.
+        # Each run directory is named "run", so the reports' label agrees too.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "version": 1,
+            "train": {"base_epochs": 1, "incr_epochs": 2, "batch_size": 8, "seed": 5,
+                      "hidden_dim": 8},
+            "protocol": {"total_classes": 6, "base_classes": 2, "n_way": 2, "k_shot": 2,
+                         "seed": 5, "test_per_class": 3},
+            "synthetic": {"d": 6, "g": 4, "n_classes": 6, "class_mean_norm": 3.0,
+                          "within_class_sigma": 1.5, "examples_per_class": 12, "seed": 5}}))
+        dataset = generate_synthetic(load_run_config(config)["synthetic"])
+        order = np.lexsort((dataset.labels, rank_in_class(dataset.labels)))
+        interleaved = TokenDataset(dataset.features[order], dataset.labels[order])
+        for c in range(6):
+            assert (interleaved.features[interleaved.labels == c].tobytes()
+                    == dataset.features[dataset.labels == c].tobytes())
+        assert run_lengths(np.flatnonzero(interleaved.labels == 0)) == [1] * 12
+        save_dataset(dataset, tmp_path / "data.gcmr")
+        save_dataset(interleaved, tmp_path / "interleaved.gcmr")
+        write_token_csv(tmp_path / "interleaved.csv", interleaved)
+        runs = {}
+        for data in ("data.gcmr", "interleaved.gcmr", "interleaved.csv"):
+            out = tmp_path / f"out-{data}" / "run"
+            assert main(["run", "--config", str(config), "--data", str(tmp_path / data),
+                         "--out", str(out)]) == 0
+            runs[data] = (capsys.readouterr().out, output_files(out))
+        stdout, files = runs.pop("data.gcmr")
+        assert len([name for name in files if name.startswith("checkpoints")]) == 3
+        for name, run in runs.items():
+            assert run == (stdout, files), name

@@ -66,3 +66,12 @@ def test_every_module_constant_is_referenced():
     found = list(constants())
     assert len(found) > 20  # the scan sees the package's constants
     assert unreferenced(found) == []
+
+
+def test_no_object_new_bypasses_a_constructor():
+    # object.__new__ builds an instance without __init__ or __post_init__,
+    # so a type's own checks would not run on it
+    uses = [f"{path.name}:{number}" for path in sorted(PACKAGE.glob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if "object.__new__" in line]
+    assert uses == []

@@ -85,12 +85,13 @@ class TestTrainBase:
         # shuffled rows: each class's rows are averaged in their order in the
         # session, as a per-class boolean mask selects them
         base = small_stream()[0]
-        ds, part = base.dataset, base.assignment
+        part = base.assignment
         train = part.train_indices[np.random.default_rng(7).permutation(len(part.train_indices))]
-        shuffled = data_io.SessionData(ds, dataclasses.replace(part, train_indices=train))
+        shuffled = dataclasses.replace(
+            base, assignment=dataclasses.replace(part, train_indices=train))
         state = trainer.train_base(shuffled, small_config(base_epochs=2))
-        fbar = normalized_features(ds.features[train], state.encoder)
-        y = column_labels(ds.labels[train], part.class_ids)
+        fbar = normalized_features(base.features[train], state.encoder)
+        y = column_labels(base.labels[train], part.class_ids)
         expected = init_representation_memory(
             {cid: fbar[y == col] for col, cid in enumerate(part.class_ids)})
         assert state.mem.class_ids == expected.class_ids
@@ -99,25 +100,24 @@ class TestTrainBase:
     def test_class_without_examples_rejected(self):
         base = small_stream()[0]
         part = base.assignment
-        keep = base.dataset.labels[part.train_indices] != part.class_ids[0]
-        broken = data_io.SessionData(base.dataset, dataclasses.replace(
+        keep = base.labels[part.train_indices] != part.class_ids[0]
+        broken = dataclasses.replace(base, assignment=dataclasses.replace(
             part, train_indices=part.train_indices[keep]))
         with pytest.raises(ValueError, match=rf"without examples: \[{part.class_ids[0]}\]"):
             trainer.train_base(broken, small_config())
 
     def test_rejection_names_the_session(self):
         base = small_stream()[0]
-        empty = data_io.SessionData(base.dataset, dataclasses.replace(
+        empty = dataclasses.replace(base, assignment=dataclasses.replace(
             base.assignment, train_indices=base.assignment.train_indices[:0]))
         with pytest.raises(ValueError, match="^session 0: base session has no training"):
             trainer.train_base(empty, small_config())
 
     def test_unknown_label_is_named(self):
         base = small_stream()[0]
-        labels = base.dataset.labels.copy()
+        labels = base.labels.copy()
         labels[base.assignment.train_indices[3]] = 999
-        broken = data_io.SessionData(data_io.TokenDataset(base.dataset.features, labels),
-                                     base.assignment)
+        broken = dataclasses.replace(base, labels=labels)
         with pytest.raises(ValueError, match=r"unknown classes: \[999\]"):
             trainer.train_base(broken, small_config())
 
@@ -128,9 +128,9 @@ class TestTrainIncremental:
         cfg = small_config(incr_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
         nxt = trainer.train_incremental(state, sessions[1], cfg)
-        ds, part = sessions[1].dataset, sessions[1].assignment
-        fbar = normalized_features(ds.features[part.train_indices], state.encoder)
-        labels = ds.labels[part.train_indices]
+        session, part = sessions[1], sessions[1].assignment
+        fbar = normalized_features(session.features[part.train_indices], state.encoder)
+        labels = session.labels[part.train_indices]
         means = [fbar[labels == cid].mean(axis=0) for cid in part.class_ids]
         expected = expand_with_imprinting(state.wmem.classifier_snapshot, means)
         assert nxt.classifier.state_bytes() == expected.state_bytes()
@@ -176,10 +176,9 @@ class TestTrainIncremental:
         cfg = small_config(base_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
         session = sessions[1]
-        labels = session.dataset.labels.copy()
+        labels = session.labels.copy()
         labels[session.assignment.train_indices[0]] = -7
-        broken = data_io.SessionData(data_io.TokenDataset(session.dataset.features, labels),
-                                     session.assignment)
+        broken = dataclasses.replace(session, labels=labels)
         with pytest.raises(ValueError, match=r"unknown classes: \[-7\]"):
             trainer.train_incremental(state, broken, cfg)
 
@@ -191,9 +190,9 @@ class TestTrainIncremental:
         cfg = small_config(base_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
         base_row = sessions[0].assignment.train_indices[0]
-        base_class = int(sessions[0].dataset.labels[base_row])
+        base_class = int(sessions[0].labels[base_row])
         part = sessions[1].assignment
-        broken = data_io.SessionData(sessions[1].dataset, dataclasses.replace(
+        broken = dataclasses.replace(sessions[1], assignment=dataclasses.replace(
             part, train_indices=np.append(part.train_indices, base_row)))
         with pytest.raises(ValueError,
                            match=rf"^session 1: labels of unknown classes: \[{base_class}\]$"):
@@ -206,12 +205,13 @@ class TestTrainIncremental:
         sessions = small_stream()
         cfg = small_config(base_epochs=1, incr_epochs=0)
         state = trainer.train_base(sessions[0], cfg)
-        ds, part = sessions[1].dataset, sessions[1].assignment
+        session, part = sessions[1], sessions[1].assignment
         train = part.train_indices[np.random.default_rng(3).permutation(len(part.train_indices))]
-        shuffled = data_io.SessionData(ds, dataclasses.replace(part, train_indices=train))
+        shuffled = dataclasses.replace(
+            session, assignment=dataclasses.replace(part, train_indices=train))
         nxt = trainer.train_incremental(state, shuffled, cfg)
-        fbar = normalized_features(ds.features[train], state.encoder)
-        labels = ds.labels[train]
+        fbar = normalized_features(session.features[train], state.encoder)
+        labels = session.labels[train]
         new_features = {cid: fbar[labels == cid] for cid in part.class_ids}
         means = [rows.mean(axis=0) for rows in new_features.values()]
         imprinted = expand_with_imprinting(state.wmem.classifier_snapshot, means)
@@ -226,8 +226,8 @@ class TestTrainIncremental:
         state = trainer.train_base(sessions[0], cfg)
         session = sessions[1]
         part = session.assignment
-        keep = session.dataset.labels[part.train_indices] != part.class_ids[1]
-        broken = data_io.SessionData(session.dataset, dataclasses.replace(
+        keep = session.labels[part.train_indices] != part.class_ids[1]
+        broken = dataclasses.replace(session, assignment=dataclasses.replace(
             part, train_indices=part.train_indices[keep]))
         with pytest.raises(ValueError, match=rf"without support examples: \[{part.class_ids[1]}\]"):
             trainer.train_incremental(state, broken, cfg)
@@ -271,12 +271,14 @@ class TestTrainIncremental:
             cfg_off = dataclasses.replace(
                 cfg, memory_regularization=False, loss=LossConfig(c=0.3, beta=0.7))
             off = trainer.train_incremental(base, sessions[1], cfg_off)
-            ds, test = sessions[0].dataset, sessions[0].assignment.test_indices
+            base_session, test = sessions[0], sessions[0].assignment.test_indices
             from gcmr.eval_report import evaluate_session
-            acc_on = evaluate_session(on, normalized_features(ds.features[test], on.encoder),
-                                      ds.labels[test]).acc_base
-            acc_off = evaluate_session(off, normalized_features(ds.features[test], off.encoder),
-                                       ds.labels[test]).acc_base
+            acc_on = evaluate_session(
+                on, normalized_features(base_session.features[test], on.encoder),
+                base_session.labels[test]).acc_base
+            acc_off = evaluate_session(
+                off, normalized_features(base_session.features[test], off.encoder),
+                base_session.labels[test]).acc_base
             wins += acc_on > acc_off
         assert wins >= 8
 
@@ -453,7 +455,7 @@ class TestRunProtocol:
         assert peak < 3 * encoder.ENCODE_CHUNK_BYTES
 
     def test_eager_sessions_run_like_views(self):
-        # each eager session's dataset holds only that session's rows
+        # each eager session's features and labels hold only that session's rows
         sessions = small_stream(n_classes=10, base_classes=4, n_way=2)
         eager = []
         for s in sessions:
@@ -461,7 +463,7 @@ class TestRunProtocol:
             rows = np.concatenate([part.train_indices, part.test_indices])
             n = len(part.train_indices)
             eager.append(data_io.SessionData(
-                data_io.TokenDataset(s.dataset.features[rows], s.dataset.labels[rows]),
+                s.features[rows], s.labels[rows],
                 data_io.SessionAssignment(part.session, part.class_ids, np.arange(n),
                                           np.arange(n, len(rows)))))
         cfg = small_config(base_epochs=2, incr_epochs=3)
