@@ -554,6 +554,23 @@ class TestBinaryRoundTrips:
         assert loaded.mem.rows.tobytes() == state.mem.rows.tobytes()
 
 
+class TestZeroCopyLoad:
+    @pytest.mark.parametrize("n", [4, 5])  # the payload offset is unaligned for odd n
+    def test_features_are_contiguous_aligned_writable_float64(self, tmp_path, n):
+        # rows are read from the file straight into the array handed back,
+        # whichever side of the 8-byte grid the payload starts on
+        features = np.random.default_rng(15).normal(size=(n, 3, 2))
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(features, np.arange(n) % 2), path)
+        with load_features(path) as source:
+            assert source._offset % 8 == (0 if n % 2 == 0 else 4)
+            loaded = read_rows(source)
+        assert loaded.dtype == np.float64
+        assert loaded.flags.c_contiguous and loaded.flags.aligned and loaded.flags.writeable
+        assert loaded.tobytes() == features.tobytes()
+        loaded[0, 0, 0] = 1.0  # writable in place
+
+
 class TestFiniteness:
     def test_loaders_scan_each_value_once(self, tmp_path, monkeypatch):
         # the binary reader scans once itself; CSV values are checked per
