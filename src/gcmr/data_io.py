@@ -27,15 +27,14 @@ a size the rest of the file cannot hold. A structural error met on the way
 is raised only after the checksum matched, so a corrupt file reports its
 checksum first. A dataset load (load_features) streams the payload through
 one buffer of CHUNK_BYTES, checksummed and scanned, and keeps only the
-labels. Its RowSource reads a session's train rows from the handle that
-validated the file when a loop reaches that session, and every other row
-of the session (its test rows) each time a reader indexes it, so those are
-read chunk by chunk when they are encoded. Every read first checks that
-the file's inode, size and modification time are unchanged, reads the rows
-in the order asked with one os.preadv per run of consecutive rows, and
-scans the rows it read again. Writers stream the header parts and payload
-arrays into the file with a running CRC, without assembling the file in
-memory.
+labels. Its RowSource's sessions hold no rows: each reads the rows a reader
+indexes, from the handle that validated the file, each time it indexes
+them, so a training batch is read when it is gathered and an encode reads
+chunk by chunk. Every read first checks that the file's inode, size and
+modification time are unchanged, reads the rows in the order asked with
+one os.preadv per run of consecutive rows, and scans the rows it read
+again. Writers stream the header parts and payload arrays into the file
+with a running CRC, without assembling the file in memory.
 
 CSV ingestion accepts two layouts: flat features with header
 ``label,f0,...,f{D-1}`` (one single-token example per line) and token groups
@@ -55,8 +54,8 @@ import math
 import os
 import struct
 import zlib
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,11 +176,12 @@ class SessionAssignment:
 
 @dataclass(frozen=True)
 class SessionData:
-    """One session: the features and labels its rows live in and the
-    assignment that picks them. Every reader gathers its rows through the
-    assignment's train_indices and test_indices, as features[indices] and
-    labels[indices]. features is an (n, tokens, dim) array, or in a session
-    of a binary file's RowSource a SessionRows."""
+    """One session: the dataset's features and labels and the assignment
+    that picks the session's rows from them. Every reader gathers its rows
+    through the assignment's train_indices and test_indices, as
+    features[indices] and labels[indices]. features is the dataset's
+    (n, tokens, dim) array, or in a session of a binary file's RowSource a
+    SessionRows that holds no rows."""
 
     features: np.ndarray | SessionRows
     labels: np.ndarray
@@ -267,14 +267,12 @@ class RowSource:
     """A validated dataset read session by session, what load_features
     returns: the label column, the row shape (tokens, dim) and
     sessions(split), whose sessions are each its features, labels and
-    assignment. A binary file's session holds only its train rows, read
-    when the loop reaches it; every other row it names is read each time a
-    reader indexes it (SessionRows). Both are read in the order they are
-    asked for, one os.preadv per run of consecutive rows, from the handle
-    that validated the file, which stays open until close() or the end of a
-    with block, so replacing the file's path cannot reach them. A CSV file
-    is parsed whole into features, and its sessions index that array and
-    the label column as materialize_sessions' do."""
+    assignment. A binary file's session holds no rows: every row a reader
+    indexes is read each time (SessionRows), in the order asked, one
+    os.preadv per run of consecutive rows, from the handle that validated
+    the file, which stays open until close() or the end of a with block, so
+    replacing the file's path cannot reach them. A CSV file is parsed whole
+    into features, and its sessions index that array."""
 
     def __init__(self, labels: np.ndarray, row_shape: tuple[int, int],
                  features: np.ndarray | None = None, fh=None, payload_offset: int = 0,
@@ -296,28 +294,14 @@ class RowSource:
         if self._fh is not None:
             self._fh.close()
 
-    def sessions(self, split: Sequence[SessionAssignment]) -> Iterator[SessionData]:
-        """The sessions of split. A binary file's session is made when the
-        loop asks for it (_session); the stream keeps no session once it has
-        handed it out. A CSV file's share its features and labels, as
-        materialize_sessions' do."""
-        if self._fh is None:
-            return (SessionData(self._features, self.labels, part) for part in split)
-        return (self._session(part) for part in split)
-
-    def _session(self, part: SessionAssignment) -> SessionData:
-        """The session of part over its train rows, then its test rows, each
-        in the assignment's order, with the assignment re-indexed to those
-        positions, so a reader gathers the same rows in the same order as
-        over the whole dataset. Its train rows are read now."""
-        rows = np.concatenate([part.train_indices, part.test_indices])
-        n_train = part.train_indices.size
-        features = SessionRows(self, rows, self._read(part.train_indices, part.session),
-                               part.session)
-        positions = np.arange(rows.size)
-        return SessionData(features, self.labels[rows],
-                           replace(part, train_indices=positions[:n_train],
-                                   test_indices=positions[n_train:]))
+    def sessions(self, split: Sequence[SessionAssignment]) -> list[SessionData]:
+        """The sessions of split, as materialize_sessions' are: each is the
+        features, the label column and the split's own assignment. Nothing
+        is read here; a binary file's features are a SessionRows per
+        session, a CSV file's the parsed array."""
+        return [SessionData(self._features if self._fh is None
+                            else SessionRows(self, part.session), self.labels, part)
+                for part in split]
 
     def _read(self, rows: np.ndarray, session: int) -> np.ndarray:
         """The payload rows named by rows, in that order, in a new array,
@@ -346,25 +330,18 @@ class RowSource:
 
 class SessionRows:
     """The features of one session of a binary file's RowSource, indexed
-    like an (n, tokens, dim) array by a 1-D array of row positions (shape
-    and features[index] are all it offers). Its train rows come first, in the
-    assignment's order, and are held; an index that names any other row is
-    read from the file each time, in the order it names them, with every
-    check of the session's first read, so a session's test rows are never
-    held whole."""
+    like the dataset's (n, tokens, dim) array by a 1-D array of rows (shape
+    and features[index] are all it offers). It holds no rows: each index is
+    read from the file, in the order it names them, by RowSource._read,
+    whose errors name the session."""
 
-    def __init__(self, source: RowSource, rows: np.ndarray, held: np.ndarray, session: int):
+    def __init__(self, source: RowSource, session: int):
         self._source = source
-        self._rows = rows  # the dataset row at each position
-        self._held = held
         self._session = session
-        self.shape = (rows.size, *held.shape[1:])
+        self.shape = (source.labels.shape[0], *source.row_shape)
 
     def __getitem__(self, index) -> np.ndarray:
-        index = np.asarray(index)
-        if index.size == 0 or (index.min() >= 0 and index.max() < self._held.shape[0]):
-            return self._held[index]
-        return self._source._read(self._rows[index], self._session)
+        return self._source._read(np.asarray(index), self._session)
 
 
 def _identity(fh) -> tuple[int, int, int]:
@@ -402,10 +379,10 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 # size, so the MB-sized temporaries of the protocol that follows (a 1 MiB
 # encode chunk among them) come from the heap, not from fresh mmaps.
 # Measured on the cli-stream dataset at seed 4321 (fresh processes, one BLAS
-# thread, ru_maxrss): `gcmr run` peaks at 45.1, 45.2, 45.6 and 45.6 MB with
-# 1, 2, 4 and 8 MiB, and a process that only loads at 30.8, 32.0, 34.3 and
-# 38.8 MB. 2 MiB stays above the encode chunk and keeps the load well below
-# the protocol's peak.
+# thread, ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 42.7, 43.0, 43.0
+# and 43.0 MB with 1, 2, 4 and 8 MiB, and a process that only loads at 30.6,
+# 31.7, 34.2 and 38.7 MB. 2 MiB stays above the encode chunk and keeps the
+# load well below the protocol's peak.
 CHUNK_BYTES = 2 << 20
 
 
@@ -755,9 +732,8 @@ def load_features(path) -> RowSource:
 
     A binary file is validated in full (checksum, structure, every value
     finite) but only its labels are kept, and its handle stays open in the
-    source, which reads a session's train rows when a loop reaches that
-    session and its other rows when they are indexed. A CSV file is parsed
-    whole, and the source's sessions index that array."""
+    source, whose sessions read their rows when a reader indexes them. A
+    CSV file is parsed whole, and the source's sessions index that array."""
     with contextlib.ExitStack() as cleanup:
         fh = cleanup.enter_context(open(path, "rb"))
         head = fh.read(4)

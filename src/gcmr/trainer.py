@@ -236,58 +236,43 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     the cumulative test set after each and then calling
     on_session(state, report). Returns (reports, final_state).
 
-    stream is any iterable of data_io.SessionData, read once and in order;
-    a session is let go before the next one is asked for, so a stream that
-    reads each session's rows holds one session's rows at a time. Rows are
-    read only through each session's assignment indices: training gathers
-    its batches, and every encode goes through encoder.encode_rows, so no
-    copy of a session's train or test rows exists and the encode working
-    set does not grow with the row width. The encoder is frozen once the
-    base session ends, so each session's test rows are encoded once, right
-    after that session's training, into one buffer whose room past the base
-    session's rows doubles when full, and every evaluation scores the
+    stream is any iterable of data_io.SessionData, listed once before the
+    base session trains. Rows are read only through each session's
+    assignment indices: training gathers its batches, and every encode goes
+    through encoder.encode_rows, so no copy of a session's train or test
+    rows exists, a session of a RowSource reads its rows only as they are
+    gathered or encoded, and the encode working set does not grow with the
+    row width. The encoder is frozen once the base session ends, so each
+    session's test rows are encoded once, right after that session's
+    training, into their slice of one buffer allocated after the base
+    session for every session's test rows, and every evaluation scores the
     filled prefix of it: the features of all sessions seen so far.
 
     Each session runs under one np.errstate that turns numpy's float
     warnings off: a training step's non-finite parameter and an evaluation's
     non-finite winning logit each end in a NumericalError naming the session,
     before on_session sees it."""
+    sessions = list(stream)
+    if not sessions:
+        raise ValueError("protocol stream is empty")
+    ends = np.cumsum([s.assignment.test_indices.shape[0] for s in sessions]).tolist()
     reports = []
-    state = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t, session in enumerate(stream):
+        for t, session in enumerate(sessions):
             if t == 0:
                 state = train_base(session, cfg, log_sink)
+                features = np.empty((ends[-1], state.encoder.dim))
+                labels = np.empty(ends[-1], dtype=session.labels.dtype)
             else:
                 state = train_incremental(state, session, cfg, log_sink)
             test = session.assignment.test_indices
-            encoded = encoder.encode_rows(session.features, test, state.encoder)
-            if t == 0:
-                features, labels = encoded, session.labels[test]
-                n = n_base = test.shape[0]
-            else:
-                stop = n + test.shape[0]
-                if stop > features.shape[0]:
-                    # the room past the base session's rows, which usually
-                    # outnumber any later session's, doubles
-                    features = _grown(features, max(stop, 2 * features.shape[0] - n_base))
-                    labels = _grown(labels, features.shape[0])
-                features[n:stop] = encoded
-                labels[n:stop] = session.labels[test]
-                n = stop
-            del session
+            start, stop = ends[t] - test.shape[0], ends[t]
+            features[start:stop] = encoder.encode_rows(session.features, test, state.encoder)
+            labels[start:stop] = session.labels[test]
             report = eval_report.evaluate_session(
-                state, features[:n], labels[:n], prior_acc_all=[r.acc_all for r in reports])
+                state, features[:stop], labels[:stop],
+                prior_acc_all=[r.acc_all for r in reports])
             reports.append(report)
             if on_session is not None:
                 on_session(state, report)
-    if state is None:
-        raise ValueError("protocol stream is empty")
     return reports, state
-
-
-def _grown(buffer: np.ndarray, rows: int) -> np.ndarray:
-    """A new buffer of rows rows that starts with buffer's rows."""
-    out = np.empty((rows, *buffer.shape[1:]), dtype=buffer.dtype)
-    out[:buffer.shape[0]] = buffer
-    return out

@@ -217,6 +217,28 @@ class TestRun:
             name = f"checkpoints/session_{t:02d}.gcmr"
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_without_incremental_epochs_memory_regularization_changes_no_byte(
+            self, tmp_path, dataset_file):
+        # a metamorphic relation: with train.incr_epochs 0 an incremental
+        # session imprints its head and takes no step, and the memory
+        # regularization acts only through those steps, so memory on and
+        # --no-memory-reg write the same output directory (each named "run",
+        # the reports' label)
+        config = write_config(tmp_path / "no-incr.json", **{"train.incr_epochs": 0})
+        outputs = []
+        for name, flags in (("on", []), ("off", ["--no-memory-reg"])):
+            out = tmp_path / name / "run"
+            assert main(["run", "--config", str(config), "--data", str(dataset_file),
+                         "--out", str(out), *flags]) == 0
+            outputs.append({str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert sorted(outputs[0]) == ["checkpoints/session_00.gcmr",
+                                      "checkpoints/session_01.gcmr",
+                                      "checkpoints/session_02.gcmr",
+                                      "report.csv", "report.json", "run_log.jsonl"]
+        assert outputs[0]["run_log.jsonl"]  # the base session's epochs
+        assert outputs[0] == outputs[1]
+
     def test_beta_extremes_zero_out_log_terms(self, tmp_path, config_file,
                                               dataset_file):
         logs = {}

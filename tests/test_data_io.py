@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gcmr import data_io, encoder, trainer
+from gcmr import data_io, encoder, rng, trainer
 from gcmr.cli import EXIT_DATA, EXIT_NUMERIC, load_run_config, main
 from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
                           SessionAssignment, atomic_open, fscil_split, generate_synthetic,
@@ -1137,29 +1137,20 @@ class TestRunReadsOnlyTheProtocolRows:
             with load_features(path) as source:
                 assert source.labels.tolist() == labels.tolist()
                 assert source.row_shape == (2, 3)
-                features = []  # kept, so no two share an id
-                for session, part in zip(source.sessions(split), split, strict=True):
-                    small = session.assignment
-                    assert (small.session, small.class_ids) == (part.session, part.class_ids)
-                    features.append(session.features)
-                    if path.suffix == ".csv":
-                        # every session indexes the one parsed array and the
-                        # label column, as materialize_sessions' do: no rows
-                        # are copied
-                        assert small is part and session.labels is source.labels
-                        assert session.features.shape[0] == len(dataset)
-                    else:
-                        assert session.features.shape[0] == len(session.labels) == len(
-                            part.train_indices) + len(part.test_indices)
-                    for whole_idx, small_idx in ((part.train_indices, small.train_indices),
-                                                 (part.test_indices, small.test_indices)):
-                        assert small_idx.dtype == whole_idx.dtype
-                        assert (session.features[small_idx].tobytes()
-                                == dataset.features[whole_idx].tobytes())
-                        assert (session.labels[small_idx].tolist()
-                                == labels[whole_idx].tolist())
-                assert len({id(f) for f in features}) == (1 if path.suffix == ".csv"
-                                                          else len(split))
+                sessions = source.sessions(split)
+                # as materialize_sessions' are: the split's own assignments
+                # over the label column and features indexed by dataset row
+                assert type(sessions) is list and len(sessions) == len(split)
+                for session, part in zip(sessions, split, strict=True):
+                    assert session.assignment is part and session.labels is source.labels
+                    assert session.features.shape == (len(dataset), 2, 3)
+                    for idx in (part.train_indices, part.test_indices):
+                        assert (session.features[idx].tobytes()
+                                == dataset.features[idx].tobytes())
+                # a CSV's sessions share its one parsed array; a binary
+                # file's each have their own SessionRows
+                assert len({id(s.features) for s in sessions}) == (
+                    1 if path.suffix == ".csv" else len(split))
 
     def test_peak_holds_one_incremental_session_at_a_time(self, tmp_path, traced_peak):
         # the base session fixed, 2 or 8 incremental sessions of 2 classes:
@@ -1209,20 +1200,53 @@ class TestRunReadsOnlyTheProtocolRows:
         code, peak = traced_peak(main, ["run", "--config", str(config), "--data", str(data),
                                         "--out", str(out)])
         assert code == 0
-        row_bytes = g * d * 8
-        train_rows = 2 * (examples - test) * row_bytes
-        test_rows = 2 * test * row_bytes
-        # the cached encoded test features, grown once, and the label column
-        encoded = 3 * 4 * test * d * 8 + 4 * examples * (8 + 4 + 8)
-        bound = train_rows + encoded + 4 * encoder.ENCODE_CHUNK_BYTES
+        test_rows = 2 * test * g * d * 8
+        # the encoded test features of every session, one session's encoded
+        # test rows beside them, and the label column
+        encoded = 2 * 4 * test * d * 8 + 4 * examples * (8 + 4 + 8)
+        bound = encoded + 4 * encoder.ENCODE_CHUNK_BYTES
         assert peak < bound < test_rows
+
+    def test_peak_never_holds_a_sessions_train_rows(self, tmp_path, traced_peak,
+                                                    monkeypatch):
+        # 2 base classes of 70 train rows of 64 x 64 tokens (32 KiB a row):
+        # the base session's train rows are 4.4 MiB, more than 4 encode
+        # chunks, and are read one batch or one encode chunk at a time
+        g, d, train, test = 64, 64, 70, 2
+        labels = np.repeat(np.arange(3), train + test)
+        path = tmp_path / "data.gcmr"
+        save_dataset(TokenDataset(np.random.default_rng(24).normal(size=(labels.size, g, d)),
+                                  labels), path)
+        split = fscil_split(ProtocolSpec(3, 2, 1, 2, test_per_class=test), labels)
+        train_rows = split[0].train_indices.size * g * d * 8
+        assert train_rows > 4 * encoder.ENCODE_CHUNK_BYTES
+        cfg = trainer.TrainConfig(base_epochs=1, incr_epochs=1, batch_size=4, hidden_dim=8)
+        calls = []
+        preadv = os.preadv
+
+        def recording_preadv(*args):
+            calls.append(args[2])
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", recording_preadv)
+        with load_features(path) as source:
+            sessions = source.sessions(split)
+            assert calls == []  # making the sessions reads no row
+            _, peak = traced_peak(trainer.run_protocol, sessions, cfg)
+        assert calls
+        # the encoded test features of every session and their labels
+        test_buffer = sum(part.test_indices.size for part in split) * (d + 1) * 8
+        assert peak < 3 * encoder.ENCODE_CHUNK_BYTES + test_buffer < train_rows
 
     def test_reads_each_run_of_rows_with_one_call_in_the_order_asked(self, tmp_path,
                                                                       monkeypatch):
-        # a session's train rows are read when the loop reaches it and its
-        # test rows when they are encoded, each in the assignment's order;
-        # every read makes one positioned read per run of consecutive rows,
-        # at that run's offset, in the order the rows were asked for
+        # a session's rows are read when they are gathered, each time: the
+        # base session's two training batches in their shuffled order, then
+        # its train rows and its test rows as they are encoded; an
+        # incremental session's train rows, then its test rows, each in the
+        # assignment's order. Every read makes one positioned read per run of
+        # consecutive rows, at that run's offset, in the order the rows were
+        # asked for
         split = fscil_split(ProtocolSpec(6, 2, 2, 2, seed=4, test_per_class=3), RUN_LABELS)
         asked, calls = [], []
         read, preadv = data_io.RowSource._read, os.preadv
@@ -1238,10 +1262,13 @@ class TestRunReadsOnlyTheProtocolRows:
         monkeypatch.setattr(data_io.RowSource, "_read", recording_read)
         monkeypatch.setattr(os, "preadv", recording_preadv)
         assert self.run(tmp_path, write_blob(tmp_path, SEALED))[0] == 0
+        base = split[0].train_indices
+        order = rng.stream(0, trainer.SHUFFLE_TAG, 0, 0).permutation(base.size)
+        assert base.size == 14  # two batches of at most 8, one epoch at seed 0
+        reads = [(0, base[order[:8]]), (0, base[order[8:]])]
         for part in split:
-            reads = [rows for session, rows in asked if session == part.session]
-            assert reads[0] == part.train_indices.tolist()
-            assert sum(reads[1:], []) == part.test_indices.tolist()
+            reads += [(part.session, part.train_indices), (part.session, part.test_indices)]
+        assert asked == [(session, rows.tolist()) for session, rows in reads]
         expected = []
         for _, rows in asked:
             at = 0
@@ -1411,14 +1438,11 @@ class TestLazyLoad:
         with load_features(tmp_path / "data.gcmr") as source:
             assert source.labels.tolist() == (np.arange(9) % 4 - 2).tolist()
             (session,) = source.sessions([part])
-            # the train rows first, then the test row, in assignment order
-            assert session.features.shape == (4, 2, 3)
-            assert session.labels.tolist() == [-2, -2, -1, -1]
-            assert session.assignment.train_indices.tolist() == [0, 1, 2]
-            assert session.assignment.test_indices.tolist() == [3]
-            for index, rows in (([0, 1, 2], [8, 0, 1]), ([3], [5]), ([3, 0, 3], [5, 8, 5]),
-                                ([2, 1, 3], [1, 0, 5]), ([], [])):
-                got = session.features[np.array(index, dtype=np.intp)]
+            # the dataset's shape and label column, the split's assignment
+            assert session.features.shape == (9, 2, 3)
+            assert session.labels is source.labels and session.assignment is part
+            for rows in ([8, 0, 1], [5], [5, 8, 5], [1, 0, 5], []):
+                got = session.features[np.array(rows, dtype=np.intp)]
                 assert got.tobytes() == features[rows].tobytes()
                 assert got.shape == (len(rows), 2, 3) and got.dtype == np.float64
                 assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
@@ -1459,16 +1483,17 @@ class TestLazyLoad:
         assert allowed < path.stat().st_size // 4
 
     def cut_short(self, tmp_path, train: int):
-        """A session of row `train` and test row 8 of 9, and its source's
-        stream, the file then cut 100 bytes short (the checksum and rows 7
-        and 8) under an identity the source takes for its own."""
+        """A session of row `train` and test row 8 of 9, its source's
+        sessions made once the file was cut 100 bytes short (the checksum and
+        rows 7 and 8) under an identity the source takes for its own."""
         path = tmp_path / "data.gcmr"
         save_dataset(TokenDataset(np.ones((9, 2, 3)), np.arange(9)), path)
         part = data_io.SessionAssignment(4, (7, 8), np.array([train]), np.array([8]))
         source = load_features(path)
         os.truncate(path, path.stat().st_size - 100)
         source._identity = data_io._identity(source._fh)
-        return source, source.sessions([part])
+        (session,) = source.sessions([part])  # reads nothing
+        return source, session
 
     @staticmethod
     def refused(row: int):
@@ -1476,14 +1501,14 @@ class TestLazyLoad:
                                                 f"was validated: it ends inside row {row}$")
 
     def test_a_file_cut_short_under_a_read_is_refused(self, tmp_path):
-        source, sessions = self.cut_short(tmp_path, 7)
+        source, session = self.cut_short(tmp_path, 7)
         with source, self.refused(7):
-            next(sessions)
+            session.features[session.assignment.train_indices]
 
     def test_a_file_cut_short_under_a_test_read_is_refused(self, tmp_path):
-        source, sessions = self.cut_short(tmp_path, 0)
+        source, session = self.cut_short(tmp_path, 0)
         with source:
-            session = next(sessions)  # its train row is whole
+            assert session.features[session.assignment.train_indices].shape == (1, 2, 3)
             with self.refused(8):
                 session.features[session.assignment.test_indices]
 
@@ -1537,9 +1562,8 @@ class TestLazyLoad:
             assert source.labels.tolist() == class_ids[label_idx].tolist()
             assert source.row_shape == (g, d)
             (session,) = source.sessions([part])
-            for small, rows in ((session.assignment.train_indices, part.train_indices),
-                                (session.assignment.test_indices, part.test_indices)):
-                assert session.features[small].tobytes() == payload[rows].tobytes()
+            for rows in (part.train_indices, part.test_indices):
+                assert session.features[rows].tobytes() == payload[rows].tobytes()
 
 
 def rank_in_class(labels: np.ndarray) -> np.ndarray:
