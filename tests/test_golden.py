@@ -40,6 +40,9 @@ from pathlib import Path
 import pytest
 
 from gcmr import classifier, encoder
+from gcmr.cli import load_run_config
+from gcmr.data_io import generate_synthetic
+from test_data_io import write_token_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -84,9 +87,11 @@ blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 core = threads = None
 try:
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-    core = lib.scipy_openblas_get_corename64_().decode()
-    threads = lib.scipy_openblas_get_num_threads64_()
+    get_core, get_threads = (lib.scipy_openblas_get_corename64_,
+                             lib.scipy_openblas_get_num_threads64_)
+    get_core.argtypes, get_core.restype = [], ctypes.c_char_p
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    core, threads = get_core().decode(), get_threads()
 except (AttributeError, OSError):
     pass
 print(json.dumps({"numpy": np.__version__, "blas": blas.get("name"),
@@ -116,21 +121,6 @@ def _gcmr(commands) -> None:
         list(pool.map(run, commands))
 
 
-def _write_token_csv(path: Path, spec: Path) -> None:
-    """The dataset `gcmr synth --spec spec` writes, in the token-group CSV
-    layout, every value written exactly."""
-    from gcmr.cli import load_run_config
-    from gcmr.data_io import generate_synthetic
-
-    dataset = generate_synthetic(load_run_config(spec)["synthetic"])
-    d = dataset.features.shape[2]
-    lines = ["label,token," + ",".join(f"f{i}" for i in range(d))]
-    for label, example in zip(dataset.labels.tolist(), dataset.features.tolist()):
-        lines += [f"{label},{t}," + ",".join(map(repr, token))
-                  for t, token in enumerate(example)]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def produce(root: Path) -> None:
     """Write every golden dataset and run under root: data/ holds the
     datasets, <name>/run each run's output directory, and specs/ the
@@ -143,7 +133,7 @@ def produce(root: Path) -> None:
         specs[name].write_text(json.dumps(config))
     _gcmr([["synth", "--spec", spec, "--out", data / f"{name}.gcmr"]
            for name, spec in specs.items()])
-    _write_token_csv(data / "desk.csv", DESK)
+    write_token_csv(data / "desk.csv", generate_synthetic(load_run_config(DESK)["synthetic"]))
     runs = {"desk": ("desk", "desk.gcmr"),
             "desk-no-memory": ("desk", "desk.gcmr", "--no-memory-reg"),
             "desk-csv": ("desk", "desk.csv"),
