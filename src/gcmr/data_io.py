@@ -376,13 +376,13 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 # payload (each chunk checksummed and scanned, then dropped), and through
 # which a failed parse drains the rest of a file into the checksum. Freeing
 # it at the end of the load raises glibc's dynamic mmap threshold to its
-# size, so the MB-sized temporaries of the protocol that follows (a 1 MiB
-# encode chunk among them) come from the heap, not from fresh mmaps.
-# Measured on the cli-stream dataset at seed 4321 (fresh processes, one BLAS
-# thread, ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 42.7, 43.0, 43.0
-# and 43.0 MB with 1, 2, 4 and 8 MiB, and a process that only loads at 30.6,
-# 31.7, 34.2 and 38.7 MB. 2 MiB stays above the encode chunk and keeps the
-# load well below the protocol's peak.
+# size, so the sub-MB and MB-sized temporaries of the protocol that follows
+# (the 512 KiB encode chunks among them) come from the heap, not from fresh
+# mmaps. Measured on the cli-stream dataset at seed 4321 (fresh processes,
+# one BLAS thread, ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 42.5,
+# 42.0, 42.0 and 42.0 MiB with 1, 2, 4 and 8 MiB, and a process that only
+# loads at 30.5, 31.7, 34.0 and 38.5 MiB. 2 MiB is the smallest buffer the
+# run's peak does not grow at, and it keeps the load well below that peak.
 CHUNK_BYTES = 2 << 20
 
 

@@ -23,8 +23,12 @@ MASK_STREAM = 0x6D61736B
 # Byte budget of one encode chunk: encode_rows gathers and encodes
 # encode_chunk_rows rows at a time, so the gathered raw rows and the
 # (rows, tokens, dim) activations each stay within it whatever the width of
-# a row.
-ENCODE_CHUNK_BYTES = 1 << 20
+# a row. Both are alive at once, which makes the chunk the largest transient
+# of `gcmr run` beside the test features it must hold. Measured on the
+# cli-stream dataset at seed 4321 (fresh processes, one BLAS thread,
+# ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 43.0, 42.0 and 42.0 MiB
+# with 1 MiB, 512 KiB and 256 KiB chunks, so halving it again gains nothing.
+ENCODE_CHUNK_BYTES = 1 << 19
 
 
 @dataclass
@@ -173,12 +177,17 @@ def normalized_features(raw_tokens, params: EncoderParams) -> np.ndarray:
 
 
 def encode_rows(features: np.ndarray, indices: np.ndarray,
-                params: EncoderParams) -> np.ndarray:
+                params: EncoderParams, out: np.ndarray | None = None) -> np.ndarray:
     """normalized_features of features[indices], gathered and encoded
     encode_chunk_rows rows at a time, so the selected rows are never copied
     whole and the working set stays within a few ENCODE_CHUNK_BYTES however
-    wide a row is. Byte-equal to normalized_features(features[indices])."""
-    out = np.empty((indices.shape[0], params.dim))
+    wide a row is. Byte-equal to normalized_features(features[indices]).
+
+    out, when given, is the (n, dim) array the rows are written into and
+    returned, so a caller's buffer (a slice of it) holds them once;
+    otherwise one is allocated."""
+    if out is None:
+        out = np.empty((indices.shape[0], params.dim))
     rows = encode_chunk_rows(features.shape[1], params)
     for start in range(0, indices.shape[0], rows):
         chunk = indices[start:start + rows]

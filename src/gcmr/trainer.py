@@ -244,9 +244,10 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
     gathered or encoded, and the encode working set does not grow with the
     row width. The encoder is frozen once the base session ends, so each
     session's test rows are encoded once, right after that session's
-    training, into their slice of one buffer allocated after the base
-    session for every session's test rows, and every evaluation scores the
-    filled prefix of it: the features of all sessions seen so far.
+    training, straight into their slice of one buffer allocated after the
+    base session for every session's test rows (encode_rows' out, so no
+    second copy of them exists), and every evaluation scores the filled
+    prefix of it: the features of all sessions seen so far.
 
     Each session runs under one np.errstate that turns numpy's float
     warnings off: a training step's non-finite parameter and an evaluation's
@@ -267,7 +268,8 @@ def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,
                 state = train_incremental(state, session, cfg, log_sink)
             test = session.assignment.test_indices
             start, stop = ends[t] - test.shape[0], ends[t]
-            features[start:stop] = encoder.encode_rows(session.features, test, state.encoder)
+            encoder.encode_rows(session.features, test, state.encoder,
+                                out=features[start:stop])
             labels[start:stop] = session.labels[test]
             report = eval_report.evaluate_session(
                 state, features[:stop], labels[:stop],

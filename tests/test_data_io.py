@@ -1581,6 +1581,21 @@ def output_files(out) -> dict:
             if p.is_file()}
 
 
+def metamorphic_config(tmp_path):
+    """A three-session run config over six synthetic classes, written to
+    tmp_path/config.json, and the dataset its synthetic section generates."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "train": {"base_epochs": 1, "incr_epochs": 2, "batch_size": 8, "seed": 5,
+                  "hidden_dim": 8},
+        "protocol": {"total_classes": 6, "base_classes": 2, "n_way": 2, "k_shot": 2,
+                     "seed": 5, "test_per_class": 3},
+        "synthetic": {"d": 6, "g": 4, "n_classes": 6, "class_mean_norm": 3.0,
+                      "within_class_sigma": 1.5, "examples_per_class": 12, "seed": 5}}))
+    return config, generate_synthetic(load_run_config(config)["synthetic"])
+
+
 class TestInterleavedRows:
     def test_interleaving_the_classes_rows_leaves_every_output_unchanged(self, tmp_path,
                                                                          capsys):
@@ -1590,16 +1605,7 @@ class TestInterleavedRows:
         # reads has length 1; the run log, every checkpoint and the reports
         # must not change, for the binary file and the token-group CSV alike.
         # Each run directory is named "run", so the reports' label agrees too.
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "version": 1,
-            "train": {"base_epochs": 1, "incr_epochs": 2, "batch_size": 8, "seed": 5,
-                      "hidden_dim": 8},
-            "protocol": {"total_classes": 6, "base_classes": 2, "n_way": 2, "k_shot": 2,
-                         "seed": 5, "test_per_class": 3},
-            "synthetic": {"d": 6, "g": 4, "n_classes": 6, "class_mean_norm": 3.0,
-                          "within_class_sigma": 1.5, "examples_per_class": 12, "seed": 5}}))
-        dataset = generate_synthetic(load_run_config(config)["synthetic"])
+        config, dataset = metamorphic_config(tmp_path)
         order = np.lexsort((dataset.labels, rank_in_class(dataset.labels)))
         interleaved = TokenDataset(dataset.features[order], dataset.labels[order])
         for c in range(6):
@@ -1619,3 +1625,43 @@ class TestInterleavedRows:
         assert len([name for name in files if name.startswith("checkpoints")]) == 3
         for name, run in runs.items():
             assert run == (stdout, files), name
+
+
+class TestRelabelledClasses:
+    def test_an_increasing_relabel_maps_every_output(self, tmp_path):
+        # a metamorphic relation: class ids relabelled by an increasing map
+        # keep their order, so the split, the training and the scores do not
+        # change. The run log names no class and stays byte-identical; the
+        # reports and the checkpoints name the classes, so they must agree
+        # under the map.
+        def relabel(c):
+            return 7 * c + 1000
+
+        config, dataset = metamorphic_config(tmp_path)
+        save_dataset(dataset, tmp_path / "data.gcmr")
+        save_dataset(TokenDataset(dataset.features, relabel(dataset.labels)),
+                     tmp_path / "relabelled.gcmr")
+        outs = []
+        for data in ("data.gcmr", "relabelled.gcmr"):
+            out = tmp_path / f"out-{data}" / "run"
+            assert main(["run", "--config", str(config), "--data", str(tmp_path / data),
+                         "--out", str(out)]) == 0
+            outs.append(out)
+        plain, mapped = outs
+        assert (plain / "run_log.jsonl").read_bytes() == (mapped / "run_log.jsonl").read_bytes()
+        reports = [json.loads((out / "report.json").read_text())["sessions"] for out in outs]
+        assert len(reports[0]) == len(reports[1]) == 3
+        for ours, theirs in zip(*reports):
+            for key in ("acc_all", "acc_base", "acc_novel"):
+                assert ours[key] == theirs[key]
+            assert {str(relabel(int(c))): acc for c, acc in ours["per_class_acc"].items()} == (
+                theirs["per_class_acc"])
+        states = [load_checkpoint(out / "checkpoints" / "session_02.gcmr") for out in outs]
+        ours, theirs = states
+        assert theirs.mem.class_ids == tuple(relabel(c) for c in ours.mem.class_ids)
+        assert ours.session == theirs.session == 2
+        assert ours.mem.session_of == theirs.mem.session_of
+        arrays = [[state.encoder.w, state.encoder.b, *state.classifier.arrays().values(),
+                   *state.wmem.classifier_snapshot.arrays().values(), state.mem.rows]
+                  for state in states]
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]

@@ -247,19 +247,19 @@ def random_encoder(raw_dim, dim, seed=16):
     return EncoderParams(gen.normal(size=(raw_dim, dim)), gen.normal(size=dim))
 
 
-# rows of 16 tokens encoded 5 -> 8 wide are 1 KiB, so a chunk holds 1024
+# rows of 16 tokens encoded 5 -> 8 wide are 1 KiB, so a chunk holds 512
 CHUNK_TOKENS = 16
 CHUNK_ROWS = encode_chunk_rows(CHUNK_TOKENS, random_encoder(5, 8))
 
 # (raw_dim, dim) pairs: widening, narrowing, the narrowest feature dim the
-# layer norm allows, and a raw width that sets a smaller chunk (512 rows)
+# layer norm allows, and a raw width that sets a smaller chunk (256 rows)
 WIDTHS = [(5, 8), (8, 5), (16, 2), (3, 16)]
 
 
 class TestChunkedEncoding:
     @pytest.mark.parametrize("tokens, raw_dim, dim, rows", [
-        (16, 64, 64, 128),    # cli-stream rows: 8 KiB each
-        (16, 4, 64, 128),     # the encoded width sets the size when wider
+        (16, 64, 64, 64),     # cli-stream rows: 8 KiB each
+        (16, 4, 64, 64),      # the encoded width sets the size when wider
         (196, 768, 2, 1),     # a row over the budget is encoded alone
     ])
     def test_chunk_rows_fit_the_byte_budget(self, tokens, raw_dim, dim, rows):
@@ -285,6 +285,14 @@ class TestChunkedEncoding:
         out = encode_rows(raw, np.arange(n), enc)
         assert out.shape == (n, dim)
         assert out.tobytes() == whole.tobytes()
+
+    def test_rows_encode_into_the_given_array(self):
+        enc = random_encoder(5, 8)
+        raw = np.random.default_rng(19).normal(size=(6, CHUNK_TOKENS, 5))
+        indices = np.array([4, 0, 4, 2])
+        buf = np.full((4, 8), np.nan)
+        assert encode_rows(raw, indices, enc, out=buf) is buf
+        assert buf.tobytes() == encode_rows(raw, indices, enc).tobytes()
 
     def test_no_rows_give_an_empty_feature_matrix(self):
         out = normalized_features(np.zeros((0, 3, 5)), random_encoder(5, 6))

@@ -5,7 +5,7 @@ in to tests/golden.json.
 The runs:
 - `demos/config.json` with the memory regularization on and off;
 - the same dataset written as token-group CSV;
-- a binary dataset whose base test rows span two encode chunks
+- a binary dataset whose base test rows span three encode chunks
   (`gcmr.encoder.ENCODE_CHUNK_BYTES`), so evaluation reads a session's
   rows from the file in more than one piece;
 - a binary dataset whose memory holds more than `HEAD_BLOCK_ROWS` rows, so
@@ -55,8 +55,8 @@ def _config(synthetic: dict, protocol: dict, train: dict) -> dict:
             "protocol": {"seed": 2, **protocol}, "synthetic": {"seed": 2, **synthetic}}
 
 
-# 64 tokens of 16 features are 8 KiB a row, so an encode chunk holds 128
-# rows and the base session's 4 x 34 test rows take two
+# 64 tokens of 16 features are 8 KiB a row, so an encode chunk holds 64
+# rows and the base session's 4 x 34 test rows take three
 CHUNKED = _config({"d": 16, "g": 64, "n_classes": 6, "class_mean_norm": 4.0,
                    "within_class_sigma": 1.0, "examples_per_class": 40},
                   {"total_classes": 6, "base_classes": 4, "n_way": 1, "k_shot": 2,
@@ -205,6 +205,24 @@ def test_a_flipped_checkpoint_byte_fails_and_names_the_file(produced, tmp_path):
     (copy / name).write_bytes(bytes(blob))
     found = differences(digests(produced), digests(copy))
     assert len(found) == 1 and found[0].startswith(f"{name}: expected ")
+
+
+def test_a_float_changed_in_the_config_changes_the_run_log_digest(produced, tmp_path):
+    # beta + 1e-7 weights the incremental sessions' terms by a hair: the
+    # digest of the run log must see it, and not only where the log echoes
+    # beta, since the unweighted memory term moves too
+    config = json.loads(DESK.read_text())
+    config["loss"]["beta"] += 1e-7
+    spec = tmp_path / "beta.json"
+    spec.write_text(json.dumps(config))
+    _gcmr([["run", "--config", spec, "--data", produced / "data" / "desk.gcmr",
+            "--out", tmp_path / "run"]])
+    found = differences(digests(produced / "desk" / "run"), digests(tmp_path / "run"))
+    assert any(line.startswith("run_log.jsonl: expected ") for line in found)
+    logs = [[json.loads(line)["loss_breakdown"] for line in path.read_text().splitlines()]
+            for path in (produced / "desk" / "run" / "run_log.jsonl",
+                         tmp_path / "run" / "run_log.jsonl")]
+    assert any(a.get("memory") != b.get("memory") for a, b in zip(*logs))
 
 
 def update() -> None:

@@ -405,8 +405,8 @@ class TestRunProtocol:
     def test_no_copy_of_a_session_is_made(self, traced_peak):
         # a base-only stream with 4,000 train and 8,000 test rows of 64
         # tokens of width 4 (8.2 and 16.4 MB): a copy of either slice shows
-        # in the traced peak, the encoder's 1 MiB chunks and 4-wide features
-        # do not
+        # in the traced peak, the encoder's 512 KiB chunks and 4-wide
+        # features do not
         spec = data_io.SyntheticSpec(d=4, g=64, n_classes=4, class_mean_norm=4.0,
                                      within_class_sigma=1.0, examples_per_class=3000,
                                      seed=6)
@@ -420,6 +420,27 @@ class TestRunProtocol:
         (reports, _), peak = traced_peak(trainer.run_protocol, sessions, cfg)
         assert len(reports) == 1
         assert peak < test_bytes / 4
+
+    def test_encoded_test_rows_exist_once(self, traced_peak):
+        # a base-only stream with 8,192 test rows of 4 tokens of width 64:
+        # their encoded features are 4 MiB, eight encode chunks, so a second
+        # copy of them outweighs every chunk-sized transient together
+        spec = data_io.SyntheticSpec(d=64, g=4, n_classes=4, class_mean_norm=4.0,
+                                     within_class_sigma=1.0, examples_per_class=2050,
+                                     seed=7)
+        ds = data_io.generate_synthetic(spec)
+        proto = data_io.ProtocolSpec(total_classes=4, base_classes=4, n_way=1, k_shot=1,
+                                     seed=7, test_per_class=2048)
+        sessions = data_io.materialize_sessions(ds, data_io.fscil_split(proto, ds.labels))
+        cfg = small_config(base_epochs=0)
+        (reports, _), peak = traced_peak(trainer.run_protocol, sessions, cfg)
+        assert len(reports) == 1
+        n_test = 4 * 2048
+        encoded = n_test * 64 * 8
+        # the test features and their labels, one chunk of gathered rows, one
+        # of activations and one to spare
+        test_buffer = n_test * (64 + 1) * 8
+        assert peak < test_buffer + 3 * encoder.ENCODE_CHUNK_BYTES < 2 * encoded
 
     def test_an_incremental_session_holds_each_head_sized_array_once(self, traced_peak):
         # 1,500 memory rows (five full head blocks) and a 256-wide hidden
@@ -446,13 +467,15 @@ class TestRunProtocol:
 
     def test_wide_rows_encode_within_the_chunk_budget(self, traced_peak):
         # 1,024 indices into rows of 64 x 64 tokens (32 KiB each): gathering
-        # them in one chunk would take 32 MiB, and as much again to encode
+        # them in one chunk would take 32 MiB, and as much again to encode.
+        # The (1,024, 64) result is alive throughout, beside one chunk of
+        # gathered rows and one of activations, with a chunk to spare
         features = np.random.default_rng(8).normal(size=(32, 64, 64))
         indices = np.arange(1024) % 32
         enc = encoder.init_encoder(64, 64)
         out, peak = traced_peak(encoder.encode_rows, features, indices, enc)
         assert out.tobytes() == np.tile(normalized_features(features, enc), (32, 1)).tobytes()
-        assert peak < 3 * encoder.ENCODE_CHUNK_BYTES
+        assert peak < out.nbytes + 3 * encoder.ENCODE_CHUNK_BYTES <= 3 << 20
 
     def test_eager_sessions_run_like_views(self):
         # each eager session's features and labels hold only that session's rows
