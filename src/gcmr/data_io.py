@@ -377,12 +377,13 @@ def generate_synthetic(spec: SyntheticSpec) -> TokenDataset:
 # which a failed parse drains the rest of a file into the checksum. Freeing
 # it at the end of the load raises glibc's dynamic mmap threshold to its
 # size, so the sub-MB and MB-sized temporaries of the protocol that follows
-# (the 512 KiB encode chunks among them) come from the heap, not from fresh
+# (the 256 KiB encode chunks among them) come from the heap, not from fresh
 # mmaps. Measured on the cli-stream dataset at seed 4321 (fresh processes,
-# one BLAS thread, ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 42.5,
-# 42.0, 42.0 and 42.0 MiB with 1, 2, 4 and 8 MiB, and a process that only
-# loads at 30.5, 31.7, 34.0 and 38.5 MiB. 2 MiB is the smallest buffer the
-# run's peak does not grow at, and it keeps the load well below that peak.
+# one BLAS thread, ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 40.8
+# MiB with 1 MiB (3 runs), 40.55-40.86 with 2 MiB and 40.53-40.79 with 4 MiB
+# (9 runs each, medians 40.65 and 40.66), and a process that only loads at
+# 30.6, 31.8 and 34.2 MiB (38.5 at 8 MiB). No size reads lower than 2 MiB,
+# and it keeps the load well below the run's peak.
 CHUNK_BYTES = 2 << 20
 
 

@@ -23,12 +23,14 @@ MASK_STREAM = 0x6D61736B
 # Byte budget of one encode chunk: encode_rows gathers and encodes
 # encode_chunk_rows rows at a time, so the gathered raw rows and the
 # (rows, tokens, dim) activations each stay within it whatever the width of
-# a row. Both are alive at once, which makes the chunk the largest transient
-# of `gcmr run` beside the test features it must hold. Measured on the
-# cli-stream dataset at seed 4321 (fresh processes, one BLAS thread,
-# ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 43.0, 42.0 and 42.0 MiB
-# with 1 MiB, 512 KiB and 256 KiB chunks, so halving it again gains nothing.
-ENCODE_CHUNK_BYTES = 1 << 19
+# a row. Both are alive at once. 256 KiB gained nothing over 512 KiB (42.0
+# MiB either way) while a base step's backward (losses._base_core) held
+# about nine (batch, tokens, dim) arrays; with about four, it does. Measured
+# on the cli-stream dataset at seed 4321 (fresh processes, one BLAS thread,
+# ru_maxrss, 2-vCPU x86-64 VM): `gcmr run` peaks at 41.1-41.2 MiB with
+# 512 KiB chunks and 40.6-40.9 MiB with 256 KiB; at seed 4242, 128 KiB reads
+# within 0.1 MiB of 256 KiB.
+ENCODE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass

@@ -174,21 +174,30 @@ def _base_core(raw_tokens, labels, enc, dec, params, cfg, epoch, seed, compute_g
     # scaled per (n, dim) row, then broadcast over the tokens
     d_feats_ce = (1.0 - alpha) * (dpooled / n_tokens)
 
-    # reconstruction backward; the target side of diff also reaches feats
-    delta = (2.0 * weight) * diff
+    # reconstruction backward; the target side of diff also reaches feats.
+    # Each array below is overwritten in place only after its last read
+    delta = diff
+    delta *= 2.0 * weight
     filled = np.where(masked[:, :, None], dec.mask_token, feats)
-    dfilled = delta @ dec.w.T
-    d_feats = np.where(masked[:, :, None], 0.0, dfilled) - delta
+    g_dec_w = (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim))
+    del filled
+    d_feats = delta @ dec.w.T
+    g_mask_token = (alpha / n) * d_feats[masked].sum(axis=0)
+    d_feats[masked] = 0.0
+    d_feats -= delta
 
     # combine both paths through the encoder; tanh' is 1 - feats**2
     d_feats *= alpha / n
     d_feats += d_feats_ce[:, None, :]
-    dz_enc = d_feats * (1.0 - feats * feats)
+    np.multiply(feats, feats, out=feats)
+    np.subtract(1.0, feats, out=feats)
+    d_feats *= feats
+    dz_enc = d_feats
     grads = base_arrays(
         raw.reshape(-1, raw.shape[2]).T @ dz_enc.reshape(-1, dim),
         dz_enc.sum(axis=(0, 1)),
-        (alpha / n) * (filled.reshape(-1, dim).T @ delta.reshape(-1, dim)),
+        g_dec_w,
         (alpha / n) * delta.sum(axis=(0, 1)),
-        (alpha / n) * dfilled[masked].sum(axis=0),
+        g_mask_token,
         classifier._blend([(1.0 - alpha, head_grads)]))
     return total, breakdown, grads

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -699,6 +700,44 @@ class TestGradcheck:
         # seed 7: an enc_w entry of 5.9e-8 whose 1e-5 difference was rounding
         assert main(["gradcheck", "--dims", "100,10,10", "--seed", seed]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+# One-edit mutants of the backward passes (DeMillo, Lipton and Sayward,
+# "Hints on Test Data Selection", 1978): module, the line or expression the
+# edit replaces, its replacement, and the (objective, parameter) rows
+# `gcmr gradcheck` must then fail at the default dims and seed
+GRADCHECK_MUTANTS = {
+    "tanh-derivative": ("losses.py", "    np.subtract(1.0, feats, out=feats)\n", "",
+                        {("base", "enc_w"), ("base", "enc_b")}),
+    "masked-zeroing": ("losses.py", "    d_feats[masked] = 0.0\n", "",
+                       {("base", "enc_w"), ("base", "enc_b")}),
+    "target-side": ("losses.py", "    d_feats -= delta\n", "",
+                    {("base", "enc_w"), ("base", "enc_b")}),
+    "dec-w-input": ("losses.py", "(filled.reshape(-1, dim).T @", "(feats.reshape(-1, dim).T @",
+                    {("base", "dec_w")}),
+    "relu-fold": ("classifier.py", "    scales *= hidden > 0\n", "",
+                  {("incremental", "w1"), ("incremental", "b1"), ("base", "enc_w"),
+                   ("base", "enc_b"), ("base", "head_w1"), ("base", "head_b1")}),
+}
+
+
+class TestGradcheckMutants:
+    @pytest.mark.parametrize("mutant", sorted(GRADCHECK_MUTANTS))
+    def test_gradcheck_fails_the_rows_the_mutant_corrupts(self, tmp_path, mutant):
+        module, pattern, replacement, failing = GRADCHECK_MUTANTS[mutant]
+        package = tmp_path / "gcmr"
+        shutil.copytree(Path(cli.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = (package / module).read_text()
+        # a pattern edited away or duplicated leaves the mutant stale
+        assert source.count(pattern) == 1, f"mutant {mutant}: {pattern!r} is not in {module} once"
+        (package / module).write_text(source.replace(pattern, replacement))
+        done = subprocess.run([sys.executable, "-m", "gcmr", "gradcheck"], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stdout + done.stderr
+        rows = [line.split() for line in done.stdout.splitlines()[1:]]
+        assert {(row[0], row[1]) for row in rows if row[3] == "FAIL"} == failing
 
 
 class TestReport:

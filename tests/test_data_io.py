@@ -1201,10 +1201,11 @@ class TestRunReadsOnlyTheProtocolRows:
                                         "--out", str(out)])
         assert code == 0
         test_rows = 2 * test * g * d * 8
-        # the encoded test features of every session, one session's encoded
-        # test rows beside them, and the label column
-        encoded = 2 * 4 * test * d * 8 + 4 * examples * (8 + 4 + 8)
-        bound = encoded + 4 * encoder.ENCODE_CHUNK_BYTES
+        # the peak is the load's one payload buffer (traced_peak wraps the
+        # whole of main), which no encode chunk reaches; beside it, at most
+        # the encoded test features of every session and the label column
+        encoded = 4 * test * d * 8 + 4 * examples * (8 + 4 + 8)
+        bound = data_io.CHUNK_BYTES + encoded
         assert peak < bound < test_rows
 
     def test_peak_never_holds_a_sessions_train_rows(self, tmp_path, traced_peak,
@@ -1234,9 +1235,15 @@ class TestRunReadsOnlyTheProtocolRows:
             assert calls == []  # making the sessions reads no row
             _, peak = traced_peak(trainer.run_protocol, sessions, cfg)
         assert calls
-        # the encoded test features of every session and their labels
+        # the encoded test features of every session and their labels, held
+        # throughout; a base step (the gathered batch and at most five arrays
+        # of its size) and an encode (at most three chunks) never overlap, and
+        # their sum also covers the parameters both run beside. The bound is
+        # no looser than it was with 512 KiB chunks
         test_buffer = sum(part.test_indices.size for part in split) * (d + 1) * 8
-        assert peak < 3 * encoder.ENCODE_CHUNK_BYTES + test_buffer < train_rows
+        step = 6 * cfg.batch_size * g * d * 8
+        bound = 3 * encoder.ENCODE_CHUNK_BYTES + step + test_buffer
+        assert peak < bound <= 3 * (1 << 19) + test_buffer < train_rows
 
     def test_reads_each_run_of_rows_with_one_call_in_the_order_asked(self, tmp_path,
                                                                       monkeypatch):

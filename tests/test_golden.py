@@ -5,7 +5,7 @@ in to tests/golden.json.
 The runs:
 - `demos/config.json` with the memory regularization on and off;
 - the same dataset written as token-group CSV;
-- a binary dataset whose base test rows span three encode chunks
+- a binary dataset whose base test rows span at least three encode chunks
   (`gcmr.encoder.ENCODE_CHUNK_BYTES`), so evaluation reads a session's
   rows from the file in more than one piece;
 - a binary dataset whose memory holds more than `HEAD_BLOCK_ROWS` rows, so
@@ -55,8 +55,8 @@ def _config(synthetic: dict, protocol: dict, train: dict) -> dict:
             "protocol": {"seed": 2, **protocol}, "synthetic": {"seed": 2, **synthetic}}
 
 
-# 64 tokens of 16 features are 8 KiB a row, so an encode chunk holds 64
-# rows and the base session's 4 x 34 test rows take three
+# 64 tokens of 16 features are 8 KiB a row, so an encode chunk holds 32
+# rows and the base session's 4 x 34 test rows take five
 CHUNKED = _config({"d": 16, "g": 64, "n_classes": 6, "class_mean_norm": 4.0,
                    "within_class_sigma": 1.0, "examples_per_class": 40},
                   {"total_classes": 6, "base_classes": 4, "n_way": 1, "k_shot": 2,
@@ -191,8 +191,9 @@ def test_the_digests_cover_every_listed_output(produced):
         assert {name for name in names if name.startswith(f"{run}/run/checkpoints/")} == {
             f"{run}/run/checkpoints/session_{t:02d}.gcmr" for t in range(sessions)}
     assert json.loads((produced / "desk" / "run" / "report.json").read_text())["label"] == "run"
-    # the two small configs reach what they are there for
-    assert 4 * 34 > encoder.ENCODE_CHUNK_BYTES // (64 * 16 * 8)
+    # the two small configs reach what they are there for: the base test
+    # rows fill more than two chunks, and the memory more than one block
+    assert 4 * 34 > 2 * (encoder.ENCODE_CHUNK_BYTES // (64 * 16 * 8))
     assert 258 > classifier.HEAD_BLOCK_ROWS
 
 

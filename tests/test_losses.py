@@ -244,6 +244,28 @@ class TestBaseCoreBytes:
                 assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
+class TestBaseStepMemory:
+    def test_one_step_holds_fewer_than_five_token_sized_arrays(self, traced_peak):
+        # a cli-stream batch: 32 groups of 16 tokens, 64 wide, a 64-unit head
+        # over 20 classes. The backward works in place on arrays the step
+        # made itself, never on the caller's raw tokens
+        n, n_tokens, dim = 32, 16, 64
+        gen = np.random.default_rng(41)
+        enc = EncoderParams(np.eye(dim) + 0.1 * gen.standard_normal((dim, dim)),
+                            0.1 * gen.standard_normal(dim))
+        dec = DecoderParams(np.eye(dim) + 0.1 * gen.standard_normal((dim, dim)),
+                            0.1 * gen.standard_normal(dim), 0.1 * gen.standard_normal(dim))
+        params = init_classifier(dim, 64, 20, seed=41, dropout_rate=0.1)
+        raw = gen.standard_normal((n, n_tokens, dim))
+        before = raw.tobytes()
+        labels = gen.integers(0, 20, size=n)
+        step = (raw, labels, enc, dec, params, LossConfig(), 0, 5)
+        base_loss_backward(*step)  # warm-up: the first call allocates once-only state
+        _, peak = traced_peak(base_loss_backward, *step)
+        assert peak < 5 * n * n_tokens * dim * 8
+        assert raw.tobytes() == before
+
+
 class TestIncrementalLoss:
     def test_beta_one_is_distance_only(self):
         params, features, labels, memory_rows, dictionary, _ = \

@@ -405,7 +405,7 @@ class TestRunProtocol:
     def test_no_copy_of_a_session_is_made(self, traced_peak):
         # a base-only stream with 4,000 train and 8,000 test rows of 64
         # tokens of width 4 (8.2 and 16.4 MB): a copy of either slice shows
-        # in the traced peak, the encoder's 512 KiB chunks and 4-wide
+        # in the traced peak, the encoder's 256 KiB chunks and 4-wide
         # features do not
         spec = data_io.SyntheticSpec(d=4, g=64, n_classes=4, class_mean_norm=4.0,
                                      within_class_sigma=1.0, examples_per_class=3000,
