@@ -15,10 +15,10 @@ problem was detected; a width other than 8 fails at offset 7. Every float
 payload must be finite. Round trips are bit-exact for all finite float64
 values, signed zeros included.
 
-A checkpoint holds a SessionState (session index, encoder, classifier head,
-representation memory) but not its weight memory: that is a snapshot of the
-head, and load_checkpoint rebuilds it with build_weight_memory as the
-trainer does.
+A checkpoint holds a SessionState: session index, encoder, classifier head
+and representation memory. load_checkpoint freezes the head it read into
+weight memory with build_weight_memory, as the trainer does, so a loaded
+state has the shape of a trained one.
 
 A load is one sequential pass over an open file, read from the handle that
 read its magic: a running CRC covers every byte, every float section is
@@ -188,19 +188,24 @@ class SessionData:
     assignment: SessionAssignment
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionState:
-    """A session's encoder, classifier head and both memories.
+    """What carries from one session to the next: the encoder and the
+    co-memory. The session index and the classifier head are the weight
+    memory's, so a state holds its one head, read-only, whether training or
+    load_checkpoint made it."""
 
-    In a state the trainer returns, classifier is wmem.classifier_snapshot,
-    one read-only object, so the head is held once; load_checkpoint gives
-    the head writable arrays of its own beside the snapshot."""
-
-    session: int
     encoder: EncoderParams
-    classifier: ClassifierParams
     mem: RepresentationMemory
     wmem: WeightMemory
+
+    @property
+    def session(self) -> int:
+        return self.wmem.session
+
+    @property
+    def classifier(self) -> ClassifierParams:
+        return self.wmem.classifier_snapshot
 
 
 def fscil_split(spec: ProtocolSpec, labels) -> list[SessionAssignment]:
@@ -600,9 +605,8 @@ def _unpack_classifier(reader: _Reader) -> ClassifierParams:
 
 
 def save_checkpoint(state: SessionState, path) -> None:
-    """Serialize a session state, floats as float64: encoder, head and
-    representation memory. The weight memory is not written;
-    load_checkpoint rebuilds it."""
+    """Serialize a session state, floats as float64: session index, encoder,
+    head and representation memory."""
     enc, mem = state.encoder, state.mem
     _write_blob(path, KIND_CHECKPOINT, [
         struct.pack("<I", state.session),
@@ -618,8 +622,8 @@ def save_checkpoint(state: SessionState, path) -> None:
 
 
 def load_checkpoint(path) -> SessionState:
-    """The session state save_checkpoint wrote, with the weight memory
-    rebuilt from the head."""
+    """The session state save_checkpoint wrote, its head frozen into weight
+    memory."""
     with open(path, "rb") as fh:
         return _load(fh, fh.read(4), KIND_CHECKPOINT, _read_checkpoint)
 
@@ -650,7 +654,7 @@ def _read_checkpoint(reader: _Reader) -> SessionState:
                           f"{head.n_classes} columns", reader.pos)
     mem = _construct(reader, "representation memory", RepresentationMemory,
                      rows, class_ids, session_of)
-    return SessionState(session, enc, head, mem, build_weight_memory(head, mem, session))
+    return SessionState(enc, mem, build_weight_memory(head, mem, session))
 
 
 # --- CSV ingestion ---------------------------------------------------------

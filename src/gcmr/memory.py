@@ -2,10 +2,10 @@
 
 Representation memory is append-only: each row is the mean normalized
 feature of one class, computed once when the class is introduced and never
-refreshed. Weight memory is a bit-exact snapshot of the classifier at the
-end of a session: a copy whose arrays are read-only, so nothing can write
-into it, and the trainer hands that snapshot on as the session state's
-head rather than keeping a second, writable copy of it.
+refreshed. Weight memory is the classifier at the end of a session, its
+arrays made read-only in place, so nothing can write into it: it is the
+session state's one head, and the next session's imprinting copies it
+into a new head rather than training it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class RepresentationMemory:
         if len(self.class_ids) != self.rows.shape[0] or len(self.session_of) != self.rows.shape[0]:
             raise ValueError("row metadata lengths disagree")
         if len(set(self.class_ids)) != len(self.class_ids):
-            raise ValueError("duplicate class id in memory")
+            repeated = sorted({c for c in self.class_ids if self.class_ids.count(c) > 1})
+            raise ValueError(f"duplicate class ids in memory: {repeated}")
         self.rows.setflags(write=False)
 
     @property
@@ -65,8 +66,8 @@ def column_labels(labels, class_ids) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightMemory:
-    """Bit-exact snapshot of the classifier at the end of a session. Its
-    arrays are read-only, as RepresentationMemory.rows are."""
+    """The classifier at the end of a session and the session's index. The
+    head's arrays are read-only, as RepresentationMemory.rows are."""
 
     classifier_snapshot: ClassifierParams
     session: int
@@ -107,9 +108,6 @@ def update_representation_memory(mem: RepresentationMemory,
     if not new_class_features:
         return mem
     ids, means, _ = _class_means(new_class_features, mem.dim)
-    collisions = set(ids) & set(mem.class_ids)
-    if collisions:
-        raise ValueError(f"class ids already stored: {sorted(collisions)}")
     rows = np.concatenate([mem.rows, np.stack(means)], axis=0)
     return RepresentationMemory(rows, mem.class_ids + tuple(ids),
                                 mem.session_of + (int(session),) * len(ids))
@@ -117,15 +115,14 @@ def update_representation_memory(mem: RepresentationMemory,
 
 def build_weight_memory(params: ClassifierParams, mem: RepresentationMemory,
                         session: int) -> WeightMemory:
-    """Snapshot the classifier that was trained on the memory's classes: a
-    copy of params whose arrays are made read-only, so it stays bit-exact
-    whoever holds it, and params itself is left writable."""
+    """Freeze the classifier that was trained on the memory's classes: params
+    itself, not a copy, with its arrays made read-only, so it stays
+    bit-exact whoever holds it."""
     if params.dim != mem.dim:
         raise ValueError("classifier dim does not match memory dim")
-    snapshot = params.copy()
-    for arr in snapshot.arrays().values():
+    for arr in params.arrays().values():
         arr.setflags(write=False)
-    return WeightMemory(snapshot, int(session))
+    return WeightMemory(params, int(session))
 
 
 def memory_budget_bytes(mem: RepresentationMemory, wmem: WeightMemory,

@@ -9,11 +9,11 @@ restores the head from weight memory, expands it by imprinting those novel
 rows, and trains it on the incremental objective against a per-epoch
 refreshed distance dictionary (both projected by the one hidden map,
 classifier.project_batch); the memory term classifies the old rows only.
-Each session ends in a data_io.SessionState whose head is its read-only
-weight-memory snapshot, so the trained head exists once after the session;
-with that state eval_report.evaluate_session scores the cumulative test
-set. All randomness is derived from the run seed, so repeated runs are
-bit-identical.
+Each session ends in a data_io.SessionState of the encoder and both
+memories: build_weight_memory freezes the trained head in place, and that
+head is the state's only one. With that state eval_report.evaluate_session
+scores the cumulative test set. All randomness is derived from the run
+seed, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -172,17 +172,16 @@ def train_base(base_session, cfg: TrainConfig, log_sink: LogSink | None = None) 
     enc.freeze()
     fbar = encoder.encode_rows(features, indices, enc)
     mem = init_representation_memory(dict(zip(class_ids, _rows_by_column(fbar, y, counts))))
-    wmem = build_weight_memory(head, mem, 0)
-    return SessionState(0, enc, wmem.classifier_snapshot, mem, wmem)
+    return SessionState(enc, mem, build_weight_memory(head, mem, 0))
 
 
 def train_incremental(state: SessionState, session, cfg: TrainConfig,
                       log_sink: LogSink | None = None) -> SessionState:
     """One N-way K-shot session: append the novel class means to memory,
     restore the head from weight memory, imprint novel columns from the new
-    memory rows, train on the incremental objective, snapshot the head.
-    The encoder stays frozen throughout. The returned state's head is the
-    read-only snapshot; the trained head is dropped on return."""
+    memory rows, train on the incremental objective, freeze the head into
+    weight memory. The encoder stays frozen throughout, and state's own head
+    is only read: imprinting copies it into the new head."""
     t = state.session + 1
     indices = session.assignment.train_indices
     new_ids = list(session.assignment.class_ids)
@@ -192,10 +191,6 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
             raise ValueError("cannot run an incremental session without memory")
         if indices.shape[0] == 0 or not new_ids:
             raise ValueError("incremental session has no training examples")
-        collisions = set(new_ids) & set(state.mem.class_ids)
-        if collisions:
-            raise ValueError(f"session classes already seen: {sorted(collisions)}")
-
         y = column_labels(session.labels[indices], new_ids)
         counts = np.bincount(y, minlength=len(new_ids))
         if np.any(counts == 0):
@@ -226,8 +221,7 @@ def train_incremental(state: SessionState, session, cfg: TrainConfig,
     _train_session(head.arrays(), indices.shape[0], cfg.incr_epochs, cfg.incr_lr, t, cfg,
                    log_sink, begin_epoch)
 
-    wmem = build_weight_memory(head, mem, t)
-    return SessionState(t, state.encoder, wmem.classifier_snapshot, mem, wmem)
+    return SessionState(state.encoder, mem, build_weight_memory(head, mem, t))
 
 
 def run_protocol(stream, cfg: TrainConfig, log_sink: LogSink | None = None,

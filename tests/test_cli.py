@@ -718,6 +718,14 @@ GRADCHECK_MUTANTS = {
     "relu-fold": ("classifier.py", "    scales *= hidden > 0\n", "",
                   {("incremental", "w1"), ("incremental", "b1"), ("base", "enc_w"),
                    ("base", "enc_b"), ("base", "head_w1"), ("base", "head_b1")}),
+    "distance-relu": ("classifier.py", "    dz1 *= points > 0\n", "",
+                      {("incremental", "w1"), ("incremental", "b1")}),
+    "memory-weight": ("classifier.py", "(1.0 - beta, mem_grads)", "(beta, mem_grads)",
+                      {("incremental", "w1"), ("incremental", "b1"), ("incremental", "w2"),
+                       ("incremental", "b2")}),
+    "norm-projection": ("encoder.py", "return (grad - g_mean - out * proj) / scale",
+                        "return (grad - g_mean) / scale",
+                        {("base", "enc_w"), ("base", "enc_b")}),
 }
 
 

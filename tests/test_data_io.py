@@ -13,11 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcmr import data_io, encoder, rng, trainer
+from gcmr.classifier import init_classifier
 from gcmr.cli import EXIT_DATA, EXIT_NUMERIC, load_run_config, main
 from gcmr.data_io import (FormatError, ProtocolSpec, SyntheticSpec, TokenDataset,
                           SessionAssignment, atomic_open, fscil_split, generate_synthetic,
                           load_checkpoint, load_features, materialize_sessions,
                           save_checkpoint, save_dataset)
+from gcmr.memory import RepresentationMemory, build_weight_memory
 from oracles import fscil_split_per_class
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
@@ -531,9 +533,8 @@ class TestBinaryRoundTrips:
         assert path.read_bytes() == with_crc(checkpoint_body(8, state))
 
     def test_reloaded_weight_memory_is_the_saved_snapshot(self, tmp_path):
-        # the trainer's snapshot invariant survives a checkpoint round trip
+        # the trainer's one-head invariant survives a checkpoint round trip
         state = small_state()
-        assert state.wmem.classifier_snapshot.state_bytes() == state.classifier.state_bytes()
         path = tmp_path / "state.gcmr"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
@@ -541,8 +542,8 @@ class TestBinaryRoundTrips:
         snapshot = loaded.wmem.classifier_snapshot
         assert snapshot.state_bytes() == state.wmem.classifier_snapshot.state_bytes()
         assert snapshot.dropout_rate == state.wmem.classifier_snapshot.dropout_rate
-        for name, arr in loaded.classifier.arrays().items():
-            assert not np.shares_memory(arr, snapshot.arrays()[name])
+        assert loaded.classifier is snapshot
+        assert not any(arr.flags.writeable for arr in snapshot.arrays().values())
 
     def test_checkpoint_resaves_byte_identical(self, tmp_path):
         state = small_state()
@@ -569,6 +570,20 @@ class TestZeroCopyLoad:
         assert loaded.flags.c_contiguous and loaded.flags.aligned and loaded.flags.writeable
         assert loaded.tobytes() == features.tobytes()
         loaded[0, 0, 0] = 1.0  # writable in place
+
+    def test_checkpoint_load_holds_the_head_once(self, tmp_path, traced_peak):
+        # a 64 -> 256 -> 1,000 head: the load reads it into the one head the
+        # state keeps, and no second copy of it is made beside the snapshot
+        enc = encoder.init_encoder(64, 64)
+        enc.freeze()
+        head = init_classifier(64, 256, 1000, seed=4)
+        mem = RepresentationMemory(np.zeros((1000, 64)), tuple(range(1000)), (1,) * 1000)
+        path = tmp_path / "wide.gcmr"
+        save_checkpoint(trainer.SessionState(enc, mem, build_weight_memory(head, mem, 1)), path)
+        loaded, peak = traced_peak(load_checkpoint, path)
+        assert loaded.classifier.state_bytes() == head.state_bytes()
+        head_bytes = sum(arr.nbytes for arr in head.arrays().values())
+        assert peak < path.stat().st_size + head_bytes // 4
 
 
 class TestFiniteness:
@@ -622,7 +637,8 @@ class TestAtomicWrites:
         path = tmp_path / "state.gcmr"
         save_checkpoint(state, path)
         before = path.read_bytes()
-        state.session += 1
+        state = dataclasses.replace(
+            state, wmem=dataclasses.replace(state.wmem, session=state.session + 1))
 
         def fail(src, dst):
             raise OSError("disk full")
@@ -832,8 +848,6 @@ class TestFormatErrors:
         arrays = [state.encoder.w, state.encoder.b, state.mem.rows,
                   *state.classifier.arrays().values()]
         assert all(arr.dtype == np.float64 and np.isfinite(arr).all() for arr in arrays)
-        assert state.wmem.classifier_snapshot.state_bytes() == state.classifier.state_bytes()
-        assert state.wmem.session == state.session
 
 
 class TestCsv:

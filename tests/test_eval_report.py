@@ -29,13 +29,12 @@ def oracle_state(n_classes, class_ids=None, session_of=None):
                                       for i, cid in enumerate(class_ids)})
     if session_of is not None:
         mem = type(mem)(mem.rows, mem.class_ids, session_of)
-    wmem = build_weight_memory(head, mem, 0)
-    return trainer.SessionState(0, enc, head, mem, wmem)
+    return trainer.SessionState(enc, mem, build_weight_memory(head, mem, 0))
 
 
-def random_head_state(n_classes, dim=4, hidden=8, seed=0):
-    """A state with a random head over n_classes columns; class ids are the
-    column indices."""
+def random_head_state(n_classes, dim=4, hidden=8, seed=0, session=0):
+    """A state of the given session with a random head over n_classes
+    columns; class ids are the column indices."""
     gen = np.random.default_rng(seed)
     enc = init_encoder(dim, dim)
     enc.freeze()
@@ -44,7 +43,7 @@ def random_head_state(n_classes, dim=4, hidden=8, seed=0):
                             gen.normal(size=n_classes), 0.0)
     mem = RepresentationMemory(gen.normal(size=(n_classes, dim)),
                                tuple(range(n_classes)), (0,) * n_classes)
-    return trainer.SessionState(0, enc, head, mem, build_weight_memory(head, mem, 0))
+    return trainer.SessionState(enc, mem, build_weight_memory(head, mem, session))
 
 
 def basis_examples(n_classes, labels, feature_classes=None):
@@ -171,11 +170,12 @@ class TestChunkedScoring:
         n = 2 * HEAD_BLOCK_ROWS + 3
         gen = np.random.default_rng(3)
         features, labels = gen.normal(size=(n, 4)), gen.integers(0, 5, size=n)
-        state = random_head_state(5)
-        state.session = 3
+        state = random_head_state(5, session=3)
         # run_protocol scores under np.errstate; so does this test
         with np.errstate(over="ignore", invalid="ignore"):
-            state.classifier.b2[1] = -np.inf  # a logit that never wins is no failure
+            b2 = state.classifier.b2.copy()  # the state's head is read-only
+            b2[1] = -np.inf  # a logit that never wins is no failure
+            state.classifier.b2 = b2
             assert evaluate_session(state, features, labels).per_class_acc[1] == 0.0
             for value in (np.nan, np.inf):
                 bad = features.copy()

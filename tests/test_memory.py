@@ -67,9 +67,10 @@ class TestUpdate:
         assert mem2.rows[:4].tobytes() == before
 
     def test_class_id_collision(self):
-        mem = init_representation_memory({0: [np.zeros(2)]})
-        with pytest.raises(ValueError):
-            update_representation_memory(mem, {0: [np.ones(2)]}, 1)
+        mem = init_representation_memory({0: [np.zeros(2)], 3: [np.ones(2)]})
+        with pytest.raises(ValueError, match=r"^duplicate class ids in memory: \[0, 3\]$"):
+            update_representation_memory(mem, {3: [np.ones(2)], 5: [np.ones(2)],
+                                               0: [np.ones(2)]}, 1)
 
     def test_append_only_across_sessions(self):
         gen = np.random.default_rng(3)
@@ -88,19 +89,30 @@ class TestWeightMemory:
         gen = np.random.default_rng(7)
         mem = init_representation_memory({0: gen.normal(size=(2, 4))})
         params = init_classifier(4, 3, 1, seed=3)
+        before = params.state_bytes()
         wmem = build_weight_memory(params, mem, 0)
-        assert wmem.classifier_snapshot.state_bytes() == params.state_bytes()
-        params.w1 += 1.0
-        assert wmem.classifier_snapshot.state_bytes() != params.state_bytes()
+        # the snapshot is the head itself, frozen: no copy, and no write
+        # through the head can change it
+        assert wmem.classifier_snapshot is params
+        with pytest.raises(ValueError, match="read-only"):
+            params.w1 += 1.0
+        assert wmem.classifier_snapshot.state_bytes() == before
 
     def test_snapshot_arrays_are_read_only(self):
         mem = init_representation_memory({0: [np.zeros(4)]})
         params = init_classifier(4, 3, 1, seed=3)
         snap = build_weight_memory(params, mem, 0).classifier_snapshot
-        for name, arr in snap.arrays().items():
+        for arr in snap.arrays().values():
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
-            assert params.arrays()[name].flags.writeable
+
+    def test_freezing_a_wide_head_allocates_no_copy(self, traced_peak):
+        # a 64 -> 256 -> 1,000 head is 2,189,120 bytes; freezing it is a flag
+        mem = RepresentationMemory(np.zeros((1000, 64)), tuple(range(1000)), (0,) * 1000)
+        params = init_classifier(64, 256, 1000, seed=4)
+        wmem, peak = traced_peak(build_weight_memory, params, mem, 2)
+        assert wmem.classifier_snapshot is params and wmem.session == 2
+        assert peak < 1024
 
     def test_dimension_mismatch(self):
         mem = init_representation_memory({0: [np.zeros(5)]})
@@ -160,8 +172,8 @@ class TestColumnLabels:
 
 class TestValidation:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            RepresentationMemory(np.zeros((2, 3)), (1, 1), (0, 0))
+        with pytest.raises(ValueError, match=r"^duplicate class ids in memory: \[1, 4\]$"):
+            RepresentationMemory(np.zeros((5, 3)), (4, 1, 2, 1, 4), (0,) * 5)
 
     def test_metadata_alignment(self):
         with pytest.raises(ValueError):

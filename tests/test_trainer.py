@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gcmr import classifier, data_io, encoder, rng, trainer
 from gcmr.classifier import expand_with_imprinting
 from gcmr.encoder import normalized_features
+from gcmr.eval_report import evaluate_session
 from gcmr.losses import LossConfig
 from gcmr.memory import (column_labels, init_representation_memory,
                          update_representation_memory)
@@ -42,7 +44,6 @@ class TestTrainBase:
         assert state.session == 0
         assert state.mem.n_classes == 4
         assert state.encoder.frozen
-        assert state.wmem.classifier_snapshot.state_bytes() == state.classifier.state_bytes()
 
     def test_encoder_is_tanh_layer_norm_as_wide_as_the_tokens(self):
         base = small_stream()[0]
@@ -144,12 +145,11 @@ class TestTrainIncremental:
         for session in sessions[1:]:
             state = trainer.train_incremental(state, session, cfg)
             assert state.encoder.state_bytes() == frozen
-            assert state.wmem.classifier_snapshot.state_bytes() == \
-                state.classifier.state_bytes()
 
     def test_state_head_is_its_read_only_snapshot(self, monkeypatch):
         # each session's state holds its head once, as the snapshot, and the
-        # next session trains a writable head imprinted from it
+        # next session trains a head imprinted from it, which is frozen in
+        # place into the new state's snapshot
         imprinted = []
         expand = classifier.expand_with_imprinting
 
@@ -164,7 +164,7 @@ class TestTrainIncremental:
         for session in [None, *sessions[1:]]:
             if session is not None:
                 state = trainer.train_incremental(state, session, cfg)
-                assert all(arr.flags.writeable for arr in imprinted[-1].arrays().values())
+                assert state.classifier is imprinted[-1]
             assert state.classifier is state.wmem.classifier_snapshot
             for arr in state.classifier.arrays().values():
                 with pytest.raises(ValueError, match="read-only"):
@@ -243,7 +243,9 @@ class TestTrainIncremental:
         sessions = small_stream()
         cfg = small_config(base_epochs=0, incr_epochs=0)
         state = trainer.train_incremental(trainer.train_base(sessions[0], cfg), sessions[1], cfg)
-        with pytest.raises(ValueError, match=r"^session 2: session classes already seen: "):
+        repeated = sorted(sessions[1].assignment.class_ids)
+        with pytest.raises(ValueError, match=rf"^session 2: duplicate class ids in memory: "
+                                             rf"{re.escape(str(repeated))}$"):
             trainer.train_incremental(state, sessions[1], cfg)
 
     def test_off_mode_step_is_plain_cross_entropy(self):
@@ -272,7 +274,6 @@ class TestTrainIncremental:
                 cfg, memory_regularization=False, loss=LossConfig(c=0.3, beta=0.7))
             off = trainer.train_incremental(base, sessions[1], cfg_off)
             base_session, test = sessions[0], sessions[0].assignment.test_indices
-            from gcmr.eval_report import evaluate_session
             acc_on = evaluate_session(
                 on, normalized_features(base_session.features[test], on.encoder),
                 base_session.labels[test]).acc_base
@@ -281,6 +282,55 @@ class TestTrainIncremental:
                 base_session.labels[test]).acc_base
             wins += acc_on > acc_off
         assert wins >= 8
+
+
+class TestStateShape:
+    def test_every_state_holds_one_read_only_head(self, tmp_path):
+        # trained or loaded, a state is its encoder and its two memories,
+        # and its head is the weight memory's, with no writable array
+        assert [f.name for f in dataclasses.fields(data_io.SessionState)] == \
+            ["encoder", "mem", "wmem"]
+        sessions = small_stream()
+        cfg = small_config(base_epochs=1, incr_epochs=1)
+        states = [trainer.train_base(sessions[0], cfg)]
+        for session in sessions[1:]:
+            states.append(trainer.train_incremental(states[-1], session, cfg))
+        for t, state in enumerate(list(states)):
+            path = tmp_path / f"state_{t}.gcmr"
+            data_io.save_checkpoint(state, path)
+            states.append(data_io.load_checkpoint(path))
+        for state in states:
+            assert state.classifier is state.wmem.classifier_snapshot
+            arrays = [state.encoder.w, state.encoder.b, state.mem.rows,
+                      *state.classifier.arrays().values()]
+            assert not any(arr.flags.writeable for arr in arrays)
+
+    def test_training_from_a_loaded_checkpoint_is_byte_identical(self, tmp_path):
+        # session k + 1 trained from state k read back from its checkpoint
+        # ends in the bytes, and scores the reports, of the in-memory run
+        sessions = small_stream(n_classes=10)
+        assert len(sessions) >= 4
+        cfg = small_config()
+        states = [trainer.train_base(sessions[0], cfg)]
+        for session in sessions[1:]:
+            states.append(trainer.train_incremental(states[-1], session, cfg))
+        for k, session in enumerate(sessions[1:]):
+            path = tmp_path / f"state_{k}.gcmr"
+            data_io.save_checkpoint(states[k], path)
+            resumed = trainer.train_incremental(data_io.load_checkpoint(path), session, cfg)
+            expected = states[k + 1]
+            assert resumed.session == expected.session == k + 1
+            assert resumed.encoder.state_bytes() == expected.encoder.state_bytes()
+            assert resumed.classifier.state_bytes() == expected.classifier.state_bytes()
+            assert resumed.mem.rows.tobytes() == expected.mem.rows.tobytes()
+            assert resumed.mem.class_ids == expected.mem.class_ids
+            assert resumed.mem.session_of == expected.mem.session_of
+            seen = sessions[:k + 2]
+            raw = np.concatenate([s.features[s.assignment.test_indices] for s in seen])
+            labels = np.concatenate([s.labels[s.assignment.test_indices] for s in seen])
+            features = normalized_features(raw, expected.encoder)
+            assert evaluate_session(resumed, features, labels) == \
+                evaluate_session(expected, features, labels)
 
 
 class TestLogSchema:
